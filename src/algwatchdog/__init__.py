@@ -10,7 +10,7 @@ error-probability predictors, and a reproducible Monte Carlo harness.
 from .channel import (
     BinarySymmetricChannel,
     Radius,
-    ball_enumerate,
+    ball_offsets,
     ball_volume,
     binomial_cdf_exact,
     log_likelihood,

@@ -96,25 +96,15 @@ def ball_offsets(n: int, r: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def ball_enumerate(center: int, n: int, r: int) -> list[int]:
-    """Words within distance r of center, ordered by (distance, numeric value)."""
-    words = []
-    for w in range(r + 1):
-        layer = sorted(center ^ sum(1 << b for b in bits) for bits in combinations(range(n), w))
-        words.extend(layer)
-    return words
-
-
-def log_likelihood(chan: BinarySymmetricChannel, sent: int, received: int, n: int) -> float:
+def log_likelihood(chan: BinarySymmetricChannel, sent, received: int, n: int):
     """ln P(received | sent) for an n-bit BSC transmission.
 
-    At p = 0 consistent bits contribute 0 and any flipped bit makes the
+    `sent` is one word or an array of words; the result has its shape.  At
+    p = 0 consistent bits contribute 0 and any flipped bit makes the
     observation impossible (-inf), keeping trellis weights well-defined.
     """
-    k = (sent ^ received).bit_count()
+    k = np.bitwise_count(np.asarray(sent, dtype=np.int64) ^ received)
     p = chan.p
     if p == 0.0:
-        return 0.0 if k == 0 else -math.inf
-    if p == 1.0:  # unreachable through the [0, 0.5] constructor; kept symmetric
-        return 0.0 if k == n else -math.inf
+        return np.where(k == 0, 0.0, -math.inf)[()]
     return k * math.log(p) + (n - k) * math.log(1.0 - p)

@@ -166,14 +166,3 @@ class FieldElement:
             k >>= 1
         return result
 
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def pow_(a: FieldElement, k: int) -> FieldElement:
-    return a**k

@@ -239,13 +239,15 @@ def run_trials(cfg: SimConfig, workers: int | None = None) -> SimReport:
     }
     tp = theory.TheoryParams(cfg.n, cfg.h, radii["r12"], radii["r21"], radii["r31"], radii["r32"])
     pred = theory.predict(tp, cfg.epsilon)
+    strategy = cfg.strategy()
+    # the beta bounds are claimed only for this adversary and d >= 2 (see theory)
+    beta_claimed = strategy.kind == "random_nonzero_error" and cfg.d >= 2
     predicted = {
         "gamma_bound": float(theory.gamma_bound(cfg.epsilon)),
         "gamma_bound_conservative": float(pred.gamma_bound),
-        "beta": float(pred.beta),
-        "beta_v1": float(pred.beta_v1),
-        "beta_v2": float(pred.beta_v2),
     }
+    for key in ("beta", "beta_v1", "beta_v2"):
+        predicted[key] = float(getattr(pred, key)) if beta_claimed else None
 
     def rate(count: int) -> dict:
         low, high = wilson_interval(count, cfg.trials)
@@ -257,7 +259,6 @@ def run_trials(cfg: SimConfig, workers: int | None = None) -> SimReport:
             "wilson_high": high,
         }
 
-    strategy = cfg.strategy()
     gamma = rate(flagged)
     gamma["accepted_count"] = cfg.trials - flagged
     if strategy.kind == "honest":

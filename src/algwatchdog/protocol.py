@@ -9,12 +9,12 @@ checks that hash, so an inconsistent one would be caught immediately).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .channel import BinarySymmetricChannel, transmit
 from .gf2n import FieldElement, FieldSpec, canonical_spec
 from .hashing import HashFunction, HashValue, evaluate
-from .watchdog import Observation, _candidate_words
+from .watchdog import Observation, algebraic_check
 
 EXHAUSTIVE_MAX_WIDTH = 12
 WIRE_VERSION = 1
@@ -77,18 +77,12 @@ class AdversaryStrategy:
         return cls("exhaustive_best")
 
 
-def _zero_channel():
-    return BinarySymmetricChannel(0.0)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Two sources, one relay, one sink, with per-edge channels.
 
     chan_21/chan_12 are the source-to-source overhearing links, chan_31 and
-    chan_32 the relay-to-source ones.  The intended links (source->relay,
-    relay->sink) are kept for completeness; the model assumes they deliver
-    payloads correctly, so they default to noiseless.
+    chan_32 the relay-to-source ones.
     """
 
     spec: FieldSpec
@@ -102,9 +96,6 @@ class Scenario:
     chan_31: BinarySymmetricChannel
     chan_32: BinarySymmetricChannel
     epsilon: float
-    chan_13: BinarySymmetricChannel = field(default_factory=_zero_channel)
-    chan_23: BinarySymmetricChannel = field(default_factory=_zero_channel)
-    chan_34: BinarySymmetricChannel = field(default_factory=_zero_channel)
     allow_zero_coeffs: bool = False
 
     def __post_init__(self):
@@ -144,42 +135,56 @@ def _best_error(scn: Scenario) -> int:
     For each candidate error the product over the two watchers of the
     surviving-intersection size (computed on noise-free observations at the
     configured radii) measures how well the corruption hides; ties break
-    toward the smaller pass-count sum, then the smaller error word.
+    toward the larger pass-count sum, then the smaller error word.
     """
     n = scn.spec.n
     if n > EXHAUSTIVE_MAX_WIDTH:
         raise ValueError(f"exhaustive_best scans 2^n errors; n <= {EXHAUSTIVE_MAX_WIDTH} required")
-    x3 = scn.honest_relay_value()
-    best = None
-    for e in range(1, scn.spec.order):
-        corrupted = FieldElement(x3.value ^ e, scn.spec)
-        counts = []
-        for watcher in (1, 2):
-            obs = _noiseless_observation(scn, watcher, corrupted)
-            peer_words, _, _ = _candidate_words(obs, "peer")
-            relay_words, _, _ = _candidate_words(obs, "relay")
-            const = int(scn.spec.mul_words(obs.own_coeff.value, obs.own_value.value))
-            images = const ^ scn.spec.mul_words(obs.peer_coeff.value, peer_words)
-            counts.append(len(frozenset(int(w) for w in images) & frozenset(int(w) for w in relay_words)))
-        key = (counts[0] * counts[1], counts[0] + counts[1], -e)
-        if best is None or key > best[0]:
-            best = (key, e)
-    return best[1]
+    honest = scn.honest_relay_value().value
+    peers = ((1, scn.source_packet(2)), (2, scn.source_packet(1)))
+
+    def hiding(e: int) -> tuple[int, int, int]:
+        corrupted = FieldElement(honest ^ e, scn.spec)
+        relay_hash = evaluate(scn.hf, corrupted)
+        c1, c2 = (
+            algebraic_check(_observation(w, scn, peer.own_hash, relay_hash, peer.payload, corrupted.value))
+            .diagnostics["surviving"]
+            for w, peer in peers
+        )
+        return (c1 * c2, c1 + c2, -e)
+
+    return max(range(1, scn.spec.order), key=hiding)
 
 
-def _noiseless_observation(scn: Scenario, watcher: int, relay_value: FieldElement) -> Observation:
-    own, peer = (scn.x1, scn.x2) if watcher == 1 else (scn.x2, scn.x1)
-    a_own, a_peer = (scn.a1, scn.a2) if watcher == 1 else (scn.a2, scn.a1)
-    peer_chan = scn.chan_21 if watcher == 1 else scn.chan_12
-    relay_chan = scn.chan_31 if watcher == 1 else scn.chan_32
+def _observation(
+    watcher: int,
+    scn: Scenario,
+    peer_hash: HashValue,
+    relay_hash: HashValue,
+    peer_payload: int,
+    relay_payload: int,
+    rng=None,
+) -> Observation:
+    """One watcher's view of a round: its own value and coefficients, its two links.
+
+    With an rng the peer payload, then the relay payload, cross the
+    watcher's overhearing links; without one both arrive exact.
+    """
+    if watcher == 1:
+        own, a_own, a_peer, peer_chan, relay_chan = scn.x1, scn.a1, scn.a2, scn.chan_21, scn.chan_31
+    else:
+        own, a_own, a_peer, peer_chan, relay_chan = scn.x2, scn.a2, scn.a1, scn.chan_12, scn.chan_32
+    if rng is not None:
+        peer_payload = transmit(peer_chan, peer_payload, scn.spec.n, rng)
+        relay_payload = transmit(relay_chan, relay_payload, scn.spec.n, rng)
     return Observation(
         own_value=own,
         own_coeff=a_own,
         peer_coeff=a_peer,
-        peer_hash=evaluate(scn.hf, peer),
-        relay_hash=evaluate(scn.hf, relay_value),
-        noisy_peer=peer.value,
-        noisy_relay=relay_value.value,
+        peer_hash=peer_hash,
+        relay_hash=relay_hash,
+        noisy_peer=peer_payload,
+        noisy_relay=relay_payload,
         peer_channel=peer_chan,
         relay_channel=relay_chan,
         epsilon=scn.epsilon,
@@ -204,25 +209,8 @@ def observe(watcher: int, scn: Scenario, source_packets: tuple[Packet, Packet], 
     """What one source-side watcher gathers: intact headers, noisy payloads."""
     if watcher not in (1, 2):
         raise ValueError("watcher must be node 1 or 2")
-    n = scn.spec.n
-    own, _ = (scn.x1, scn.x2) if watcher == 1 else (scn.x2, scn.x1)
-    a_own, a_peer = (scn.a1, scn.a2) if watcher == 1 else (scn.a2, scn.a1)
-    peer_packet = source_packets[1] if watcher == 1 else source_packets[0]
-    peer_chan = scn.chan_21 if watcher == 1 else scn.chan_12
-    relay_chan = scn.chan_31 if watcher == 1 else scn.chan_32
-    return Observation(
-        own_value=own,
-        own_coeff=a_own,
-        peer_coeff=a_peer,
-        peer_hash=peer_packet.own_hash,
-        relay_hash=relay_packet.own_hash,
-        noisy_peer=transmit(peer_chan, peer_packet.payload, n, rng),
-        noisy_relay=transmit(relay_chan, relay_packet.payload, n, rng),
-        peer_channel=peer_chan,
-        relay_channel=relay_chan,
-        epsilon=scn.epsilon,
-        hf=scn.hf,
-    )
+    peer = source_packets[1] if watcher == 1 else source_packets[0]
+    return _observation(watcher, scn, peer.own_hash, relay_packet.own_hash, peer.payload, relay_packet.payload, rng)
 
 
 def _width_bytes(bits: int) -> int:

@@ -38,9 +38,10 @@ that chooses its error can do better than the average.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .channel import ball_volume
 
 
 @dataclass(frozen=True)
@@ -71,10 +72,6 @@ class Prediction:
     beta: Fraction
     beta_v1: Fraction
     beta_v2: Fraction
-
-
-def ball_sum(n: int, r: int) -> int:
-    return sum(math.comb(n, k) for k in range(r + 1))
 
 
 def gamma_bound(eps: float) -> Fraction:
@@ -116,12 +113,12 @@ def misdetection_v1(tp: TheoryParams) -> Fraction:
     Watcher 1 overhears its peer on the 2->1 link and the relay on the 3->1
     link, so only r21 and r31 enter; r12 does not.
     """
-    return _watcher_bound(tp.n, tp.h, ball_sum(tp.n, tp.r21), ball_sum(tp.n, tp.r31))
+    return _watcher_bound(tp.n, tp.h, ball_volume(tp.n, tp.r21), ball_volume(tp.n, tp.r31))
 
 
 def misdetection_v2(tp: TheoryParams) -> Fraction:
     """Watcher 2's figure: the same bound on its own links, 1->2 and 3->2."""
-    return _watcher_bound(tp.n, tp.h, ball_sum(tp.n, tp.r12), ball_sum(tp.n, tp.r32))
+    return _watcher_bound(tp.n, tp.h, ball_volume(tp.n, tp.r12), ball_volume(tp.n, tp.r32))
 
 
 def predicted_beta(tp: TheoryParams) -> Fraction:
@@ -143,7 +140,7 @@ def predicted_beta_no_overhear(n: int, h: int, r31: int, r32: int) -> Fraction:
     relay radius min(r31, r32).
     """
     TheoryParams(n=n, h=h, r12=n, r21=n, r31=r31, r32=r32)  # validates the ranges
-    return _watcher_bound(n, h, 1 << n, ball_sum(n, min(r31, r32)))
+    return _watcher_bound(n, h, 1 << n, ball_volume(n, min(r31, r32)))
 
 
 def predict(tp: TheoryParams, eps: float) -> Prediction:

@@ -13,13 +13,11 @@ vertex, with channel-likelihood edge weights.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .channel import BinarySymmetricChannel, Radius, ball_offsets, radius_for_epsilon
+from .channel import BinarySymmetricChannel, Radius, ball_offsets, log_likelihood, radius_for_epsilon
 from .gf2n import FieldElement
 from .hashing import HashFunction, HashValue
 
@@ -75,37 +73,17 @@ class Trellis:
     """Materialized slice of the four-layer model between the two observed vertices.
 
     Only the peer candidates (layer 2) and their coded images (layer 3) are
-    stored; layers 1 and 4 collapse to the single observed start/destination
-    vertex.  weights_in are the normalized start->candidate weights;
+    stored; layers 1 and 4 are the single observed start and destination
+    vertices.  weights_in are the normalized start->candidate weights;
     likelihood_out are the raw image->destination channel likelihoods, and
     edge_out marks which images are hash-consistent with the destination.
     """
 
-    start: tuple[int, int]
-    destination: tuple[int, int]
     candidates: np.ndarray
     images: np.ndarray
     weights_in: np.ndarray
     likelihood_out: np.ndarray
     edge_out: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def _popcount(n: int) -> np.ndarray:
-    v = np.arange(1 << n, dtype=np.int64)
-    out = np.zeros(1 << n, dtype=np.int64)
-    while v.any():
-        out += v & 1
-        v >>= 1
-    return out
-
-
-def _likelihoods(chan: BinarySymmetricChannel, words: np.ndarray, received: int, n: int) -> np.ndarray:
-    """P(received | word) for each word, as plain probabilities."""
-    k = _popcount(n)[words ^ received]
-    if chan.p == 0.0:
-        return np.where(k == 0, 1.0, 0.0)
-    return np.exp(k * math.log(chan.p) + (n - k) * math.log(1.0 - chan.p))
 
 
 def _candidate_words(obs: Observation, which: str, radius_override: int | None = None) -> tuple[np.ndarray, Radius, HashValue]:
@@ -168,16 +146,14 @@ def build_trellis(obs: Observation) -> Trellis:
     spec = obs.own_value.spec
     domain = np.arange(spec.order, dtype=np.int64)
     candidates = domain[obs.hf.values_on(domain) == obs.peer_hash.value]
-    raw_in = _likelihoods(obs.peer_channel, candidates, obs.noisy_peer, n)
+    raw_in = np.exp(log_likelihood(obs.peer_channel, candidates, obs.noisy_peer, n))
     total = raw_in.sum()
     weights_in = raw_in / total if total > 0 else np.zeros_like(raw_in)
     const = int(spec.mul_words(obs.own_coeff.value, obs.own_value.value))
     images = const ^ spec.mul_words(obs.peer_coeff.value, candidates)
     edge_out = obs.hf.values_on(images) == obs.relay_hash.value
-    likelihood_out = _likelihoods(obs.relay_channel, images, obs.noisy_relay, n)
+    likelihood_out = np.exp(log_likelihood(obs.relay_channel, images, obs.noisy_relay, n))
     return Trellis(
-        start=(obs.noisy_peer, obs.peer_hash.value),
-        destination=(obs.noisy_relay, obs.relay_hash.value),
         candidates=candidates,
         images=images,
         weights_in=weights_in,

@@ -8,11 +8,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from algwatchdog.channel import (
     BinarySymmetricChannel,
-    ball_enumerate,
+    ball_offsets,
     ball_volume,
     log_likelihood,
     radius_for_epsilon,
@@ -108,26 +109,29 @@ class TestBalls:
         with pytest.raises(ValueError):
             ball_volume(4, 5)
 
-    def test_enumerate_radius_zero(self):
-        assert ball_enumerate(0b1010, 4, 0) == [0b1010]
+    def test_offsets_radius_zero(self):
+        assert ball_offsets(4, 0).tolist() == [0]
 
-    def test_enumerate_weight_one(self):
-        assert ball_enumerate(0, 4, 1) == [0b0000, 0b0001, 0b0010, 0b0100, 0b1000]
+    def test_offsets_weight_one(self):
+        assert ball_offsets(4, 1).tolist() == [0b0000, 0b0001, 0b0010, 0b0100, 0b1000]
 
-    def test_enumerate_full_space(self):
-        assert sorted(ball_enumerate(0b0110, 4, 4)) == list(range(16))
+    def test_offsets_full_space(self):
+        assert sorted((0b0110 ^ ball_offsets(4, 4)).tolist()) == list(range(16))
 
-    def test_enumerate_properties(self):
+    def test_offsets_properties(self):
+        offsets = ball_offsets(5, 2).tolist()
+        weights = [o.bit_count() for o in offsets]
+        assert weights == sorted(weights)
+        # (weight, value) order: numeric order within each weight shell
+        assert offsets == sorted(offsets, key=lambda o: (o.bit_count(), o))
         for center in (0, 0b10101, 0b11111):
-            words = ball_enumerate(center, 5, 2)
+            words = (center ^ ball_offsets(5, 2)).tolist()
             assert len(words) == len(set(words)) == ball_volume(5, 2)
-            dists = [(w ^ center).bit_count() for w in words]
-            assert all(d <= 2 for d in dists)
-            assert dists == sorted(dists)
-            # numeric order within each distance shell
-            for d in range(3):
-                shell = [w for w, dd in zip(words, dists) if dd == d]
-                assert shell == sorted(shell)
+            assert all((w ^ center).bit_count() <= 2 for w in words)
+
+    def test_offsets_range_error(self):
+        with pytest.raises(ValueError):
+            ball_offsets(4, 5)
 
 
 class TestLogLikelihood:
@@ -149,5 +153,18 @@ class TestLogLikelihood:
     def test_ball_mass_equals_binomial_cdf(self):
         chan = BinarySymmetricChannel(0.1)
         n, r, center = 8, 3, 0b1100_1010
-        mass = sum(math.exp(log_likelihood(chan, x, center, n)) for x in ball_enumerate(center, n, r))
+        words = (center ^ ball_offsets(n, r)).tolist()
+        mass = sum(math.exp(log_likelihood(chan, x, center, n)) for x in words)
         assert mass == pytest.approx(float(oracle_binomial_cdf(n, r, 0.1)))
+
+    def test_array_matches_scalar(self):
+        chan = BinarySymmetricChannel(0.1)
+        words = np.arange(256, dtype=np.int64)
+        got = log_likelihood(chan, words, 0b0110_1001, 8)
+        assert got.shape == words.shape
+        assert got.tolist() == [log_likelihood(chan, int(w), 0b0110_1001, 8) for w in words]
+
+    def test_array_noiseless_sentinels(self):
+        chan = BinarySymmetricChannel(0.0)
+        got = log_likelihood(chan, np.array([0b101, 0b100, 0b001, 0b101]), 0b101, 3)
+        assert got.tolist() == [0.0, -math.inf, -math.inf, 0.0]

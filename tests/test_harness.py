@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from algwatchdog import theory
 from algwatchdog.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -102,6 +103,40 @@ class TestRunTrials:
             measured = rep.per_watcher[name]
             hw = (measured["wilson_high"] - measured["wilson_low"]) / 2
             assert 0 < measured["estimate"] <= rep.predicted[name] + 3 * hw
+
+
+class TestBetaBoundScope:
+    """The beta bounds hold for random_nonzero_error and d >= 2 only; elsewhere they read null."""
+
+    BETA_KEYS = ("beta", "beta_v1", "beta_v2")
+
+    def assert_no_beta_bound(self, rep, tmp_path):
+        assert all(rep.predicted[k] is None for k in self.BETA_KEYS)
+        assert rep.predicted["gamma_bound"] == pytest.approx(0.01)
+        doc = json.loads(report_json(rep))
+        assert all(doc["predicted"][k] is None for k in self.BETA_KEYS)
+        path = tmp_path / "report.csv"
+        write_report(rep, str(path), format="csv")
+        with open(path) as f:
+            header, row = list(csv.reader(f))
+        cells = dict(zip(header, row))
+        assert all(cells["predicted_" + k] == "" for k in self.BETA_KEYS)
+        assert cells["predicted_gamma_bound"] == "0.01"
+
+    def test_constant_hash_has_no_beta_bound(self, tmp_path):
+        # d = 0: every word hashes alike, so the hash never exposes the
+        # corruption; the radius-only figure would claim 0.00337 here
+        rep = run_trials(small_cfg(n=8, h=8, d=0, trials=200, seed=5))
+        assert rep.radii == {"r12": 3, "r21": 3, "r31": 3, "r32": 3}
+        assert float(theory.predicted_beta(theory.TheoryParams(8, 8, 3, 3, 3, 3))) == pytest.approx(0.00337, abs=5e-6)
+        assert rep.beta["estimate"] == 1.0
+        assert rep.per_watcher["beta_v1"]["estimate"] == rep.per_watcher["beta_v2"]["estimate"] == 1.0
+        self.assert_no_beta_bound(rep, tmp_path)
+
+    def test_chosen_error_has_no_beta_bound(self, tmp_path):
+        rep = run_trials(small_cfg(adversary={"kind": "fixed_error", "error": 1}, trials=20))
+        assert rep.beta["strategy"] == "fixed_error"
+        self.assert_no_beta_bound(rep, tmp_path)
 
 
 class TestSweep:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from algwatchdog.channel import BinarySymmetricChannel
+from algwatchdog.channel import BinarySymmetricChannel, noise_mask, radius_for_epsilon
 from algwatchdog.gf2n import FieldElement, canonical_spec
 from algwatchdog.hashing import HashValue, evaluate, sample
 from algwatchdog.protocol import (
@@ -19,6 +19,7 @@ from algwatchdog.protocol import (
 )
 
 GF16 = canonical_spec(4)
+GF32 = canonical_spec(5)
 GF256 = canonical_spec(8)
 
 
@@ -33,6 +34,32 @@ def make_scenario(spec=GF16, x1=0b0101, x2=0b0111, a1=1, a2=1, p=0.0, h=2, seed=
         chan_12=chan, chan_21=chan, chan_31=chan, chan_32=chan,
         epsilon=epsilon,
     )
+
+
+def reference_pass_counts(scn, e):
+    """(c1, c2): how many words survive each watcher's noise-free check of error e.
+
+    Candidate sets come from a full field scan with Hamming distance and
+    scalar hash evaluation; no ball enumeration or vector arithmetic.
+    """
+    spec, hf = scn.spec, scn.hf
+    corrupted = scn.honest_relay_value().value ^ e
+    relay_hash = evaluate(hf, FieldElement(corrupted, spec))
+    words = [FieldElement(w, spec) for w in range(spec.order)]
+    counts = []
+    for own, peer, a_own, a_peer, peer_chan, relay_chan in (
+        (scn.x1, scn.x2, scn.a1, scn.a2, scn.chan_21, scn.chan_31),
+        (scn.x2, scn.x1, scn.a2, scn.a1, scn.chan_12, scn.chan_32),
+    ):
+        r_peer = radius_for_epsilon(spec.n, peer_chan.p, scn.epsilon).r
+        r_relay = radius_for_epsilon(spec.n, relay_chan.p, scn.epsilon).r
+        peer_hash = evaluate(hf, peer)
+        peer_cands = [x for x in words if (x.value ^ peer.value).bit_count() <= r_peer and evaluate(hf, x) == peer_hash]
+        relay_cands = {
+            y.value for y in words if (y.value ^ corrupted).bit_count() <= r_relay and evaluate(hf, y) == relay_hash
+        }
+        counts.append(len({(a_own * own + a_peer * x).value for x in peer_cands} & relay_cands))
+    return counts
 
 
 class TestRelayOutput:
@@ -85,6 +112,19 @@ class TestRelayOutput:
         pkt = relay_output(scn, AdversaryStrategy.exhaustive_best(), random.Random(4))
         assert pkt.payload != scn.honest_relay_value().value
 
+    @pytest.mark.parametrize("seed, p", [(1, 0.1), (5, 0.2)])
+    def test_exhaustive_best_maximizes_pass_counts(self, seed, p):
+        scn = make_scenario(spec=GF32, x1=0b10110, x2=0b01011, a1=3, a2=7, p=p, h=2, seed=seed)
+
+        def key(e):
+            c1, c2 = reference_pass_counts(scn, e)
+            return (c1 * c2, c1 + c2, -e)
+
+        want = max(range(1, scn.spec.order), key=key)
+        assert key(want)[0] > 0
+        pkt = relay_output(scn, AdversaryStrategy.exhaustive_best(), random.Random(4))
+        assert pkt.payload ^ scn.honest_relay_value().value == want
+
     def test_exhaustive_best_cost_error_at_large_n(self):
         spec = canonical_spec(14)
         scn = make_scenario(spec=spec, x1=5, x2=9, h=4, p=0.05)
@@ -129,6 +169,15 @@ class TestObserve:
         )
         sigma = (8 * 0.1 * 0.9) ** 0.5
         assert abs(total / 10_000 - 0.8) <= 3 * sigma / 100
+
+    def test_peer_noise_drawn_before_relay_noise(self):
+        scn = make_scenario(spec=GF256, x1=0x31, x2=0x7C, h=3, p=0.3)
+        sources = (scn.source_packet(1), scn.source_packet(2))
+        relay = relay_output(scn, AdversaryStrategy.honest(), random.Random(1))
+        obs = observe(2, scn, sources, relay, random.Random(6))
+        rng = random.Random(6)
+        assert obs.noisy_peer == scn.x1.value ^ noise_mask(scn.chan_12, 8, rng)
+        assert obs.noisy_relay == relay.payload ^ noise_mask(scn.chan_32, 8, rng)
 
     def test_bad_watcher_id(self):
         scn = make_scenario()
