@@ -64,8 +64,13 @@ def binomial_cdf_exact(n: int, r: int, p: float) -> Fraction:
     )
 
 
+@lru_cache(maxsize=None)
 def radius_for_epsilon(n: int, p: float, eps: float) -> Radius:
-    """Smallest r with binomial CDF(n, p) at r >= 1 - eps."""
+    """Smallest r with binomial CDF(n, p) at r >= 1 - eps.
+
+    Memoized: a run asks for the same few (n, p, eps) once per candidate
+    set, and each answer costs up to n + 1 exact rational CDFs.
+    """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"epsilon {eps} outside (0, 1)")
     if not (0.0 <= p <= 0.5):

@@ -2,8 +2,13 @@
 
 Elements are n-bit words; addition is XOR, multiplication is carry-less
 polynomial multiplication reduced modulo a fixed irreducible polynomial.
-Multiplication goes through log/exp tables built once per field, which also
-gives cheap vectorized multiplication for numpy arrays of words.
+Multiplication goes through log/exp tables built once per field.  The log
+of zero is a sentinel, 2 * 2^n, and the exp table is padded with zeros up to
+index 4 * 2^n, so exp[log[a] + log[b]] is the product for every pair, zero
+operands included, with no branch.  `FieldSpec.mul_words` gathers from the
+numpy tables for arrays of words; `FieldSpec.mul` multiplies two Python ints
+through a tuple view of the same tables, built on its first use, which is
+far cheaper than a numpy call for one pair.
 """
 
 from __future__ import annotations
@@ -87,25 +92,33 @@ class FieldSpec:
     def element(self, value: int) -> "FieldElement":
         return FieldElement(value, self)
 
+    def mul(self, a: int, b: int) -> int:
+        """Field product of two words given as Python ints."""
+        exp, log = _table_lists(self.n, self.reduction_poly)
+        return exp[log[a] + log[b]]
+
     def mul_words(self, a, b):
         """Vectorized field multiplication of numpy arrays (or scalars) of words."""
         exp, log = _tables(self.n, self.reduction_poly)
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = exp[log[a] + log[b]]
-        return np.where((a == 0) | (b == 0), 0, out)
+        # take() gathers like exp[log[a] + log[b]] without first copying
+        # its inputs into int64 arrays, and reads a bool array as 0/1 words
+        # where indexing would read it as a mask
+        return exp.take(log.take(a) + log.take(b))
 
 
 @lru_cache(maxsize=None)
 def _tables(n: int, poly: int):
-    """exp/log tables for the cyclic group of GF(2^n)*.
+    """exp/log tables for the cyclic group of GF(2^n)*, with a zero sentinel.
 
     x (the word 0b10) is not always a generator for an arbitrary irreducible
     polynomial, so we search the small field for a primitive element.
+    exp[i] for i < 2 * (2^n - 1) cycles through the nonzero words; log[0] is
+    2 * 2^n, so a sum of two logs with a zero operand lands in the zero
+    padding exp[2 * (2^n - 1) : 4 * 2^n + 1].
     """
     size = 1 << n
     for g in range(2, size):
-        exp = np.zeros(2 * size, dtype=np.int64)
+        exp = np.zeros(4 * size + 1, dtype=np.int64)
         log = np.zeros(size, dtype=np.int64)
         seen = 0
         acc = 1
@@ -116,8 +129,16 @@ def _tables(n: int, poly: int):
             acc = poly_mod(clmul(acc, g), poly)
         if acc == 1 and seen == size - 1 and len(set(exp[: size - 1].tolist())) == size - 1:
             exp[size - 1 : 2 * (size - 1)] = exp[: size - 1]
+            log[0] = 2 * size
             return exp, log
     raise FieldError(f"no primitive element found for 0b{poly:b}")  # pragma: no cover
+
+
+@lru_cache(maxsize=None)
+def _table_lists(n: int, poly: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The exp/log tables of `_tables` as tuples of Python ints, for scalar lookups."""
+    exp, log = _tables(n, poly)
+    return tuple(exp.tolist()), tuple(log.tolist())
 
 
 @lru_cache(maxsize=None)
@@ -152,7 +173,7 @@ class FieldElement:
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        return FieldElement(int(self.spec.mul_words(self.value, other.value)), self.spec)
+        return FieldElement(self.spec.mul(self.value, other.value), self.spec)
 
     def __pow__(self, k: int) -> "FieldElement":
         if k < 0:

@@ -26,7 +26,9 @@ from .gf2n import FieldElement, canonical_spec
 from .hashing import sample as sample_hash
 
 _EDGE_PROBS = ("p12", "p21", "p31", "p32")
-_NUMERIC_FIELDS = ("n", "h", "d", "p12", "p21", "p31", "p32", "epsilon", "threshold", "trials", "seed")
+_INT_FIELDS = ("n", "h", "d", "trials", "seed")
+_FLOAT_FIELDS = (*_EDGE_PROBS, "epsilon", "threshold")
+_NUMERIC_FIELDS = _INT_FIELDS + _FLOAT_FIELDS
 
 
 class ConfigError(ValueError):
@@ -54,6 +56,15 @@ class SimConfig:
 
     def validate(self):
         problems = []
+        for names, kinds, what in ((_INT_FIELDS, int, "an integer"), (_FLOAT_FIELDS, (int, float), "a number")):
+            for name in names:
+                value = getattr(self, name)
+                # JSON gives "8" or 3.0 as readily as 8, and bool is an int
+                # subclass; the range checks below need numbers of the right kind
+                if isinstance(value, bool) or not isinstance(value, kinds):
+                    problems.append(f"{name}={value!r} is not {what}")
+        if problems:
+            raise ConfigError(problems)
         if not (2 <= self.n <= 16):
             problems.append(f"n={self.n} outside [2, 16]")
         if not (1 <= self.h <= min(self.n, 16)):
@@ -212,7 +223,10 @@ def _worker_count(workers: int | None) -> int:
         workers = 1
     cap = os.environ.get("WATCHDOG_THREADS")
     if cap:
-        workers = min(workers, max(1, int(cap)))
+        try:
+            workers = min(workers, max(1, int(cap)))
+        except ValueError:
+            raise ConfigError([f"WATCHDOG_THREADS={cap!r} is not an integer"]) from None
     return max(1, workers)
 
 

@@ -53,21 +53,23 @@ class HashFunction:
         return len(self.coeffs) - 1
 
     def values_on(self, words: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on an array of n-bit words (Horner)."""
+        """Vectorized evaluation on an array of n-bit words (Horner from a_d)."""
         spec = self.spec
-        acc = np.zeros_like(np.asarray(words, dtype=np.int64))
-        for c in reversed(self.coeffs):
+        acc = np.full_like(np.asarray(words, dtype=np.int64), self.coeffs[-1].value)
+        for c in reversed(self.coeffs[:-1]):
             acc = spec.mul_words(acc, words) ^ c.value
         return acc & ((1 << self.width) - 1)
 
 
 def evaluate(hf: HashFunction, x: FieldElement) -> HashValue:
+    """Scalar evaluation of one field element (Horner on Python ints)."""
     if x.spec != hf.spec:
         raise SpecMismatchError("hash input from a different field")
-    acc = FieldElement(0, hf.spec)
-    for c in reversed(hf.coeffs):
-        acc = acc * x + c
-    return HashValue(acc.value & ((1 << hf.width) - 1), hf.width)
+    mul = hf.spec.mul
+    acc = hf.coeffs[-1].value
+    for c in reversed(hf.coeffs[:-1]):
+        acc = mul(acc, x.value) ^ c.value
+    return HashValue(acc & ((1 << hf.width) - 1), hf.width)
 
 
 def sample(rng, d: int, spec: FieldSpec, h: int) -> HashFunction:

@@ -38,6 +38,10 @@ class Packet:
             raise ValueError("one neighbor hash per coding coefficient")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class AdversaryStrategy:
     """How the relay corrupts its output; `honest()` for no corruption."""
@@ -51,10 +55,10 @@ class AdversaryStrategy:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown strategy {self.kind!r}")
-        if self.kind == "fixed_error" and not self.error:
-            raise ValueError("fixed_error requires a nonzero error word")
-        if self.kind == "weight_bounded_error" and (self.max_weight is None or self.max_weight < 1):
-            raise ValueError("weight_bounded_error requires max_weight >= 1")
+        if self.kind == "fixed_error" and not (_is_int(self.error) and self.error):
+            raise ValueError(f"fixed_error requires a nonzero error word, got error={self.error!r}")
+        if self.kind == "weight_bounded_error" and not (_is_int(self.max_weight) and self.max_weight >= 1):
+            raise ValueError(f"weight_bounded_error requires max_weight >= 1, got max_weight={self.max_weight!r}")
 
     @classmethod
     def honest(cls):

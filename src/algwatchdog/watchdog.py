@@ -119,7 +119,7 @@ def algebraic_check(obs: Observation, radius_override: int | None = None) -> Ver
     peer_words, r_peer, _ = _candidate_words(obs, "peer", radius_override)
     relay_words, r_relay, _ = _candidate_words(obs, "relay", radius_override)
     spec = obs.own_value.spec
-    const = int(spec.mul_words(obs.own_coeff.value, obs.own_value.value))
+    const = spec.mul(obs.own_coeff.value, obs.own_value.value)
     images = const ^ spec.mul_words(obs.peer_coeff.value, peer_words)
     relay_set = frozenset(int(w) for w in relay_words)
     surviving = frozenset(int(w) for w in images) & relay_set
@@ -149,7 +149,7 @@ def build_trellis(obs: Observation) -> Trellis:
     raw_in = np.exp(log_likelihood(obs.peer_channel, candidates, obs.noisy_peer, n))
     total = raw_in.sum()
     weights_in = raw_in / total if total > 0 else np.zeros_like(raw_in)
-    const = int(spec.mul_words(obs.own_coeff.value, obs.own_value.value))
+    const = spec.mul(obs.own_coeff.value, obs.own_value.value)
     images = const ^ spec.mul_words(obs.peer_coeff.value, candidates)
     edge_out = obs.hf.values_on(images) == obs.relay_hash.value
     likelihood_out = np.exp(log_likelihood(obs.relay_channel, images, obs.noisy_relay, n))

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from algwatchdog import channel
 from algwatchdog.channel import (
     BinarySymmetricChannel,
     ball_offsets,
@@ -19,6 +20,7 @@ from algwatchdog.channel import (
     radius_for_epsilon,
     transmit,
 )
+from algwatchdog.fastcheck import radius_oracle_suite
 
 
 def oracle_binomial_cdf(n: int, r: int, p: float) -> Fraction:
@@ -95,6 +97,40 @@ class TestRadiusForEpsilon:
     def test_bad_eps(self):
         with pytest.raises(ValueError):
             radius_for_epsilon(8, 0.1, 0.0)
+
+
+class TestRadiusCache:
+    """radius_for_epsilon is memoized; each test starts from an empty cache."""
+
+    def test_second_call_skips_cdf(self, monkeypatch):
+        radius_for_epsilon.cache_clear()
+        calls = []
+        exact = channel.binomial_cdf_exact
+
+        def counting(n, r, p):
+            calls.append((n, r, p))
+            return exact(n, r, p)
+
+        monkeypatch.setattr(channel, "binomial_cdf_exact", counting)
+        first = radius_for_epsilon(8, 0.1, 0.01)
+        assert first.r == 3 and len(calls) == 4
+        assert radius_for_epsilon(8, 0.1, 0.01) == first
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("p, eps", [(0.1, 0.0), (0.1, 1.0), (0.1, -0.5), (0.6, 0.01), (-0.1, 0.01)])
+    def test_invalid_input_raises_on_every_call(self, p, eps):
+        radius_for_epsilon.cache_clear()
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                radius_for_epsilon(8, p, eps)
+
+    def test_cached_radii_match_pascal_oracle(self):
+        radius_for_epsilon.cache_clear()
+        radius_oracle_suite()
+        misses = radius_for_epsilon.cache_info().misses
+        radius_oracle_suite()  # every answer now comes from the cache
+        info = radius_for_epsilon.cache_info()
+        assert info.misses == misses and info.hits >= misses
 
 
 class TestBalls:

@@ -62,6 +62,30 @@ class TestSimulate:
         cfg = write_config(tmp_path, n=99)
         assert main(["simulate", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", "8"), ("epsilon", "0.01"), ("trials", 10.5), ("h", 3.0), ("seed", True), ("p12", False),
+    ])
+    def test_wrongly_typed_value_exit_2(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, **{field: value})
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"{field}={value!r}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("adversary, field", [
+        ({"kind": "fixed_error", "error": "5"}, "error='5'"),
+        ({"kind": "weight_bounded_error", "max_weight": 2.5}, "max_weight=2.5"),
+    ])
+    def test_wrongly_typed_adversary_field_exit_2(self, tmp_path, capsys, adversary, field):
+        cfg = write_config(tmp_path, adversary=adversary)
+        assert main(["simulate", "--config", cfg]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_non_integer_thread_cap_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("WATCHDOG_THREADS", "two")
+        cfg = write_config(tmp_path, trials=5)
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "WATCHDOG_THREADS='two'" in capsys.readouterr().err
+
     def test_unknown_field_exit_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"n": 8, "bogus": 1}))

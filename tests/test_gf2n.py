@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algwatchdog.fastcheck import slow_mul
 from algwatchdog.gf2n import (
     FieldElement,
     FieldSpec,
@@ -164,6 +165,49 @@ def test_mul_matches_oracle_random_pairs(n):
     for _ in range(2000):
         a, b = rng.randrange(spec.order), rng.randrange(spec.order)
         assert int(spec.mul_words(a, b)) == oracle_mul(a, b, spec.reduction_poly)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_scalar_mul_matches_slow_mul_exhaustively(n):
+    spec = canonical_spec(n)
+    for a in range(spec.order):
+        assert [spec.mul(a, b) for b in range(spec.order)] == [
+            slow_mul(a, b, spec.reduction_poly) for b in range(spec.order)
+        ]
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_scalar_mul_matches_slow_mul_random_pairs(n):
+    spec = canonical_spec(n)
+    rng = random.Random(n)
+    pairs = [(rng.randrange(spec.order), rng.randrange(spec.order)) for _ in range(2000)]
+    pairs[:3] = [(0, 0), (0, pairs[3][1]), (pairs[4][0], 0)]
+    for a, b in pairs:
+        got = spec.mul(a, b)
+        assert type(got) is int and got == slow_mul(a, b, spec.reduction_poly)
+
+
+class TestMulWordsZero:
+    """A zero operand must land in the zero padding of the exp table."""
+
+    def test_scalar_calls(self):
+        spec = canonical_spec(8)
+        for a in (0, 1, 0x53, 0xFF):
+            assert int(spec.mul_words(0, a)) == 0
+            assert int(spec.mul_words(a, 0)) == 0
+
+    def test_mixed_arrays(self):
+        spec = canonical_spec(8)
+        a = np.array([0, 0x53, 0, 0xFF, 1, 0xCA], dtype=np.int64)
+        b = np.array([0x11, 0, 0, 0xFF, 0, 0x35], dtype=np.int64)
+        want = [slow_mul(int(x), int(y), spec.reduction_poly) for x, y in zip(a, b)]
+        assert want[:3] == [0, 0, 0]
+        assert spec.mul_words(a, b).tolist() == want
+        assert spec.mul_words(0, b).tolist() == [0] * len(b)
+
+    def test_largest_index_at_n16(self):
+        # log[0] + log[0] = 4 * 2^16, the last entry of the padded exp table
+        assert int(canonical_spec(16).mul_words(0, 0)) == 0
 
 
 def test_element_range_checked():

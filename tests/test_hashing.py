@@ -48,6 +48,16 @@ class TestEvaluate:
         vec = hf.values_on(np.arange(16, dtype=np.int64))
         assert vec.tolist() == [evaluate(hf, fe(x)).value for x in range(16)]
 
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    def test_values_on_agrees_with_scalar_every_word(self, d):
+        # d = 0 leaves the vector Horner loop empty: the leading coefficient alone
+        spec = canonical_spec(8)
+        rng = random.Random(40 + d)
+        for _ in range(3):
+            hf = sample(rng, d, spec, 5)
+            vec = hf.values_on(np.arange(spec.order, dtype=np.int64))
+            assert vec.tolist() == [evaluate(hf, fe(x, spec)).value for x in range(spec.order)]
+
     def test_spec_mismatch(self):
         hf = HashFunction((fe(1), fe(1)), width=2)
         with pytest.raises(SpecMismatchError):
