@@ -32,10 +32,7 @@ from .hashing import HashFunction, HashValue, evaluate, preimage_set, sample
 from .protocol import (
     AdversaryStrategy,
     Packet,
-    PacketDecodeError,
     Scenario,
-    decode_packet,
-    encode_packet,
     observe,
     relay_output,
 )
@@ -50,7 +47,6 @@ from .theory import (
     predicted_beta_no_overhear,
 )
 from .watchdog import (
-    CandidateSet,
     Hypothesis,
     Observation,
     Trellis,

@@ -56,12 +56,15 @@ class SimConfig:
 
     def validate(self):
         problems = []
-        for names, kinds, what in ((_INT_FIELDS, int, "an integer"), (_FLOAT_FIELDS, (int, float), "a number")):
+        for names, ok, what in (
+            (_INT_FIELDS, protocol.is_int, "an integer"),
+            (_FLOAT_FIELDS, lambda v: protocol.is_int(v) or isinstance(v, float), "a number"),
+        ):
             for name in names:
                 value = getattr(self, name)
-                # JSON gives "8" or 3.0 as readily as 8, and bool is an int
-                # subclass; the range checks below need numbers of the right kind
-                if isinstance(value, bool) or not isinstance(value, kinds):
+                # JSON gives "8" or 3.0 as readily as 8; the range checks
+                # below need numbers of the right kind
+                if not ok(value):
                     problems.append(f"{name}={value!r} is not {what}")
         if problems:
             raise ConfigError(problems)
@@ -77,6 +80,9 @@ class SimConfig:
                 problems.append(f"{name}={p} outside [0, 0.5]")
         if not (0.0 < self.epsilon < 1.0):
             problems.append(f"epsilon={self.epsilon} outside (0, 1)")
+        # the trellis score is a probability; NaN fails this comparison too
+        if not (0.0 <= self.threshold <= 1.0):
+            problems.append(f"threshold={self.threshold} outside [0, 1]")
         if self.trials < 1:
             problems.append(f"trials={self.trials} < 1")
         if self.engine not in ("algebraic", "trellis"):
@@ -92,7 +98,7 @@ class SimConfig:
             vals = src.get("fixed")
             if not (isinstance(vals, (list, tuple)) and len(vals) == 2):
                 problems.append("sources: fixed form needs two values")
-            elif not all(isinstance(v, int) and 0 <= v < (1 << self.n) for v in vals):
+            elif not all(protocol.is_int(v) and 0 <= v < (1 << self.n) for v in vals):
                 problems.append("sources: fixed values must be n-bit words")
         elif src != "uniform":
             problems.append(f"sources={src!r} not 'uniform' or {{'fixed': [x1, x2]}}")

@@ -1,7 +1,8 @@
 """Packets, the two-source/one-relay scenario, relay behaviors, and overhearing.
 
-A packet carries the coding coefficients and hashes as reliable header
-fields and the coded payload as the only noise-exposed part.  The relay is
+Headers are reliable: the watchers know the coding coefficients through the
+`Scenario`, which stands for the overheard headers, so a packet carries only
+its own hash and the coded payload, the one noise-exposed part.  The relay is
 either honest or injects a nonzero error into its payload while keeping its
 own hash consistent with the corrupted payload (the downstream receiver
 checks that hash, so an inconsistent one would be caught immediately).
@@ -12,33 +13,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .channel import BinarySymmetricChannel, transmit
-from .gf2n import FieldElement, FieldSpec, canonical_spec
+from .gf2n import FieldElement, FieldSpec
 from .hashing import HashFunction, HashValue, evaluate
 from .watchdog import Observation, algebraic_check
 
 EXHAUSTIVE_MAX_WIDTH = 12
-WIRE_VERSION = 1
-
-
-class PacketDecodeError(ValueError):
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
 
 
 @dataclass(frozen=True)
 class Packet:
-    coeffs: tuple[FieldElement, ...]
-    neighbor_hashes: tuple[HashValue, ...]
+    """What a node transmits: its hash of the payload and the payload word."""
+
     own_hash: HashValue
     payload: int
 
-    def __post_init__(self):
-        if len(self.coeffs) != len(self.neighbor_hashes):
-            raise ValueError("one neighbor hash per coding coefficient")
 
-
-def _is_int(value) -> bool:
+def is_int(value) -> bool:
+    """True for an int that is not a bool (JSON booleans load as bool, an int subclass)."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
@@ -55,9 +46,9 @@ class AdversaryStrategy:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown strategy {self.kind!r}")
-        if self.kind == "fixed_error" and not (_is_int(self.error) and self.error):
+        if self.kind == "fixed_error" and not (is_int(self.error) and self.error):
             raise ValueError(f"fixed_error requires a nonzero error word, got error={self.error!r}")
-        if self.kind == "weight_bounded_error" and not (_is_int(self.max_weight) and self.max_weight >= 1):
+        if self.kind == "weight_bounded_error" and not (is_int(self.max_weight) and self.max_weight >= 1):
             raise ValueError(f"weight_bounded_error requires max_weight >= 1, got max_weight={self.max_weight!r}")
 
     @classmethod
@@ -100,18 +91,17 @@ class Scenario:
     chan_31: BinarySymmetricChannel
     chan_32: BinarySymmetricChannel
     epsilon: float
-    allow_zero_coeffs: bool = False
 
     def __post_init__(self):
-        if not self.allow_zero_coeffs and (self.a1.value == 0 or self.a2.value == 0):
-            raise ValueError("zero coding coefficients degenerate the check; override explicitly")
+        if self.a1.value == 0 or self.a2.value == 0:
+            raise ValueError("zero coding coefficients degenerate the check")
 
     def honest_relay_value(self) -> FieldElement:
         return self.a1 * self.x1 + self.a2 * self.x2
 
     def source_packet(self, which: int) -> Packet:
         x = self.x1 if which == 1 else self.x2
-        return Packet((), (), evaluate(self.hf, x), x.value)
+        return Packet(evaluate(self.hf, x), x.value)
 
 
 def _choose_error(scn: Scenario, strategy: AdversaryStrategy, rng) -> int:
@@ -200,13 +190,7 @@ def relay_output(scn: Scenario, strategy: AdversaryStrategy, rng) -> Packet:
     """The relay's transmitted packet, honest or corrupted per the strategy."""
     e = _choose_error(scn, strategy, rng)
     payload = scn.honest_relay_value().value ^ e
-    payload_elem = FieldElement(payload, scn.spec)
-    return Packet(
-        coeffs=(scn.a1, scn.a2),
-        neighbor_hashes=(evaluate(scn.hf, scn.x1), evaluate(scn.hf, scn.x2)),
-        own_hash=evaluate(scn.hf, payload_elem),
-        payload=payload,
-    )
+    return Packet(evaluate(scn.hf, FieldElement(payload, scn.spec)), payload)
 
 
 def observe(watcher: int, scn: Scenario, source_packets: tuple[Packet, Packet], relay_packet: Packet, rng) -> Observation:
@@ -215,58 +199,3 @@ def observe(watcher: int, scn: Scenario, source_packets: tuple[Packet, Packet], 
         raise ValueError("watcher must be node 1 or 2")
     peer = source_packets[1] if watcher == 1 else source_packets[0]
     return _observation(watcher, scn, peer.own_hash, relay_packet.own_hash, peer.payload, relay_packet.payload, rng)
-
-
-def _width_bytes(bits: int) -> int:
-    return (bits + 7) // 8
-
-
-def encode_packet(pkt: Packet, n: int, h: int) -> bytes:
-    """Frame layout: [version][n][h][coeff count][coeffs][neighbor hashes][own hash][payload].
-
-    Multi-byte fields are little-endian; sub-byte values are zero-padded to
-    whole bytes.
-    """
-    cw, hw = _width_bytes(n), _width_bytes(h)
-    out = bytearray([WIRE_VERSION, n, h, len(pkt.coeffs)])
-    for c in pkt.coeffs:
-        out += c.value.to_bytes(cw, "little")
-    for hv in pkt.neighbor_hashes:
-        out += hv.value.to_bytes(hw, "little")
-    out += pkt.own_hash.value.to_bytes(hw, "little")
-    out += pkt.payload.to_bytes(cw, "little")
-    return bytes(out)
-
-
-def decode_packet(frame: bytes) -> Packet:
-    """Parse a wire frame; the field is reconstructed as the canonical GF(2^n)."""
-    if len(frame) < 4:
-        raise PacketDecodeError("truncated header", len(frame))
-    if frame[0] != WIRE_VERSION:
-        raise PacketDecodeError(f"unsupported version {frame[0]}", 0)
-    n, h, count = frame[1], frame[2], frame[3]
-    try:
-        spec = canonical_spec(n)
-    except Exception:
-        raise PacketDecodeError(f"unsupported field width {n}", 1)
-    if not (1 <= h <= n):
-        raise PacketDecodeError(f"hash width {h} outside [1, {n}]", 2)
-    cw, hw = _width_bytes(n), _width_bytes(h)
-    expected = 4 + count * cw + (count + 1) * hw + cw
-    if len(frame) != expected:
-        raise PacketDecodeError(f"frame length {len(frame)}, expected {expected}", min(len(frame), expected))
-    pos = 4
-
-    def take(nbytes: int, limit: int, what: str) -> int:
-        nonlocal pos
-        v = int.from_bytes(frame[pos : pos + nbytes], "little")
-        if v >= limit:
-            raise PacketDecodeError(f"{what} value {v} out of range", pos)
-        pos += nbytes
-        return v
-
-    coeffs = tuple(FieldElement(take(cw, spec.order, "coefficient"), spec) for _ in range(count))
-    nh = tuple(HashValue(take(hw, 1 << h, "neighbor hash"), h) for _ in range(count))
-    own = HashValue(take(hw, 1 << h, "own hash"), h)
-    payload = take(cw, spec.order, "payload")
-    return Packet(coeffs, nh, own, payload)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BinarySymmetricChannel, Radius, ball_offsets, log_likelihood, radius_for_epsilon
+from .channel import BinarySymmetricChannel, ball_offsets, log_likelihood, radius_for_epsilon
 from .gf2n import FieldElement
 from .hashing import HashFunction, HashValue
 
@@ -55,13 +55,6 @@ class Observation:
 
 
 @dataclass(frozen=True)
-class CandidateSet:
-    members: frozenset[int]
-    radius: Radius
-    target: HashValue
-
-
-@dataclass(frozen=True)
 class Verdict:
     decision: Hypothesis
     consistency_score: float
@@ -86,7 +79,12 @@ class Trellis:
     edge_out: np.ndarray
 
 
-def _candidate_words(obs: Observation, which: str, radius_override: int | None = None) -> tuple[np.ndarray, Radius, HashValue]:
+def candidate_set(obs: Observation, which: str, radius_override: int | None = None) -> tuple[np.ndarray, int]:
+    """Hash-consistent words within the coverage radius of an overheard payload.
+
+    Returns the candidate words of the "peer" or "relay" payload and the
+    radius r of the Hamming ball they were drawn from.
+    """
     if which == "peer":
         noisy, chan, target = obs.noisy_peer, obs.peer_channel, obs.peer_hash
     elif which == "relay":
@@ -94,19 +92,9 @@ def _candidate_words(obs: Observation, which: str, radius_override: int | None =
     else:
         raise ValueError(f"unknown candidate role {which!r}")
     n = obs.n
-    if radius_override is None:
-        radius = radius_for_epsilon(n, chan.p, obs.epsilon)
-    else:
-        radius = Radius(radius_override, obs.epsilon)
-    ball = noisy ^ ball_offsets(n, radius.r)
-    members = ball[obs.hf.values_on(ball) == target.value]
-    return members, radius, target
-
-
-def candidate_set(obs: Observation, which: str, radius_override: int | None = None) -> CandidateSet:
-    """Hash-consistent words within the coverage radius of an overheard payload."""
-    members, radius, target = _candidate_words(obs, which, radius_override)
-    return CandidateSet(frozenset(int(w) for w in members), radius, target)
+    r = radius_for_epsilon(n, chan.p, obs.epsilon).r if radius_override is None else radius_override
+    ball = noisy ^ ball_offsets(n, r)
+    return ball[obs.hf.values_on(ball) == target.value], r
 
 
 def algebraic_check(obs: Observation, radius_override: int | None = None) -> Verdict:
@@ -116,24 +104,24 @@ def algebraic_check(obs: Observation, radius_override: int | None = None) -> Ver
     and intersects the images with the relay candidate set; an empty
     intersection flags the relay.
     """
-    peer_words, r_peer, _ = _candidate_words(obs, "peer", radius_override)
-    relay_words, r_relay, _ = _candidate_words(obs, "relay", radius_override)
+    peer_words, r_peer = candidate_set(obs, "peer", radius_override)
+    relay_words, r_relay = candidate_set(obs, "relay", radius_override)
     spec = obs.own_value.spec
     const = spec.mul(obs.own_coeff.value, obs.own_value.value)
     images = const ^ spec.mul_words(obs.peer_coeff.value, peer_words)
-    relay_set = frozenset(int(w) for w in relay_words)
-    surviving = frozenset(int(w) for w in images) & relay_set
-    score = len(surviving) / len(relay_set) if relay_set else 0.0
+    # ball words are distinct, so relay_words holds no duplicates
+    surviving = len(set(images.tolist()).intersection(relay_words.tolist()))
+    score = surviving / len(relay_words) if len(relay_words) else 0.0
     decision = Hypothesis.H1 if not surviving else Hypothesis.H0
     return Verdict(
         decision,
         score,
         {
             "peer_candidates": len(peer_words),
-            "relay_candidates": len(relay_set),
-            "surviving": len(surviving),
-            "peer_radius": r_peer.r,
-            "relay_radius": r_relay.r,
+            "relay_candidates": len(relay_words),
+            "surviving": surviving,
+            "peer_radius": r_peer,
+            "relay_radius": r_relay,
         },
     )
 

@@ -71,6 +71,19 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert f"{field}={value!r}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("fields, named", [
+        ({"threshold": float("nan")}, "threshold=nan"),
+        ({"threshold": float("inf")}, "threshold=inf"),
+        ({"threshold": -0.1}, "threshold=-0.1"),
+        ({"threshold": 1.5}, "threshold=1.5"),
+        ({"sources": {"fixed": [True, 3]}}, "sources:"),
+    ])
+    def test_out_of_range_value_exit_2(self, tmp_path, capsys, fields, named):
+        cfg = write_config(tmp_path, trials=5, **fields)
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
     @pytest.mark.parametrize("adversary, field", [
         ({"kind": "fixed_error", "error": "5"}, "error='5'"),
         ({"kind": "weight_bounded_error", "max_weight": 2.5}, "max_weight=2.5"),

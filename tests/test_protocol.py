@@ -1,4 +1,8 @@
-"""Relay behavior, overhearing, and wire format tests."""
+"""Relay behavior and overhearing tests.
+
+Packets carry only the hash and the payload; the watchers read the coding
+coefficients from the Scenario, which stands for the reliable headers.
+"""
 
 import random
 
@@ -6,14 +10,10 @@ import pytest
 
 from algwatchdog.channel import BinarySymmetricChannel, noise_mask, radius_for_epsilon
 from algwatchdog.gf2n import FieldElement, canonical_spec
-from algwatchdog.hashing import HashValue, evaluate, sample
+from algwatchdog.hashing import evaluate, sample
 from algwatchdog.protocol import (
     AdversaryStrategy,
-    Packet,
-    PacketDecodeError,
     Scenario,
-    decode_packet,
-    encode_packet,
     observe,
     relay_output,
 )
@@ -185,49 +185,8 @@ class TestObserve:
             observe(3, scn, (scn.source_packet(1), scn.source_packet(2)), relay_output(scn, AdversaryStrategy.honest(), random.Random(1)), random.Random(1))
 
 
-class TestWireFormat:
-    def _random_packet(self, rng, spec, h):
-        k = rng.randrange(1, 4)
-        return Packet(
-            coeffs=tuple(FieldElement(rng.randrange(spec.order), spec) for _ in range(k)),
-            neighbor_hashes=tuple(HashValue(rng.randrange(1 << h), h) for _ in range(k)),
-            own_hash=HashValue(rng.randrange(1 << h), h),
-            payload=rng.randrange(spec.order),
-        )
-
-    def test_round_trip(self):
-        rng = random.Random(9)
-        for n, h in [(4, 2), (8, 3), (12, 8), (16, 9)]:
-            spec = canonical_spec(n)
-            for _ in range(25):
-                pkt = self._random_packet(rng, spec, h)
-                assert decode_packet(encode_packet(pkt, n, h)) == pkt
-
-    def test_truncated_frame(self):
-        scn = make_scenario()
-        frame = encode_packet(relay_output(scn, AdversaryStrategy.honest(), random.Random(1)), 4, 2)
-        with pytest.raises(PacketDecodeError):
-            decode_packet(frame[:-1])
-        with pytest.raises(PacketDecodeError):
-            decode_packet(frame[:2])
-
-    def test_bad_version(self):
-        scn = make_scenario()
-        frame = bytearray(encode_packet(relay_output(scn, AdversaryStrategy.honest(), random.Random(1)), 4, 2))
-        frame[0] = 7
-        with pytest.raises(PacketDecodeError, match="version"):
-            decode_packet(bytes(frame))
-
-    def test_error_carries_offset(self):
-        try:
-            decode_packet(b"\x01")
-        except PacketDecodeError as exc:
-            assert isinstance(exc.offset, int)
-        else:
-            pytest.fail("no decode error raised")
-
-
 def test_zero_coefficients_need_override():
+    # no override exists: a zero coefficient is always rejected
     spec = GF16
     rng = random.Random(0)
     hf = sample(rng, 3, spec, 2)

@@ -2,9 +2,9 @@
 
 For a fixed config and seed the four counts must not move when the code is
 restructured.  The configs cover both engines, noiseless and asymmetric
-channels, the exhaustive_best adversary on both engines, and a degree-1
-hash under weight_bounded_error.  Every field not named takes its SimConfig
-default.
+channels, the exhaustive_best adversary on both engines, a degree-1 hash
+under weight_bounded_error, a fixed_error relay, and fixed source values.
+Every field not named takes its SimConfig default.
 """
 
 import pytest
@@ -28,6 +28,8 @@ GOLDEN = [
         dict(adversary={"kind": "weight_bounded_error", "max_weight": 2}, n=6, h=2, d=1, trials=300, seed=6),
         (0, 220, 253, 260),
     ),
+    (dict(adversary={"kind": "fixed_error", "error": 5}, n=8, h=4, d=4, trials=300, seed=12), (2, 19, 56, 41)),
+    (dict(sources={"fixed": [0x3A, 0xC5]}, n=8, h=3, d=3, trials=300, seed=13), (3, 73, 141, 138)),
 ]
 
 
@@ -39,6 +41,8 @@ IDS = [
     "exhaustive-algebraic",
     "exhaustive-trellis",
     "weight-bounded-d1",
+    "fixed-error",
+    "fixed-sources",
 ]
 
 
