@@ -4,7 +4,9 @@ Each trial draws fresh sources, coefficients, and a hash function, runs the
 relay both honestly and under the configured corruption strategy through
 the same channel noise (common random numbers), and asks both watchers for
 a verdict.  Per-trial randomness is keyed by (seed, trial index), so tallies
-are bit-identical for any worker count.
+are bit-identical for any worker count.  With more than one worker, trials
+run in chunks on one process pool per call: `run_trials` and `sweep` each
+start at most one, and a sweep submits the chunks of all its points to it.
 """
 
 from __future__ import annotations
@@ -227,29 +229,61 @@ def _run_chunk(cfg: SimConfig, lo: int, hi: int) -> tuple[int, int, int, int]:
 def _worker_count(workers: int | None) -> int:
     if workers is None:
         workers = 1
+    elif workers < 1:
+        raise ConfigError([f"workers={workers} < 1"])
     cap = os.environ.get("WATCHDOG_THREADS")
     if cap:
         try:
             workers = min(workers, max(1, int(cap)))
         except ValueError:
             raise ConfigError([f"WATCHDOG_THREADS={cap!r} is not an integer"]) from None
-    return max(1, workers)
+    return workers
+
+
+def _chunks(trials: int, workers: int) -> list[tuple[int, int]]:
+    """Trial ranges for one config: one range below 2 * workers trials, else one per worker."""
+    if workers == 1 or trials < 2 * workers:
+        return [(0, trials)]
+    bounds = [round(i * trials / workers) for i in range(workers + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _tally(cfgs: list[SimConfig], workers: int) -> list[tuple[tuple[int, int, int, int], float]]:
+    """Each config's summed tallies, with the wall seconds since the previous config's finished.
+
+    If any config is split into chunks, every chunk of every config goes to
+    one process pool, so a sweep starts one pool however many points it has;
+    otherwise the configs run one after another in this process.
+    """
+    plans = [_chunks(cfg.trials, workers) for cfg in cfgs]
+    out = []
+    start = time.perf_counter()
+
+    def finish(parts) -> None:
+        nonlocal start
+        now = time.perf_counter()
+        out.append((tuple(sum(col) for col in zip(*parts)), now - start))
+        start = now
+
+    if all(len(plan) == 1 for plan in plans):
+        for cfg in cfgs:
+            finish([_run_chunk(cfg, 0, cfg.trials)])
+        return out
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        futures = [[ex.submit(_run_chunk, cfg, lo, hi) for lo, hi in plan] for cfg, plan in zip(cfgs, plans)]
+        for parts in futures:
+            finish([f.result() for f in parts])
+    return out
 
 
 def run_trials(cfg: SimConfig, workers: int | None = None) -> SimReport:
     """Run the configured experiment and aggregate tallies into a report."""
     cfg.validate()
-    workers = _worker_count(workers)
-    start = time.perf_counter()
-    if workers == 1 or cfg.trials < 2 * workers:
-        tallies = _run_chunk(cfg, 0, cfg.trials)
-    else:
-        bounds = [round(i * cfg.trials / workers) for i in range(workers + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = ex.map(_run_chunk, [cfg] * workers, bounds[:-1], bounds[1:])
-            tallies = tuple(sum(col) for col in zip(*parts))
-    wall = time.perf_counter() - start
+    [(tallies, wall)] = _tally([cfg], _worker_count(workers))
+    return _report(cfg, tallies, wall)
 
+
+def _report(cfg: SimConfig, tallies: tuple[int, int, int, int], wall: float) -> SimReport:
     flagged, passed_both, passed_v1, passed_v2 = tallies
     radii = {
         "r12": radius_for_epsilon(cfg.n, cfg.p12, cfg.epsilon).r,
@@ -302,14 +336,21 @@ def run_trials(cfg: SimConfig, workers: int | None = None) -> SimReport:
 
 
 def sweep(base: SimConfig, axis: str, values, workers: int | None = None) -> list[SimReport]:
-    """One run per value of a numeric config field; seeds derived as seed XOR index."""
+    """One run per value of a numeric config field; seeds derived as seed XOR index.
+
+    Every point is validated before any trial runs, and all points share one
+    process pool.  A point's `wall_time_s` is the wall time from the moment
+    the previous point finished (for the first point, the start of the
+    sweep, pool start-up included) until its own last chunk finished; with
+    workers > 1 its chunks may have started while earlier points ran.
+    """
     if axis not in _NUMERIC_FIELDS:
         raise ConfigError([f"axis {axis!r} is not a numeric config field"])
-    reports = []
-    for i, v in enumerate(values):
-        cfg = replace(base, **{axis: v, "seed": base.seed ^ i})
-        reports.append(run_trials(cfg, workers=workers))
-    return reports
+    cfgs = [replace(base, **{axis: v, "seed": base.seed ^ i}) for i, v in enumerate(values)]
+    for cfg in cfgs:
+        cfg.validate()
+    tallied = _tally(cfgs, _worker_count(workers))
+    return [_report(cfg, tallies, wall) for cfg, (tallies, wall) in zip(cfgs, tallied)]
 
 
 def _round_floats(obj, sig: int = 12):

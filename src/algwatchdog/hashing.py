@@ -2,12 +2,15 @@
 
 A hash is a coefficient vector a_0..a_d; hashing a word x evaluates
 sum(a_i * x^i) in the field and keeps the low h output bits.  One hash
-function is shared by every node in a scenario, adversary included.
+function is shared by every node in a scenario, adversary included, and is
+read on many words per round, so each `HashFunction` hashes the whole field
+once, on first use, into `table`; `evaluate` and `values_on` read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,24 +55,31 @@ class HashFunction:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def values_on(self, words: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on an array of n-bit words (Horner from a_d)."""
+    @cached_property
+    def table(self) -> np.ndarray:
+        """h(x) for every word x of the field, indexed by x (Horner from a_d).
+
+        Built on first use and kept for the life of the hash function, which
+        is frozen, so the table never goes stale.
+        """
         spec = self.spec
-        acc = np.full_like(np.asarray(words, dtype=np.int64), self.coeffs[-1].value)
+        # acc stays one int until the first multiply by the domain; d = 0
+        # leaves it one, which broadcasting spreads over the whole field
+        acc = self.coeffs[-1].value
         for c in reversed(self.coeffs[:-1]):
-            acc = spec.mul_words(acc, words) ^ c.value
-        return acc & ((1 << self.width) - 1)
+            acc = spec.mul_domain(acc) ^ c.value
+        return np.broadcast_to(acc, spec.order) & ((1 << self.width) - 1)
+
+    def values_on(self, words: np.ndarray) -> np.ndarray:
+        """Vectorized evaluation on an array of n-bit words."""
+        return self.table.take(words)
 
 
 def evaluate(hf: HashFunction, x: FieldElement) -> HashValue:
-    """Scalar evaluation of one field element (Horner on Python ints)."""
+    """Scalar evaluation of one field element."""
     if x.spec != hf.spec:
         raise SpecMismatchError("hash input from a different field")
-    mul = hf.spec.mul
-    acc = hf.coeffs[-1].value
-    for c in reversed(hf.coeffs[:-1]):
-        acc = mul(acc, x.value) ^ c.value
-    return HashValue(acc & ((1 << hf.width) - 1), hf.width)
+    return HashValue(hf.table.item(x.value), hf.width)
 
 
 def sample(rng, d: int, spec: FieldSpec, h: int) -> HashFunction:
@@ -86,6 +96,4 @@ def preimage_set(hf: HashFunction, target: HashValue) -> set[FieldElement]:
     """All field elements hashing to `target`, by exhaustive domain scan."""
     if target.width != hf.width:
         raise ValueError("target width does not match hash output width")
-    domain = np.arange(hf.spec.order, dtype=np.int64)
-    hits = domain[hf.values_on(domain) == target.value]
-    return {FieldElement(int(v), hf.spec) for v in hits}
+    return {FieldElement(v, hf.spec) for v in np.flatnonzero(hf.table == target.value).tolist()}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .channel import BinarySymmetricChannel, transmit
 from .gf2n import FieldElement, FieldSpec
 from .hashing import HashFunction, HashValue, evaluate
-from .watchdog import Observation, algebraic_check
+from .watchdog import Observation, check_relay, peer_images
 
 EXHAUSTIVE_MAX_WIDTH = 12
 
@@ -134,16 +134,21 @@ def _best_error(scn: Scenario) -> int:
     n = scn.spec.n
     if n > EXHAUSTIVE_MAX_WIDTH:
         raise ValueError(f"exhaustive_best scans 2^n errors; n <= {EXHAUSTIVE_MAX_WIDTH} required")
-    honest = scn.honest_relay_value().value
-    peers = ((1, scn.source_packet(2)), (2, scn.source_packet(1)))
+    honest = scn.honest_relay_value()
+    honest_hash = evaluate(scn.hf, honest)
+    watchers = []
+    for w, peer in ((1, scn.source_packet(2)), (2, scn.source_packet(1))):
+        # the peer side of a watcher's check does not depend on the error
+        obs = _observation(w, scn, peer.own_hash, honest_hash, peer.payload, honest.value)
+        watchers.append((w, peer, peer_images(obs)))
 
     def hiding(e: int) -> tuple[int, int, int]:
-        corrupted = FieldElement(honest ^ e, scn.spec)
+        corrupted = FieldElement(honest.value ^ e, scn.spec)
         relay_hash = evaluate(scn.hf, corrupted)
         c1, c2 = (
-            algebraic_check(_observation(w, scn, peer.own_hash, relay_hash, peer.payload, corrupted.value))
+            check_relay(_observation(w, scn, peer.own_hash, relay_hash, peer.payload, corrupted.value), side)
             .diagnostics["surviving"]
-            for w, peer in peers
+            for w, peer, side in watchers
         )
         return (c1 * c2, c1 + c2, -e)
 

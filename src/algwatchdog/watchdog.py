@@ -97,6 +97,19 @@ def candidate_set(obs: Observation, which: str, radius_override: int | None = No
     return ball[obs.hf.values_on(ball) == target.value], r
 
 
+def peer_images(obs: Observation, radius_override: int | None = None) -> tuple[np.ndarray, int]:
+    """The peer side of the check: peer candidates mapped through the coding map.
+
+    Returns own_coeff*own_value + peer_coeff*x for every peer candidate x,
+    and the radius of the peer ball.  It reads nothing of the relay's
+    payload, so a caller that varies only the relay side can compute it once.
+    """
+    peer_words, r_peer = candidate_set(obs, "peer", radius_override)
+    spec = obs.own_value.spec
+    const = spec.mul(obs.own_coeff.value, obs.own_value.value)
+    return const ^ spec.mul_words(obs.peer_coeff.value, peer_words), r_peer
+
+
 def algebraic_check(obs: Observation, radius_override: int | None = None) -> Verdict:
     """Empty-intersection misbehavior check.
 
@@ -104,11 +117,13 @@ def algebraic_check(obs: Observation, radius_override: int | None = None) -> Ver
     and intersects the images with the relay candidate set; an empty
     intersection flags the relay.
     """
-    peer_words, r_peer = candidate_set(obs, "peer", radius_override)
+    return check_relay(obs, peer_images(obs, radius_override), radius_override)
+
+
+def check_relay(obs: Observation, peer: tuple[np.ndarray, int], radius_override: int | None = None) -> Verdict:
+    """`algebraic_check` against a peer side `peer_images(obs, radius_override)` computed already."""
+    images, r_peer = peer
     relay_words, r_relay = candidate_set(obs, "relay", radius_override)
-    spec = obs.own_value.spec
-    const = spec.mul(obs.own_coeff.value, obs.own_value.value)
-    images = const ^ spec.mul_words(obs.peer_coeff.value, peer_words)
     # ball words are distinct, so relay_words holds no duplicates
     surviving = len(set(images.tolist()).intersection(relay_words.tolist()))
     score = surviving / len(relay_words) if len(relay_words) else 0.0
@@ -117,7 +132,7 @@ def algebraic_check(obs: Observation, radius_override: int | None = None) -> Ver
         decision,
         score,
         {
-            "peer_candidates": len(peer_words),
+            "peer_candidates": len(images),
             "relay_candidates": len(relay_words),
             "surviving": surviving,
             "peer_radius": r_peer,
@@ -132,8 +147,7 @@ def build_trellis(obs: Observation) -> Trellis:
     if n > TRELLIS_MAX_WIDTH:
         raise ValueError(f"trellis engine supports n <= {TRELLIS_MAX_WIDTH}, got {n}")
     spec = obs.own_value.spec
-    domain = np.arange(spec.order, dtype=np.int64)
-    candidates = domain[obs.hf.values_on(domain) == obs.peer_hash.value]
+    candidates = np.flatnonzero(obs.hf.table == obs.peer_hash.value)
     raw_in = np.exp(log_likelihood(obs.peer_channel, candidates, obs.noisy_peer, n))
     total = raw_in.sum()
     weights_in = raw_in / total if total > 0 else np.zeros_like(raw_in)

@@ -99,6 +99,13 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg]) == 2
         assert "WATCHDOG_THREADS='two'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_worker_count_below_one_exit_2(self, tmp_path, capsys, workers):
+        cfg = write_config(tmp_path, trials=5)
+        assert main(["simulate", "--config", cfg, "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert f"workers={workers}" in err and "Traceback" not in err
+
     def test_unknown_field_exit_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"n": 8, "bogus": 1}))

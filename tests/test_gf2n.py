@@ -210,6 +210,23 @@ class TestMulWordsZero:
         assert int(canonical_spec(16).mul_words(0, 0)) == 0
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+def test_mul_domain_matches_slow_mul(n):
+    # one word, or one word per field element (zeros included), times every word
+    spec = canonical_spec(n)
+    poly = spec.reduction_poly
+    rng = random.Random(n)
+    xs = range(spec.order) if n <= 8 else [rng.randrange(spec.order) for _ in range(2000)]
+    per_word = np.array([rng.randrange(spec.order) for _ in range(spec.order)], dtype=np.int64)
+    per_word[::7] = 0
+    for a in (0, 1, spec.order - 1, rng.randrange(spec.order)):
+        got = spec.mul_domain(a)
+        assert len(got) == spec.order
+        assert [int(got[x]) for x in xs] == [slow_mul(a, x, poly) for x in xs]
+    got = spec.mul_domain(per_word)
+    assert [int(got[x]) for x in xs] == [slow_mul(int(per_word[x]), x, poly) for x in xs]
+
+
 def test_element_range_checked():
     with pytest.raises(Exception):
         GF16.element(16)

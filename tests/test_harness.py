@@ -2,11 +2,13 @@
 
 import csv
 import json
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from math import comb
 
 import pytest
 
-from algwatchdog import theory
+from algwatchdog import harness, theory
 from algwatchdog.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -152,6 +154,44 @@ class TestSweep:
     def test_unknown_axis(self):
         with pytest.raises(ConfigError):
             sweep(small_cfg(), "banana", [1, 2])
+
+    def test_pooled_sweep_matches_serial(self, monkeypatch):
+        monkeypatch.delenv("WATCHDOG_THREADS", raising=False)
+        # 3 trials sit below the 2 * workers cut and run as one chunk
+        base = small_cfg(n=6, h=2)
+        reports = [sweep(base, "trials", [30, 3, 17], workers=w) for w in (2, 1)]
+        pooled, serial = (report_json([replace(r, wall_time_s=0.0) for r in reps]) for reps in reports)
+        assert pooled == serial
+
+    @pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1), (4, 1)])
+    def test_one_pool_per_sweep(self, monkeypatch, workers, pools):
+        monkeypatch.delenv("WATCHDOG_THREADS", raising=False)
+        built = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        sweep(small_cfg(n=6, trials=12), "h", [1, 2, 3, 4, 5], workers=workers)
+        assert built == [workers] * pools
+        run_trials(small_cfg(n=6, trials=12), workers=workers)
+        assert built == [workers] * (2 * pools)
+
+    def test_invalid_point_rejected_before_any_trial(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(harness, "_run_one", lambda cfg, trial: ran.append(trial) or (0, 0, 0, 0))
+        with pytest.raises(ConfigError, match="h=99"):
+            sweep(small_cfg(), "h", [3, 99])
+        assert ran == []
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_worker_count_below_one_rejected(self, workers):
+        with pytest.raises(ConfigError, match=f"workers={workers}"):
+            sweep(small_cfg(trials=5), "h", [2, 3], workers=workers)
+        with pytest.raises(ConfigError, match=f"workers={workers}"):
+            run_trials(small_cfg(trials=5), workers=workers)
 
     def test_predicted_beta_decreasing_in_n_at_fixed_radii_axis(self):
         reports = sweep(small_cfg(trials=1, p12=0.01, p21=0.01, p31=0.01, p32=0.01), "n", [8, 10, 12])

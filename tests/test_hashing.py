@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from algwatchdog.gf2n import FieldElement, SpecMismatchError, canonical_spec
+from algwatchdog.gf2n import FieldElement, FieldSpec, SpecMismatchError, canonical_spec
 from algwatchdog.hashing import HashFunction, HashValue, HashWidthError, evaluate, preimage_set, sample
 
 GF16 = canonical_spec(4)
@@ -62,6 +62,64 @@ class TestEvaluate:
         hf = HashFunction((fe(1), fe(1)), width=2)
         with pytest.raises(SpecMismatchError):
             evaluate(hf, FieldElement(1, canonical_spec(5)))
+
+    def test_spec_mismatch_same_width_after_table_built(self):
+        # x^4 + x^3 + 1 is irreducible but not the canonical x^4 + x + 1: its
+        # words index the table without error, so only the spec check stops them
+        hf = HashFunction((fe(3), fe(7)), width=3)
+        evaluate(hf, fe(5))
+        with pytest.raises(SpecMismatchError):
+            evaluate(hf, FieldElement(5, FieldSpec(4, 0b11001)))
+
+
+def sum_of_powers(hf: HashFunction, x: int) -> int:
+    """Reference hash: the sum of a_i * x^i with FieldElement arithmetic, truncated."""
+    xe = FieldElement(x, hf.spec)
+    acc = FieldElement(0, hf.spec)
+    for i, c in enumerate(hf.coeffs):
+        acc = acc + c * xe**i
+    return acc.value & ((1 << hf.width) - 1)
+
+
+class TestTable:
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    def test_every_word_matches_sum_of_powers(self, n, d):
+        spec = canonical_spec(n)
+        hf = sample(random.Random(100 * n + d), d, spec, max(1, n - 1))
+        assert hf.table.tolist() == [sum_of_powers(hf, x) for x in range(spec.order)]
+
+    def test_random_words_match_sum_of_powers_n16(self):
+        spec = canonical_spec(16)
+        rng = random.Random(16)
+        hf = sample(rng, 3, spec, 9)
+        assert len(hf.table) == spec.order
+        for x in [rng.randrange(spec.order) for _ in range(2000)]:
+            assert hf.table[x] == sum_of_powers(hf, x)
+
+    def test_built_once_per_hash_function(self, monkeypatch):
+        spec = canonical_spec(8)
+        calls = []
+        mul_domain = FieldSpec.mul_domain
+
+        def counted(self, a):
+            calls.append(np.size(a))
+            return mul_domain(self, a)
+
+        monkeypatch.setattr(FieldSpec, "mul_domain", counted)
+        hf = sample(random.Random(2), 3, spec, 4)
+        for x in range(0, 256, 17):
+            evaluate(hf, fe(x, spec))
+        hf.values_on(np.arange(40, dtype=np.int64))
+        preimage_set(hf, HashValue(3, 4))
+        table = hf.table
+        assert hf.table is table
+        # Horner over the whole field: one multiply per coefficient below a_d,
+        # the first one by the leading coefficient alone
+        assert calls == [1, spec.order, spec.order]
+        other = sample(random.Random(2), 3, spec, 4)
+        other.values_on(np.arange(5, dtype=np.int64))
+        assert len(calls) == 6
 
 
 class TestSample:
