@@ -1,4 +1,4 @@
-"""Command-line front end: closed-form predictions, simulations, sweeps, selftest.
+"""Command-line front end: closed-form predictions, simulations, sweeps.
 
 Exit codes: 0 success, 2 validation error, 3 I/O error.
 """
@@ -7,11 +7,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from . import harness, theory
-from .fastcheck import radius_oracle_suite, field_axiom_suite, mul_oracle_suite
 
 
 def _cmd_predict(args) -> int:
@@ -61,23 +59,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_selftest(args) -> int:
-    rng = random.Random(20240824)
-    ok = True
-    for name, fn in [
-        ("field axioms", lambda: field_axiom_suite(rng)),
-        ("multiplication oracle", lambda: mul_oracle_suite(rng)),
-        ("radius oracle", radius_oracle_suite),
-    ]:
-        try:
-            fn()
-            print(f"selftest: {name}: ok")
-        except AssertionError as exc:
-            print(f"selftest: {name}: FAILED: {exc}")
-            ok = False
-    return 0 if ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="algwatchdog", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -109,9 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--format", choices=("json", "csv"), default="json")
     sw.add_argument("--workers", type=int, default=None)
     sw.set_defaults(fn=_cmd_sweep)
-
-    st = sub.add_parser("selftest", help="field-axiom, oracle-equivalence, and radius-oracle checks")
-    st.set_defaults(fn=_cmd_selftest)
     return p
 
 

@@ -1,12 +1,14 @@
 """Monte Carlo experiment runner and report plumbing.
 
 Each trial draws fresh sources, coefficients, and a hash function, runs the
-relay both honestly and under the configured corruption strategy through
-the same channel noise (common random numbers), and asks both watchers for
-a verdict.  Per-trial randomness is keyed by (seed, trial index), so tallies
-are bit-identical for any worker count.  With more than one worker, trials
-run in chunks on one process pool per call: `run_trials` and `sweep` each
-start at most one, and a sweep submits the chunks of all its points to it.
+relay both honestly and under the configured corruption strategy, and asks
+both watchers for a verdict.  Both arms share one channel realization (common
+random numbers), drawn once per trial: the corrupted payload picks up the
+error patterns the honest one did.  Per-trial randomness is keyed by (seed,
+trial index), so tallies are bit-identical for any worker count.  With more
+than one worker, trials run in chunks on one process pool per call:
+`run_trials` and `sweep` each start at most one, and a sweep submits the
+chunks of all its points to it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, replace
 
 from . import protocol, theory, watchdog
 from .channel import BinarySymmetricChannel, radius_for_epsilon
-from .gf2n import FieldElement, canonical_spec
+from .gf2n import FieldElement, FieldSpec, canonical_spec
 from .hashing import sample as sample_hash
 
 _EDGE_PROBS = ("p12", "p21", "p31", "p32")
@@ -180,34 +182,29 @@ def _draw_sources(cfg: SimConfig, spec, rng) -> tuple[FieldElement, FieldElement
     return FieldElement(rng.randrange(spec.order), spec), FieldElement(rng.randrange(spec.order), spec)
 
 
-def _run_one(cfg: SimConfig, trial: int) -> tuple[int, int, int, int]:
-    """One trial; returns (honest_flagged, mal_passed_both, mal_passed_v1, mal_passed_v2)."""
-    spec = canonical_spec(cfg.n)
+_HONEST = protocol.AdversaryStrategy.honest()
+
+
+def _run_one(
+    cfg: SimConfig, trial: int, spec: FieldSpec, chans: dict, strategy: protocol.AdversaryStrategy
+) -> tuple[int, int, int, int]:
+    """One trial; returns (honest_flagged, mal_passed_both, mal_passed_v1, mal_passed_v2).
+
+    `spec`, `chans` (the Scenario's four channel fields) and `strategy`
+    are the config's, built once per chunk.
+    """
     rng = random.Random(_derive_seed(cfg.seed, trial, "draw"))
     x1, x2 = _draw_sources(cfg, spec, rng)
     a1 = FieldElement(rng.randrange(1, spec.order), spec)
     a2 = FieldElement(rng.randrange(1, spec.order), spec)
     hf = sample_hash(rng, cfg.d, spec, cfg.h)
-    scn = protocol.Scenario(
-        spec=spec, hf=hf, x1=x1, x2=x2, a1=a1, a2=a2,
-        chan_12=BinarySymmetricChannel(cfg.p12), chan_21=BinarySymmetricChannel(cfg.p21),
-        chan_31=BinarySymmetricChannel(cfg.p31), chan_32=BinarySymmetricChannel(cfg.p32),
-        epsilon=cfg.epsilon,
-    )
+    scn = protocol.Scenario(spec=spec, hf=hf, x1=x1, x2=x2, a1=a1, a2=a2, epsilon=cfg.epsilon, **chans)
     sources = (scn.source_packet(1), scn.source_packet(2))
-    strategy = cfg.strategy()
-
-    def run_arm(relay_packet) -> tuple[bool, bool]:
-        # fresh generator from the same key: both arms see identical noise
-        noise_rng = random.Random(_derive_seed(cfg.seed, trial, "noise"))
-        obs1 = protocol.observe(1, scn, sources, relay_packet, noise_rng)
-        obs2 = protocol.observe(2, scn, sources, relay_packet, noise_rng)
-        v1 = _verdict(cfg, obs1)
-        v2 = _verdict(cfg, obs2)
-        return (v1.decision is watchdog.Hypothesis.H0, v2.decision is watchdog.Hypothesis.H0)
-
-    honest_packet = protocol.relay_output(scn, protocol.AdversaryStrategy.honest(), rng)
-    h1, h2 = run_arm(honest_packet)
+    honest_packet = protocol.relay_output(scn, _HONEST, rng)
+    # the one channel realization of this trial; the corrupting arm reuses it
+    noise_rng = random.Random(_derive_seed(cfg.seed, trial, "noise"))
+    views = [protocol.observe(w, scn, sources, honest_packet, noise_rng) for w in (1, 2)]
+    h1, h2 = (_verdict(cfg, obs).decision is watchdog.Hypothesis.H0 for obs in views)
     honest_flagged = int(not (h1 and h2))
     if honest_flagged and cfg.p12 == cfg.p21 == cfg.p31 == cfg.p32 == 0.0 and cfg.engine == "algebraic":
         raise AssertionError(f"honest relay flagged under noiseless channels (trial {trial})")
@@ -215,14 +212,20 @@ def _run_one(cfg: SimConfig, trial: int) -> tuple[int, int, int, int]:
     if strategy.kind == "honest":
         return (honest_flagged, 0, 0, 0)
     mal_packet = protocol.relay_output(scn, strategy, rng)
-    m1, m2 = run_arm(mal_packet)
+    m1, m2 = (
+        _verdict(cfg, protocol.reobserve(w, scn, obs, mal_packet)).decision is watchdog.Hypothesis.H0
+        for w, obs in enumerate(views, start=1)
+    )
     return (honest_flagged, int(m1 and m2), int(m1), int(m2))
 
 
 def _run_chunk(cfg: SimConfig, lo: int, hi: int) -> tuple[int, int, int, int]:
+    spec = canonical_spec(cfg.n)
+    chans = {"chan_" + name[1:]: BinarySymmetricChannel(getattr(cfg, name)) for name in _EDGE_PROBS}
+    strategy = cfg.strategy()
     tallies = (0, 0, 0, 0)
     for trial in range(lo, hi):
-        tallies = tuple(a + b for a, b in zip(tallies, _run_one(cfg, trial)))
+        tallies = tuple(a + b for a, b in zip(tallies, _run_one(cfg, trial, spec, chans, strategy)))
     return tallies
 
 

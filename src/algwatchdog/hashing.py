@@ -42,7 +42,7 @@ class HashFunction:
         if not self.coeffs:
             raise ValueError("need at least one coefficient")
         spec = self.coeffs[0].spec
-        if any(c.spec != spec for c in self.coeffs):
+        if any(c.spec is not spec and c.spec != spec for c in self.coeffs):
             raise SpecMismatchError("hash coefficients span multiple fields")
         if not (1 <= self.width <= spec.n):
             raise HashWidthError(f"output width {self.width} not in [1, {spec.n}]")
@@ -64,22 +64,28 @@ class HashFunction:
         """
         spec = self.spec
         # acc stays one int until the first multiply by the domain; d = 0
-        # leaves it one, which broadcasting spreads over the whole field
+        # leaves it one, the same hash for every word
         acc = self.coeffs[-1].value
         for c in reversed(self.coeffs[:-1]):
             acc = spec.mul_domain(acc) ^ c.value
-        return np.broadcast_to(acc, spec.order) & ((1 << self.width) - 1)
+        if not self.degree:
+            acc = np.full(spec.order, acc)
+        return acc & ((1 << self.width) - 1)
 
     def values_on(self, words: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an array of n-bit words."""
         return self.table.take(words)
+
+    def of_word(self, x: int) -> HashValue:
+        """Scalar evaluation of one n-bit word given as an int."""
+        return HashValue(self.table.item(x), self.width)
 
 
 def evaluate(hf: HashFunction, x: FieldElement) -> HashValue:
     """Scalar evaluation of one field element."""
     if x.spec != hf.spec:
         raise SpecMismatchError("hash input from a different field")
-    return HashValue(hf.table.item(x.value), hf.width)
+    return hf.of_word(x.value)
 
 
 def sample(rng, d: int, spec: FieldSpec, h: int) -> HashFunction:
@@ -88,7 +94,8 @@ def sample(rng, d: int, spec: FieldSpec, h: int) -> HashFunction:
         raise ValueError("degree must be nonnegative")
     if not (1 <= h <= spec.n):
         raise HashWidthError(f"output width {h} not in [1, {spec.n}]")
-    coeffs = tuple(FieldElement(rng.randrange(spec.order), spec) for _ in range(d + 1))
+    order = spec.order
+    coeffs = tuple(FieldElement(rng.randrange(order), spec) for _ in range(d + 1))
     return HashFunction(coeffs, h)
 
 

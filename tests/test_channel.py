@@ -1,12 +1,11 @@
 """BSC, radius selection, and Hamming-ball tests.
 
-The radius oracle is an independent exact binomial CDF built by repeated
-distribution convolution over the rationals.
+The radius oracle (`oracles.radius_pascal`) is an independent exact binomial
+CDF built by repeated distribution convolution over the rationals.
 """
 
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,24 +19,7 @@ from algwatchdog.channel import (
     radius_for_epsilon,
     transmit,
 )
-from algwatchdog.fastcheck import radius_oracle_suite
-
-
-def oracle_binomial_cdf(n: int, r: int, p: float) -> Fraction:
-    pf = Fraction(p)
-    dist = [Fraction(1)]
-    for _ in range(n):
-        nxt = [Fraction(0)] * (len(dist) + 1)
-        for k, mass in enumerate(dist):
-            nxt[k] += mass * (1 - pf)
-            nxt[k + 1] += mass * pf
-        dist = nxt
-    return sum(dist[: r + 1], Fraction(0))
-
-
-def oracle_radius(n: int, p: float, eps: float) -> int:
-    target = 1 - Fraction(eps)
-    return next(r for r in range(n + 1) if oracle_binomial_cdf(n, r, p) >= target)
+from oracles import binomial_cdf_pascal, radius_oracle_suite, radius_pascal
 
 
 class TestTransmit:
@@ -83,7 +65,7 @@ class TestRadiusForEpsilon:
         for n in (4, 8, 12, 16):
             for p in (0.01, 0.05, 0.1, 0.2):
                 for eps in (0.001, 0.01, 0.05):
-                    assert radius_for_epsilon(n, p, eps).r == oracle_radius(n, p, eps)
+                    assert radius_for_epsilon(n, p, eps).r == radius_pascal(n, p, eps)
 
     def test_monotone_in_eps_and_p(self):
         for n in (6, 10):
@@ -191,7 +173,7 @@ class TestLogLikelihood:
         n, r, center = 8, 3, 0b1100_1010
         words = (center ^ ball_offsets(n, r)).tolist()
         mass = sum(math.exp(log_likelihood(chan, x, center, n)) for x in words)
-        assert mass == pytest.approx(float(oracle_binomial_cdf(n, r, 0.1)))
+        assert mass == pytest.approx(float(binomial_cdf_pascal(n, r, 0.1)))
 
     def test_array_matches_scalar(self):
         chan = BinarySymmetricChannel(0.1)

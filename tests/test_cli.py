@@ -127,9 +127,3 @@ class TestSweep:
     def test_bad_axis_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, trials=20)
         assert main(["sweep", "--config", cfg, "--axis", "nope", "--values", "1,2"]) == 2
-
-
-def test_selftest_passes(capsys):
-    assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert out.count(": ok") == 3

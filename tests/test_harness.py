@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from algwatchdog import harness, theory
+from algwatchdog import harness, protocol, theory, watchdog
 from algwatchdog.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -107,6 +107,32 @@ class TestRunTrials:
             assert 0 < measured["estimate"] <= rep.predicted[name] + 3 * hw
 
 
+def test_arms_share_one_channel_realization(monkeypatch):
+    # each trial checks the honest arm's two views, then the corrupting arm's
+    views, payloads = [], []
+    check, relay_output = watchdog.algebraic_check, protocol.relay_output
+
+    def recorded_relay_output(*args):
+        packet = relay_output(*args)
+        payloads.append(packet.payload)
+        return packet
+
+    monkeypatch.setattr(watchdog, "algebraic_check", lambda obs: views.append(obs) or check(obs))
+    monkeypatch.setattr(protocol, "relay_output", recorded_relay_output)
+    trials = 30
+    run_trials(small_cfg(p12=0.3, p21=0.2, p31=0.3, p32=0.2, trials=trials))
+    assert len(views) == 4 * trials and len(payloads) == 2 * trials
+    relay_noise = 0
+    for t in range(trials):
+        honest, corrupted = views[4 * t : 4 * t + 2], views[4 * t + 2 : 4 * t + 4]
+        error = payloads[2 * t] ^ payloads[2 * t + 1]
+        for h, m in zip(honest, corrupted):
+            assert h.noisy_peer == m.noisy_peer
+            assert h.noisy_relay ^ m.noisy_relay == error
+            relay_noise += h.noisy_relay != payloads[2 * t]
+    assert relay_noise > trials  # the links did flip bits
+
+
 class TestBetaBoundScope:
     """The beta bounds hold for random_nonzero_error and d >= 2 only; elsewhere they read null."""
 
@@ -181,7 +207,7 @@ class TestSweep:
 
     def test_invalid_point_rejected_before_any_trial(self, monkeypatch):
         ran = []
-        monkeypatch.setattr(harness, "_run_one", lambda cfg, trial: ran.append(trial) or (0, 0, 0, 0))
+        monkeypatch.setattr(harness, "_run_one", lambda cfg, trial, *chunk: ran.append(trial) or (0, 0, 0, 0))
         with pytest.raises(ConfigError, match="h=99"):
             sweep(small_cfg(), "h", [3, 99])
         assert ran == []

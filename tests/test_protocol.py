@@ -14,9 +14,12 @@ from algwatchdog.hashing import evaluate, sample
 from algwatchdog.protocol import (
     AdversaryStrategy,
     Scenario,
+    _observation,
     observe,
     relay_output,
+    reobserve,
 )
+from algwatchdog.watchdog import check_relay, peer_images, survivors_by_relay_word
 
 GF16 = canonical_spec(4)
 GF32 = canonical_spec(5)
@@ -125,6 +128,29 @@ class TestRelayOutput:
         pkt = relay_output(scn, AdversaryStrategy.exhaustive_best(), random.Random(4))
         assert pkt.payload ^ scn.honest_relay_value().value == want
 
+    @pytest.mark.parametrize(
+        "spec, p, h, seed",
+        [(GF32, 0.0, 2, 1), (GF32, 0.1, 2, 2), (GF32, 0.2, 3, 3), (canonical_spec(6), 0.1, 1, 4),
+         (canonical_spec(6), 0.05, 4, 5), (canonical_spec(6), 0.5, 2, 6)],
+    )
+    def test_batched_survivors_match_check_relay(self, spec, p, h, seed):
+        # the whole-field count behind exhaustive_best against the
+        # per-observation kernel, error by error, for both watchers
+        rng = random.Random(seed)
+        scn = make_scenario(
+            spec=spec, x1=rng.randrange(spec.order), x2=rng.randrange(spec.order),
+            a1=rng.randrange(1, spec.order), a2=rng.randrange(1, spec.order), p=p, h=h, seed=seed,
+        )
+        honest = scn.honest_payload
+        for w, peer in ((1, scn.source_packet(2)), (2, scn.source_packet(1))):
+            obs = _observation(w, scn, peer.own_hash, scn.hf.of_word(honest), peer.payload, honest)
+            side = peer_images(obs)
+            counts = survivors_by_relay_word(obs, side)
+            for e in range(1, spec.order):
+                relay = honest ^ e
+                one = _observation(w, scn, peer.own_hash, scn.hf.of_word(relay), peer.payload, relay)
+                assert counts[relay] == check_relay(one, side).diagnostics["surviving"]
+
     def test_exhaustive_best_cost_error_at_large_n(self):
         spec = canonical_spec(14)
         scn = make_scenario(spec=spec, x1=5, x2=9, h=4, p=0.05)
@@ -178,6 +204,16 @@ class TestObserve:
         rng = random.Random(6)
         assert obs.noisy_peer == scn.x1.value ^ noise_mask(scn.chan_12, 8, rng)
         assert obs.noisy_relay == relay.payload ^ noise_mask(scn.chan_32, 8, rng)
+
+    @pytest.mark.parametrize("watcher", [1, 2])
+    def test_reobserve_crosses_the_same_channel_realization(self, watcher):
+        scn = make_scenario(spec=GF256, x1=0x31, x2=0x7C, h=3, p=0.3)
+        sources = (scn.source_packet(1), scn.source_packet(2))
+        honest = relay_output(scn, AdversaryStrategy.honest(), random.Random(1))
+        for seed in range(20):
+            corrupted = relay_output(scn, AdversaryStrategy.random_nonzero_error(), random.Random(seed))
+            view = observe(watcher, scn, sources, honest, random.Random(seed))
+            assert reobserve(watcher, scn, view, corrupted) == observe(watcher, scn, sources, corrupted, random.Random(seed))
 
     def test_bad_watcher_id(self):
         scn = make_scenario()

@@ -2,8 +2,10 @@
 
 For a fixed config and seed the four counts must not move when the code is
 restructured.  The configs cover both engines, noiseless and asymmetric
-channels, the exhaustive_best adversary on both engines, a degree-1 hash
-under weight_bounded_error, a fixed_error relay, and fixed source values.
+channels, the exhaustive_best adversary on both engines and at n=12, a
+degree-1 hash under weight_bounded_error, a fixed_error relay, fixed source
+values, n=2 with a constant hash over p=0 and p=0.5 links, the algebraic
+engine at n=12 and n=16, and an honest relay (gamma only).
 Every field not named takes its SimConfig default.
 """
 
@@ -30,6 +32,15 @@ GOLDEN = [
     ),
     (dict(adversary={"kind": "fixed_error", "error": 5}, n=8, h=4, d=4, trials=300, seed=12), (2, 19, 56, 41)),
     (dict(sources={"fixed": [0x3A, 0xC5]}, n=8, h=3, d=3, trials=300, seed=13), (3, 73, 141, 138)),
+    (dict(n=2, h=1, d=0, p12=0.0, p21=0.0, p31=0.0, p32=0.0, trials=200, seed=14), (0, 0, 0, 0)),
+    (dict(n=2, h=1, d=0, p12=0.5, p21=0.5, p31=0.5, p32=0.5, trials=200, seed=14), (0, 200, 200, 200)),
+    (dict(n=12, h=5, d=3, trials=200, seed=16), (1, 4, 34, 27)),
+    (dict(n=16, h=6, d=3, trials=60, seed=17), (2, 1, 9, 7)),
+    (
+        dict(adversary="honest", n=10, h=8, d=3, p12=0.15, p21=0.15, p31=0.15, p32=0.15, trials=400, seed=18),
+        (10, None, None, None),
+    ),
+    (dict(adversary="exhaustive_best", n=12, h=5, d=3, trials=3, seed=2), (0, 1, 2, 2)),
 ]
 
 
@@ -43,16 +54,21 @@ IDS = [
     "weight-bounded-d1",
     "fixed-error",
     "fixed-sources",
+    "n2-d0-noiseless",
+    "n2-d0-p-half",
+    "algebraic-n12",
+    "algebraic-n16",
+    "honest-n10",
+    "exhaustive-n12",
 ]
 
 
 @pytest.mark.parametrize("fields, want", GOLDEN, ids=IDS)
 def test_golden_tallies(fields, want):
     rep = run_trials(SimConfig(**fields))
-    got = (
-        rep.gamma["count"],
-        rep.beta["count"],
-        rep.per_watcher["beta_v1"]["count"],
-        rep.per_watcher["beta_v2"]["count"],
-    )
+    got = (rep.gamma["count"],)
+    if rep.beta is None:  # an honest relay has no beta counts
+        got += (None, None, None)
+    else:
+        got += (rep.beta["count"], rep.per_watcher["beta_v1"]["count"], rep.per_watcher["beta_v2"]["count"])
     assert got == want
