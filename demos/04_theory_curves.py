@@ -19,11 +19,11 @@ from algwatchdog import (
     predicted_beta_no_overhear,
 )
 
-print("False-detection side (honest relay): per-watcher bound eps,")
-print("two-watcher union bound min(1, 2*eps):")
+print("False-detection side (honest relay): per-ball miss budget eps,")
+print("one watcher's two balls min(1, 2*eps); the joint gamma spans four balls:")
 for eps in (0.05, 0.01, 0.001):
-    print(f"  eps={eps}: gamma <= {float(gamma_bound(eps))}, "
-          f"conservative {float(conservative_gamma_bound(eps))}")
+    print(f"  eps={eps}: per ball {float(gamma_bound(eps))}, "
+          f"per watcher {float(conservative_gamma_bound(eps))}")
 
 print("\nMisdetection upper estimate vs hash width (n=12, all radii 3):")
 for h in range(1, 9):

@@ -13,6 +13,7 @@ from .channel import (
     ball_offsets,
     ball_volume,
     binomial_cdf_exact,
+    likelihood,
     log_likelihood,
     radius_for_epsilon,
     transmit,
@@ -56,6 +57,7 @@ from .watchdog import (
     candidate_set,
     consistency_probability,
     decide,
+    trellis_peer,
 )
 
 __version__ = "0.1.0"

@@ -113,3 +113,20 @@ def log_likelihood(chan: BinarySymmetricChannel, sent, received: int, n: int):
     if p == 0.0:
         return np.where(k == 0, 0.0, -math.inf)[()]
     return k * math.log(p) + (n - k) * math.log(1.0 - p)
+
+
+@lru_cache(maxsize=None)
+def _likelihood_by_distance(p: float, n: int) -> np.ndarray:
+    """Entry k: P(received | sent) for words k bits apart, through `log_likelihood`."""
+    table = np.exp(log_likelihood(BinarySymmetricChannel(p), (1 << np.arange(n + 1)) - 1, 0, n))
+    table.setflags(write=False)
+    return table
+
+
+def likelihood(chan: BinarySymmetricChannel, sent: np.ndarray, received: int, n: int) -> np.ndarray:
+    """P(received | sent) for an array of n-bit words, read by Hamming distance.
+
+    Each entry is the float `np.exp(log_likelihood(chan, sent, received, n))`
+    gives; the n + 1 distinct values are computed once per (p, n).
+    """
+    return _likelihood_by_distance(chan.p, n).take(np.bitwise_count(sent ^ received))

@@ -4,11 +4,12 @@ Each trial draws fresh sources, coefficients, and a hash function, runs the
 relay both honestly and under the configured corruption strategy, and asks
 both watchers for a verdict.  Both arms share one channel realization (common
 random numbers), drawn once per trial: the corrupted payload picks up the
-error patterns the honest one did.  Per-trial randomness is keyed by (seed,
-trial index), so tallies are bit-identical for any worker count.  With more
-than one worker, trials run in chunks on one process pool per call:
-`run_trials` and `sweep` each start at most one, and a sweep submits the
-chunks of all its points to it.
+error patterns the honest one did.  The trellis engine builds each watcher's
+peer side once per trial, and both arms read it.  Per-trial randomness is
+keyed by (seed, trial index), so tallies are bit-identical for any worker
+count.  With more than one worker, trials run in chunks on one process pool
+per call: `run_trials` and `sweep` each start at most one, and a sweep
+submits the chunks of all its points to it.
 """
 
 from __future__ import annotations
@@ -94,9 +95,16 @@ class SimConfig:
         if self.engine == "trellis" and self.n > watchdog.TRELLIS_MAX_WIDTH:
             problems.append(f"trellis engine requires n <= {watchdog.TRELLIS_MAX_WIDTH}")
         try:
-            self.strategy()
+            strategy = self.strategy()
         except ValueError as exc:
             problems.append(f"adversary: {exc}")
+        else:
+            # the trial raises these too, but only once a run has started
+            widest = protocol.EXHAUSTIVE_MAX_WIDTH
+            if strategy.kind == "exhaustive_best" and self.n > widest:
+                problems.append(f"adversary: exhaustive_best scans 2^n errors; n <= {widest} required")
+            if strategy.kind == "fixed_error" and not (0 < strategy.error < 1 << self.n):
+                problems.append(f"adversary: fixed error {strategy.error} not a nonzero {self.n}-bit word")
         src = self.sources
         if isinstance(src, dict):
             vals = src.get("fixed")
@@ -114,6 +122,9 @@ class SimConfig:
         if isinstance(adv, str):
             return protocol.AdversaryStrategy(adv)
         if isinstance(adv, dict):
+            unknown = sorted(map(repr, set(adv) - {"kind", "error", "max_weight"}))
+            if unknown:
+                raise ValueError(f"unknown key(s) {', '.join(unknown)}")
             return protocol.AdversaryStrategy(
                 adv.get("kind", ""),
                 error=adv.get("error"),
@@ -126,6 +137,8 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(["config must be a JSON object"])
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -168,10 +181,11 @@ def _derive_seed(*parts) -> int:
     return int.from_bytes(hsh.digest(), "little")
 
 
-def _verdict(cfg: SimConfig, obs: watchdog.Observation) -> watchdog.Verdict:
+def _verdict(cfg: SimConfig, obs: watchdog.Observation, peer: tuple | None = None) -> watchdog.Verdict:
+    """The configured engine's verdict; `peer` is the trellis peer side of `obs`, if built."""
     if cfg.engine == "algebraic":
         return watchdog.algebraic_check(obs)
-    score = watchdog.consistency_probability(watchdog.build_trellis(obs))
+    score = watchdog.consistency_probability(watchdog.build_trellis(obs, peer))
     return watchdog.decide(score, cfg.threshold)
 
 
@@ -204,7 +218,9 @@ def _run_one(
     # the one channel realization of this trial; the corrupting arm reuses it
     noise_rng = random.Random(_derive_seed(cfg.seed, trial, "noise"))
     views = [protocol.observe(w, scn, sources, honest_packet, noise_rng) for w in (1, 2)]
-    h1, h2 = (_verdict(cfg, obs).decision is watchdog.Hypothesis.H0 for obs in views)
+    # a watcher's trellis peer side reads nothing of the relay: both arms share it
+    peers = [watchdog.trellis_peer(obs) for obs in views] if cfg.engine == "trellis" else [None, None]
+    h1, h2 = (_verdict(cfg, obs, peer).decision is watchdog.Hypothesis.H0 for obs, peer in zip(views, peers))
     honest_flagged = int(not (h1 and h2))
     if honest_flagged and cfg.p12 == cfg.p21 == cfg.p31 == cfg.p32 == 0.0 and cfg.engine == "algebraic":
         raise AssertionError(f"honest relay flagged under noiseless channels (trial {trial})")
@@ -213,8 +229,8 @@ def _run_one(
         return (honest_flagged, 0, 0, 0)
     mal_packet = protocol.relay_output(scn, strategy, rng)
     m1, m2 = (
-        _verdict(cfg, protocol.reobserve(w, scn, obs, mal_packet)).decision is watchdog.Hypothesis.H0
-        for w, obs in enumerate(views, start=1)
+        _verdict(cfg, protocol.reobserve(w, scn, obs, mal_packet), peer).decision is watchdog.Hypothesis.H0
+        for w, (obs, peer) in enumerate(zip(views, peers), start=1)
     )
     return (honest_flagged, int(m1 and m2), int(m1), int(m2))
 

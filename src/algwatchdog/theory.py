@@ -75,18 +75,29 @@ class Prediction:
 
 
 def gamma_bound(eps: float) -> Fraction:
-    """Per-coverage-event false-detection budget: gamma <= eps."""
+    """The budget of one coverage event: the chance eps that one ball misses.
+
+    Each radius is chosen so that its ball misses the true word with
+    chance at most eps.  That is a per-event budget, not a bound on the
+    gamma `harness.run_trials` reports: the harness counts an honest relay
+    as flagged when either watcher rejects it, and each watcher needs both
+    of its balls to cover, so four coverage events are involved.  At n=10,
+    h=8, d=3, p=0.15 on every link and eps=0.01 (honest relay, 10,000
+    trials, seed 31) the reported gamma is 0.0417, Wilson interval
+    [0.0380, 0.0458], where 1 - (product of the four coverages) = 0.0389.
+    """
     if not (0 <= eps < 1):
         raise ValueError(f"epsilon {eps} outside [0, 1)")
     return Fraction(eps)
 
 
 def conservative_gamma_bound(eps: float) -> Fraction:
-    """Union bound over the two coverage events each watcher relies on (2*eps).
+    """Union of one watcher's two per-event budgets: min(1, 2*eps).
 
-    Each watcher needs both its candidate sets to cover the true words; the
-    single-eps statement leans on both events jointly, so we also report the
-    explicit two-event union figure.
+    A watcher needs both its candidate sets to cover the true words, so
+    2*eps bounds the chance that one watcher's balls miss.  It is still a
+    budget for one watcher's two events, not a bound on the reported gamma,
+    which counts a rejection by either watcher; see `gamma_bound`.
     """
     return min(Fraction(1), 2 * gamma_bound(eps))
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BinarySymmetricChannel, ball_offsets, log_likelihood, radius_for_epsilon
+from .channel import BinarySymmetricChannel, ball_offsets, likelihood, radius_for_epsilon
 from .gf2n import FieldElement
 from .hashing import HashFunction, HashValue
 
@@ -166,26 +166,40 @@ def survivors_by_relay_word(obs: Observation, peer: tuple[np.ndarray, int]) -> n
     return counts
 
 
-def build_trellis(obs: Observation) -> Trellis:
-    """Materialize the reachable part of the four-layer model for one observation."""
+def trellis_peer(obs: Observation) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The peer side of the trellis: layers 2 and 3 and the edges into them.
+
+    Returns (candidates, weights_in, images, image_hashes): every word with
+    the peer's hash, its normalized start->candidate weight, its coded image
+    own_coeff*own_value + peer_coeff*x, and the image's hash.  It reads
+    nothing of the relay, so both relay arms of a trial can share it.
+    """
     n = obs.n
     if n > TRELLIS_MAX_WIDTH:
         raise ValueError(f"trellis engine supports n <= {TRELLIS_MAX_WIDTH}, got {n}")
     spec = obs.own_value.spec
     candidates = np.flatnonzero(obs.hf.table == obs.peer_hash.value)
-    raw_in = np.exp(log_likelihood(obs.peer_channel, candidates, obs.noisy_peer, n))
+    raw_in = likelihood(obs.peer_channel, candidates, obs.noisy_peer, n)
     total = raw_in.sum()
     weights_in = raw_in / total if total > 0 else np.zeros_like(raw_in)
     const = spec.mul(obs.own_coeff.value, obs.own_value.value)
     images = const ^ spec.mul_words(obs.peer_coeff.value, candidates)
-    edge_out = obs.hf.values_on(images) == obs.relay_hash.value
-    likelihood_out = np.exp(log_likelihood(obs.relay_channel, images, obs.noisy_relay, n))
+    return candidates, weights_in, images, obs.hf.values_on(images)
+
+
+def build_trellis(obs: Observation, peer: tuple | None = None) -> Trellis:
+    """Materialize the reachable part of the four-layer model for one observation.
+
+    Given `peer`, the `trellis_peer` of an observation with the same peer
+    side, only the relay side (the image->destination edges) is built.
+    """
+    candidates, weights_in, images, image_hashes = trellis_peer(obs) if peer is None else peer
     return Trellis(
         candidates=candidates,
         images=images,
         weights_in=weights_in,
-        likelihood_out=likelihood_out,
-        edge_out=edge_out,
+        likelihood_out=likelihood(obs.relay_channel, images, obs.noisy_relay, obs.n),
+        edge_out=image_hashes == obs.relay_hash.value,
     )
 
 

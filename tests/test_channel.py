@@ -15,6 +15,7 @@ from algwatchdog.channel import (
     BinarySymmetricChannel,
     ball_offsets,
     ball_volume,
+    likelihood,
     log_likelihood,
     radius_for_epsilon,
     transmit,
@@ -186,3 +187,21 @@ class TestLogLikelihood:
         chan = BinarySymmetricChannel(0.0)
         got = log_likelihood(chan, np.array([0b101, 0b100, 0b001, 0b101]), 0b101, 3)
         assert got.tolist() == [0.0, -math.inf, -math.inf, 0.0]
+
+
+class TestLikelihood:
+    @pytest.mark.parametrize("p", [0.0, 1e-3, 0.1, 0.25, 0.5])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_reads_the_same_floats_as_log_likelihood(self, n, p):
+        chan = BinarySymmetricChannel(p)
+        words = np.arange(1 << n, dtype=np.int64)
+        received = random.Random(n).randrange(1 << n)
+        want = np.exp(log_likelihood(chan, words, received, n))
+        got = likelihood(chan, words, received, n)
+        assert got.dtype == want.dtype and (got == want).all()
+
+    def test_table_is_read_only(self):
+        likelihood(BinarySymmetricChannel(0.1), np.arange(4), 0, 2)
+        table = channel._likelihood_by_distance(0.1, 2)
+        with pytest.raises(ValueError):
+            table[0] = 0.0

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from algwatchdog import harness
 from algwatchdog.cli import main
 
 
@@ -71,6 +72,22 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert f"{field}={value!r}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("adversary, named", [
+        ({"kind": "fixed_error", "error": 3, "foo": 1}, "unknown key(s) 'foo'"),
+        ({"kind": "fixed_error", "error": 256}, "fixed error 256 not a nonzero 8-bit word"),
+    ])
+    def test_bad_adversary_exit_2(self, tmp_path, capsys, adversary, named):
+        cfg = write_config(tmp_path, adversary=adversary, trials=5)
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "adversary: " + named in err and "Traceback" not in err
+
+    def test_config_not_an_object_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fields, named", [
         ({"threshold": float("nan")}, "threshold=nan"),
         ({"threshold": float("inf")}, "threshold=inf"),
@@ -127,3 +144,11 @@ class TestSweep:
     def test_bad_axis_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, trials=20)
         assert main(["sweep", "--config", cfg, "--axis", "nope", "--values", "1,2"]) == 2
+
+    def test_too_wide_exhaustive_point_exit_2_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(harness, "_run_one", lambda cfg, trial, *chunk: ran.append(trial) or (0, 0, 0, 0))
+        cfg = write_config(tmp_path, adversary="exhaustive_best", trials=2)
+        assert main(["sweep", "--config", cfg, "--axis", "n", "--values", "8,14"]) == 2
+        assert "adversary: exhaustive_best" in capsys.readouterr().err
+        assert ran == []

@@ -94,6 +94,36 @@ class TestRunTrials:
         with pytest.raises(ConfigError):
             SimConfig.from_dict({"n": 8, "hash_width": 3})
 
+    def test_config_that_is_not_an_object_rejected(self):
+        with pytest.raises(ConfigError, match="config must be a JSON object") as exc:
+            SimConfig.from_dict([1, 2])
+        assert exc.value.problems == ["config must be a JSON object"]
+
+    @pytest.mark.parametrize("adversary, named", [
+        ({"kind": "fixed_error", "error": 3, "foo": 1}, "'foo'"),
+        ({"kind": "fixed_error", "error": 256}, "fixed error 256"),
+        ({"kind": "fixed_error", "error": -3}, "fixed error -3"),
+        ("exhaustive_best", "exhaustive_best"),
+    ])
+    def test_bad_adversary_rejected_before_any_trial(self, monkeypatch, adversary, named):
+        ran = []
+        monkeypatch.setattr(harness, "_run_one", lambda cfg, trial, *chunk: ran.append(trial) or (0, 0, 0, 0))
+        n = 14 if adversary == "exhaustive_best" else 8
+        with pytest.raises(ConfigError, match="adversary: .*" + named):
+            run_trials(small_cfg(n=n, adversary=adversary, trials=5))
+        assert ran == []
+
+    def test_trellis_peer_side_built_once_per_watcher_per_trial(self, monkeypatch):
+        built = []
+        peer = watchdog.trellis_peer
+        monkeypatch.setattr(watchdog, "trellis_peer", lambda obs: built.append(obs) or peer(obs))
+        trials = 25
+        run_trials(small_cfg(engine="trellis", trials=trials))
+        assert len(built) == 2 * trials
+        built.clear()
+        run_trials(small_cfg(trials=trials))
+        assert built == []
+
     def test_per_watcher_rates_within_predicted_bounds(self):
         # each watcher's figure is an upper estimate of its own pass rate
         rep = run_trials(small_cfg(n=6, h=4, adversary="random_nonzero_error", trials=4000))
@@ -210,6 +240,13 @@ class TestSweep:
         monkeypatch.setattr(harness, "_run_one", lambda cfg, trial, *chunk: ran.append(trial) or (0, 0, 0, 0))
         with pytest.raises(ConfigError, match="h=99"):
             sweep(small_cfg(), "h", [3, 99])
+        assert ran == []
+
+    def test_too_wide_exhaustive_point_rejected_before_any_trial(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(harness, "_run_one", lambda cfg, trial, *chunk: ran.append(trial) or (0, 0, 0, 0))
+        with pytest.raises(ConfigError, match="adversary: exhaustive_best"):
+            sweep(small_cfg(adversary="exhaustive_best", trials=2), "n", [8, 14])
         assert ran == []
 
     @pytest.mark.parametrize("workers", [0, -2])

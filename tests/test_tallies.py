@@ -41,6 +41,17 @@ GOLDEN = [
         (10, None, None, None),
     ),
     (dict(adversary="exhaustive_best", n=12, h=5, d=3, trials=3, seed=2), (0, 1, 2, 2)),
+    (dict(engine="trellis", n=12, h=5, d=3, trials=300, seed=19), (0, 75, 162, 145)),
+    (dict(engine="trellis", n=8, h=3, d=3, threshold=0.05, trials=400, seed=20), (357, 0, 0, 2)),
+    (
+        dict(engine="trellis", n=8, h=4, d=3, p12=0.5, p21=0.5, p31=0.5, p32=0.5, trials=200, seed=21),
+        (0, 94, 142, 130),
+    ),
+    (
+        dict(engine="trellis", adversary="honest", n=10, h=8, d=3, p12=0.15, p21=0.15, p31=0.15, p32=0.15,
+             trials=400, seed=22),
+        (0, None, None, None),
+    ),
 ]
 
 
@@ -60,6 +71,10 @@ IDS = [
     "algebraic-n16",
     "honest-n10",
     "exhaustive-n12",
+    "trellis-n12",
+    "trellis-threshold",
+    "trellis-p-half",
+    "trellis-honest-n10",
 ]
 
 

@@ -14,14 +14,17 @@ import pytest
 from algwatchdog.channel import BinarySymmetricChannel, ball_volume, radius_for_epsilon
 from algwatchdog.gf2n import FieldElement, canonical_spec
 from algwatchdog.hashing import HashFunction, HashValue, evaluate, preimage_set, sample
+from algwatchdog.protocol import AdversaryStrategy, Scenario, observe, relay_output, reobserve
 from algwatchdog.watchdog import (
     Hypothesis,
     Observation,
+    Trellis,
     algebraic_check,
     build_trellis,
     candidate_set,
     consistency_probability,
     decide,
+    trellis_peer,
 )
 
 GF16 = canonical_spec(4)
@@ -175,6 +178,49 @@ class TestTrellis:
         obs = make_obs(spec, hf, 3, 5, 7, 0x123, 0x456, p=0.1)
         with pytest.raises(ValueError):
             build_trellis(obs)
+
+
+def random_trellis_obs(rng, n, p):
+    spec = canonical_spec(n)
+    hf = sample(rng, rng.randrange(4), spec, rng.randrange(1, n + 1))
+    words = [rng.randrange(spec.order) for _ in range(4)]
+    return make_obs(spec, hf, words[0], rng.randrange(1, spec.order), rng.randrange(1, spec.order),
+                    words[1], words[2], noisy_peer=words[1] ^ rng.randrange(spec.order),
+                    noisy_relay=words[2] ^ words[3], p=p)
+
+
+class TestTrellisPeer:
+    """Building the relay side on a peer side computed already changes no bit."""
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5])
+    def test_given_peer_side_equals_fresh_build(self, n, p):
+        rng = random.Random(n * 100 + int(p * 10))
+        for _ in range(10):
+            obs = random_trellis_obs(rng, n, p)
+            shared, fresh = build_trellis(obs, trellis_peer(obs)), build_trellis(obs)
+            for field in Trellis.__dataclass_fields__:
+                assert np.array_equal(getattr(shared, field), getattr(fresh, field))
+            assert consistency_probability(shared) == consistency_probability(fresh)
+
+    @pytest.mark.parametrize("watcher", [1, 2])
+    def test_corrupting_arm_scores_the_same_on_the_honest_peer_side(self, watcher):
+        spec = GF256
+        rng = random.Random(19)
+        for seed in range(20):
+            chan = BinarySymmetricChannel(0.15)
+            scn = Scenario(
+                spec=spec, hf=sample(rng, 3, spec, 3),
+                x1=fe(rng.randrange(256), spec), x2=fe(rng.randrange(256), spec),
+                a1=fe(rng.randrange(1, 256), spec), a2=fe(rng.randrange(1, 256), spec),
+                chan_12=chan, chan_21=chan, chan_31=chan, chan_32=chan, epsilon=0.01,
+            )
+            sources = (scn.source_packet(1), scn.source_packet(2))
+            honest = observe(watcher, scn, sources, relay_output(scn, AdversaryStrategy.honest(), rng), rng)
+            corrupted = relay_output(scn, AdversaryStrategy.random_nonzero_error(), random.Random(seed))
+            mal = reobserve(watcher, scn, honest, corrupted)
+            shared = consistency_probability(build_trellis(mal, trellis_peer(honest)))
+            assert shared == consistency_probability(build_trellis(mal))
 
 
 class TestConsistencyProbability:
