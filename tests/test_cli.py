@@ -72,16 +72,6 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert f"{field}={value!r}" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("adversary, named", [
-        ({"kind": "fixed_error", "error": 3, "foo": 1}, "unknown key(s) 'foo'"),
-        ({"kind": "fixed_error", "error": 256}, "fixed error 256 not a nonzero 8-bit word"),
-    ])
-    def test_bad_adversary_exit_2(self, tmp_path, capsys, adversary, named):
-        cfg = write_config(tmp_path, adversary=adversary, trials=5)
-        assert main(["simulate", "--config", cfg]) == 2
-        err = capsys.readouterr().err
-        assert "adversary: " + named in err and "Traceback" not in err
-
     def test_config_not_an_object_exit_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("[1, 2]")
@@ -94,6 +84,8 @@ class TestSimulate:
         ({"threshold": -0.1}, "threshold=-0.1"),
         ({"threshold": 1.5}, "threshold=1.5"),
         ({"sources": {"fixed": [True, 3]}}, "sources:"),
+        ({"adversary": {"kind": "fixed_error", "error": 3, "foo": 1}}, "adversary: unknown key(s) 'foo'"),
+        ({"adversary": {"kind": "fixed_error", "error": 256}}, "adversary: fixed error 256 not a nonzero 8-bit word"),
     ])
     def test_out_of_range_value_exit_2(self, tmp_path, capsys, fields, named):
         cfg = write_config(tmp_path, trials=5, **fields)

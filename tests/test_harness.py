@@ -242,13 +242,6 @@ class TestSweep:
             sweep(small_cfg(), "h", [3, 99])
         assert ran == []
 
-    def test_too_wide_exhaustive_point_rejected_before_any_trial(self, monkeypatch):
-        ran = []
-        monkeypatch.setattr(harness, "_run_one", lambda cfg, trial, *chunk: ran.append(trial) or (0, 0, 0, 0))
-        with pytest.raises(ConfigError, match="adversary: exhaustive_best"):
-            sweep(small_cfg(adversary="exhaustive_best", trials=2), "n", [8, 14])
-        assert ran == []
-
     @pytest.mark.parametrize("workers", [0, -2])
     def test_worker_count_below_one_rejected(self, workers):
         with pytest.raises(ConfigError, match=f"workers={workers}"):
