@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import harness, theory
 
@@ -32,14 +33,10 @@ def _load_config(path: str) -> harness.SimConfig:
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
-        cfg = harness.SimConfig(**{**cfg.to_dict(), "seed": args.seed})
+        cfg = replace(cfg, seed=args.seed)
     if args.trials is not None:
-        cfg = harness.SimConfig(**{**cfg.to_dict(), "trials": args.trials})
-    rep = harness.run_trials(cfg, workers=args.workers)
-    if args.out:
-        harness.write_report(rep, args.out, format=args.format)
-    else:
-        sys.stdout.write(harness.report_json(rep))
+        cfg = replace(cfg, trials=args.trials)
+    harness.write_report(harness.run_trials(cfg, workers=args.workers), args.out, args.format)
     return 0
 
 
@@ -51,11 +48,7 @@ def _cmd_sweep(args) -> int:
         if not tok:
             continue
         values.append(float(tok) if "." in tok or "e" in tok.lower() else int(tok))
-    reports = harness.sweep(cfg, args.axis, values, workers=args.workers)
-    if args.out:
-        harness.write_report(reports, args.out, format=args.format)
-    else:
-        sys.stdout.write(harness.report_json(reports))
+    harness.write_report(harness.sweep(cfg, args.axis, values, workers=args.workers), args.out, args.format)
     return 0
 
 
@@ -79,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("--trials", type=int)
     si.add_argument("--out")
     si.add_argument("--format", choices=("json", "csv"), default="json")
-    si.add_argument("--workers", type=int, default=None)
+    si.add_argument("--workers", type=int, default=1)
     si.set_defaults(fn=_cmd_simulate)
 
     sw = sub.add_parser("sweep", help="run a series of experiments along one config axis")
@@ -88,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--values", required=True)
     sw.add_argument("--out")
     sw.add_argument("--format", choices=("json", "csv"), default="json")
-    sw.add_argument("--workers", type=int, default=None)
+    sw.add_argument("--workers", type=int, default=1)
     sw.set_defaults(fn=_cmd_sweep)
     return p
 

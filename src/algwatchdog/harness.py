@@ -7,20 +7,24 @@ random numbers), drawn once per trial: the corrupted payload picks up the
 error patterns the honest one did.  The trellis engine builds each watcher's
 peer side once per trial, and both arms read it.  Per-trial randomness is
 keyed by (seed, trial index), so tallies are bit-identical for any worker
-count.  With more than one worker, trials run in chunks on one process pool
-per call: `run_trials` and `sweep` each start at most one, and a sweep
-submits the chunks of all its points to it.
+count.  `run_trials` and `sweep` share one run path: their trials run as
+(cfg, lo, hi) chunk jobs, read in order through the builtin `map` in
+this process, or, once `workers` splits a config into chunks, through
+`ProcessPoolExecutor.map` on the one pool the call starts.  `write_report`
+writes the result as JSON or CSV to a file or to stdout.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
-import os
 import random
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -107,6 +111,9 @@ class SimConfig:
                 problems.append(f"adversary: fixed error {strategy.error} not a nonzero {self.n}-bit word")
         src = self.sources
         if isinstance(src, dict):
+            unknown = sorted(map(repr, set(src) - {"fixed"}))
+            if unknown:
+                problems.append(f"sources: unknown key(s) {', '.join(unknown)}")
             vals = src.get("fixed")
             if not (isinstance(vals, (list, tuple)) and len(vals) == 2):
                 problems.append("sources: fixed form needs two values")
@@ -235,7 +242,9 @@ def _run_one(
     return (honest_flagged, int(m1 and m2), int(m1), int(m2))
 
 
-def _run_chunk(cfg: SimConfig, lo: int, hi: int) -> tuple[int, int, int, int]:
+def _run_chunk(job: tuple[SimConfig, int, int]) -> tuple[int, int, int, int]:
+    """Summed tallies of trials lo..hi-1 of one config, given as the job (cfg, lo, hi)."""
+    cfg, lo, hi = job
     spec = canonical_spec(cfg.n)
     chans = {"chan_" + name[1:]: BinarySymmetricChannel(getattr(cfg, name)) for name in _EDGE_PROBS}
     strategy = cfg.strategy()
@@ -243,20 +252,6 @@ def _run_chunk(cfg: SimConfig, lo: int, hi: int) -> tuple[int, int, int, int]:
     for trial in range(lo, hi):
         tallies = tuple(a + b for a, b in zip(tallies, _run_one(cfg, trial, spec, chans, strategy)))
     return tallies
-
-
-def _worker_count(workers: int | None) -> int:
-    if workers is None:
-        workers = 1
-    elif workers < 1:
-        raise ConfigError([f"workers={workers} < 1"])
-    cap = os.environ.get("WATCHDOG_THREADS")
-    if cap:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            raise ConfigError([f"WATCHDOG_THREADS={cap!r} is not an integer"]) from None
-    return workers
 
 
 def _chunks(trials: int, workers: int) -> list[tuple[int, int]]:
@@ -270,35 +265,34 @@ def _chunks(trials: int, workers: int) -> list[tuple[int, int]]:
 def _tally(cfgs: list[SimConfig], workers: int) -> list[tuple[tuple[int, int, int, int], float]]:
     """Each config's summed tallies, with the wall seconds since the previous config's finished.
 
-    If any config is split into chunks, every chunk of every config goes to
-    one process pool, so a sweep starts one pool however many points it has;
-    otherwise the configs run one after another in this process.
+    Every config becomes one or more (cfg, lo, hi) chunk jobs.  If any config
+    is split into several, all jobs of all configs go to one process pool, so
+    a sweep starts one pool however many points it has; otherwise the jobs
+    run one after another in this process.  Either way the results come back
+    in job order and each config's chunks are summed as they arrive.
     """
+    if workers < 1:
+        raise ConfigError([f"workers={workers} < 1"])
     plans = [_chunks(cfg.trials, workers) for cfg in cfgs]
+    jobs = [(cfg, lo, hi) for cfg, plan in zip(cfgs, plans) for lo, hi in plan]
+    pooled = len(jobs) > len(cfgs)
     out = []
     start = time.perf_counter()
-
-    def finish(parts) -> None:
-        nonlocal start
-        now = time.perf_counter()
-        out.append((tuple(sum(col) for col in zip(*parts)), now - start))
-        start = now
-
-    if all(len(plan) == 1 for plan in plans):
-        for cfg in cfgs:
-            finish([_run_chunk(cfg, 0, cfg.trials)])
-        return out
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        futures = [[ex.submit(_run_chunk, cfg, lo, hi) for lo, hi in plan] for cfg, plan in zip(cfgs, plans)]
-        for parts in futures:
-            finish([f.result() for f in parts])
+    with ProcessPoolExecutor(max_workers=workers) if pooled else contextlib.nullcontext() as ex:
+        parts = (ex.map if pooled else map)(_run_chunk, jobs)
+        for plan in plans:
+            tallies = tuple(sum(col) for col in zip(*itertools.islice(parts, len(plan))))
+            # read before the pool shuts down, so the last point's time leaves out the shutdown
+            now = time.perf_counter()
+            out.append((tallies, now - start))
+            start = now
     return out
 
 
-def run_trials(cfg: SimConfig, workers: int | None = None) -> SimReport:
+def run_trials(cfg: SimConfig, workers: int = 1) -> SimReport:
     """Run the configured experiment and aggregate tallies into a report."""
     cfg.validate()
-    [(tallies, wall)] = _tally([cfg], _worker_count(workers))
+    [(tallies, wall)] = _tally([cfg], workers)
     return _report(cfg, tallies, wall)
 
 
@@ -317,7 +311,7 @@ def _report(cfg: SimConfig, tallies: tuple[int, int, int, int], wall: float) -> 
     beta_claimed = strategy.kind == "random_nonzero_error" and cfg.d >= 2
     predicted = {
         "gamma_bound": float(theory.gamma_bound(cfg.epsilon)),
-        "gamma_bound_conservative": float(pred.gamma_bound),
+        "gamma_bound_conservative": float(pred.gamma_bound_conservative),
     }
     for key in ("beta", "beta_v1", "beta_v2"):
         predicted[key] = float(getattr(pred, key)) if beta_claimed else None
@@ -354,9 +348,11 @@ def _report(cfg: SimConfig, tallies: tuple[int, int, int, int], wall: float) -> 
     )
 
 
-def sweep(base: SimConfig, axis: str, values, workers: int | None = None) -> list[SimReport]:
-    """One run per value of a numeric config field; seeds derived as seed XOR index.
+def sweep(base: SimConfig, axis: str, values, workers: int = 1) -> list[SimReport]:
+    """One run per value of a numeric config field.
 
+    Point i runs at seed `base.seed ^ i`, except on the `seed` axis, where
+    each point runs at the seed it names.
     Every point is validated before any trial runs, and all points share one
     process pool.  A point's `wall_time_s` is the wall time from the moment
     the previous point finished (for the first point, the start of the
@@ -365,10 +361,11 @@ def sweep(base: SimConfig, axis: str, values, workers: int | None = None) -> lis
     """
     if axis not in _NUMERIC_FIELDS:
         raise ConfigError([f"axis {axis!r} is not a numeric config field"])
-    cfgs = [replace(base, **{axis: v, "seed": base.seed ^ i}) for i, v in enumerate(values)]
+    # the axis value comes last, so on the seed axis it replaces the derived seed
+    cfgs = [replace(base, **{"seed": base.seed ^ i, axis: v}) for i, v in enumerate(values)]
     for cfg in cfgs:
         cfg.validate()
-    tallied = _tally(cfgs, _worker_count(workers))
+    tallied = _tally(cfgs, workers)
     return [_report(cfg, tallies, wall) for cfg, (tallies, wall) in zip(cfgs, tallied)]
 
 
@@ -420,19 +417,20 @@ def _csv_row(rep: SimReport) -> list:
     return _round_floats(row)
 
 
-def write_report(rep: SimReport | list[SimReport], path: str, format: str = "json") -> None:
+def write_report(rep: SimReport | list[SimReport], path: str | None = None, format: str = "json") -> None:
+    """Write the report(s) as JSON or CSV to the file at `path`, or to stdout if no path is given."""
+    if format not in ("json", "csv"):
+        raise ValueError(f"unknown format {format!r}")
     reports = [rep] if isinstance(rep, SimReport) else list(rep)
     try:
-        if format == "json":
-            with open(path, "w") as f:
+        # newline="": the csv module writes its own \r\n row ends
+        with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as f:
+            if format == "json":
                 f.write(report_json(rep))
-        elif format == "csv":
-            with open(path, "w", newline="") as f:
+            else:
                 w = csv.writer(f)
                 w.writerow(CSV_COLUMNS)
                 for r in reports:
                     w.writerow(_csv_row(r))
-        else:
-            raise ValueError(f"unknown format {format!r}")
     except OSError as exc:
-        raise IOError(f"cannot write report to {path}: {exc}") from exc
+        raise IOError(f"cannot write report to {path or 'stdout'}: {exc}") from exc

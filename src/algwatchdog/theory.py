@@ -68,7 +68,7 @@ class TheoryParams:
 
 @dataclass(frozen=True)
 class Prediction:
-    gamma_bound: Fraction
+    gamma_bound_conservative: Fraction
     beta: Fraction
     beta_v1: Fraction
     beta_v2: Fraction
@@ -156,7 +156,7 @@ def predicted_beta_no_overhear(n: int, h: int, r31: int, r32: int) -> Fraction:
 
 def predict(tp: TheoryParams, eps: float) -> Prediction:
     return Prediction(
-        gamma_bound=conservative_gamma_bound(eps),
+        gamma_bound_conservative=conservative_gamma_bound(eps),
         beta=predicted_beta(tp),
         beta_v1=misdetection_v1(tp),
         beta_v2=misdetection_v2(tp),

@@ -1,5 +1,7 @@
 """CLI surface tests (exit codes, output shape)."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -86,6 +88,7 @@ class TestSimulate:
         ({"sources": {"fixed": [True, 3]}}, "sources:"),
         ({"adversary": {"kind": "fixed_error", "error": 3, "foo": 1}}, "adversary: unknown key(s) 'foo'"),
         ({"adversary": {"kind": "fixed_error", "error": 256}}, "adversary: fixed error 256 not a nonzero 8-bit word"),
+        ({"sources": {"fixed": [1, 2], "fixd": [3, 4]}}, "sources: unknown key(s) 'fixd'"),
     ])
     def test_out_of_range_value_exit_2(self, tmp_path, capsys, fields, named):
         cfg = write_config(tmp_path, trials=5, **fields)
@@ -101,12 +104,6 @@ class TestSimulate:
         cfg = write_config(tmp_path, adversary=adversary)
         assert main(["simulate", "--config", cfg]) == 2
         assert field in capsys.readouterr().err
-
-    def test_non_integer_thread_cap_exit_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("WATCHDOG_THREADS", "two")
-        cfg = write_config(tmp_path, trials=5)
-        assert main(["simulate", "--config", cfg]) == 2
-        assert "WATCHDOG_THREADS='two'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_worker_count_below_one_exit_2(self, tmp_path, capsys, workers):
@@ -144,3 +141,15 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--axis", "n", "--values", "8,14"]) == 2
         assert "adversary: exhaustive_best" in capsys.readouterr().err
         assert ran == []
+
+
+@pytest.mark.parametrize("command, rows", [
+    (["simulate"], 2),
+    (["sweep", "--axis", "h", "--values", "2,3"], 3),
+], ids=["simulate", "sweep"])
+def test_csv_without_out_prints_csv(tmp_path, capsys, command, rows):
+    cfg = write_config(tmp_path, trials=10)
+    assert main([command[0], "--config", cfg, *command[1:], "--format", "csv"]) == 0
+    printed = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert printed[0] == harness.CSV_COLUMNS
+    assert len(printed) == rows

@@ -1,6 +1,7 @@
 """Monte Carlo runner, sweeps, and report serialization tests."""
 
 import csv
+import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -204,6 +205,14 @@ class TestSweep:
         assert [r.config["h"] for r in reports] == [2, 3, 4]
         assert [r.config["seed"] for r in reports] == [42 ^ 0, 42 ^ 1, 42 ^ 2]
 
+    def test_seed_axis_runs_each_named_seed(self):
+        cfg = small_cfg(n=6, trials=20)
+        reports = sweep(cfg, "seed", [100, 200])
+        assert [r.config["seed"] for r in reports] == [100, 200]
+        for seed, rep in zip((100, 200), reports):
+            alone = run_trials(replace(cfg, seed=seed))
+            assert replace(rep, wall_time_s=0.0) == replace(alone, wall_time_s=0.0)
+
     def test_empty_values(self):
         assert sweep(small_cfg(), "h", []) == []
 
@@ -211,8 +220,7 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(small_cfg(), "banana", [1, 2])
 
-    def test_pooled_sweep_matches_serial(self, monkeypatch):
-        monkeypatch.delenv("WATCHDOG_THREADS", raising=False)
+    def test_pooled_sweep_matches_serial(self):
         # 3 trials sit below the 2 * workers cut and run as one chunk
         base = small_cfg(n=6, h=2)
         reports = [sweep(base, "trials", [30, 3, 17], workers=w) for w in (2, 1)]
@@ -221,7 +229,6 @@ class TestSweep:
 
     @pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1), (4, 1)])
     def test_one_pool_per_sweep(self, monkeypatch, workers, pools):
-        monkeypatch.delenv("WATCHDOG_THREADS", raising=False)
         built = []
 
         class CountingPool(ProcessPoolExecutor):
@@ -288,6 +295,14 @@ class TestReports:
         assert rows[0] == CSV_COLUMNS
         assert len(rows) == 4
         assert all(len(r) == len(CSV_COLUMNS) for r in rows)
+
+    def test_no_path_writes_to_stdout(self, capsys):
+        rep = run_trials(small_cfg(trials=5))
+        write_report(rep)
+        assert capsys.readouterr().out == report_json(rep)
+        write_report([rep, rep], format="csv")
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0] == CSV_COLUMNS and len(rows) == 3
 
     def test_unwritable_path_raises_io_error(self):
         rep = run_trials(small_cfg(trials=5))
