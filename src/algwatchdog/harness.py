@@ -10,8 +10,19 @@ keyed by (seed, trial index), so tallies are bit-identical for any worker
 count.  `run_trials` and `sweep` share one run path: their trials run as
 (cfg, lo, hi) chunk jobs, read in order through the builtin `map` in
 this process, or, once `workers` splits a config into chunks, through
-`ProcessPoolExecutor.map` on the one pool the call starts.  `write_report`
+`ProcessPoolExecutor.map` on the process's one pool.  `write_report`
 writes the result as JSON or CSV to a file or to stdout.
+
+The pool lives as long as the process.  The first pooled call starts it,
+with min(workers, usable cores) worker processes (the chunk plan still
+follows `workers`), and later calls of the same size reuse it; a call of
+another size replaces it, and a call that fails shuts it down, so the next
+one starts afresh.  Its workers are forked when it starts and keep the
+module state of that moment: a later monkeypatch never reaches them.  Idle
+workers stay until the process exits, where the exit hook of
+`concurrent.futures` joins them.  A process forked while the pool exists
+starts its own.  Only processes that make repeated pooled calls gain; a
+one-shot CLI run still pays one start-up.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -48,6 +60,17 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One experiment's parameters.
+
+    `threshold` is the trellis engine's acceptance threshold.  The score it
+    is compared with is an unnormalized path-sum likelihood: the relay-side
+    factor is the BSC likelihood p^k (1-p)^(n-k) of the overheard relay
+    word, so what a given threshold means moves with n and p.  At n=8, h=3,
+    p=0.1 a clean overhearing scores at most (1-p)^8 = 0.43 and one flipped
+    bit about 0.048, so threshold 0.05 (seed 20, 400 trials) flags 357
+    honest relays (gamma = 0.89).
+    """
+
     n: int = 8
     h: int = 3
     d: int = 3
@@ -262,15 +285,54 @@ def _chunks(trials: int, workers: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+# (pid, size, executor) of this process's pool, or None before the first pooled call
+_pool: tuple[int, int, ProcessPoolExecutor] | None = None
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_of(size: int) -> ProcessPoolExecutor:
+    """This process's pool of `size` workers, started if the slot holds none of that size."""
+    global _pool
+    pid = os.getpid()
+    if _pool is not None and _pool[:2] == (pid, size):
+        return _pool[2]
+    _drop_pool()
+    ex = ProcessPoolExecutor(max_workers=size)
+    _pool = (pid, size, ex)
+    return ex
+
+
+def _drop_pool() -> None:
+    """Empty the slot, shutting its pool down, pending jobs cancelled, if this process started it.
+
+    A forked child's slot holds its parent's pool, whose manager thread the
+    child lacks; the child leaves that pool to the parent.
+    """
+    global _pool
+    if _pool is not None and _pool[0] == os.getpid():
+        _pool[2].shutdown(cancel_futures=True)
+    _pool = None
+
+
 def _tally(cfgs: list[SimConfig], workers: int) -> list[tuple[tuple[int, int, int, int], float]]:
     """Each config's summed tallies, with the wall seconds since the previous config's finished.
 
     Every config becomes one or more (cfg, lo, hi) chunk jobs.  If any config
-    is split into several, all jobs of all configs go to one process pool, so
-    a sweep starts one pool however many points it has; otherwise the jobs
-    run one after another in this process.  Either way the results come back
-    in job order and each config's chunks are summed as they arrive.
+    is split into several, all jobs of all configs go to the process's pool
+    (see the module docstring), so a sweep uses one pool however many points
+    it has; otherwise the jobs run one after another in this process.  Either
+    way the results come back in job order and each config's chunks are
+    summed as they arrive.  If a pooled call fails in any way (a job raises,
+    a worker dies, an interrupt), the pool is shut down before the error
+    propagates, and the next pooled call starts a new one.
     """
+    if not protocol.is_int(workers):
+        raise ConfigError([f"workers={workers!r} is not an integer"])
     if workers < 1:
         raise ConfigError([f"workers={workers} < 1"])
     plans = [_chunks(cfg.trials, workers) for cfg in cfgs]
@@ -278,14 +340,17 @@ def _tally(cfgs: list[SimConfig], workers: int) -> list[tuple[tuple[int, int, in
     pooled = len(jobs) > len(cfgs)
     out = []
     start = time.perf_counter()
-    with ProcessPoolExecutor(max_workers=workers) if pooled else contextlib.nullcontext() as ex:
-        parts = (ex.map if pooled else map)(_run_chunk, jobs)
+    try:
+        parts = (_pool_of(min(workers, _usable_cores())).map if pooled else map)(_run_chunk, jobs)
         for plan in plans:
             tallies = tuple(sum(col) for col in zip(*itertools.islice(parts, len(plan))))
-            # read before the pool shuts down, so the last point's time leaves out the shutdown
             now = time.perf_counter()
             out.append((tallies, now - start))
             start = now
+    except BaseException:
+        if pooled:
+            _drop_pool()
+        raise
     return out
 
 
@@ -353,11 +418,12 @@ def sweep(base: SimConfig, axis: str, values, workers: int = 1) -> list[SimRepor
 
     Point i runs at seed `base.seed ^ i`, except on the `seed` axis, where
     each point runs at the seed it names.
-    Every point is validated before any trial runs, and all points share one
-    process pool.  A point's `wall_time_s` is the wall time from the moment
-    the previous point finished (for the first point, the start of the
-    sweep, pool start-up included) until its own last chunk finished; with
-    workers > 1 its chunks may have started while earlier points ran.
+    Every point is validated before any trial runs, and all points share the
+    process's one pool.  A point's `wall_time_s` is the wall time from the
+    moment the previous point finished (for the first point, the start of
+    the sweep) until its own last chunk finished; the first point's time
+    includes pool start-up only when this call starts the pool.  With
+    workers > 1 a point's chunks may have started while earlier points ran.
     """
     if axis not in _NUMERIC_FIELDS:
         raise ConfigError([f"axis {axis!r} is not a numeric config field"])

@@ -209,6 +209,12 @@ def consistency_probability(tr: Trellis) -> float:
 
 
 def decide(score: float, threshold: float) -> Verdict:
-    """Threshold rule on a consistency score: accept the relay iff score >= t."""
+    """Threshold rule on a consistency score: accept the relay iff score >= t.
+
+    The score is an unnormalized path-sum likelihood (its relay-side factor
+    is p^k (1-p)^(n-k)), so a fixed t means different things at different n
+    and p: at n=8, p=0.1 a clean overhearing scores at most (1-p)^8 = 0.43
+    and one flipped bit about 0.048, below t = 0.05.
+    """
     decision = Hypothesis.H0 if score >= threshold else Hypothesis.H1
     return Verdict(decision, score, {"threshold": threshold})

@@ -3,7 +3,14 @@
 import csv
 import io
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from math import comb
 
@@ -33,6 +40,34 @@ def strip_wall_time(doc: dict) -> dict:
     doc = dict(doc)
     doc.pop("wall_time_s", None)
     return doc
+
+
+def tally_json(rep) -> str:
+    return report_json(replace(rep, wall_time_s=0.0))
+
+
+@pytest.fixture
+def pool_slot(monkeypatch):
+    """An empty pool slot for this test, filled by pools that record their sizes.
+
+    Yields (built, shut): the size of each pool at start and at shutdown.  The
+    pool the test leaves in the slot is shut down after it.
+    """
+    built, shut = [], []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+        def shutdown(self, *args, **kwargs):
+            shut.append(self._max_workers)
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(harness, "_pool", None)
+    yield built, shut
+    harness._drop_pool()
 
 
 class TestRunTrials:
@@ -228,19 +263,17 @@ class TestSweep:
         assert pooled == serial
 
     @pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1), (4, 1)])
-    def test_one_pool_per_sweep(self, monkeypatch, workers, pools):
-        built = []
-
-        class CountingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                built.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
-        sweep(small_cfg(n=6, trials=12), "h", [1, 2, 3, 4, 5], workers=workers)
-        assert built == [workers] * pools
-        run_trials(small_cfg(n=6, trials=12), workers=workers)
-        assert built == [workers] * (2 * pools)
+    def test_one_pool_per_sweep(self, monkeypatch, pool_slot, workers, pools):
+        built, shut = pool_slot
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 4)
+        cfg = small_cfg(n=6, trials=12)
+        sweep(cfg, "h", [1, 2, 3, 4, 5], workers=workers)
+        run_trials(cfg, workers=workers)
+        # one pool for the process, not one per call
+        assert built == [workers] * pools and shut == []
+        run_trials(cfg, workers=3)
+        assert built == [workers] * pools + [3]
+        assert shut == [workers] * pools
 
     def test_invalid_point_rejected_before_any_trial(self, monkeypatch):
         ran = []
@@ -256,12 +289,101 @@ class TestSweep:
         with pytest.raises(ConfigError, match=f"workers={workers}"):
             run_trials(small_cfg(trials=5), workers=workers)
 
+    @pytest.mark.parametrize("workers", [2.5, "2", None, True])
+    def test_worker_count_not_an_int_rejected(self, monkeypatch, workers):
+        ran = []
+        monkeypatch.setattr(harness, "_run_one", lambda cfg, trial, *chunk: ran.append(trial) or (0, 0, 0, 0))
+        named = re.escape(f"workers={workers!r} is not an integer")
+        with pytest.raises(ConfigError, match=named):
+            sweep(small_cfg(trials=5), "h", [2, 3], workers=workers)
+        with pytest.raises(ConfigError, match=named):
+            run_trials(small_cfg(trials=5), workers=workers)
+        assert ran == []
+
     def test_predicted_beta_decreasing_in_n_at_fixed_radii_axis(self):
         reports = sweep(small_cfg(trials=1, p12=0.01, p21=0.01, p31=0.01, p32=0.01), "n", [8, 10, 12])
         radii = {tuple(r.radii.values()) for r in reports}
         assert len(radii) == 1  # radii stayed fixed along this sweep
         preds = [r.predicted["beta"] for r in reports]
         assert preds == sorted(preds, reverse=True)
+
+
+class TestPool:
+    """The process's one pool: its size, a failed call, a forked child, interpreter exit."""
+
+    def test_capped_at_usable_cores(self, pool_slot):
+        built, _ = pool_slot
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        # a small excess only: were the cap wrong, this test would start `workers` processes
+        workers = cores + 2
+        cfg = small_cfg(n=6, trials=2 * workers)
+        assert tally_json(run_trials(cfg, workers=workers)) == tally_json(run_trials(cfg))
+        assert built == [cores]
+
+    def test_killed_worker_fails_the_next_call_only(self, pool_slot):
+        built, shut = pool_slot
+        cfg = small_cfg(n=6, trials=12)
+        serial = tally_json(run_trials(cfg))
+        run_trials(cfg, workers=2)
+        _, _, pool = harness._pool
+        assert isinstance(pool.submit(os._exit, 1).exception(timeout=60), BrokenProcessPool)
+        with pytest.raises(BrokenProcessPool):
+            run_trials(cfg, workers=2)
+        assert harness._pool is None and shut == built
+        assert tally_json(run_trials(cfg, workers=2)) == serial
+        assert len(built) == 2
+
+    def test_job_error_drops_the_pool(self, monkeypatch, pool_slot):
+        built, shut = pool_slot
+
+        def fail(cfg, trial, *chunk):
+            raise RuntimeError(f"trial {trial} failed")
+
+        # patched before the pool starts, so its workers are forked with the patch
+        monkeypatch.setattr(harness, "_run_one", fail)
+        with pytest.raises(RuntimeError, match="trial 0 failed"):
+            run_trials(small_cfg(n=6, trials=12), workers=2)
+        assert harness._pool is None and len(built) == 1 and shut == built
+
+    def test_forked_child_starts_its_own_pool(self, pool_slot):
+        cfg = small_cfg(n=6, trials=12)
+        serial = tally_json(run_trials(cfg))
+        run_trials(cfg, workers=2)  # the pool the child inherits, without its manager thread
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read)
+                doc = tally_json(run_trials(cfg, workers=2))
+                harness._drop_pool()
+                with os.fdopen(write, "w") as f:
+                    f.write(doc)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(read)
+                pytest.fail("the forked child's pooled call did not finish within 60 s")
+            time.sleep(0.02)
+        with os.fdopen(read) as f:
+            got = f.read()
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+        assert got == serial
+
+    def test_script_ending_with_a_live_pool_exits(self):
+        script = (
+            "from algwatchdog import SimConfig, run_trials\n"
+            "run_trials(SimConfig(n=6, trials=12), workers=2)\n"
+            "print('done')\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+        assert (out.returncode, out.stdout) == (0, "done\n"), out.stderr
 
 
 class TestWilson:
