@@ -16,13 +16,17 @@ writes the result as JSON or CSV to a file or to stdout.
 The pool lives as long as the process.  The first pooled call starts it,
 with min(workers, usable cores) worker processes (the chunk plan still
 follows `workers`), and later calls of the same size reuse it; a call of
-another size replaces it, and a call that fails shuts it down, so the next
-one starts afresh.  Its workers are forked when it starts and keep the
-module state of that moment: a later monkeypatch never reaches them.  Idle
-workers stay until the process exits, where the exit hook of
-`concurrent.futures` joins them.  A process forked while the pool exists
-starts its own.  Only processes that make repeated pooled calls gain; a
-one-shot CLI run still pays one start-up.
+another size replaces it.  A call that fails shuts it down, so the next
+one starts afresh; a call that finds it broken before reading any result
+(a worker died while it sat idle) replaces it once and reruns.  Its
+workers hold their own copy of this module, taken when the pool starts
+(forked) or imported afresh (spawned): a change made here after the pool
+started, such as a monkeypatch, never reaches them.  Idle workers stay
+until the process exits, where the exit hook of `concurrent.futures`
+joins them.  Pooled calls from several threads run one at a time.  A
+process forked while the pool exists starts its own.  Only processes that
+make repeated pooled calls gain; a one-shot CLI run still pays one
+start-up.
 """
 
 from __future__ import annotations
@@ -37,8 +41,10 @@ import math
 import os
 import random
 import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 from . import protocol, theory, watchdog
@@ -287,6 +293,8 @@ def _chunks(trials: int, workers: int) -> list[tuple[int, int]]:
 
 # (pid, size, executor) of this process's pool, or None before the first pooled call
 _pool: tuple[int, int, ProcessPoolExecutor] | None = None
+# held through a pooled call, so no thread replaces or drops a pool another is using
+_pool_lock = threading.Lock()
 
 
 def _usable_cores() -> int:
@@ -319,6 +327,24 @@ def _drop_pool() -> None:
     _pool = None
 
 
+def _pooled(jobs: list, size: int):
+    """The jobs' results, in order, from the process's pool of `size` workers.
+
+    A pool found broken before the first result is read broke before this
+    call could have caused it (a worker killed while the pool sat idle), so
+    it is replaced once and the jobs resubmitted; they are pure, so the
+    results are the same.
+    """
+    try:
+        parts = _pool_of(size).map(_run_chunk, jobs)
+        first = next(parts)
+    except BrokenProcessPool:
+        _drop_pool()
+        parts = _pool_of(size).map(_run_chunk, jobs)
+        first = next(parts)
+    return itertools.chain([first], parts)
+
+
 def _tally(cfgs: list[SimConfig], workers: int) -> list[tuple[tuple[int, int, int, int], float]]:
     """Each config's summed tallies, with the wall seconds since the previous config's finished.
 
@@ -329,7 +355,8 @@ def _tally(cfgs: list[SimConfig], workers: int) -> list[tuple[tuple[int, int, in
     way the results come back in job order and each config's chunks are
     summed as they arrive.  If a pooled call fails in any way (a job raises,
     a worker dies, an interrupt), the pool is shut down before the error
-    propagates, and the next pooled call starts a new one.
+    propagates, and the next pooled call starts a new one; a pool that
+    broke before the call began is replaced instead (see `_pooled`).
     """
     if not protocol.is_int(workers):
         raise ConfigError([f"workers={workers!r} is not an integer"])
@@ -340,17 +367,18 @@ def _tally(cfgs: list[SimConfig], workers: int) -> list[tuple[tuple[int, int, in
     pooled = len(jobs) > len(cfgs)
     out = []
     start = time.perf_counter()
-    try:
-        parts = (_pool_of(min(workers, _usable_cores())).map if pooled else map)(_run_chunk, jobs)
-        for plan in plans:
-            tallies = tuple(sum(col) for col in zip(*itertools.islice(parts, len(plan))))
-            now = time.perf_counter()
-            out.append((tallies, now - start))
-            start = now
-    except BaseException:
-        if pooled:
-            _drop_pool()
-        raise
+    with _pool_lock if pooled else contextlib.nullcontext():
+        try:
+            parts = _pooled(jobs, min(workers, _usable_cores())) if pooled else map(_run_chunk, jobs)
+            for plan in plans:
+                tallies = tuple(sum(col) for col in zip(*itertools.islice(parts, len(plan))))
+                now = time.perf_counter()
+                out.append((tallies, now - start))
+                start = now
+        except BaseException:
+            if pooled:
+                _drop_pool()
+            raise
     return out
 
 

@@ -9,7 +9,7 @@ import signal
 import subprocess
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from math import comb
@@ -320,30 +320,36 @@ class TestPool:
         assert tally_json(run_trials(cfg, workers=workers)) == tally_json(run_trials(cfg))
         assert built == [cores]
 
-    def test_killed_worker_fails_the_next_call_only(self, pool_slot):
+    def test_worker_killed_while_idle_does_not_fail_the_next_call(self, pool_slot):
         built, shut = pool_slot
         cfg = small_cfg(n=6, trials=12)
         serial = tally_json(run_trials(cfg))
         run_trials(cfg, workers=2)
         _, _, pool = harness._pool
         assert isinstance(pool.submit(os._exit, 1).exception(timeout=60), BrokenProcessPool)
-        with pytest.raises(BrokenProcessPool):
-            run_trials(cfg, workers=2)
-        assert harness._pool is None and shut == built
+        # the broken pool is replaced once, and the call runs on the new one
+        assert tally_json(run_trials(cfg, workers=2)) == serial
+        assert len(built) == 2 and shut == built[:1]
         assert tally_json(run_trials(cfg, workers=2)) == serial
         assert len(built) == 2
 
-    def test_job_error_drops_the_pool(self, monkeypatch, pool_slot):
+    def test_job_error_drops_the_pool(self, pool_slot):
         built, shut = pool_slot
-
-        def fail(cfg, trial, *chunk):
-            raise RuntimeError(f"trial {trial} failed")
-
-        # patched before the pool starts, so its workers are forked with the patch
-        monkeypatch.setattr(harness, "_run_one", fail)
-        with pytest.raises(RuntimeError, match="trial 0 failed"):
-            run_trials(small_cfg(n=6, trials=12), workers=2)
+        # the job, not the pool, fails: its config names no strategy, which
+        # `validate` would have caught and `_tally` does not check
+        bad = replace(small_cfg(n=6, trials=12), adversary="nope")
+        with pytest.raises(ValueError, match="unknown strategy 'nope'"):
+            harness._tally([bad], 2)
         assert harness._pool is None and len(built) == 1 and shut == built
+
+    def test_threads_at_two_sizes_share_the_slot(self, monkeypatch, pool_slot):
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 4)
+        cfg = small_cfg(n=6, trials=60)
+        serial = tally_json(run_trials(cfg))
+        # each call at the other size replaces the pool; none may lose the pool it is reading
+        with ThreadPoolExecutor(2) as ex:
+            got = list(ex.map(lambda w: tally_json(run_trials(cfg, workers=w)), [2, 3] * 3))
+        assert got == [serial] * 6
 
     def test_forked_child_starts_its_own_pool(self, pool_slot):
         cfg = small_cfg(n=6, trials=12)
