@@ -5,13 +5,18 @@ restructured.  The configs cover both engines, noiseless and asymmetric
 channels, the exhaustive_best adversary on both engines and at n=12, a
 degree-1 hash under weight_bounded_error, a fixed_error relay, fixed source
 values, n=2 with a constant hash over p=0 and p=0.5 links, the algebraic
-engine at n=12 and n=16, and an honest relay (gamma only).
+engine at n=12 and n=16, and an honest relay (gamma only).  The trellis
+engine has its own fixed_error, weight_bounded_error (d=1), fixed-source,
+n=2 (p=0, and p=0.5 at a threshold every score ties with) and n=8
+exhaustive_best goldens.
 Every field not named takes its SimConfig default.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from algwatchdog.harness import SimConfig, run_trials
+from algwatchdog.harness import SimConfig, report_json, run_trials
 
 GOLDEN = [
     (dict(n=8, h=3, d=3, trials=400, seed=5), (5, 85, 170, 183)),
@@ -52,6 +57,30 @@ GOLDEN = [
              trials=400, seed=22),
         (0, None, None, None),
     ),
+    (
+        dict(engine="trellis", adversary={"kind": "fixed_error", "error": 5}, n=8, h=4, d=4, threshold=0.01,
+             trials=300, seed=23),
+        (135, 0, 1, 6),
+    ),
+    (
+        dict(engine="trellis", adversary={"kind": "weight_bounded_error", "max_weight": 1}, n=6, h=2, d=1,
+             threshold=0.01, trials=300, seed=24),
+        (120, 20, 43, 36),
+    ),
+    (
+        dict(engine="trellis", sources={"fixed": [0x3A, 0xC5]}, n=8, h=3, d=3, threshold=0.01, trials=300, seed=25),
+        (145, 0, 3, 4),
+    ),
+    (dict(engine="trellis", n=2, h=1, d=0, p12=0.0, p21=0.0, p31=0.0, p32=0.0, trials=200, seed=26), (0, 0, 0, 0)),
+    # every likelihood is 1/4 and a constant hash keeps all four candidates, so each score is exactly 0.25
+    (
+        dict(engine="trellis", n=2, h=1, d=0, p12=0.5, p21=0.5, p31=0.5, p32=0.5, threshold=0.25, trials=200, seed=26),
+        (0, 200, 200, 200),
+    ),
+    (
+        dict(engine="trellis", adversary="exhaustive_best", n=8, h=3, d=3, threshold=0.01, trials=60, seed=27),
+        (26, 2, 5, 4),
+    ),
 ]
 
 
@@ -75,6 +104,12 @@ IDS = [
     "trellis-threshold",
     "trellis-p-half",
     "trellis-honest-n10",
+    "trellis-fixed-error",
+    "trellis-weight-bounded-d1",
+    "trellis-fixed-sources",
+    "trellis-n2-d0-noiseless",
+    "trellis-n2-d0-p-half-tie",
+    "trellis-exhaustive-n8",
 ]
 
 
@@ -87,3 +122,11 @@ def test_golden_tallies(fields, want):
     else:
         got += (rep.beta["count"], rep.per_watcher["beta_v1"]["count"], rep.per_watcher["beta_v2"]["count"])
     assert got == want
+
+
+def test_trellis_n12_report_identical_across_worker_counts():
+    # 37 trials split into 12 + 13 + 12 at 3 workers, 18 + 19 at 2: chunk
+    # edges fall inside the trellis engine's 16-trial sub-batches
+    cfg = SimConfig(engine="trellis", n=12, h=5, d=3, trials=37, seed=28)
+    docs = {report_json(replace(run_trials(cfg, workers=w), wall_time_s=0.0)) for w in (1, 2, 3)}
+    assert len(docs) == 1
