@@ -57,6 +57,7 @@ from .watchdog import (
     candidate_set,
     consistency_probability,
     decide,
+    trellis_batch,
     trellis_peer,
 )
 

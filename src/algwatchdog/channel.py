@@ -116,8 +116,8 @@ def log_likelihood(chan: BinarySymmetricChannel, sent, received: int, n: int):
 
 
 @lru_cache(maxsize=None)
-def _likelihood_by_distance(p: float, n: int) -> np.ndarray:
-    """Entry k: P(received | sent) for words k bits apart, through `log_likelihood`."""
+def likelihood_by_distance(p: float, n: int) -> np.ndarray:
+    """Entry k: P(received | sent) for words k bits apart, through `log_likelihood`; read-only."""
     table = np.exp(log_likelihood(BinarySymmetricChannel(p), (1 << np.arange(n + 1)) - 1, 0, n))
     table.setflags(write=False)
     return table
@@ -129,4 +129,4 @@ def likelihood(chan: BinarySymmetricChannel, sent: np.ndarray, received: int, n:
     Each entry is the float `np.exp(log_likelihood(chan, sent, received, n))`
     gives; the n + 1 distinct values are computed once per (p, n).
     """
-    return _likelihood_by_distance(chan.p, n).take(np.bitwise_count(sent ^ received))
+    return likelihood_by_distance(chan.p, n).take(np.bitwise_count(sent ^ received))

@@ -40,14 +40,21 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _sweep_value(tok: str) -> int | float:
+    """An int literal as an int, any other number (nan and inf too) as a float, for validation to judge."""
+    try:
+        return int(tok)
+    except ValueError:
+        pass
+    try:
+        return float(tok)
+    except ValueError:
+        raise ValueError(f"--values: {tok!r} is not a number") from None
+
+
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    values = []
-    for tok in args.values.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        values.append(float(tok) if "." in tok or "e" in tok.lower() else int(tok))
+    values = [_sweep_value(tok) for tok in map(str.strip, args.values.split(",")) if tok]
     harness.write_report(harness.sweep(cfg, args.axis, values, workers=args.workers), args.out, args.format)
     return 0
 

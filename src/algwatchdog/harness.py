@@ -4,14 +4,32 @@ Each trial draws fresh sources, coefficients, and a hash function, runs the
 relay both honestly and under the configured corruption strategy, and asks
 both watchers for a verdict.  Both arms share one channel realization (common
 random numbers), drawn once per trial: the corrupted payload picks up the
-error patterns the honest one did.  The trellis engine builds each watcher's
-peer side once per trial, and both arms read it.  Per-trial randomness is
-keyed by (seed, trial index), so tallies are bit-identical for any worker
-count.  `run_trials` and `sweep` share one run path: their trials run as
-(cfg, lo, hi) chunk jobs, read in order through the builtin `map` in
-this process, or, once `workers` splits a config into chunks, through
-`ProcessPoolExecutor.map` on the process's one pool.  `write_report`
-writes the result as JSON or CSV to a file or to stdout.
+error patterns the honest one did.  Per-trial randomness is keyed by (seed,
+trial index), so tallies are bit-identical for any worker count.
+
+A chunk of trials runs in two steps.  The draw step (`_draw`) goes trial by
+trial over the trial's two `random.Random` streams, in a fixed order:
+sources, coefficients, the hash, the relay's error through `protocol`'s
+strategies, and the four noise masks (`protocol.link_noise`); it returns
+the scenario, the relay payloads of both arms and the noise as plain
+words.  The score step (`_score`) scores a sub-batch of B = max(1, min(16,
+2^16 / 2^n)) drawn trials, 16 up to n = 12: their hash tables never exceed
+2^16 words, and at small n few trials are held at once (with B = 2^16 /
+2^n alone, a 20,000-trial trellis chunk at n = 2 peaked at 91 MB against
+36 MB), so memory stays flat.  The trellis engine scores a sub-batch with
+one `watchdog.trellis_batch` call, which reads each watcher's views as
+one row of words (`protocol.view_words`) and builds its peer side once
+per trial for both arms; its verdicts equal the scalar
+`decide(consistency_probability(build_trellis(...)))` path's, because a
+score within its stated rounding bound of the threshold is rescored by
+that path.  The algebraic engine runs `algebraic_check` on each of
+`protocol.views`.
+
+`run_trials` and `sweep` share one run path: their trials run as (cfg, lo,
+hi) chunk jobs, read in order through the builtin `map` in this process,
+or, once `workers` splits a config into chunks, through
+`ProcessPoolExecutor.map` on the process's one pool.  `write_report` writes
+the result as JSON or CSV to a file or to stdout.
 
 The pool lives as long as the process.  The first pooled call starts it,
 with min(workers, usable cores) worker processes (the chunk plan still
@@ -217,14 +235,6 @@ def _derive_seed(*parts) -> int:
     return int.from_bytes(hsh.digest(), "little")
 
 
-def _verdict(cfg: SimConfig, obs: watchdog.Observation, peer: tuple | None = None) -> watchdog.Verdict:
-    """The configured engine's verdict; `peer` is the trellis peer side of `obs`, if built."""
-    if cfg.engine == "algebraic":
-        return watchdog.algebraic_check(obs)
-    score = watchdog.consistency_probability(watchdog.build_trellis(obs, peer))
-    return watchdog.decide(score, cfg.threshold)
-
-
 def _draw_sources(cfg: SimConfig, spec, rng) -> tuple[FieldElement, FieldElement]:
     if isinstance(cfg.sources, dict):
         x1, x2 = cfg.sources["fixed"]
@@ -233,15 +243,21 @@ def _draw_sources(cfg: SimConfig, spec, rng) -> tuple[FieldElement, FieldElement
 
 
 _HONEST = protocol.AdversaryStrategy.honest()
+# a sub-batch holds at most this many trials and hash-table words
+_BATCH_TRIALS = 16
+_BATCH_WORDS = 1 << 16
 
 
-def _run_one(
+def _draw(
     cfg: SimConfig, trial: int, spec: FieldSpec, chans: dict, strategy: protocol.AdversaryStrategy
-) -> tuple[int, int, int, int]:
-    """One trial; returns (honest_flagged, mal_passed_both, mal_passed_v1, mal_passed_v2).
+) -> tuple[protocol.Scenario, tuple[int, ...], tuple[tuple[int, int], tuple[int, int]]]:
+    """The draw step of one trial: (scenario, relay payloads, channel noise).
 
-    `spec`, `chans` (the Scenario's four channel fields) and `strategy`
-    are the config's, built once per chunk.
+    The relay payloads are the honest relay's and, unless the strategy is
+    honest, the corrupting relay's; both cross the trial's one channel
+    realization, `protocol.link_noise`.  `spec`, `chans` (the Scenario's
+    four channel fields) and `strategy` are the config's, built once per
+    chunk.
     """
     rng = random.Random(_derive_seed(cfg.seed, trial, "draw"))
     x1, x2 = _draw_sources(cfg, spec, rng)
@@ -249,37 +265,56 @@ def _run_one(
     a2 = FieldElement(rng.randrange(1, spec.order), spec)
     hf = sample_hash(rng, cfg.d, spec, cfg.h)
     scn = protocol.Scenario(spec=spec, hf=hf, x1=x1, x2=x2, a1=a1, a2=a2, epsilon=cfg.epsilon, **chans)
-    sources = (scn.source_packet(1), scn.source_packet(2))
-    honest_packet = protocol.relay_output(scn, _HONEST, rng)
-    # the one channel realization of this trial; the corrupting arm reuses it
-    noise_rng = random.Random(_derive_seed(cfg.seed, trial, "noise"))
-    views = [protocol.observe(w, scn, sources, honest_packet, noise_rng) for w in (1, 2)]
-    # a watcher's trellis peer side reads nothing of the relay: both arms share it
-    peers = [watchdog.trellis_peer(obs) for obs in views] if cfg.engine == "trellis" else [None, None]
-    h1, h2 = (_verdict(cfg, obs, peer).decision is watchdog.Hypothesis.H0 for obs, peer in zip(views, peers))
-    honest_flagged = int(not (h1 and h2))
-    if honest_flagged and cfg.p12 == cfg.p21 == cfg.p31 == cfg.p32 == 0.0 and cfg.engine == "algebraic":
-        raise AssertionError(f"honest relay flagged under noiseless channels (trial {trial})")
+    arms = (_HONEST,) if strategy.kind == "honest" else (_HONEST, strategy)
+    relays = tuple(protocol.relay_output(scn, arm, rng).payload for arm in arms)
+    return scn, relays, protocol.link_noise(scn, random.Random(_derive_seed(cfg.seed, trial, "noise")))
 
-    if strategy.kind == "honest":
-        return (honest_flagged, 0, 0, 0)
-    mal_packet = protocol.relay_output(scn, strategy, rng)
-    m1, m2 = (
-        _verdict(cfg, protocol.reobserve(w, scn, obs, mal_packet), peer).decision is watchdog.Hypothesis.H0
-        for w, (obs, peer) in enumerate(zip(views, peers), start=1)
-    )
-    return (honest_flagged, int(m1 and m2), int(m1), int(m2))
+
+def _score(cfg: SimConfig, first: int, trials: list) -> tuple[int, int, int, int]:
+    """The score step: summed tallies of trials `first`, `first` + 1, ... given their `_draw`s.
+
+    Returns (honest_flagged, mal_passed_both, mal_passed_v1, mal_passed_v2).
+    """
+    if cfg.engine == "trellis":
+        hfs = [scn.hf for scn, _, _ in trials]
+        words = [[protocol.view_words(w, scn, relays, noise[w - 1]) for w in (1, 2)] for scn, relays, noise in trials]
+        links = [protocol.roles(w, trials[0][0])[4:] for w in (1, 2)]
+        accepted = watchdog.trellis_batch(hfs, words, links, cfg.epsilon, cfg.threshold)[0].tolist()
+    else:
+        accepted = []
+        for scn, relays, noise in trials:
+            # both watchers' views of the honest relay, then of the corrupting one
+            views = protocol.views(scn, relays, noise)
+            passed = [[watchdog.algebraic_check(obs).decision is watchdog.Hypothesis.H0 for obs in arm] for arm in views]
+            accepted.append(zip(*passed))
+    noiseless = cfg.p12 == cfg.p21 == cfg.p31 == cfg.p32 == 0.0 and cfg.engine == "algebraic"
+    tallies = [0, 0, 0, 0]
+    for trial, ((h1, *m1), (h2, *m2)) in enumerate(accepted, start=first):
+        tallies[0] += not (h1 and h2)
+        if noiseless and not (h1 and h2):
+            raise AssertionError(f"honest relay flagged under noiseless channels (trial {trial})")
+        if m1:
+            tallies[1] += m1[0] and m2[0]
+            tallies[2] += m1[0]
+            tallies[3] += m2[0]
+    return tuple(tallies)
 
 
 def _run_chunk(job: tuple[SimConfig, int, int]) -> tuple[int, int, int, int]:
-    """Summed tallies of trials lo..hi-1 of one config, given as the job (cfg, lo, hi)."""
+    """Summed tallies of trials lo..hi-1 of one config, given as the job (cfg, lo, hi).
+
+    Trials are drawn one by one and scored in sub-batches (see the module
+    docstring).
+    """
     cfg, lo, hi = job
     spec = canonical_spec(cfg.n)
     chans = {"chan_" + name[1:]: BinarySymmetricChannel(getattr(cfg, name)) for name in _EDGE_PROBS}
     strategy = cfg.strategy()
+    size = max(1, min(_BATCH_TRIALS, _BATCH_WORDS >> cfg.n))
     tallies = (0, 0, 0, 0)
-    for trial in range(lo, hi):
-        tallies = tuple(a + b for a, b in zip(tallies, _run_one(cfg, trial, spec, chans, strategy)))
+    for first in range(lo, hi, size):
+        trials = [_draw(cfg, trial, spec, chans, strategy) for trial in range(first, min(first + size, hi))]
+        tallies = tuple(a + b for a, b in zip(tallies, _score(cfg, first, trials)))
     return tallies
 
 

@@ -60,7 +60,9 @@ class HashFunction:
         """h(x) for every word x of the field, indexed by x (Horner from a_d).
 
         Built on first use and kept for the life of the hash function, which
-        is frozen, so the table never goes stale.
+        is frozen, so the table never goes stale.  Held as uint16 (h <= n <=
+        16): a quarter of the int64 table's memory, which the trellis engine
+        holds for a whole sub-batch of trials.
         """
         spec = self.spec
         # acc stays one int until the first multiply by the domain; d = 0
@@ -70,7 +72,7 @@ class HashFunction:
             acc = spec.mul_domain(acc) ^ c.value
         if not self.degree:
             acc = np.full(spec.order, acc)
-        return acc & ((1 << self.width) - 1)
+        return (acc & ((1 << self.width) - 1)).astype(np.uint16)
 
     def values_on(self, words: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an array of n-bit words."""

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import BinarySymmetricChannel, transmit
+from .channel import BinarySymmetricChannel, noise_mask, transmit  # noqa: F401
 from .gf2n import FieldElement, FieldSpec
-# packets hash through `HashFunction.of_word`; `evaluate` stays importable
-# here because the benchmark's tracer counts hash evaluations at
-# `protocol.evaluate`
+# packets hash through `HashFunction.of_word` and noise comes from
+# `noise_mask`; `evaluate` and `transmit` stay importable here because the
+# benchmark's tracer wraps `protocol.evaluate` and `protocol.transmit`
 from .hashing import HashFunction, HashValue, evaluate  # noqa: F401
 from .watchdog import Observation, peer_images, survivors_by_relay_word
 
@@ -158,6 +158,15 @@ def _best_error(scn: Scenario) -> int:
     return int(errors[np.lexsort((-errors, c1 + c2, c1 * c2))[-1]])
 
 
+def roles(
+    watcher: int, scn: Scenario
+) -> tuple[FieldElement, FieldElement, FieldElement, FieldElement, BinarySymmetricChannel, BinarySymmetricChannel]:
+    """A watcher's own value, own and peer coefficients, peer's value, and peer and relay links."""
+    if watcher == 1:
+        return scn.x1, scn.a1, scn.a2, scn.x2, scn.chan_21, scn.chan_31
+    return scn.x2, scn.a2, scn.a1, scn.x1, scn.chan_12, scn.chan_32
+
+
 def _observation(
     watcher: int,
     scn: Scenario,
@@ -165,20 +174,9 @@ def _observation(
     relay_hash: HashValue,
     peer_payload: int,
     relay_payload: int,
-    rng=None,
 ) -> Observation:
-    """One watcher's view of a round: its own value and coefficients, its two links.
-
-    With an rng the peer payload, then the relay payload, cross the
-    watcher's overhearing links; without one both arrive exact.
-    """
-    if watcher == 1:
-        own, a_own, a_peer, peer_chan, relay_chan = scn.x1, scn.a1, scn.a2, scn.chan_21, scn.chan_31
-    else:
-        own, a_own, a_peer, peer_chan, relay_chan = scn.x2, scn.a2, scn.a1, scn.chan_12, scn.chan_32
-    if rng is not None:
-        peer_payload = transmit(peer_chan, peer_payload, scn.spec.n, rng)
-        relay_payload = transmit(relay_chan, relay_payload, scn.spec.n, rng)
+    """One watcher's view of a round: its own value and coefficients, its two links, the payloads as overheard."""
+    own, a_own, a_peer, _, peer_chan, relay_chan = roles(watcher, scn)
     return Observation(
         own_value=own,
         own_coeff=a_own,
@@ -205,7 +203,10 @@ def observe(watcher: int, scn: Scenario, source_packets: tuple[Packet, Packet], 
     if watcher not in (1, 2):
         raise ValueError("watcher must be node 1 or 2")
     peer = source_packets[1] if watcher == 1 else source_packets[0]
-    return _observation(watcher, scn, peer.own_hash, relay_packet.own_hash, peer.payload, relay_packet.payload, rng)
+    peer_noise, relay_noise = _noise(watcher, scn, rng)
+    return _observation(
+        watcher, scn, peer.own_hash, relay_packet.own_hash, peer.payload ^ peer_noise, relay_packet.payload ^ relay_noise
+    )
 
 
 def reobserve(watcher: int, scn: Scenario, honest_view: Observation, relay_packet: Packet) -> Observation:
@@ -219,3 +220,53 @@ def reobserve(watcher: int, scn: Scenario, honest_view: Observation, relay_packe
     return _observation(
         watcher, scn, honest_view.peer_hash, relay_packet.own_hash, honest_view.noisy_peer, noisy_relay
     )
+
+
+def _noise(watcher: int, scn: Scenario, rng) -> tuple[int, int]:
+    """The error patterns of the watcher's peer link, then its relay link, drawn from rng."""
+    *_, peer_chan, relay_chan = roles(watcher, scn)
+    return noise_mask(peer_chan, scn.spec.n, rng), noise_mask(relay_chan, scn.spec.n, rng)
+
+
+def link_noise(scn: Scenario, rng) -> tuple[tuple[int, int], tuple[int, int]]:
+    """One round's channel realization: each watcher's (peer link, relay link) error patterns.
+
+    Drawn as `observe` draws them for watcher 1, then watcher 2: with
+    equally seeded rngs, `views(scn, [relay_packet.payload],
+    link_noise(scn, rng))[0]` lists what `observe(w, scn, sources,
+    relay_packet, rng)` returns called for w = 1, then 2.
+    """
+    return _noise(1, scn, rng), _noise(2, scn, rng)
+
+
+def views(scn: Scenario, relay_payloads, noise) -> list[list[Observation]]:
+    """Both watchers' observations of each relay payload in turn: entry [a][w - 1] is watcher w's of payload a.
+
+    `noise` is the round's channel realization, from `link_noise`; every
+    payload crosses it, as `reobserve` has a corrupted payload cross the
+    honest one's.
+    """
+    hash_of = scn.hf.of_word
+    relay_hashes = [hash_of(payload) for payload in relay_payloads]
+    out = [[] for _ in relay_payloads]
+    for watcher, (peer_noise, relay_noise) in zip((1, 2), noise):
+        peer = roles(watcher, scn)[3].value
+        peer_hash = hash_of(peer)
+        for arm, payload, relay_hash in zip(out, relay_payloads, relay_hashes):
+            arm.append(_observation(watcher, scn, peer_hash, relay_hash, peer ^ peer_noise, payload ^ relay_noise))
+    return out
+
+
+def view_words(watcher: int, scn: Scenario, relay_payloads, noise: tuple[int, int]) -> list[int]:
+    """The integer fields of the watcher's `views` of each relay payload in turn, as one flat row.
+
+    The row is own value, own coefficient, peer coefficient, peer hash and
+    noisy peer payload, then relay hash and noisy relay payload for each
+    relay payload: the layout `watchdog.trellis_batch` reads.
+    """
+    own, a_own, a_peer, peer, _, _ = roles(watcher, scn)
+    table = scn.hf.table
+    row = [own.value, a_own.value, a_peer.value, table.item(peer.value), peer.value ^ noise[0]]
+    for payload in relay_payloads:
+        row += (table.item(payload), payload ^ noise[1])
+    return row

@@ -7,17 +7,21 @@ the relay candidates is empty.
 
 The trellis engine scores the same observation as a four-layer path-sum:
 overheard-peer vertex -> peer candidates -> coded images -> overheard-relay
-vertex, with channel-likelihood edge weights.
+vertex, with channel-likelihood edge weights.  `trellis_peer`,
+`build_trellis`, `consistency_probability` and `decide` score one
+observation; `trellis_batch` scores many at once on arrays, with the same
+verdicts.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BinarySymmetricChannel, ball_offsets, likelihood, radius_for_epsilon
+from .channel import BinarySymmetricChannel, ball_offsets, likelihood, likelihood_by_distance, radius_for_epsilon
 from .gf2n import FieldElement
 from .hashing import HashFunction, HashValue
 
@@ -218,3 +222,90 @@ def decide(score: float, threshold: float) -> Verdict:
     """
     decision = Hypothesis.H0 if score >= threshold else Hypothesis.H1
     return Verdict(decision, score, {"threshold": threshold})
+
+
+def trellis_batch(
+    hfs: Sequence[HashFunction],
+    words,
+    channels: Sequence[tuple[BinarySymmetricChannel, BinarySymmetricChannel]],
+    epsilon: float,
+    threshold: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The trellis verdicts and scores of a batch of B trials, computed on arrays.
+
+    Trial b hashes with hfs[b].  words[b][w] holds its watcher w's views of
+    the A relay arms as one row of integers: own value, own coefficient,
+    peer coefficient, peer hash and noisy peer payload, then relay hash and
+    noisy relay payload per arm (`protocol.view_words` builds it).  The arms
+    share the peer side, as `protocol.reobserve` makes them.  channels[w] is
+    watcher w's (peer link, relay link) in every trial.  Returns (accepted,
+    scores), both of shape (B, 2, A): accepted[b, w, a] is True exactly when
+    `decide(consistency_probability(build_trellis(obs, trellis_peer(obs))),
+    threshold)` accepts obs, the `Observation` with those fields, links and
+    `epsilon`.
+
+    The trials' hash tables are stacked into one (B, 2^n) buffer; one
+    `np.flatnonzero` finds every watcher's peer candidates, and weights,
+    coded images and image hashes follow for all watchers at once.  Relay
+    likelihoods and per-view sums are computed only for the candidates whose
+    image carries an arm's relay hash, the edges that reach the destination.
+
+    Tie rule.  The weight totals and scores are sums taken in another order
+    than `np.sum`'s, so they may differ from the scalar ones in the last
+    bits.  Every term is nonnegative, so for a view with k peer candidates
+    either path's score is within a relative 2k * 2^-53 (to first order:
+    two sums of at most k terms, one division and one product per term) of
+    the exact path-sum, and the two differ by at most about 4k * 2^-53
+    times the score.  Every view whose batched score s has
+    |s - threshold| <= 9 k 2^-53 s + k 2^-1070 (the last term covers
+    underflow), with k taken as 2^n >= k, is rescored by the scalar path;
+    outside that band both scores lie on the same side of the threshold.
+    So each verdict equals the scalar one by construction, and each score
+    is within that bound, for its own k, of the scalar score.
+    """
+    spec = hfs[0].spec
+    n = spec.n
+    if n > TRELLIS_MAX_WIDTH:
+        raise ValueError(f"trellis engine supports n <= {TRELLIS_MAX_WIDTH}, got {n}")
+    words = np.asarray(words, dtype=np.int64)
+    arms = (words.shape[2] - 5) // 2
+    own, own_coeff, peer_coeff, peer_hash, noisy_peer = words[:, :, :5].reshape(-1, 5).T
+    relay_hash, noisy_relay = (words[:, :, 5 + i :: 2].reshape(-1, arms).T for i in (0, 1))
+    tables = np.stack([hf.table for hf in hfs])
+    # BSC likelihoods by distance: watcher w's peer link at block 2w, its relay link at 2w + 1
+    stride = n + 1
+    lik = np.concatenate([likelihood_by_distance(chan.p, n) for links in channels for chan in links])
+
+    # found = (2 trial + watcher) 2^n + candidate
+    # the tables are uint16; comparing them with int64 would cast every entry
+    found = np.flatnonzero(tables[:, None, :] == peer_hash.astype(np.uint16).reshape(len(hfs), 2, 1))
+    cand = found & (spec.order - 1)
+    row = found >> n
+    raw = lik.take(2 * stride * (row & 1) + np.bitwise_count(cand ^ noisy_peer[row]))
+    total = np.bincount(row, raw, minlength=len(own))
+    images = spec.mul_words(own_coeff, own)[row] ^ spec.mul_words(peer_coeff[row], cand)
+    image_hashes = tables.ravel().take((row >> 1 << n) | images)
+
+    arm, hit = np.nonzero(image_hashes == relay_hash.astype(np.uint16).take(row, axis=1))
+    r = row[hit]
+    weights = raw[hit] / np.where(total > 0, total, 1.0)[r]
+    lik_out = lik.take(stride * (2 * (r & 1) + 1) + np.bitwise_count(images[hit] ^ noisy_relay[arm, r]))
+    scores = np.bincount(r * arms + arm, weights * lik_out, minlength=len(own) * arms).reshape(len(hfs), 2, arms)
+
+    accepted = scores >= threshold
+    slack = spec.order * (9 * 2.0**-53 * scores + 2.0**-1070)
+    for b, w, a in zip(*np.nonzero(np.abs(scores - threshold) <= slack)):
+        hf, row_words = hfs[b], words[b, w].tolist()
+        obs = Observation(
+            *(FieldElement(v, spec) for v in row_words[:3]),
+            HashValue(row_words[3], hf.width),
+            HashValue(row_words[5 + 2 * a], hf.width),
+            row_words[4],
+            row_words[6 + 2 * a],
+            *channels[w],
+            epsilon,
+            hf,
+        )
+        scores[b, w, a] = consistency_probability(build_trellis(obs))
+        accepted[b, w, a] = decide(scores[b, w, a], threshold).decision is Hypothesis.H0
+    return accepted, scores

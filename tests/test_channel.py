@@ -202,6 +202,6 @@ class TestLikelihood:
 
     def test_table_is_read_only(self):
         likelihood(BinarySymmetricChannel(0.1), np.arange(4), 0, 2)
-        table = channel._likelihood_by_distance(0.1, 2)
+        table = channel.likelihood_by_distance(0.1, 2)
         with pytest.raises(ValueError):
             table[0] = 0.0

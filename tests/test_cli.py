@@ -134,9 +134,28 @@ class TestSweep:
         cfg = write_config(tmp_path, trials=20)
         assert main(["sweep", "--config", cfg, "--axis", "nope", "--values", "1,2"]) == 2
 
+    @pytest.mark.parametrize("axis, values, named", [
+        ("p12", "0.1,nan", "p12=nan outside [0, 0.5]"),
+        ("threshold", "0.5,inf", "threshold=inf outside [0, 1]"),
+        ("epsilon", "0.01,-inf", "epsilon=-inf outside (0, 1)"),
+        ("n", "8,inf", "n=inf is not an integer"),
+    ])
+    def test_non_finite_value_names_the_field(self, tmp_path, capsys, axis, values, named):
+        cfg = write_config(tmp_path, trials=5)
+        assert main(["sweep", "--config", cfg, "--axis", axis, "--values", values]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("token", ["abc", "0x10", "1,,2e"])
+    def test_value_that_is_no_number_names_the_flag_and_token(self, tmp_path, capsys, token):
+        cfg = write_config(tmp_path, trials=5)
+        assert main(["sweep", "--config", cfg, "--axis", "h", "--values", token]) == 2
+        err = capsys.readouterr().err
+        assert "--values" in err and repr(token.split(",")[-1]) in err
+
     def test_too_wide_exhaustive_point_exit_2_before_any_trial(self, tmp_path, capsys, monkeypatch):
         ran = []
-        monkeypatch.setattr(harness, "_run_one", lambda cfg, trial, *chunk: ran.append(trial) or (0, 0, 0, 0))
+        monkeypatch.setattr(harness, "_draw", lambda cfg, trial, *chunk: ran.append(trial))
         cfg = write_config(tmp_path, adversary="exhaustive_best", trials=2)
         assert main(["sweep", "--config", cfg, "--axis", "n", "--values", "8,14"]) == 2
         assert "adversary: exhaustive_best" in capsys.readouterr().err

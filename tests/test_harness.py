@@ -143,19 +143,27 @@ class TestRunTrials:
     ])
     def test_bad_adversary_rejected_before_any_trial(self, monkeypatch, adversary, named):
         ran = []
-        monkeypatch.setattr(harness, "_run_one", lambda cfg, trial, *chunk: ran.append(trial) or (0, 0, 0, 0))
+        monkeypatch.setattr(harness, "_draw", lambda cfg, trial, *chunk: ran.append(trial))
         n = 14 if adversary == "exhaustive_best" else 8
         with pytest.raises(ConfigError, match="adversary: .*" + named):
             run_trials(small_cfg(n=n, adversary=adversary, trials=5))
         assert ran == []
 
     def test_trellis_peer_side_built_once_per_watcher_per_trial(self, monkeypatch):
+        # trellis_batch builds one peer side per watcher of each trial it
+        # scores, from one row of words that also holds both relay arms
         built = []
-        peer = watchdog.trellis_peer
-        monkeypatch.setattr(watchdog, "trellis_peer", lambda obs: built.append(obs) or peer(obs))
+        batch = watchdog.trellis_batch
+
+        def counted(hfs, words, *args):
+            built.extend(row for trial in words for row in trial)
+            return batch(hfs, words, *args)
+
+        monkeypatch.setattr(watchdog, "trellis_batch", counted)
         trials = 25
         run_trials(small_cfg(engine="trellis", trials=trials))
         assert len(built) == 2 * trials
+        assert all(len(row) == 5 + 2 * 2 for row in built)
         built.clear()
         run_trials(small_cfg(trials=trials))
         assert built == []
@@ -277,7 +285,7 @@ class TestSweep:
 
     def test_invalid_point_rejected_before_any_trial(self, monkeypatch):
         ran = []
-        monkeypatch.setattr(harness, "_run_one", lambda cfg, trial, *chunk: ran.append(trial) or (0, 0, 0, 0))
+        monkeypatch.setattr(harness, "_draw", lambda cfg, trial, *chunk: ran.append(trial))
         with pytest.raises(ConfigError, match="h=99"):
             sweep(small_cfg(), "h", [3, 99])
         assert ran == []
@@ -292,7 +300,7 @@ class TestSweep:
     @pytest.mark.parametrize("workers", [2.5, "2", None, True])
     def test_worker_count_not_an_int_rejected(self, monkeypatch, workers):
         ran = []
-        monkeypatch.setattr(harness, "_run_one", lambda cfg, trial, *chunk: ran.append(trial) or (0, 0, 0, 0))
+        monkeypatch.setattr(harness, "_draw", lambda cfg, trial, *chunk: ran.append(trial))
         named = re.escape(f"workers={workers!r} is not an integer")
         with pytest.raises(ConfigError, match=named):
             sweep(small_cfg(trials=5), "h", [2, 3], workers=workers)

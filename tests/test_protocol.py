@@ -15,9 +15,12 @@ from algwatchdog.protocol import (
     AdversaryStrategy,
     Scenario,
     _observation,
+    link_noise,
     observe,
     relay_output,
     reobserve,
+    view_words,
+    views,
 )
 from algwatchdog.watchdog import check_relay, peer_images, survivors_by_relay_word
 
@@ -214,6 +217,28 @@ class TestObserve:
             corrupted = relay_output(scn, AdversaryStrategy.random_nonzero_error(), random.Random(seed))
             view = observe(watcher, scn, sources, honest, random.Random(seed))
             assert reobserve(watcher, scn, view, corrupted) == observe(watcher, scn, sources, corrupted, random.Random(seed))
+
+    def test_link_noise_and_view_draw_what_observe_draws(self):
+        # one channel realization per round, in observe's order: the harness's draw step relies on it
+        scn = Scenario(
+            spec=GF256, hf=sample(random.Random(7), 3, GF256, 3),
+            x1=FieldElement(0x31, GF256), x2=FieldElement(0x7C, GF256),
+            a1=FieldElement(3, GF256), a2=FieldElement(9, GF256),
+            chan_12=BinarySymmetricChannel(0.3), chan_21=BinarySymmetricChannel(0.1),
+            chan_31=BinarySymmetricChannel(0.0), chan_32=BinarySymmetricChannel(0.5), epsilon=0.01,
+        )
+        sources = (scn.source_packet(1), scn.source_packet(2))
+        for seed in range(20):
+            relay = relay_output(scn, AdversaryStrategy.random_nonzero_error(), random.Random(seed))
+            rng = random.Random(seed)
+            want = [observe(w, scn, sources, relay, rng) for w in (1, 2)]
+            noise = link_noise(scn, random.Random(seed))
+            assert views(scn, [relay.payload], noise) == [want]
+            for w, obs in zip((1, 2), want):
+                assert view_words(w, scn, [relay.payload], noise[w - 1]) == [
+                    obs.own_value.value, obs.own_coeff.value, obs.peer_coeff.value, obs.peer_hash.value,
+                    obs.noisy_peer, obs.relay_hash.value, obs.noisy_relay,
+                ]
 
     def test_bad_watcher_id(self):
         scn = make_scenario()

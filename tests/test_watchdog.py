@@ -5,17 +5,20 @@ that scans the whole field with no ball pruning; the trellis path-sum is
 validated against a scalar path enumeration coded from first principles.
 """
 
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
 
+from algwatchdog import watchdog
 from algwatchdog.channel import BinarySymmetricChannel, ball_volume, radius_for_epsilon
 from algwatchdog.gf2n import FieldElement, canonical_spec
 from algwatchdog.hashing import HashFunction, HashValue, evaluate, preimage_set, sample
 from algwatchdog.protocol import AdversaryStrategy, Scenario, observe, relay_output, reobserve
 from algwatchdog.watchdog import (
+    TRELLIS_MAX_WIDTH,
     Hypothesis,
     Observation,
     Trellis,
@@ -24,6 +27,7 @@ from algwatchdog.watchdog import (
     candidate_set,
     consistency_probability,
     decide,
+    trellis_batch,
     trellis_peer,
 )
 
@@ -221,6 +225,105 @@ class TestTrellisPeer:
             mal = reobserve(watcher, scn, honest, corrupted)
             shared = consistency_probability(build_trellis(mal, trellis_peer(honest)))
             assert shared == consistency_probability(build_trellis(mal))
+
+
+def random_trellis_trials(rng, n, d, links, count):
+    """`count` trials: each watcher's views of an honest relay and of a corrupting one, on one hash function.
+
+    links[w] is watcher w's (peer link, relay link) crossover probabilities.
+    """
+    spec = canonical_spec(n)
+    noise = lambda q: sum(1 << b for b in range(n) if rng.random() < q)
+    trials = []
+    for _ in range(count):
+        hf = sample(rng, d, spec, rng.randrange(1, n + 1))
+        views = []
+        for peer_p, relay_p in links:
+            own, peer = rng.randrange(spec.order), rng.randrange(spec.order)
+            a_own, a_peer = rng.randrange(1, spec.order), rng.randrange(1, spec.order)
+            honest = (fe(a_own, spec) * fe(own, spec) + fe(a_peer, spec) * fe(peer, spec)).value
+            corrupted = honest ^ rng.randrange(1, spec.order)
+            obs = Observation(
+                own_value=fe(own, spec), own_coeff=fe(a_own, spec), peer_coeff=fe(a_peer, spec),
+                peer_hash=hf.of_word(peer), relay_hash=hf.of_word(honest),
+                noisy_peer=peer ^ noise(peer_p), noisy_relay=honest ^ noise(relay_p),
+                peer_channel=BinarySymmetricChannel(peer_p), relay_channel=BinarySymmetricChannel(relay_p),
+                epsilon=0.01, hf=hf,
+            )
+            noisy_relay = obs.noisy_relay ^ honest ^ corrupted
+            views.append((obs, dataclasses.replace(obs, relay_hash=hf.of_word(corrupted), noisy_relay=noisy_relay)))
+        trials.append(tuple(views))
+    return trials
+
+
+def batch_of(trials, threshold):
+    """`trellis_batch` on trials of observations, each watcher's views turned into one row of words."""
+    def row(views):
+        obs = views[0]
+        peer_side = [obs.own_value.value, obs.own_coeff.value, obs.peer_coeff.value, obs.peer_hash.value, obs.noisy_peer]
+        return peer_side + [v for o in views for v in (o.relay_hash.value, o.noisy_relay)]
+
+    words = [[row(views) for views in trial] for trial in trials]
+    links = [(views[0].peer_channel, views[0].relay_channel) for views in trials[0]]
+    return trellis_batch([trial[0][0].hf for trial in trials], words, links, trials[0][0][0].epsilon, threshold)
+
+
+class TestTrellisBatch:
+    """The batched kernel against the scalar path, which it must agree with verdict for verdict."""
+
+    PROBS = [0.0, 1e-3, 0.1, 0.25, 0.5]
+
+    @staticmethod
+    def scalar(obs):
+        peer = trellis_peer(obs)
+        return consistency_probability(build_trellis(obs, peer)), len(peer[0])
+
+    @pytest.mark.parametrize("p", PROBS)
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_verdicts_equal_scalar_path_and_scores_within_slack(self, n, p):
+        rng = random.Random(1000 * n + int(1000 * p))
+        for d in range(4):
+            links = [(p, rng.choice(self.PROBS)), (rng.choice(self.PROBS), p)]
+            trials = random_trellis_trials(rng, n, d, links, 3)
+            want = [[[self.scalar(obs) for obs in views] for views in trial] for trial in trials]
+            # thresholds below, at and between the scalar scores
+            cuts = sorted({score for trial in want for views in trial for score, _ in views})
+            for t in {1e-9, 0.01, 0.2, cuts[len(cuts) // 2], min(1.0, 2 * cuts[-1])}:
+                accepted, scores = batch_of(trials, t)
+                assert accepted.shape == scores.shape == (len(trials), 2, 2)
+                for b, trial in enumerate(want):
+                    for w, views in enumerate(trial):
+                        for a, (score, k) in enumerate(views):
+                            assert accepted[b, w, a] == (decide(score, t).decision is Hypothesis.H0)
+                            slack = k * (9 * 2.0**-53 * scores[b, w, a] + 2.0**-1070)
+                            assert abs(scores[b, w, a] - score) <= slack
+
+    def test_threshold_equal_to_a_score_goes_through_the_scalar_path(self, monkeypatch):
+        trials = random_trellis_trials(random.Random(5), 10, 3, [(0.1, 0.1), (0.2, 0.05)], 2)
+        target, _ = self.scalar(trials[1][0][0])
+        assert target > 0
+        rescored = []
+        score_of = consistency_probability
+        monkeypatch.setattr(watchdog, "consistency_probability", lambda tr: rescored.append(tr) or score_of(tr))
+        accepted, scores = batch_of(trials, target)
+        assert rescored, "a view tied with the threshold was not rescored"
+        assert accepted[1, 0, 0] and scores[1, 0, 0] == target
+        want = [[[self.scalar(obs)[0] >= target for obs in views] for views in trial] for trial in trials]
+        assert accepted.tolist() == want
+
+    def test_one_arm(self):
+        trials = random_trellis_trials(random.Random(6), 8, 2, [(0.1, 0.1)] * 2, 3)
+        trials = [tuple((obs,) for obs, _ in trial) for trial in trials]
+        accepted, scores = batch_of(trials, 0.01)
+        assert accepted.shape == (3, 2, 1)
+        assert accepted.tolist() == [[[self.scalar(obs)[0] >= 0.01] for (obs,) in trial] for trial in trials]
+
+    def test_too_wide_rejected(self):
+        spec = canonical_spec(TRELLIS_MAX_WIDTH + 1)
+        hf = sample(random.Random(7), 1, spec, 3)
+        obs = make_obs(spec, hf, 1, 1, 1, 2, 3)
+        with pytest.raises(ValueError, match="n <="):
+            batch_of([((obs,), (obs,))], 0.5)
 
 
 class TestConsistencyProbability:
