@@ -226,7 +226,7 @@ def decide(score: float, threshold: float) -> Verdict:
 
 def trellis_batch(
     hfs: Sequence[HashFunction],
-    words,
+    words: Sequence[Sequence[Sequence[int]]],
     channels: Sequence[tuple[BinarySymmetricChannel, BinarySymmetricChannel]],
     epsilon: float,
     threshold: float,
