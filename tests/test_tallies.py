@@ -8,7 +8,8 @@ values, n=2 with a constant hash over p=0 and p=0.5 links, the algebraic
 engine at n=12 and n=16, and an honest relay (gamma only).  The trellis
 engine has its own fixed_error, weight_bounded_error (d=1), fixed-source,
 n=2 (p=0, and p=0.5 at a threshold every score ties with) and n=8
-exhaustive_best goldens.
+exhaustive_best goldens.  The algebraic engine has its own asymmetric-link
+golden (every watcher's peer and relay radii differ), h=n and p=0.5 goldens.
 Every field not named takes its SimConfig default.
 """
 
@@ -81,6 +82,10 @@ GOLDEN = [
         dict(engine="trellis", adversary="exhaustive_best", n=8, h=3, d=3, threshold=0.01, trials=60, seed=27),
         (26, 2, 5, 4),
     ),
+    # radii at epsilon=0.01: 5 (p21) and 0 (p31) for watcher 1, 2 (p12) and 6 (p32) for watcher 2
+    (dict(n=8, h=3, d=3, p12=0.05, p21=0.2, p31=0.0, p32=0.3, trials=300, seed=29), (1, 17, 33, 162)),
+    (dict(n=8, h=8, d=3, trials=300, seed=30), (8, 0, 4, 2)),
+    (dict(n=8, h=4, d=3, p12=0.5, p21=0.5, p31=0.5, p32=0.5, trials=200, seed=31), (0, 101, 146, 137)),
 ]
 
 
@@ -110,6 +115,9 @@ IDS = [
     "trellis-n2-d0-noiseless",
     "trellis-n2-d0-p-half-tie",
     "trellis-exhaustive-n8",
+    "algebraic-asymmetric",
+    "algebraic-h-eq-n",
+    "algebraic-p-half",
 ]
 
 
@@ -128,5 +136,12 @@ def test_trellis_n12_report_identical_across_worker_counts():
     # 37 trials split into 12 + 13 + 12 at 3 workers, 18 + 19 at 2: chunk
     # edges fall inside the trellis engine's 16-trial sub-batches
     cfg = SimConfig(engine="trellis", n=12, h=5, d=3, trials=37, seed=28)
+    docs = {report_json(replace(run_trials(cfg, workers=w), wall_time_s=0.0)) for w in (1, 2, 3)}
+    assert len(docs) == 1
+
+
+def test_algebraic_n8_report_identical_across_worker_counts():
+    # chunk edges fall inside the algebraic engine's 16-trial sub-batches too
+    cfg = SimConfig(n=8, h=3, d=3, trials=37, seed=32)
     docs = {report_json(replace(run_trials(cfg, workers=w), wall_time_s=0.0)) for w in (1, 2, 3)}
     assert len(docs) == 1
