@@ -52,6 +52,7 @@ from .watchdog import (
     Observation,
     Trellis,
     Verdict,
+    algebraic_batch,
     algebraic_check,
     build_trellis,
     candidate_set,

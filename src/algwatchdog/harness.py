@@ -16,14 +16,15 @@ words.  The score step (`_score`) scores a sub-batch of B = max(1, min(16,
 2^16 / 2^n)) drawn trials, 16 up to n = 12: their hash tables never exceed
 2^16 words, and at small n few trials are held at once (with B = 2^16 /
 2^n alone, a 20,000-trial trellis chunk at n = 2 peaked at 91 MB against
-36 MB), so memory stays flat.  The trellis engine scores a sub-batch with
-one `watchdog.trellis_batch` call, which reads each watcher's views as
-one row of words (`protocol.view_words`) and builds its peer side once
-per trial for both arms; its verdicts equal the scalar
-`decide(consistency_probability(build_trellis(...)))` path's, because a
-score within its stated rounding bound of the threshold is rescored by
-that path.  The algebraic engine runs `algebraic_check` on each of
-`protocol.views`.
+36 MB), so memory stays flat.  Both engines score through one path: each
+watcher's views of a sub-batch are built once as one row of words per
+trial (`protocol.view_words`), and one array kernel scores the rows,
+building each watcher's peer side once per trial for both arms.  The
+trellis engine's kernel, `watchdog.trellis_batch`, gives the verdicts of
+the scalar `decide(consistency_probability(build_trellis(...)))` path,
+because a score within its stated rounding bound of the threshold is
+rescored by that path; the algebraic engine's, `watchdog.algebraic_batch`,
+counts survivors in integers, so its verdicts are `algebraic_check`'s.
 
 `run_trials` and `sweep` share one run path: their trials run as (cfg, lo,
 hi) chunk jobs, read in order through the builtin `map` in this process,
@@ -275,21 +276,16 @@ def _score(cfg: SimConfig, first: int, trials: list) -> tuple[int, int, int, int
 
     Returns (honest_flagged, mal_passed_both, mal_passed_v1, mal_passed_v2).
     """
+    hfs = [scn.hf for scn, _, _ in trials]
+    words = [[protocol.view_words(w, scn, relays, noise[w - 1]) for w in (1, 2)] for scn, relays, noise in trials]
+    links = [protocol.roles(w, trials[0][0])[4:] for w in (1, 2)]
     if cfg.engine == "trellis":
-        hfs = [scn.hf for scn, _, _ in trials]
-        words = [[protocol.view_words(w, scn, relays, noise[w - 1]) for w in (1, 2)] for scn, relays, noise in trials]
-        links = [protocol.roles(w, trials[0][0])[4:] for w in (1, 2)]
-        accepted = watchdog.trellis_batch(hfs, words, links, cfg.epsilon, cfg.threshold)[0].tolist()
+        accepted = watchdog.trellis_batch(hfs, words, links, cfg.epsilon, cfg.threshold)[0]
     else:
-        accepted = []
-        for scn, relays, noise in trials:
-            # both watchers' views of the honest relay, then of the corrupting one
-            views = protocol.views(scn, relays, noise)
-            passed = [[watchdog.algebraic_check(obs).decision is watchdog.Hypothesis.H0 for obs in arm] for arm in views]
-            accepted.append(zip(*passed))
+        accepted = watchdog.algebraic_batch(hfs, words, links, cfg.epsilon)[0]
     noiseless = cfg.p12 == cfg.p21 == cfg.p31 == cfg.p32 == 0.0 and cfg.engine == "algebraic"
     tallies = [0, 0, 0, 0]
-    for trial, ((h1, *m1), (h2, *m2)) in enumerate(accepted, start=first):
+    for trial, ((h1, *m1), (h2, *m2)) in enumerate(accepted.tolist(), start=first):
         tallies[0] += not (h1 and h2)
         if noiseless and not (h1 and h2):
             raise AssertionError(f"honest relay flagged under noiseless channels (trial {trial})")

@@ -209,19 +209,6 @@ def observe(watcher: int, scn: Scenario, source_packets: tuple[Packet, Packet], 
     )
 
 
-def reobserve(watcher: int, scn: Scenario, honest_view: Observation, relay_packet: Packet) -> Observation:
-    """A watcher's view of the honest relay, with `relay_packet` sent in its place.
-
-    Nothing is drawn: the new payload crosses the same channel realization,
-    picking up the relay link's error pattern noisy_relay ^ honest payload,
-    and the peer side is the honest view's.
-    """
-    noisy_relay = honest_view.noisy_relay ^ scn.honest_payload ^ relay_packet.payload
-    return _observation(
-        watcher, scn, honest_view.peer_hash, relay_packet.own_hash, honest_view.noisy_peer, noisy_relay
-    )
-
-
 def _noise(watcher: int, scn: Scenario, rng) -> tuple[int, int]:
     """The error patterns of the watcher's peer link, then its relay link, drawn from rng."""
     *_, peer_chan, relay_chan = roles(watcher, scn)
@@ -243,8 +230,8 @@ def views(scn: Scenario, relay_payloads, noise) -> list[list[Observation]]:
     """Both watchers' observations of each relay payload in turn: entry [a][w - 1] is watcher w's of payload a.
 
     `noise` is the round's channel realization, from `link_noise`; every
-    payload crosses it, as `reobserve` has a corrupted payload cross the
-    honest one's.
+    payload crosses it, so a corrupted payload picks up the error patterns
+    the honest one did, and the views of one watcher share its peer side.
     """
     hash_of = scn.hf.of_word
     relay_hashes = [hash_of(payload) for payload in relay_payloads]
@@ -262,7 +249,8 @@ def view_words(watcher: int, scn: Scenario, relay_payloads, noise: tuple[int, in
 
     The row is own value, own coefficient, peer coefficient, peer hash and
     noisy peer payload, then relay hash and noisy relay payload for each
-    relay payload: the layout `watchdog.trellis_batch` reads.
+    relay payload: the layout `watchdog.trellis_batch` and
+    `watchdog.algebraic_batch` read.
     """
     own, a_own, a_peer, peer, _, _ = roles(watcher, scn)
     table = scn.hf.table

@@ -3,7 +3,8 @@
 The algebraic engine builds candidate sets (hash-consistent words inside a
 Hamming ball around each overheard payload), pushes the peer candidates
 through the known coding map, and flags the relay when the intersection with
-the relay candidates is empty.
+the relay candidates is empty.  `algebraic_check` checks one observation;
+`algebraic_batch` checks many at once on arrays, with the same verdicts.
 
 The trellis engine scores the same observation as a four-layer path-sum:
 overheard-peer vertex -> peer candidates -> coded images -> overheard-relay
@@ -152,10 +153,7 @@ def survivors_by_relay_word(obs: Observation, peer: tuple[np.ndarray, int]) -> n
     = obs with relay payload c, its true hash, and noisy_relay = c.  Counted
     from the image side: an image x survives for c when h(x) = h(c) and
     x lies within the relay radius of c; the images are distinct, so each
-    (x, c) pair counts once.  `check_relay` keeps its set intersection: on
-    one n=8 observation it takes about 1.3 us against 6 us for this count
-    restricted to one c (2-core x86_64 VM), so the per-trial check does not
-    go through here.
+    (x, c) pair counts once.
     """
     images, _ = peer
     table = obs.hf.table
@@ -168,6 +166,55 @@ def survivors_by_relay_word(obs: Observation, peer: tuple[np.ndarray, int]) -> n
         words = part[:, None] ^ offsets
         counts += np.bincount(words[table.take(words) == table.take(part)[:, None]], minlength=len(table))
     return counts
+
+
+def algebraic_batch(
+    hfs: Sequence[HashFunction],
+    words: Sequence[Sequence[Sequence[int]]],
+    channels: Sequence[tuple[BinarySymmetricChannel, BinarySymmetricChannel]],
+    epsilon: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The algebraic verdicts and survivor counts of a batch of B trials, computed on arrays.
+
+    hfs, words and channels are read as `trellis_batch` reads them.
+    Returns (accepted, surviving), both of shape (B, 2, A):
+    surviving[b, w, a] is `algebraic_check(obs).diagnostics["surviving"]`
+    for obs, the `Observation` with those fields, links and `epsilon`, and
+    accepted[b, w, a] is True exactly when that check accepts obs.
+
+    Each watcher's two radii are selected once per call.  Its peer ball is
+    noisy_peer ^ `ball_offsets`, one row per trial, and hash membership is
+    one gather from the stacked hash tables.  The coded images of the peer
+    candidates are computed once and shared by the arms.  The relay ball is
+    never enumerated: image x survives an arm iff h(x) is the arm's relay
+    hash and x lies within the relay radius of the noisy relay payload,
+    that is, iff x is one of the arm's relay candidates.  With a nonzero
+    peer coefficient (a `Scenario` has no other), x -> own_coeff*own_value
+    + peer_coeff*x is a bijection, so the images are distinct and their
+    count is the size of `check_relay`'s set intersection.  Every step is
+    integer arithmetic, so the counts equal the scalar ones by construction.
+    """
+    spec = hfs[0].spec
+    n = spec.n
+    words = np.asarray(words, dtype=np.int64)
+    batch, arms = len(hfs), (words.shape[2] - 5) // 2
+    tables = np.stack([hf.table for hf in hfs]).ravel()
+    surviving = np.empty((batch, 2, arms), dtype=np.int64)
+    for w, (peer_chan, relay_chan) in enumerate(channels):
+        own, own_coeff, peer_coeff, peer_hash, noisy_peer = words[:, w, :5].T
+        relay_hash, noisy_relay = words[:, w, 5::2], words[:, w, 6::2]
+        offsets = ball_offsets(n, radius_for_epsilon(n, peer_chan.p, epsilon).r)
+        # ball[b] = (b, noisy_peer[b] ^ offset) as an index into the stacked tables
+        ball = (np.arange(batch) << n | noisy_peer)[:, None] ^ offsets
+        row, col = np.nonzero(tables.take(ball) == peer_hash[:, None])
+        cand = ball[row, col] & (spec.order - 1)
+        images = spec.mul_words(own_coeff, own)[row] ^ spec.mul_words(peer_coeff[row], cand)
+        r_relay = radius_for_epsilon(n, relay_chan.p, epsilon).r
+        hit = tables.take(row << n | images)[:, None] == relay_hash[row]
+        hit &= np.bitwise_count(images[:, None] ^ noisy_relay[row]) <= r_relay
+        k, arm = np.nonzero(hit)
+        surviving[:, w] = np.bincount(row[k] * arms + arm, minlength=batch * arms).reshape(batch, arms)
+    return surviving > 0, surviving
 
 
 def trellis_peer(obs: Observation) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -237,7 +284,7 @@ def trellis_batch(
     the A relay arms as one row of integers: own value, own coefficient,
     peer coefficient, peer hash and noisy peer payload, then relay hash and
     noisy relay payload per arm (`protocol.view_words` builds it).  The arms
-    share the peer side, as `protocol.reobserve` makes them.  channels[w] is
+    share the peer side, as `protocol.views` makes them.  channels[w] is
     watcher w's (peer link, relay link) in every trial.  Returns (accepted,
     scores), both of shape (B, 2, A): accepted[b, w, a] is True exactly when
     `decide(consistency_probability(build_trellis(obs, trellis_peer(obs))),

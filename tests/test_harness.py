@@ -182,28 +182,35 @@ class TestRunTrials:
 
 
 def test_arms_share_one_channel_realization(monkeypatch):
-    # each trial checks the honest arm's two views, then the corrupting arm's
-    views, payloads = [], []
-    check, relay_output = watchdog.algebraic_check, protocol.relay_output
+    # each trial gives the kernel one row of words per watcher, holding its
+    # view of the honest arm, then its view of the corrupting arm
+    rows, payloads = [], []
+    batch, relay_output = watchdog.algebraic_batch, protocol.relay_output
 
     def recorded_relay_output(*args):
         packet = relay_output(*args)
         payloads.append(packet.payload)
         return packet
 
-    monkeypatch.setattr(watchdog, "algebraic_check", lambda obs: views.append(obs) or check(obs))
+    def recorded_batch(hfs, words, *args):
+        rows.extend(row for trial in words for row in trial)
+        return batch(hfs, words, *args)
+
+    monkeypatch.setattr(watchdog, "algebraic_batch", recorded_batch)
     monkeypatch.setattr(protocol, "relay_output", recorded_relay_output)
     trials = 30
     run_trials(small_cfg(p12=0.3, p21=0.2, p31=0.3, p32=0.2, trials=trials))
+    # (noisy peer, noisy relay) of each view, in row order
+    views = [(row[4], noisy_relay) for row in rows for noisy_relay in row[6::2]]
     assert len(views) == 4 * trials and len(payloads) == 2 * trials
     relay_noise = 0
     for t in range(trials):
-        honest, corrupted = views[4 * t : 4 * t + 2], views[4 * t + 2 : 4 * t + 4]
+        w1_honest, w1_corrupted, w2_honest, w2_corrupted = views[4 * t : 4 * t + 4]
         error = payloads[2 * t] ^ payloads[2 * t + 1]
-        for h, m in zip(honest, corrupted):
-            assert h.noisy_peer == m.noisy_peer
-            assert h.noisy_relay ^ m.noisy_relay == error
-            relay_noise += h.noisy_relay != payloads[2 * t]
+        for (peer_h, relay_h), (peer_m, relay_m) in ((w1_honest, w1_corrupted), (w2_honest, w2_corrupted)):
+            assert peer_h == peer_m
+            assert relay_h ^ relay_m == error
+            relay_noise += relay_h != payloads[2 * t]
     assert relay_noise > trials  # the links did flip bits
 
 

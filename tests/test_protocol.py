@@ -18,7 +18,6 @@ from algwatchdog.protocol import (
     link_noise,
     observe,
     relay_output,
-    reobserve,
     view_words,
     views,
 )
@@ -210,13 +209,19 @@ class TestObserve:
 
     @pytest.mark.parametrize("watcher", [1, 2])
     def test_reobserve_crosses_the_same_channel_realization(self, watcher):
+        # `views` observes the corrupted payload again across the honest one's
+        # channel realization: each view is what `observe` gives for that
+        # payload from the rng the honest view was drawn from
         scn = make_scenario(spec=GF256, x1=0x31, x2=0x7C, h=3, p=0.3)
         sources = (scn.source_packet(1), scn.source_packet(2))
         honest = relay_output(scn, AdversaryStrategy.honest(), random.Random(1))
         for seed in range(20):
             corrupted = relay_output(scn, AdversaryStrategy.random_nonzero_error(), random.Random(seed))
-            view = observe(watcher, scn, sources, honest, random.Random(seed))
-            assert reobserve(watcher, scn, view, corrupted) == observe(watcher, scn, sources, corrupted, random.Random(seed))
+            arms = views(scn, [honest.payload, corrupted.payload], link_noise(scn, random.Random(seed)))
+            for arm, relay in zip(arms, (honest, corrupted)):
+                rng = random.Random(seed)
+                want = [observe(w, scn, sources, relay, rng) for w in (1, 2)]
+                assert arm[watcher - 1] == want[watcher - 1]
 
     def test_link_noise_and_view_draw_what_observe_draws(self):
         # one channel realization per round, in observe's order: the harness's draw step relies on it

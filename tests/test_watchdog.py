@@ -11,17 +11,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algwatchdog import watchdog
 from algwatchdog.channel import BinarySymmetricChannel, ball_volume, radius_for_epsilon
 from algwatchdog.gf2n import FieldElement, canonical_spec
 from algwatchdog.hashing import HashFunction, HashValue, evaluate, preimage_set, sample
-from algwatchdog.protocol import AdversaryStrategy, Scenario, observe, relay_output, reobserve
+from algwatchdog.protocol import AdversaryStrategy, Scenario, link_noise, relay_output, roles, view_words, views
 from algwatchdog.watchdog import (
     TRELLIS_MAX_WIDTH,
     Hypothesis,
     Observation,
     Trellis,
+    algebraic_batch,
     algebraic_check,
     build_trellis,
     candidate_set,
@@ -219,10 +222,10 @@ class TestTrellisPeer:
                 a1=fe(rng.randrange(1, 256), spec), a2=fe(rng.randrange(1, 256), spec),
                 chan_12=chan, chan_21=chan, chan_31=chan, chan_32=chan, epsilon=0.01,
             )
-            sources = (scn.source_packet(1), scn.source_packet(2))
-            honest = observe(watcher, scn, sources, relay_output(scn, AdversaryStrategy.honest(), rng), rng)
+            honest_payload = relay_output(scn, AdversaryStrategy.honest(), rng).payload
             corrupted = relay_output(scn, AdversaryStrategy.random_nonzero_error(), random.Random(seed))
-            mal = reobserve(watcher, scn, honest, corrupted)
+            honest, mal = (arm[watcher - 1] for arm in views(scn, [honest_payload, corrupted.payload], link_noise(scn, rng)))
+            assert (mal.peer_hash, mal.noisy_peer) == (honest.peer_hash, honest.noisy_peer)
             shared = consistency_probability(build_trellis(mal, trellis_peer(honest)))
             assert shared == consistency_probability(build_trellis(mal))
 
@@ -324,6 +327,82 @@ class TestTrellisBatch:
         obs = make_obs(spec, hf, 1, 1, 1, 2, 3)
         with pytest.raises(ValueError, match="n <="):
             batch_of([((obs,), (obs,))], 0.5)
+
+
+def harness_trials(rng, n, h, d, probs, epsilon, count, arms=2):
+    """`count` trials drawn as the harness draws them: (scenario, relay payloads, link noise).
+
+    probs are the crossover probabilities of links 12, 21, 31 and 32; the
+    payloads are the honest relay's, then (arms=2) a corrupting relay's.
+    """
+    spec = canonical_spec(n)
+    chans = {f"chan_{link}": BinarySymmetricChannel(p) for link, p in zip(("12", "21", "31", "32"), probs)}
+    strategies = (AdversaryStrategy.honest(), AdversaryStrategy.random_nonzero_error())[:arms]
+    trials = []
+    for _ in range(count):
+        scn = Scenario(
+            spec=spec, hf=sample(rng, d, spec, h),
+            x1=fe(rng.randrange(spec.order), spec), x2=fe(rng.randrange(spec.order), spec),
+            a1=fe(rng.randrange(1, spec.order), spec), a2=fe(rng.randrange(1, spec.order), spec),
+            epsilon=epsilon, **chans,
+        )
+        relays = [relay_output(scn, s, rng).payload for s in strategies]
+        trials.append((scn, relays, link_noise(scn, rng)))
+    return trials
+
+
+def algebraic_batch_of(trials):
+    """`algebraic_batch` on the rows of words `protocol.view_words` builds for each trial."""
+    words = [[view_words(w, scn, relays, noise[w - 1]) for w in (1, 2)] for scn, relays, noise in trials]
+    links = [roles(w, trials[0][0])[4:] for w in (1, 2)]
+    return algebraic_batch([scn.hf for scn, _, _ in trials], words, links, trials[0][0].epsilon)
+
+
+class TestAlgebraicBatch:
+    """The batched check against `algebraic_check` on the `protocol.views` observations, view by view."""
+
+    @staticmethod
+    def assert_matches_scalar(trials):
+        accepted, surviving = algebraic_batch_of(trials)
+        arms = len(trials[0][1])
+        assert accepted.shape == surviving.shape == (len(trials), 2, arms)
+        for b, (scn, relays, noise) in enumerate(trials):
+            for a, arm in enumerate(views(scn, relays, noise)):
+                for w, obs in enumerate(arm):
+                    verdict = algebraic_check(obs)
+                    assert accepted[b, w, a] == (verdict.decision is Hypothesis.H0)
+                    assert surviving[b, w, a] == verdict.diagnostics["surviving"]
+        return accepted, surviving
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 16),
+        d=st.integers(0, 3),
+        probs=st.lists(st.sampled_from([0.0, 1e-3, 0.1, 0.3, 0.5]), min_size=4, max_size=4),
+        epsilon=st.sampled_from([1e-12, 0.01, 0.2, 0.999]),
+        arms=st.integers(1, 2),
+        seed=st.integers(0, 2**32),
+    )
+    def test_verdicts_and_survivors_equal_algebraic_check(self, data, n, d, probs, epsilon, arms, seed):
+        h = data.draw(st.integers(1, n), label="h")
+        # the harness's sub-batch size rule, capped at 4 trials to keep the scalar side fast
+        count = max(1, min(4, (1 << 16) >> n))
+        self.assert_matches_scalar(harness_trials(random.Random(seed), n, h, d, probs, epsilon, count, arms))
+
+    def test_empty_peer_candidate_set(self):
+        # noiseless links give radius 0, so a peer payload overheard with a
+        # flipped bit that changes its hash leaves watcher 1 no candidate
+        scn, relays, noise = harness_trials(random.Random(3), 8, 4, 3, [0.0] * 4, 0.01, 1)[0]
+        peer = scn.x2.value
+        flip = next(1 << i for i in range(8) if scn.hf.of_word(peer ^ 1 << i) != scn.hf.of_word(peer))
+        trial = (scn, relays, ((flip, noise[0][1]), noise[1]))
+        obs = views(*trial)[0][0]
+        assert algebraic_check(obs).diagnostics["peer_candidates"] == 0
+        accepted, surviving = self.assert_matches_scalar([trial])
+        # watcher 2's noiseless view of the honest relay still passes
+        assert not accepted[0, 0].any() and accepted[0, 1, 0]
+        assert surviving[0, 0].tolist() == [0, 0]
 
 
 class TestConsistencyProbability:
