@@ -59,7 +59,6 @@ from .watchdog import (
     consistency_probability,
     decide,
     trellis_batch,
-    trellis_peer,
 )
 
 __version__ = "0.1.0"

@@ -20,11 +20,11 @@ words.  The score step (`_score`) scores a sub-batch of B = max(1, min(16,
 watcher's views of a sub-batch are built once as one row of words per
 trial (`protocol.view_words`), and one array kernel scores the rows,
 building each watcher's peer side once per trial for both arms.  The
-trellis engine's kernel, `watchdog.trellis_batch`, gives the verdicts of
-the scalar `decide(consistency_probability(build_trellis(...)))` path,
-because a score within its stated rounding bound of the threshold is
-rescored by that path; the algebraic engine's, `watchdog.algebraic_batch`,
-counts survivors in integers, so its verdicts are `algebraic_check`'s.
+trellis engine's kernel, `watchdog.trellis_batch`, adds each score's terms
+in the order the scalar `consistency_probability(build_trellis(...))` path
+does, so its scores are that path's bit for bit; the algebraic engine's,
+`watchdog.algebraic_batch`, counts survivors in integers, so its verdicts
+are `algebraic_check`'s.
 
 `run_trials` and `sweep` share one run path: their trials run as (cfg, lo,
 hi) chunk jobs, read in order through the builtin `map` in this process,

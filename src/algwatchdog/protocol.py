@@ -20,7 +20,7 @@ from .gf2n import FieldElement, FieldSpec
 # `noise_mask`; `evaluate` and `transmit` stay importable here because the
 # benchmark's tracer wraps `protocol.evaluate` and `protocol.transmit`
 from .hashing import HashFunction, HashValue, evaluate  # noqa: F401
-from .watchdog import Observation, peer_images, survivors_by_relay_word
+from .watchdog import Observation, survivors_by_relay_word
 
 EXHAUSTIVE_MAX_WIDTH = 12
 
@@ -55,6 +55,10 @@ class AdversaryStrategy:
             raise ValueError(f"fixed_error requires a nonzero error word, got error={self.error!r}")
         if self.kind == "weight_bounded_error" and not (is_int(self.max_weight) and self.max_weight >= 1):
             raise ValueError(f"weight_bounded_error requires max_weight >= 1, got max_weight={self.max_weight!r}")
+        for name, kind in (("error", "fixed_error"), ("max_weight", "weight_bounded_error")):
+            value = getattr(self, name)
+            if value is not None and self.kind != kind:
+                raise ValueError(f"{name}={value!r} applies only to {kind}, not to {self.kind}")
 
     @classmethod
     def honest(cls):
@@ -146,13 +150,14 @@ def _best_error(scn: Scenario) -> int:
     if n > EXHAUSTIVE_MAX_WIDTH:
         raise ValueError(f"exhaustive_best scans 2^n errors; n <= {EXHAUSTIVE_MAX_WIDTH} required")
     honest = scn.honest_payload
-    honest_hash = scn.hf.of_word(honest)
+    hash_of = scn.hf.of_word
     errors = np.arange(1, scn.spec.order)
     counts = []
-    for w, peer in ((1, scn.source_packet(2)), (2, scn.source_packet(1))):
-        obs = _observation(w, scn, peer.own_hash, honest_hash, peer.payload, honest)
+    for w in (1, 2):
+        peer = roles(w, scn)[3].value
+        obs = _observation(w, scn, hash_of(peer), hash_of(honest), peer, honest)
         # the watcher's survivor count for every relay word it could overhear
-        counts.append(survivors_by_relay_word(obs, peer_images(obs))[honest ^ errors])
+        counts.append(survivors_by_relay_word(obs)[honest ^ errors])
     c1, c2 = counts
     # the last error in (c1 * c2, c1 + c2, -e) order
     return int(errors[np.lexsort((-errors, c1 + c2, c1 * c2))[-1]])

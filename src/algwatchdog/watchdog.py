@@ -8,10 +8,10 @@ the relay candidates is empty.  `algebraic_check` checks one observation;
 
 The trellis engine scores the same observation as a four-layer path-sum:
 overheard-peer vertex -> peer candidates -> coded images -> overheard-relay
-vertex, with channel-likelihood edge weights.  `trellis_peer`,
-`build_trellis`, `consistency_probability` and `decide` score one
-observation; `trellis_batch` scores many at once on arrays, with the same
-verdicts.
+vertex, with channel-likelihood edge weights.  `build_trellis`,
+`consistency_probability` and `decide` score one observation;
+`trellis_batch` scores many at once on arrays, with the same scores bit for
+bit.
 """
 
 from __future__ import annotations
@@ -122,12 +122,7 @@ def algebraic_check(obs: Observation, radius_override: int | None = None) -> Ver
     and intersects the images with the relay candidate set; an empty
     intersection flags the relay.
     """
-    return check_relay(obs, peer_images(obs, radius_override), radius_override)
-
-
-def check_relay(obs: Observation, peer: tuple[np.ndarray, int], radius_override: int | None = None) -> Verdict:
-    """`algebraic_check` against a peer side `peer_images(obs, radius_override)` computed already."""
-    images, r_peer = peer
+    images, r_peer = peer_images(obs, radius_override)
     relay_words, r_relay = candidate_set(obs, "relay", radius_override)
     # ball words are distinct, so relay_words holds no duplicates
     surviving = len(set(images.tolist()).intersection(relay_words.tolist()))
@@ -146,16 +141,16 @@ def check_relay(obs: Observation, peer: tuple[np.ndarray, int], radius_override:
     )
 
 
-def survivors_by_relay_word(obs: Observation, peer: tuple[np.ndarray, int]) -> np.ndarray:
-    """`check_relay`'s survivor count for every relay word, each overheard without noise.
+def survivors_by_relay_word(obs: Observation) -> np.ndarray:
+    """`algebraic_check`'s survivor count for every relay word, each overheard without noise.
 
-    Entry c is `check_relay(obs', peer).diagnostics["surviving"]` for obs'
-    = obs with relay payload c, its true hash, and noisy_relay = c.  Counted
-    from the image side: an image x survives for c when h(x) = h(c) and
-    x lies within the relay radius of c; the images are distinct, so each
-    (x, c) pair counts once.
+    Entry c is `algebraic_check(obs').diagnostics["surviving"]` for obs' =
+    obs with relay payload c, its true hash, and noisy_relay = c.  Counted
+    from the image side, `peer_images(obs)`: an image x survives for c when
+    h(x) = h(c) and x lies within the relay radius of c; the images are
+    distinct, so each (x, c) pair counts once.
     """
-    images, _ = peer
+    images, _ = peer_images(obs)
     table = obs.hf.table
     offsets = ball_offsets(obs.n, radius_for_epsilon(obs.n, obs.relay_channel.p, obs.epsilon).r)
     counts = np.zeros(len(table), dtype=np.int64)
@@ -191,7 +186,7 @@ def algebraic_batch(
     that is, iff x is one of the arm's relay candidates.  With a nonzero
     peer coefficient (a `Scenario` has no other), x -> own_coeff*own_value
     + peer_coeff*x is a bijection, so the images are distinct and their
-    count is the size of `check_relay`'s set intersection.  Every step is
+    count is the size of `algebraic_check`'s set intersection.  Every step is
     integer arithmetic, so the counts equal the scalar ones by construction.
     """
     spec = hfs[0].spec
@@ -217,13 +212,11 @@ def algebraic_batch(
     return surviving > 0, surviving
 
 
-def trellis_peer(obs: Observation) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The peer side of the trellis: layers 2 and 3 and the edges into them.
+def build_trellis(obs: Observation) -> Trellis:
+    """Materialize the reachable part of the four-layer model for one observation.
 
-    Returns (candidates, weights_in, images, image_hashes): every word with
-    the peer's hash, its normalized start->candidate weight, its coded image
-    own_coeff*own_value + peer_coeff*x, and the image's hash.  It reads
-    nothing of the relay, so both relay arms of a trial can share it.
+    Layer 2 is every word with the peer's hash, in ascending order; its
+    weights are the peer-link likelihoods, normalized by their total.
     """
     n = obs.n
     if n > TRELLIS_MAX_WIDTH:
@@ -231,32 +224,25 @@ def trellis_peer(obs: Observation) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     spec = obs.own_value.spec
     candidates = np.flatnonzero(obs.hf.table == obs.peer_hash.value)
     raw_in = likelihood(obs.peer_channel, candidates, obs.noisy_peer, n)
-    total = raw_in.sum()
-    weights_in = raw_in / total if total > 0 else np.zeros_like(raw_in)
-    const = spec.mul(obs.own_coeff.value, obs.own_value.value)
-    images = const ^ spec.mul_words(obs.peer_coeff.value, candidates)
-    return candidates, weights_in, images, obs.hf.values_on(images)
-
-
-def build_trellis(obs: Observation, peer: tuple | None = None) -> Trellis:
-    """Materialize the reachable part of the four-layer model for one observation.
-
-    Given `peer`, the `trellis_peer` of an observation with the same peer
-    side, only the relay side (the image->destination edges) is built.
-    """
-    candidates, weights_in, images, image_hashes = trellis_peer(obs) if peer is None else peer
+    total = _sum_in_order(raw_in)
+    images = spec.mul(obs.own_coeff.value, obs.own_value.value) ^ spec.mul_words(obs.peer_coeff.value, candidates)
     return Trellis(
         candidates=candidates,
         images=images,
-        weights_in=weights_in,
-        likelihood_out=likelihood(obs.relay_channel, images, obs.noisy_relay, obs.n),
-        edge_out=image_hashes == obs.relay_hash.value,
+        weights_in=raw_in / total if total > 0 else np.zeros_like(raw_in),
+        likelihood_out=likelihood(obs.relay_channel, images, obs.noisy_relay, n),
+        edge_out=obs.hf.values_on(images) == obs.relay_hash.value,
     )
+
+
+def _sum_in_order(terms: np.ndarray) -> float:
+    """terms[0] + terms[1] + ... added one after another, the order `np.bincount` adds its weights in."""
+    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
 
 
 def consistency_probability(tr: Trellis) -> float:
     """Sum over start->destination paths of the product of edge weights."""
-    return float(np.sum(tr.weights_in * np.where(tr.edge_out, tr.likelihood_out, 0.0)))
+    return _sum_in_order(tr.weights_in * np.where(tr.edge_out, tr.likelihood_out, 0.0))
 
 
 def decide(score: float, threshold: float) -> Verdict:
@@ -286,10 +272,10 @@ def trellis_batch(
     noisy relay payload per arm (`protocol.view_words` builds it).  The arms
     share the peer side, as `protocol.views` makes them.  channels[w] is
     watcher w's (peer link, relay link) in every trial.  Returns (accepted,
-    scores), both of shape (B, 2, A): accepted[b, w, a] is True exactly when
-    `decide(consistency_probability(build_trellis(obs, trellis_peer(obs))),
-    threshold)` accepts obs, the `Observation` with those fields, links and
-    `epsilon`.
+    scores), both of shape (B, 2, A): scores[b, w, a] is
+    `consistency_probability(build_trellis(obs))` for obs, the `Observation`
+    with those fields, links and `epsilon`, and accepted[b, w, a] is True
+    exactly when `decide(scores[b, w, a], threshold)` accepts obs.
 
     The trials' hash tables are stacked into one (B, 2^n) buffer; one
     `np.flatnonzero` finds every watcher's peer candidates, and weights,
@@ -297,18 +283,11 @@ def trellis_batch(
     likelihoods and per-view sums are computed only for the candidates whose
     image carries an arm's relay hash, the edges that reach the destination.
 
-    Tie rule.  The weight totals and scores are sums taken in another order
-    than `np.sum`'s, so they may differ from the scalar ones in the last
-    bits.  Every term is nonnegative, so for a view with k peer candidates
-    either path's score is within a relative 2k * 2^-53 (to first order:
-    two sums of at most k terms, one division and one product per term) of
-    the exact path-sum, and the two differ by at most about 4k * 2^-53
-    times the score.  Every view whose batched score s has
-    |s - threshold| <= 9 k 2^-53 s + k 2^-1070 (the last term covers
-    underflow), with k taken as 2^n >= k, is rescored by the scalar path;
-    outside that band both scores lie on the same side of the threshold.
-    So each verdict equals the scalar one by construction, and each score
-    is within that bound, for its own k, of the scalar score.
+    Each score is the scalar path's bit for bit.  The terms are the same
+    floats, and `np.bincount` adds each view's terms one after another in
+    ascending candidate order, starting from 0.0, as `consistency_probability`
+    and `build_trellis`'s weight total do; the scalar sum's extra terms are
+    exact zeros, which change no bit of a sum of nonnegative floats.
     """
     spec = hfs[0].spec
     n = spec.n
@@ -339,20 +318,4 @@ def trellis_batch(
     lik_out = lik.take(stride * (2 * (r & 1) + 1) + np.bitwise_count(images[hit] ^ noisy_relay[arm, r]))
     scores = np.bincount(r * arms + arm, weights * lik_out, minlength=len(own) * arms).reshape(len(hfs), 2, arms)
 
-    accepted = scores >= threshold
-    slack = spec.order * (9 * 2.0**-53 * scores + 2.0**-1070)
-    for b, w, a in zip(*np.nonzero(np.abs(scores - threshold) <= slack)):
-        hf, row_words = hfs[b], words[b, w].tolist()
-        obs = Observation(
-            *(FieldElement(v, spec) for v in row_words[:3]),
-            HashValue(row_words[3], hf.width),
-            HashValue(row_words[5 + 2 * a], hf.width),
-            row_words[4],
-            row_words[6 + 2 * a],
-            *channels[w],
-            epsilon,
-            hf,
-        )
-        scores[b, w, a] = consistency_probability(build_trellis(obs))
-        accepted[b, w, a] = decide(scores[b, w, a], threshold).decision is Hypothesis.H0
-    return accepted, scores
+    return scores >= threshold, scores

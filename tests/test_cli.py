@@ -89,6 +89,10 @@ class TestSimulate:
         ({"adversary": {"kind": "fixed_error", "error": 3, "foo": 1}}, "adversary: unknown key(s) 'foo'"),
         ({"adversary": {"kind": "fixed_error", "error": 256}}, "adversary: fixed error 256 not a nonzero 8-bit word"),
         ({"sources": {"fixed": [1, 2], "fixd": [3, 4]}}, "sources: unknown key(s) 'fixd'"),
+        ({"adversary": {"kind": "random_nonzero_error", "error": 5, "max_weight": 2}},
+         "adversary: error=5 applies only to fixed_error"),
+        ({"adversary": {"kind": "fixed_error", "error": 5, "max_weight": 2}},
+         "adversary: max_weight=2 applies only to weight_bounded_error"),
     ])
     def test_out_of_range_value_exit_2(self, tmp_path, capsys, fields, named):
         cfg = write_config(tmp_path, trials=5, **fields)

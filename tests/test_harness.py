@@ -149,7 +149,7 @@ class TestRunTrials:
             run_trials(small_cfg(n=n, adversary=adversary, trials=5))
         assert ran == []
 
-    def test_trellis_peer_side_built_once_per_watcher_per_trial(self, monkeypatch):
+    def test_trellis_kernel_gets_one_row_per_watcher_per_trial(self, monkeypatch):
         # trellis_batch builds one peer side per watcher of each trial it
         # scores, from one row of words that also holds both relay arms
         built = []

@@ -21,7 +21,7 @@ from algwatchdog.protocol import (
     view_words,
     views,
 )
-from algwatchdog.watchdog import check_relay, peer_images, survivors_by_relay_word
+from algwatchdog.watchdog import algebraic_check, survivors_by_relay_word
 
 GF16 = canonical_spec(4)
 GF32 = canonical_spec(5)
@@ -146,12 +146,11 @@ class TestRelayOutput:
         honest = scn.honest_payload
         for w, peer in ((1, scn.source_packet(2)), (2, scn.source_packet(1))):
             obs = _observation(w, scn, peer.own_hash, scn.hf.of_word(honest), peer.payload, honest)
-            side = peer_images(obs)
-            counts = survivors_by_relay_word(obs, side)
+            counts = survivors_by_relay_word(obs)
             for e in range(1, spec.order):
                 relay = honest ^ e
                 one = _observation(w, scn, peer.own_hash, scn.hf.of_word(relay), peer.payload, relay)
-                assert counts[relay] == check_relay(one, side).diagnostics["surviving"]
+                assert counts[relay] == algebraic_check(one).diagnostics["surviving"]
 
     def test_exhaustive_best_cost_error_at_large_n(self):
         spec = canonical_spec(14)
