@@ -10,7 +10,8 @@ engine has its own fixed_error, weight_bounded_error (d=1), fixed-source,
 n=2 (p=0, and p=0.5 at a threshold every score ties with) and n=8
 exhaustive_best goldens.  The algebraic engine has its own asymmetric-link
 golden (every watcher's peer and relay radii differ), h=n and p=0.5 goldens.
-Every field not named takes its SimConfig default.
+Two goldens at n=8, 600 algebraic and 300 trellis trials, run longer than
+one sub-batch.  Every field not named takes its SimConfig default.
 """
 
 from dataclasses import replace
@@ -18,6 +19,11 @@ from dataclasses import replace
 import pytest
 
 from algwatchdog.harness import SimConfig, report_json, run_trials
+
+SUB_BATCH_EDGE_CONFIGS = [
+    dict(n=8, h=3, d=3, trials=600, seed=33),
+    dict(engine="trellis", n=8, h=3, d=3, threshold=0.01, trials=300, seed=34),
+]
 
 GOLDEN = [
     (dict(n=8, h=3, d=3, trials=400, seed=5), (5, 85, 170, 183)),
@@ -86,6 +92,9 @@ GOLDEN = [
     (dict(n=8, h=3, d=3, p12=0.05, p21=0.2, p31=0.0, p32=0.3, trials=300, seed=29), (1, 17, 33, 162)),
     (dict(n=8, h=8, d=3, trials=300, seed=30), (8, 0, 4, 2)),
     (dict(n=8, h=4, d=3, p12=0.5, p21=0.5, p31=0.5, p32=0.5, trials=200, seed=31), (0, 101, 146, 137)),
+    # longer than one sub-batch at n=8, so the tallies cross sub-batch edges
+    (SUB_BATCH_EDGE_CONFIGS[0], (4, 117, 251, 277)),
+    (SUB_BATCH_EDGE_CONFIGS[1], (160, 0, 2, 5)),
 ]
 
 
@@ -118,6 +127,8 @@ IDS = [
     "algebraic-asymmetric",
     "algebraic-h-eq-n",
     "algebraic-p-half",
+    "algebraic-n8-600",
+    "trellis-n8-300",
 ]
 
 
@@ -141,7 +152,15 @@ def test_trellis_n12_report_identical_across_worker_counts():
 
 
 def test_algebraic_n8_report_identical_across_worker_counts():
-    # chunk edges fall inside the algebraic engine's 16-trial sub-batches too
+    # 37 trials split into 12 + 13 + 12 at 3 workers, 18 + 19 at 2
     cfg = SimConfig(n=8, h=3, d=3, trials=37, seed=32)
+    docs = {report_json(replace(run_trials(cfg, workers=w), wall_time_s=0.0)) for w in (1, 2, 3)}
+    assert len(docs) == 1
+
+
+@pytest.mark.parametrize("fields", SUB_BATCH_EDGE_CONFIGS, ids=["algebraic-n8-600", "trellis-n8-300"])
+def test_sub_batch_edges_report_identical_across_worker_counts(fields):
+    # the chunks of 2 and 3 workers start sub-batches where 1 worker's do not
+    cfg = SimConfig(**fields)
     docs = {report_json(replace(run_trials(cfg, workers=w), wall_time_s=0.0)) for w in (1, 2, 3)}
     assert len(docs) == 1
