@@ -35,12 +35,13 @@ class Radius:
 
 def noise_mask(chan: BinarySymmetricChannel, n: int, rng) -> int:
     """Draw an n-bit error pattern, each bit set independently with prob p."""
-    mask = 0
     p = chan.p
     if p == 0.0:
         return 0
+    random = rng.random
+    mask = 0
     for i in range(n):
-        if rng.random() < p:
+        if random() < p:
             mask |= 1 << i
     return mask
 

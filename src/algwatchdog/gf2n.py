@@ -107,11 +107,12 @@ class FieldSpec:
         return exp.take(log.take(a) + log.take(b))
 
     def mul_domain(self, a):
-        """a[x] * x for every word x of the field, in word order.
+        """a[..., x] * x for every word x of the field, in word order along the last axis.
 
-        `a` is one word, or an array of 2^n words indexed by x.  The log
-        table already holds the logs of all words in order, so this is
-        `mul_words(a, arange(2^n))` without gathering those logs again.
+        `a` is one word, a column of words (one per row), or rows of 2^n
+        words indexed by x.  The log table already holds the logs of all
+        words in order, so this is `mul_words(a, arange(2^n))` without
+        gathering those logs again.
         """
         exp, log = _tables(self.n, self.reduction_poly)
         return exp.take(log.take(a) + log)

@@ -7,22 +7,26 @@ random numbers), drawn once per trial: the corrupted payload picks up the
 error patterns the honest one did.  Per-trial randomness is keyed by (seed,
 trial index), so tallies are bit-identical for any worker count.
 
-A chunk of trials runs in two steps.  The draw step (`_draw`) goes trial by
-trial over the trial's two `random.Random` streams, in a fixed order:
-sources, coefficients, the hash, the relay's error through `protocol`'s
-strategies, and the four noise masks (`protocol.link_noise`); it returns
-the scenario, the relay payloads of both arms and the noise as plain
-words.  The score step (`_score`) scores a sub-batch of B = max(1, min(16,
-2^16 / 2^n)) drawn trials, 16 up to n = 12: their hash tables never exceed
-2^16 words, and at small n few trials are held at once (with B = 2^16 /
-2^n alone, a 20,000-trial trellis chunk at n = 2 peaked at 91 MB against
-36 MB), so memory stays flat.  Both engines score through one path: each
-watcher's views of a sub-batch are built once as one row of words per
-trial (`protocol.view_words`), and one array kernel scores the rows,
-building each watcher's peer side once per trial for both arms.  The
-trellis engine's kernel, `watchdog.trellis_batch`, adds each score's terms
-in the order the scalar `consistency_probability(build_trellis(...))` path
-does, so its scores are that path's bit for bit; the algebraic engine's,
+A chunk of trials runs in sub-batches of B = max(1, min(256, 2^16 /
+2^n)) trials, 256 up to n = 8 and 16 at n = 12, so a sub-batch's hash
+tables never exceed 2^16 words and at small n few trials are held at once
+(with B = 2^16 / 2^n alone, a 20,000-trial trellis chunk at n = 2 peaked
+at 50 MB against 36 MB).  Each sub-batch runs in two steps.  The draw step
+(`_draw_batch`) does two things per trial: it reseeds one `random.Random`
+for each of the trial's two streams, and reads from them, as plain ints
+and in a fixed order, the sources, the coefficients, the hash
+coefficients, the relay's error (`protocol.draw_error`) and the four
+noise masks (`protocol.noise_masks`, in `protocol.link_noise` order).
+Everything derived is then computed once for the sub-batch on arrays: the
+hash tables (`hashing.horner_tables`), both relay arms' payloads, and
+each watcher's views of them as one row of words per trial
+(`protocol.view_rows`).  Only the exhaustive_best adversary, which draws
+nothing, builds a `Scenario` per trial to choose its error.  The score
+step (`_score`) hands the tables and rows to one array kernel and sums
+the tallies from its verdicts.  The trellis engine's kernel,
+`watchdog.trellis_batch`, adds each score's terms in the order the scalar
+`consistency_probability(build_trellis(...))` path does, so its scores
+are that path's bit for bit; the algebraic engine's,
 `watchdog.algebraic_batch`, counts survivors in integers, so its verdicts
 are `algebraic_check`'s.
 
@@ -66,10 +70,15 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import protocol, theory, watchdog
 from .channel import BinarySymmetricChannel, radius_for_epsilon
-from .gf2n import FieldElement, FieldSpec, canonical_spec
-from .hashing import sample as sample_hash
+from .gf2n import canonical_spec
+from .hashing import HashFunction, horner_tables
+# the draw step reads hash coefficients as plain ints; `sample_hash` stays
+# importable here because the benchmark's tracer wraps `harness.sample_hash`
+from .hashing import sample as sample_hash  # noqa: F401
 
 _EDGE_PROBS = ("p12", "p21", "p31", "p32")
 _INT_FIELDS = ("n", "h", "d", "trials", "seed")
@@ -228,89 +237,118 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _derive_seed(*parts) -> int:
-    hsh = hashlib.blake2b(digest_size=8)
-    for p in parts:
-        hsh.update(repr(p).encode())
-        hsh.update(b"\x00")
-    return int.from_bytes(hsh.digest(), "little")
+def _derive_seed(seed: int, trial: int, key: str) -> int:
+    """The seed of one of a trial's streams: blake2b of the parts' reprs, each followed by a NUL."""
+    data = f"{seed!r}\x00{trial!r}\x00{key!r}\x00".encode()
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
-def _draw_sources(cfg: SimConfig, spec, rng) -> tuple[FieldElement, FieldElement]:
-    if isinstance(cfg.sources, dict):
-        x1, x2 = cfg.sources["fixed"]
-        return FieldElement(x1, spec), FieldElement(x2, spec)
-    return FieldElement(rng.randrange(spec.order), spec), FieldElement(rng.randrange(spec.order), spec)
-
-
-_HONEST = protocol.AdversaryStrategy.honest()
 # a sub-batch holds at most this many trials and hash-table words
-_BATCH_TRIALS = 16
+_BATCH_TRIALS = 256
 _BATCH_WORDS = 1 << 16
 
 
-def _draw(
-    cfg: SimConfig, trial: int, spec: FieldSpec, chans: dict, strategy: protocol.AdversaryStrategy
-) -> tuple[protocol.Scenario, tuple[int, ...], tuple[tuple[int, int], tuple[int, int]]]:
-    """The draw step of one trial: (scenario, relay payloads, channel noise).
+def _channels(cfg: SimConfig) -> dict[str, BinarySymmetricChannel]:
+    """The config's four links as a `Scenario`'s channel fields."""
+    return {"chan_" + name[1:]: BinarySymmetricChannel(getattr(cfg, name)) for name in _EDGE_PROBS}
 
-    The relay payloads are the honest relay's and, unless the strategy is
-    honest, the corrupting relay's; both cross the trial's one channel
-    realization, `protocol.link_noise`.  `spec`, `chans` (the Scenario's
-    four channel fields) and `strategy` are the config's, built once per
-    chunk.
+
+def _draw_batch(cfg: SimConfig, trials: range) -> tuple[np.ndarray, np.ndarray]:
+    """The draw step of one sub-batch of trials: (tables, words), the arrays its kernel reads.
+
+    tables is the trials' (B, 2^n) uint16 hash tables and words their
+    (B, 2, 5 + 2A) rows (`protocol.view_rows`): arm 0 is the honest
+    relay's payload and, unless the strategy is honest, arm 1 the
+    corrupting relay's.  Each trial only reads its two streams; everything
+    derived from the draws is computed on arrays for the whole sub-batch.
     """
-    rng = random.Random(_derive_seed(cfg.seed, trial, "draw"))
-    x1, x2 = _draw_sources(cfg, spec, rng)
-    a1 = FieldElement(rng.randrange(1, spec.order), spec)
-    a2 = FieldElement(rng.randrange(1, spec.order), spec)
-    hf = sample_hash(rng, cfg.d, spec, cfg.h)
-    scn = protocol.Scenario(spec=spec, hf=hf, x1=x1, x2=x2, a1=a1, a2=a2, epsilon=cfg.epsilon, **chans)
-    arms = (_HONEST,) if strategy.kind == "honest" else (_HONEST, strategy)
-    relays = tuple(protocol.relay_output(scn, arm, rng).payload for arm in arms)
-    return scn, relays, protocol.link_noise(scn, random.Random(_derive_seed(cfg.seed, trial, "noise")))
+    spec = canonical_spec(cfg.n)
+    order = spec.order
+    chans = _channels(cfg)
+    links = protocol.watcher_links(**chans)
+    strategy = cfg.strategy()
+    corrupt = strategy.kind != "honest"
+    # exhaustive_best draws no error: it is chosen from the drawn scenario below
+    drawn_error = corrupt and strategy.kind != "exhaustive_best"
+    fixed = cfg.sources["fixed"] if isinstance(cfg.sources, dict) else None
+    rng = random.Random()
+    reseed, randrange = rng.seed, rng.randrange
+    draw_error, noise_masks = protocol.draw_error, protocol.noise_masks
+    seed, n, hash_coeffs = cfg.seed, cfg.n, range(cfg.d + 1)
+    draws, noise = [], []
+    for trial in trials:
+        reseed(_derive_seed(seed, trial, "draw"))
+        # x1, x2, a1, a2, the hash coefficients a_0..a_d, then the relay's error
+        row = list(fixed) if fixed else [randrange(order), randrange(order)]
+        row.append(randrange(1, order))
+        row.append(randrange(1, order))
+        for _ in hash_coeffs:
+            row.append(randrange(order))
+        if drawn_error:
+            row.append(draw_error(strategy, spec, rng))
+        draws.append(row)
+        reseed(_derive_seed(seed, trial, "noise"))
+        noise.append(noise_masks(links, n, rng))
+    draws = np.array(draws, dtype=np.int64)
+    sources, coeffs = draws[:, 0:2], draws[:, 2:4]
+    tables = horner_tables(draws[:, 4 : 5 + cfg.d], spec, cfg.h)
+    payloads = [spec.mul_words(coeffs[:, 0], sources[:, 0]) ^ spec.mul_words(coeffs[:, 1], sources[:, 1])]
+    if drawn_error:
+        payloads.append(payloads[0] ^ draws[:, -1])
+    elif corrupt:
+        payloads.append(_best_payloads(cfg, spec, chans, strategy, draws))
+    return tables, protocol.view_rows(sources, coeffs, tables, np.stack(payloads, axis=1), noise)
 
 
-def _score(cfg: SimConfig, first: int, trials: list) -> tuple[int, int, int, int]:
-    """The score step: summed tallies of trials `first`, `first` + 1, ... given their `_draw`s.
+def _best_payloads(cfg: SimConfig, spec, chans: dict, strategy: protocol.AdversaryStrategy, draws) -> list[int]:
+    """exhaustive_best's relay payload for each row of draws, chosen from the trial's `Scenario`."""
+    element = spec.element
+    out = []
+    for x1, x2, a1, a2, *hash_coeffs in draws.tolist():
+        hf = HashFunction(tuple(map(element, hash_coeffs)), cfg.h)
+        scn = protocol.Scenario(
+            spec=spec, hf=hf, x1=element(x1), x2=element(x2), a1=element(a1), a2=element(a2),
+            epsilon=cfg.epsilon, **chans,
+        )
+        # exhaustive_best reads no rng
+        out.append(protocol.relay_output(scn, strategy, None).payload)
+    return out
+
+
+def _score(cfg: SimConfig, first: int, tables: np.ndarray, words: np.ndarray) -> tuple[int, int, int, int]:
+    """The score step: summed tallies of trials `first`, `first` + 1, ... given their `_draw_batch`.
 
     Returns (honest_flagged, mal_passed_both, mal_passed_v1, mal_passed_v2).
     """
-    hfs = [scn.hf for scn, _, _ in trials]
-    words = [[protocol.view_words(w, scn, relays, noise[w - 1]) for w in (1, 2)] for scn, relays, noise in trials]
-    links = [protocol.roles(w, trials[0][0])[4:] for w in (1, 2)]
+    spec = canonical_spec(cfg.n)
+    links = protocol.watcher_links(**_channels(cfg))
     if cfg.engine == "trellis":
-        accepted = watchdog.trellis_batch(hfs, words, links, cfg.epsilon, cfg.threshold)[0]
+        accepted = watchdog.trellis_batch(spec, tables, words, links, cfg.epsilon, cfg.threshold)[0]
     else:
-        accepted = watchdog.algebraic_batch(hfs, words, links, cfg.epsilon)[0]
+        accepted = watchdog.algebraic_batch(spec, tables, words, links, cfg.epsilon)[0]
+    honest_passed = accepted[:, 0, 0] & accepted[:, 1, 0]
     noiseless = cfg.p12 == cfg.p21 == cfg.p31 == cfg.p32 == 0.0 and cfg.engine == "algebraic"
-    tallies = [0, 0, 0, 0]
-    for trial, ((h1, *m1), (h2, *m2)) in enumerate(accepted.tolist(), start=first):
-        tallies[0] += not (h1 and h2)
-        if noiseless and not (h1 and h2):
-            raise AssertionError(f"honest relay flagged under noiseless channels (trial {trial})")
-        if m1:
-            tallies[1] += m1[0] and m2[0]
-            tallies[2] += m1[0]
-            tallies[3] += m2[0]
-    return tuple(tallies)
+    if noiseless and not honest_passed.all():
+        trial = first + int(np.argmin(honest_passed))
+        raise AssertionError(f"honest relay flagged under noiseless channels (trial {trial})")
+    flagged = len(honest_passed) - int(honest_passed.sum())
+    if accepted.shape[2] == 1:
+        return flagged, 0, 0, 0
+    v1, v2 = accepted[:, 0, 1], accepted[:, 1, 1]
+    return flagged, int((v1 & v2).sum()), int(v1.sum()), int(v2.sum())
 
 
 def _run_chunk(job: tuple[SimConfig, int, int]) -> tuple[int, int, int, int]:
     """Summed tallies of trials lo..hi-1 of one config, given as the job (cfg, lo, hi).
 
-    Trials are drawn one by one and scored in sub-batches (see the module
-    docstring).
+    Trials are drawn and scored in sub-batches (see the module docstring).
     """
     cfg, lo, hi = job
-    spec = canonical_spec(cfg.n)
-    chans = {"chan_" + name[1:]: BinarySymmetricChannel(getattr(cfg, name)) for name in _EDGE_PROBS}
-    strategy = cfg.strategy()
     size = max(1, min(_BATCH_TRIALS, _BATCH_WORDS >> cfg.n))
     tallies = (0, 0, 0, 0)
     for first in range(lo, hi, size):
-        trials = [_draw(cfg, trial, spec, chans, strategy) for trial in range(first, min(first + size, hi))]
-        tallies = tuple(a + b for a, b in zip(tallies, _score(cfg, first, trials)))
+        tables, words = _draw_batch(cfg, range(first, min(first + size, hi)))
+        tallies = tuple(a + b for a, b in zip(tallies, _score(cfg, first, tables, words)))
     return tallies
 
 

@@ -5,6 +5,8 @@ sum(a_i * x^i) in the field and keeps the low h output bits.  One hash
 function is shared by every node in a scenario, adversary included, and is
 read on many words per round, so each `HashFunction` hashes the whole field
 once, on first use, into `table`; `evaluate` and `values_on` read it.
+`horner_tables` builds those tables, one row per coefficient vector, for a
+single hash function and for a whole sub-batch of trials alike.
 """
 
 from __future__ import annotations
@@ -64,15 +66,7 @@ class HashFunction:
         16): a quarter of the int64 table's memory, which the trellis engine
         holds for a whole sub-batch of trials.
         """
-        spec = self.spec
-        # acc stays one int until the first multiply by the domain; d = 0
-        # leaves it one, the same hash for every word
-        acc = self.coeffs[-1].value
-        for c in reversed(self.coeffs[:-1]):
-            acc = spec.mul_domain(acc) ^ c.value
-        if not self.degree:
-            acc = np.full(spec.order, acc)
-        return (acc & ((1 << self.width) - 1)).astype(np.uint16)
+        return horner_tables([[c.value for c in self.coeffs]], self.spec, self.width)[0]
 
     def values_on(self, words: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an array of n-bit words."""
@@ -81,6 +75,32 @@ class HashFunction:
     def of_word(self, x: int) -> HashValue:
         """Scalar evaluation of one n-bit word given as an int."""
         return HashValue(self.table.item(x), self.width)
+
+
+# one Horner pass covers at most this many words: at n = 12 a whole
+# (16, 4096) sub-batch in one pass ran slower than row by row
+_PASS_WORDS = 1 << 12
+
+
+def horner_tables(coeffs, spec: FieldSpec, width: int) -> np.ndarray:
+    """h(x) for every word x of the field, one row per coefficient vector (Horner from a_d).
+
+    coeffs is (B, d+1) words, a_0 first, as `HashFunction.coeffs` holds
+    them; the result is (B, 2^n) uint16, row b indexed by x.  Rows are
+    built in groups of at most 2^12 words.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    out = np.empty((len(coeffs), spec.order), dtype=np.uint16)
+    step = max(1, _PASS_WORDS >> spec.n)
+    for lo in range(0, len(coeffs), step):
+        group = coeffs[lo : lo + step]
+        # acc stays one column until the first multiply by the domain; d = 0
+        # leaves it one, the same hash for every word of a row
+        acc = group[:, -1:]
+        for i in range(group.shape[1] - 2, -1, -1):
+            acc = spec.mul_domain(acc) ^ group[:, i : i + 1]
+        out[lo : lo + step] = acc & ((1 << width) - 1)
+    return out
 
 
 def evaluate(hf: HashFunction, x: FieldElement) -> HashValue:

@@ -119,23 +119,28 @@ class Scenario:
         return Packet(self.hf.of_word(x), x)
 
 
-def _choose_error(scn: Scenario, strategy: AdversaryStrategy, rng) -> int:
-    order = scn.spec.order
+def draw_error(strategy: AdversaryStrategy, spec: FieldSpec, rng) -> int:
+    """The relay's error word under every strategy but exhaustive_best, drawn from rng.
+
+    exhaustive_best draws nothing: its error is a function of the scenario
+    (`relay_output` computes it).
+    """
+    order = spec.order
     if strategy.kind == "honest":
         return 0
     if strategy.kind == "fixed_error":
         if not (0 < strategy.error < order):
-            raise ValueError(f"fixed error {strategy.error} not a nonzero {scn.spec.n}-bit word")
+            raise ValueError(f"fixed error {strategy.error} not a nonzero {spec.n}-bit word")
         return strategy.error
     if strategy.kind == "random_nonzero_error":
         return rng.randrange(1, order)
     if strategy.kind == "weight_bounded_error":
-        w = min(strategy.max_weight, scn.spec.n)
+        w = min(strategy.max_weight, spec.n)
         while True:
             e = rng.randrange(1, order)
             if e.bit_count() <= w:
                 return e
-    return _best_error(scn)
+    raise ValueError(f"{strategy.kind} draws no error; its error is a function of the scenario")
 
 
 def _best_error(scn: Scenario) -> int:
@@ -163,13 +168,28 @@ def _best_error(scn: Scenario) -> int:
     return int(errors[np.lexsort((-errors, c1 + c2, c1 * c2))[-1]])
 
 
+def watcher_links(
+    chan_12: BinarySymmetricChannel,
+    chan_21: BinarySymmetricChannel,
+    chan_31: BinarySymmetricChannel,
+    chan_32: BinarySymmetricChannel,
+) -> tuple[tuple[BinarySymmetricChannel, BinarySymmetricChannel], ...]:
+    """Each watcher's (peer link, relay link), watcher 1 first, from a `Scenario`'s four channel fields."""
+    return (chan_21, chan_31), (chan_12, chan_32)
+
+
 def roles(
     watcher: int, scn: Scenario
 ) -> tuple[FieldElement, FieldElement, FieldElement, FieldElement, BinarySymmetricChannel, BinarySymmetricChannel]:
-    """A watcher's own value, own and peer coefficients, peer's value, and peer and relay links."""
+    """A watcher's own value, own and peer coefficients, peer's value, and peer and relay links.
+
+    Watcher w's own value and coefficient are node w's, its peer the other
+    source; `view_rows` lays its rows out in the same roles.
+    """
+    links = watcher_links(scn.chan_12, scn.chan_21, scn.chan_31, scn.chan_32)[watcher - 1]
     if watcher == 1:
-        return scn.x1, scn.a1, scn.a2, scn.x2, scn.chan_21, scn.chan_31
-    return scn.x2, scn.a2, scn.a1, scn.x1, scn.chan_12, scn.chan_32
+        return scn.x1, scn.a1, scn.a2, scn.x2, *links
+    return scn.x2, scn.a2, scn.a1, scn.x1, *links
 
 
 def _observation(
@@ -199,7 +219,11 @@ def _observation(
 
 def relay_output(scn: Scenario, strategy: AdversaryStrategy, rng) -> Packet:
     """The relay's transmitted packet, honest or corrupted per the strategy."""
-    payload = scn.honest_payload ^ _choose_error(scn, strategy, rng)
+    if strategy.kind == "exhaustive_best":
+        error = _best_error(scn)
+    else:
+        error = draw_error(strategy, scn.spec, rng)
+    payload = scn.honest_payload ^ error
     return Packet(scn.hf.of_word(payload), payload)
 
 
@@ -216,8 +240,12 @@ def observe(watcher: int, scn: Scenario, source_packets: tuple[Packet, Packet], 
 
 def _noise(watcher: int, scn: Scenario, rng) -> tuple[int, int]:
     """The error patterns of the watcher's peer link, then its relay link, drawn from rng."""
-    *_, peer_chan, relay_chan = roles(watcher, scn)
-    return noise_mask(peer_chan, scn.spec.n, rng), noise_mask(relay_chan, scn.spec.n, rng)
+    return noise_masks([roles(watcher, scn)[4:]], scn.spec.n, rng)[0]
+
+
+def noise_masks(links, n: int, rng) -> tuple[tuple[int, int], ...]:
+    """The n-bit error patterns of each (peer link, relay link) pair in turn, peer link first, drawn from rng."""
+    return tuple((noise_mask(peer_chan, n, rng), noise_mask(relay_chan, n, rng)) for peer_chan, relay_chan in links)
 
 
 def link_noise(scn: Scenario, rng) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -228,7 +256,7 @@ def link_noise(scn: Scenario, rng) -> tuple[tuple[int, int], tuple[int, int]]:
     link_noise(scn, rng))[0]` lists what `observe(w, scn, sources,
     relay_packet, rng)` returns called for w = 1, then 2.
     """
-    return _noise(1, scn, rng), _noise(2, scn, rng)
+    return noise_masks(watcher_links(scn.chan_12, scn.chan_21, scn.chan_31, scn.chan_32), scn.spec.n, rng)
 
 
 def views(scn: Scenario, relay_payloads, noise) -> list[list[Observation]]:
@@ -252,14 +280,40 @@ def views(scn: Scenario, relay_payloads, noise) -> list[list[Observation]]:
 def view_words(watcher: int, scn: Scenario, relay_payloads, noise: tuple[int, int]) -> list[int]:
     """The integer fields of the watcher's `views` of each relay payload in turn, as one flat row.
 
-    The row is own value, own coefficient, peer coefficient, peer hash and
-    noisy peer payload, then relay hash and noisy relay payload for each
-    relay payload: the layout `watchdog.trellis_batch` and
-    `watchdog.algebraic_batch` read.
+    `noise` is the watcher's (peer link, relay link) error patterns; the
+    row is the watcher's row of `view_rows` for this one trial.
     """
-    own, a_own, a_peer, peer, _, _ = roles(watcher, scn)
-    table = scn.hf.table
-    row = [own.value, a_own.value, a_peer.value, table.item(peer.value), peer.value ^ noise[0]]
-    for payload in relay_payloads:
-        row += (table.item(payload), payload ^ noise[1])
-    return row
+    both = [noise, noise]
+    rows = view_rows(
+        [[scn.x1.value, scn.x2.value]], [[scn.a1.value, scn.a2.value]], scn.hf.table[None], [relay_payloads], [both]
+    )
+    return rows[0, watcher - 1].tolist()
+
+
+def view_rows(sources, coeffs, tables: np.ndarray, relay_payloads, noise) -> np.ndarray:
+    """Both watchers' views of each relay payload, for a batch of B trials, as rows of integers.
+
+    sources and coeffs are (B, 2): x1, x2 and a1, a2 per trial.  tables is
+    the (B, 2^n) hash tables, relay_payloads (B, A) the words the relay
+    arms send, and noise (B, 2, 2) each watcher's (peer link, relay link)
+    error patterns, as `link_noise` gives them.  Row [b, w - 1] is watcher
+    w's: own value, own coefficient, peer coefficient, peer hash and noisy
+    peer payload, then relay hash and noisy relay payload for each relay
+    payload, in the roles `roles` gives.  This is the layout
+    `watchdog.trellis_batch` and `watchdog.algebraic_batch` read.
+    """
+    own = np.asarray(sources, dtype=np.int64)
+    a_own = np.asarray(coeffs, dtype=np.int64)
+    payloads = np.asarray(relay_payloads, dtype=np.int64)
+    noise = np.asarray(noise, dtype=np.int64)
+    batch, arms = payloads.shape
+    # watcher w's peer is the other source, its peer coefficient the other coefficient
+    peer, a_peer = own[:, ::-1], a_own[:, ::-1]
+    trial = np.arange(batch)[:, None]
+    rows = np.empty((batch, 2, 5 + 2 * arms), dtype=np.int64)
+    rows[:, :, 0], rows[:, :, 1], rows[:, :, 2] = own, a_own, a_peer
+    rows[:, :, 3] = tables[trial, peer]
+    rows[:, :, 4] = peer ^ noise[:, :, 0]
+    rows[:, :, 5::2] = tables[trial, payloads][:, None, :]
+    rows[:, :, 6::2] = payloads[:, None, :] ^ noise[:, :, 1:]
+    return rows

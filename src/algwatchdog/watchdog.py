@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import BinarySymmetricChannel, ball_offsets, likelihood, likelihood_by_distance, radius_for_epsilon
-from .gf2n import FieldElement
+from .gf2n import FieldElement, FieldSpec
 from .hashing import HashFunction, HashValue
 
 TRELLIS_MAX_WIDTH = 12
@@ -164,14 +164,15 @@ def survivors_by_relay_word(obs: Observation) -> np.ndarray:
 
 
 def algebraic_batch(
-    hfs: Sequence[HashFunction],
+    spec: FieldSpec,
+    tables: np.ndarray,
     words: Sequence[Sequence[Sequence[int]]],
     channels: Sequence[tuple[BinarySymmetricChannel, BinarySymmetricChannel]],
     epsilon: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The algebraic verdicts and survivor counts of a batch of B trials, computed on arrays.
 
-    hfs, words and channels are read as `trellis_batch` reads them.
+    spec, tables, words and channels are read as `trellis_batch` reads them.
     Returns (accepted, surviving), both of shape (B, 2, A):
     surviving[b, w, a] is `algebraic_check(obs).diagnostics["surviving"]`
     for obs, the `Observation` with those fields, links and `epsilon`, and
@@ -179,7 +180,7 @@ def algebraic_batch(
 
     Each watcher's two radii are selected once per call.  Its peer ball is
     noisy_peer ^ `ball_offsets`, one row per trial, and hash membership is
-    one gather from the stacked hash tables.  The coded images of the peer
+    one gather from the hash tables.  The coded images of the peer
     candidates are computed once and shared by the arms.  The relay ball is
     never enumerated: image x survives an arm iff h(x) is the arm's relay
     hash and x lies within the relay radius of the noisy relay payload,
@@ -189,11 +190,10 @@ def algebraic_batch(
     count is the size of `algebraic_check`'s set intersection.  Every step is
     integer arithmetic, so the counts equal the scalar ones by construction.
     """
-    spec = hfs[0].spec
     n = spec.n
     words = np.asarray(words, dtype=np.int64)
-    batch, arms = len(hfs), (words.shape[2] - 5) // 2
-    tables = np.stack([hf.table for hf in hfs]).ravel()
+    batch, arms = len(tables), (words.shape[2] - 5) // 2
+    tables = tables.ravel()
     surviving = np.empty((batch, 2, arms), dtype=np.int64)
     for w, (peer_chan, relay_chan) in enumerate(channels):
         own, own_coeff, peer_coeff, peer_hash, noisy_peer = words[:, w, :5].T
@@ -258,7 +258,8 @@ def decide(score: float, threshold: float) -> Verdict:
 
 
 def trellis_batch(
-    hfs: Sequence[HashFunction],
+    spec: FieldSpec,
+    tables: np.ndarray,
     words: Sequence[Sequence[Sequence[int]]],
     channels: Sequence[tuple[BinarySymmetricChannel, BinarySymmetricChannel]],
     epsilon: float,
@@ -266,20 +267,22 @@ def trellis_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The trellis verdicts and scores of a batch of B trials, computed on arrays.
 
-    Trial b hashes with hfs[b].  words[b][w] holds its watcher w's views of
-    the A relay arms as one row of integers: own value, own coefficient,
-    peer coefficient, peer hash and noisy peer payload, then relay hash and
-    noisy relay payload per arm (`protocol.view_words` builds it).  The arms
-    share the peer side, as `protocol.views` makes them.  channels[w] is
-    watcher w's (peer link, relay link) in every trial.  Returns (accepted,
-    scores), both of shape (B, 2, A): scores[b, w, a] is
+    The trials lie in the field spec.  tables is their (B, 2^n) uint16
+    hash tables, as `hashing.horner_tables` stacks them: trial b hashes
+    with tables[b].  words[b][w] holds its watcher w's views of the A relay
+    arms as one row of integers: own value, own coefficient, peer
+    coefficient, peer hash and noisy peer payload, then relay hash and
+    noisy relay payload per arm (`protocol.view_rows` builds the rows).
+    The arms share the peer side, as `protocol.views` makes them.
+    channels[w] is watcher w's (peer link, relay link) in every trial.
+    Returns (accepted, scores), both of shape (B, 2, A): scores[b, w, a] is
     `consistency_probability(build_trellis(obs))` for obs, the `Observation`
     with those fields, links and `epsilon`, and accepted[b, w, a] is True
     exactly when `decide(scores[b, w, a], threshold)` accepts obs.
 
-    The trials' hash tables are stacked into one (B, 2^n) buffer; one
-    `np.flatnonzero` finds every watcher's peer candidates, and weights,
-    coded images and image hashes follow for all watchers at once.  Relay
+    One `np.flatnonzero` over the tables finds every watcher's peer
+    candidates, and weights, coded images and image hashes follow for all
+    watchers at once.  Relay
     likelihoods and per-view sums are computed only for the candidates whose
     image carries an arm's relay hash, the edges that reach the destination.
 
@@ -289,7 +292,6 @@ def trellis_batch(
     and `build_trellis`'s weight total do; the scalar sum's extra terms are
     exact zeros, which change no bit of a sum of nonnegative floats.
     """
-    spec = hfs[0].spec
     n = spec.n
     if n > TRELLIS_MAX_WIDTH:
         raise ValueError(f"trellis engine supports n <= {TRELLIS_MAX_WIDTH}, got {n}")
@@ -297,14 +299,13 @@ def trellis_batch(
     arms = (words.shape[2] - 5) // 2
     own, own_coeff, peer_coeff, peer_hash, noisy_peer = words[:, :, :5].reshape(-1, 5).T
     relay_hash, noisy_relay = (words[:, :, 5 + i :: 2].reshape(-1, arms).T for i in (0, 1))
-    tables = np.stack([hf.table for hf in hfs])
     # BSC likelihoods by distance: watcher w's peer link at block 2w, its relay link at 2w + 1
     stride = n + 1
     lik = np.concatenate([likelihood_by_distance(chan.p, n) for links in channels for chan in links])
 
     # found = (2 trial + watcher) 2^n + candidate
     # the tables are uint16; comparing them with int64 would cast every entry
-    found = np.flatnonzero(tables[:, None, :] == peer_hash.astype(np.uint16).reshape(len(hfs), 2, 1))
+    found = np.flatnonzero(tables[:, None, :] == peer_hash.astype(np.uint16).reshape(len(tables), 2, 1))
     cand = found & (spec.order - 1)
     row = found >> n
     raw = lik.take(2 * stride * (row & 1) + np.bitwise_count(cand ^ noisy_peer[row]))
@@ -316,6 +317,6 @@ def trellis_batch(
     r = row[hit]
     weights = raw[hit] / np.where(total > 0, total, 1.0)[r]
     lik_out = lik.take(stride * (2 * (r & 1) + 1) + np.bitwise_count(images[hit] ^ noisy_relay[arm, r]))
-    scores = np.bincount(r * arms + arm, weights * lik_out, minlength=len(own) * arms).reshape(len(hfs), 2, arms)
+    scores = np.bincount(r * arms + arm, weights * lik_out, minlength=len(own) * arms).reshape(len(tables), 2, arms)
 
     return scores >= threshold, scores

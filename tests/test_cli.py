@@ -157,13 +157,14 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "--values" in err and repr(token.split(",")[-1]) in err
 
-    def test_too_wide_exhaustive_point_exit_2_before_any_trial(self, tmp_path, capsys, monkeypatch):
-        ran = []
-        monkeypatch.setattr(harness, "_draw", lambda cfg, trial, *chunk: ran.append(trial))
+    def test_too_wide_exhaustive_point_exit_2_before_any_trial(self, tmp_path, capsys, drawn_trials):
         cfg = write_config(tmp_path, adversary="exhaustive_best", trials=2)
         assert main(["sweep", "--config", cfg, "--axis", "n", "--values", "8,14"]) == 2
         assert "adversary: exhaustive_best" in capsys.readouterr().err
-        assert ran == []
+        assert drawn_trials == []
+        # the same record fills for points that validate
+        assert main(["sweep", "--config", cfg, "--axis", "n", "--values", "6,8"]) == 0
+        assert drawn_trials == [0, 1, 0, 1]
 
 
 @pytest.mark.parametrize("command, rows", [

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import random
 import re
 import signal
 import subprocess
@@ -14,9 +15,14 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from math import comb
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from algwatchdog import harness, protocol, theory, watchdog
+from algwatchdog import hashing, harness, protocol, theory, watchdog
+from algwatchdog.channel import BinarySymmetricChannel
+from algwatchdog.gf2n import canonical_spec
 from algwatchdog.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -141,13 +147,14 @@ class TestRunTrials:
         ({"kind": "fixed_error", "error": -3}, "fixed error -3"),
         ("exhaustive_best", "exhaustive_best"),
     ])
-    def test_bad_adversary_rejected_before_any_trial(self, monkeypatch, adversary, named):
-        ran = []
-        monkeypatch.setattr(harness, "_draw", lambda cfg, trial, *chunk: ran.append(trial))
+    def test_bad_adversary_rejected_before_any_trial(self, drawn_trials, adversary, named):
         n = 14 if adversary == "exhaustive_best" else 8
         with pytest.raises(ConfigError, match="adversary: .*" + named):
             run_trials(small_cfg(n=n, adversary=adversary, trials=5))
-        assert ran == []
+        assert drawn_trials == []
+        # the same record fills for a config that validates
+        run_trials(small_cfg(n=6, trials=5))
+        assert drawn_trials == [0, 1, 2, 3, 4]
 
     def test_trellis_kernel_gets_one_row_per_watcher_per_trial(self, monkeypatch):
         # trellis_batch builds one peer side per watcher of each trial it
@@ -155,9 +162,9 @@ class TestRunTrials:
         built = []
         batch = watchdog.trellis_batch
 
-        def counted(hfs, words, *args):
+        def counted(spec, tables, words, *args):
             built.extend(row for trial in words for row in trial)
-            return batch(hfs, words, *args)
+            return batch(spec, tables, words, *args)
 
         monkeypatch.setattr(watchdog, "trellis_batch", counted)
         trials = 25
@@ -184,22 +191,29 @@ class TestRunTrials:
 def test_arms_share_one_channel_realization(monkeypatch):
     # each trial gives the kernel one row of words per watcher, holding its
     # view of the honest arm, then its view of the corrupting arm
-    rows, payloads = [], []
-    batch, relay_output = watchdog.algebraic_batch, protocol.relay_output
+    rows, errors = [], []
+    batch, draw_error = watchdog.algebraic_batch, protocol.draw_error
 
-    def recorded_relay_output(*args):
-        packet = relay_output(*args)
-        payloads.append(packet.payload)
-        return packet
+    def recorded_draw_error(*args):
+        errors.append(draw_error(*args))
+        return errors[-1]
 
-    def recorded_batch(hfs, words, *args):
-        rows.extend(row for trial in words for row in trial)
-        return batch(hfs, words, *args)
+    def recorded_batch(spec, tables, words, *args):
+        rows.extend(row.tolist() for trial in words for row in trial)
+        return batch(spec, tables, words, *args)
 
     monkeypatch.setattr(watchdog, "algebraic_batch", recorded_batch)
-    monkeypatch.setattr(protocol, "relay_output", recorded_relay_output)
+    monkeypatch.setattr(protocol, "draw_error", recorded_draw_error)
     trials = 30
     run_trials(small_cfg(p12=0.3, p21=0.2, p31=0.3, p32=0.2, trials=trials))
+    # each arm's true payload: a1 x1 + a2 x2 from the two watchers' own
+    # value and coefficient, then that XOR the corrupting arm's drawn error
+    mul = canonical_spec(8).mul
+    payloads = []
+    for t, error in enumerate(errors):
+        (x1, a1, *_), (x2, a2, *_) = rows[2 * t : 2 * t + 2]
+        honest = mul(a1, x1) ^ mul(a2, x2)
+        payloads += (honest, honest ^ error)
     # (noisy peer, noisy relay) of each view, in row order
     views = [(row[4], noisy_relay) for row in rows for noisy_relay in row[6::2]]
     assert len(views) == 4 * trials and len(payloads) == 2 * trials
@@ -212,6 +226,80 @@ def test_arms_share_one_channel_realization(monkeypatch):
             assert relay_h ^ relay_m == error
             relay_noise += relay_h != payloads[2 * t]
     assert relay_noise > trials  # the links did flip bits
+
+
+class TestDrawStep:
+    """The draw step against the scalar public path, trial by trial, on the same two seeded streams."""
+
+    @staticmethod
+    def scalar_trial(cfg, trial):
+        """Trial `trial`'s hash table and kernel rows, drawn through `Scenario`, `relay_output` and `view_words`."""
+        spec = canonical_spec(cfg.n)
+        order = spec.order
+        rng = random.Random(harness._derive_seed(cfg.seed, trial, "draw"))
+        if isinstance(cfg.sources, dict):
+            x1, x2 = cfg.sources["fixed"]
+        else:
+            x1, x2 = rng.randrange(order), rng.randrange(order)
+        a1, a2 = rng.randrange(1, order), rng.randrange(1, order)
+        hf = hashing.sample(rng, cfg.d, spec, cfg.h)
+        chans = {f"chan_{e[1:]}": BinarySymmetricChannel(getattr(cfg, e)) for e in ("p12", "p21", "p31", "p32")}
+        scn = protocol.Scenario(
+            spec=spec, hf=hf, x1=spec.element(x1), x2=spec.element(x2), a1=spec.element(a1), a2=spec.element(a2),
+            epsilon=cfg.epsilon, **chans,
+        )
+        strategy = cfg.strategy()
+        arms = [protocol.AdversaryStrategy.honest()] + ([strategy] if strategy.kind != "honest" else [])
+        relays = [protocol.relay_output(scn, arm, rng).payload for arm in arms]
+        noise = protocol.link_noise(scn, random.Random(harness._derive_seed(cfg.seed, trial, "noise")))
+        return hf.table, [protocol.view_words(w, scn, relays, noise[w - 1]) for w in (1, 2)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 12),
+        d=st.integers(0, 3),
+        kind=st.sampled_from(
+            ["honest", "random_nonzero_error", "fixed_error", "weight_bounded_error", "exhaustive_best"]
+        ),
+        fixed_sources=st.booleans(),
+        probs=st.lists(st.sampled_from([0.0, 0.0, 0.05, 0.3, 0.5]), min_size=4, max_size=4),
+        seed=st.integers(0, 2**40),
+        first=st.integers(0, 10_000),
+        count=st.integers(1, 4),
+    )
+    def test_tables_and_rows_equal_scalar_path(self, data, n, d, kind, fixed_sources, probs, seed, first, count):
+        order = 1 << n
+        adversary = {"kind": kind}
+        if kind == "fixed_error":
+            adversary["error"] = data.draw(st.integers(1, order - 1), label="error")
+        if kind == "weight_bounded_error":
+            adversary["max_weight"] = data.draw(st.integers(1, n + 1), label="max_weight")
+        if kind == "exhaustive_best" and n > 8:
+            count = 1
+        sources = "uniform"
+        if fixed_sources:
+            sources = {"fixed": data.draw(st.lists(st.integers(0, order - 1), min_size=2, max_size=2), label="x")}
+        cfg = SimConfig(
+            n=n, h=data.draw(st.integers(1, n), label="h"), d=d, adversary=adversary, sources=sources, seed=seed,
+            **dict(zip(("p12", "p21", "p31", "p32"), probs)),
+        )
+        cfg.validate()
+        tables, words = harness._draw_batch(cfg, range(first, first + count))
+        arms = 1 if kind == "honest" else 2
+        assert tables.shape == (count, order) and tables.dtype == np.uint16
+        assert words.shape == (count, 2, 5 + 2 * arms)
+        for b in range(count):
+            table, rows = self.scalar_trial(cfg, first + b)
+            # the batched Horner row is the single hash function's table
+            assert tables[b].tolist() == table.tolist()
+            assert words[b].tolist() == rows
+
+    def test_derived_seeds_pinned(self):
+        # recorded before the seed derivation was rewritten; every tally rests on them
+        assert harness._derive_seed(0, 0, "draw") == 16436181301074276647
+        assert harness._derive_seed(42, 12345, "noise") == 7579827467035994739
+        assert harness._derive_seed(2**40 + 7, 999999, "draw") == 10190733824899363748
 
 
 class TestBetaBoundScope:
@@ -290,12 +378,12 @@ class TestSweep:
         assert built == [workers] * pools + [3]
         assert shut == [workers] * pools
 
-    def test_invalid_point_rejected_before_any_trial(self, monkeypatch):
-        ran = []
-        monkeypatch.setattr(harness, "_draw", lambda cfg, trial, *chunk: ran.append(trial))
+    def test_invalid_point_rejected_before_any_trial(self, drawn_trials):
         with pytest.raises(ConfigError, match="h=99"):
-            sweep(small_cfg(), "h", [3, 99])
-        assert ran == []
+            sweep(small_cfg(trials=3), "h", [3, 99])
+        assert drawn_trials == []
+        sweep(small_cfg(trials=3), "h", [3, 4])
+        assert drawn_trials == [0, 1, 2, 0, 1, 2]
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_worker_count_below_one_rejected(self, workers):
@@ -305,15 +393,15 @@ class TestSweep:
             run_trials(small_cfg(trials=5), workers=workers)
 
     @pytest.mark.parametrize("workers", [2.5, "2", None, True])
-    def test_worker_count_not_an_int_rejected(self, monkeypatch, workers):
-        ran = []
-        monkeypatch.setattr(harness, "_draw", lambda cfg, trial, *chunk: ran.append(trial))
+    def test_worker_count_not_an_int_rejected(self, drawn_trials, workers):
         named = re.escape(f"workers={workers!r} is not an integer")
         with pytest.raises(ConfigError, match=named):
             sweep(small_cfg(trials=5), "h", [2, 3], workers=workers)
         with pytest.raises(ConfigError, match=named):
             run_trials(small_cfg(trials=5), workers=workers)
-        assert ran == []
+        assert drawn_trials == []
+        run_trials(small_cfg(trials=5), workers=1)
+        assert drawn_trials == [0, 1, 2, 3, 4]
 
     def test_predicted_beta_decreasing_in_n_at_fixed_radii_axis(self):
         reports = sweep(small_cfg(trials=1, p12=0.01, p21=0.01, p31=0.01, p32=0.01), "n", [8, 10, 12])

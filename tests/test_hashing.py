@@ -7,7 +7,15 @@ import pytest
 from scipy import stats
 
 from algwatchdog.gf2n import FieldElement, FieldSpec, SpecMismatchError, canonical_spec
-from algwatchdog.hashing import HashFunction, HashValue, HashWidthError, evaluate, preimage_set, sample
+from algwatchdog.hashing import (
+    HashFunction,
+    HashValue,
+    HashWidthError,
+    evaluate,
+    horner_tables,
+    preimage_set,
+    sample,
+)
 
 GF16 = canonical_spec(4)
 
@@ -96,6 +104,20 @@ class TestTable:
         assert len(hf.table) == spec.order
         for x in [rng.randrange(spec.order) for _ in range(2000)]:
             assert hf.table[x] == sum_of_powers(hf, x)
+
+    @pytest.mark.parametrize("n, rows", [(2, 3), (8, 40), (10, 9), (12, 3)])
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    def test_stacked_rows_match_each_hash_function(self, n, rows, d):
+        # 40 rows at n = 8 and 9 at n = 10 span several Horner passes
+        spec = canonical_spec(n)
+        rng = random.Random(10 * n + d)
+        hfs = [sample(rng, d, spec, max(1, n - 2)) for _ in range(rows)]
+        tables = horner_tables([[c.value for c in hf.coeffs] for hf in hfs], spec, max(1, n - 2))
+        assert tables.shape == (rows, spec.order) and tables.dtype == np.uint16
+        for hf, row in zip(hfs, tables):
+            assert row.tolist() == hf.table.tolist()
+            for x in [rng.randrange(spec.order) for _ in range(20)]:
+                assert row[x] == sum_of_powers(hf, x)
 
     def test_built_once_per_hash_function(self, monkeypatch):
         spec = canonical_spec(8)

@@ -8,6 +8,7 @@ validated against a scalar path enumeration coded from first principles.
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -220,7 +221,9 @@ def batch_of(trials, threshold):
 
     words = [[row(views) for views in trial] for trial in trials]
     links = [(views[0].peer_channel, views[0].relay_channel) for views in trials[0]]
-    return trellis_batch([trial[0][0].hf for trial in trials], words, links, trials[0][0][0].epsilon, threshold)
+    first = trials[0][0][0]
+    tables = np.stack([trial[0][0].hf.table for trial in trials])
+    return trellis_batch(first.hf.spec, tables, words, links, first.epsilon, threshold)
 
 
 class TestTrellisBatch:
@@ -303,7 +306,8 @@ def algebraic_batch_of(trials):
     """`algebraic_batch` on the rows of words `protocol.view_words` builds for each trial."""
     words = [[view_words(w, scn, relays, noise[w - 1]) for w in (1, 2)] for scn, relays, noise in trials]
     links = [roles(w, trials[0][0])[4:] for w in (1, 2)]
-    return algebraic_batch([scn.hf for scn, _, _ in trials], words, links, trials[0][0].epsilon)
+    tables = np.stack([scn.hf.table for scn, _, _ in trials])
+    return algebraic_batch(trials[0][0].spec, tables, words, links, trials[0][0].epsilon)
 
 
 class TestAlgebraicBatch:
