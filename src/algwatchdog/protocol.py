@@ -283,10 +283,9 @@ def view_words(watcher: int, scn: Scenario, relay_payloads, noise: tuple[int, in
     `noise` is the watcher's (peer link, relay link) error patterns; the
     row is the watcher's row of `view_rows` for this one trial.
     """
-    both = [noise, noise]
-    rows = view_rows(
-        [[scn.x1.value, scn.x2.value]], [[scn.a1.value, scn.a2.value]], scn.hf.table[None], [relay_payloads], [both]
-    )
+    sources, coeffs = [[scn.x1.value, scn.x2.value]], [[scn.a1.value, scn.a2.value]]
+    # the other watcher's row, built on the same noise, is dropped
+    rows = view_rows(sources, coeffs, scn.hf.table[None], [relay_payloads], [[noise, noise]])
     return rows[0, watcher - 1].tolist()
 
 
