@@ -10,7 +10,8 @@ engine has its own fixed_error, weight_bounded_error (d=1), fixed-source,
 n=2 (p=0, and p=0.5 at a threshold every score ties with) and n=8
 exhaustive_best goldens.  The algebraic engine has its own asymmetric-link
 golden (every watcher's peer and relay radii differ), h=n and p=0.5 goldens.
-Two goldens at n=8, 600 algebraic and 300 trellis trials, run longer than
+Three goldens at n=8, 600 algebraic, 300 trellis and 300 algebraic
+exhaustive_best trials (the last over asymmetric links), run longer than
 one sub-batch.  Every field not named takes its SimConfig default.
 """
 
@@ -23,6 +24,7 @@ from algwatchdog.harness import SimConfig, report_json, run_trials
 SUB_BATCH_EDGE_CONFIGS = [
     dict(n=8, h=3, d=3, trials=600, seed=33),
     dict(engine="trellis", n=8, h=3, d=3, threshold=0.01, trials=300, seed=34),
+    dict(adversary="exhaustive_best", n=8, h=3, d=3, p12=0.05, p21=0.2, p31=0.0, p32=0.3, trials=300, seed=35),
 ]
 
 GOLDEN = [
@@ -95,6 +97,7 @@ GOLDEN = [
     # longer than one sub-batch at n=8, so the tallies cross sub-batch edges
     (SUB_BATCH_EDGE_CONFIGS[0], (4, 117, 251, 277)),
     (SUB_BATCH_EDGE_CONFIGS[1], (160, 0, 2, 5)),
+    (SUB_BATCH_EDGE_CONFIGS[2], (3, 260, 273, 284)),
 ]
 
 
@@ -129,6 +132,7 @@ IDS = [
     "algebraic-p-half",
     "algebraic-n8-600",
     "trellis-n8-300",
+    "exhaustive-asymmetric-n8-300",
 ]
 
 
@@ -158,7 +162,9 @@ def test_algebraic_n8_report_identical_across_worker_counts():
     assert len(docs) == 1
 
 
-@pytest.mark.parametrize("fields", SUB_BATCH_EDGE_CONFIGS, ids=["algebraic-n8-600", "trellis-n8-300"])
+@pytest.mark.parametrize(
+    "fields", SUB_BATCH_EDGE_CONFIGS, ids=["algebraic-n8-600", "trellis-n8-300", "exhaustive-asymmetric-n8-300"]
+)
 def test_sub_batch_edges_report_identical_across_worker_counts(fields):
     # the chunks of 2 and 3 workers start sub-batches where 1 worker's do not
     cfg = SimConfig(**fields)
