@@ -18,17 +18,16 @@ and in a fixed order, the sources, the coefficients, the hash
 coefficients, the relay's error (`protocol.draw_error`) and the four
 noise masks (`protocol.noise_masks`, in `protocol.link_noise` order).
 Everything derived is then computed once for the sub-batch on arrays: the
-hash tables (`hashing.horner_tables`), both relay arms' payloads, and
-each watcher's views of them as one row of words per trial
-(`protocol.view_rows`).  Only the exhaustive_best adversary, which draws
-nothing, builds a `Scenario` per trial to choose its error.  The score
-step (`_score`) hands the tables and rows to one array kernel and sums
-the tallies from its verdicts.  The trellis engine's kernel,
-`watchdog.trellis_batch`, adds each score's terms in the order the scalar
-`consistency_probability(build_trellis(...))` path does, so its scores
-are that path's bit for bit; the algebraic engine's,
-`watchdog.algebraic_batch`, counts survivors in integers, so its verdicts
-are `algebraic_check`'s.
+hash tables (`hashing.horner_tables`), the errors of the exhaustive_best
+adversary, which draws none (`protocol.best_errors`), both relay arms'
+payloads, and each watcher's views of them as one row of words per trial
+(`protocol.view_rows`).  The score step (`_score`) hands the tables and
+rows to one array kernel and sums the tallies from its verdicts.  The
+trellis engine's kernel, `watchdog.trellis_batch`, adds each score's
+terms in the order the scalar `consistency_probability(build_trellis(...))`
+path does, so its scores are that path's bit for bit; the algebraic
+engine's, `watchdog.algebraic_batch`, counts survivors in integers, so its
+verdicts are `algebraic_check`'s.
 
 `run_trials` and `sweep` share one run path: their trials run as (cfg, lo,
 hi) chunk jobs, read in order through the builtin `map` in this process,
@@ -75,7 +74,7 @@ import numpy as np
 from . import protocol, theory, watchdog
 from .channel import BinarySymmetricChannel, radius_for_epsilon
 from .gf2n import canonical_spec
-from .hashing import HashFunction, horner_tables
+from .hashing import horner_tables
 # the draw step reads hash coefficients as plain ints; `sample_hash` stays
 # importable here because the benchmark's tracer wraps `harness.sample_hash`
 from .hashing import sample as sample_hash  # noqa: F401
@@ -264,11 +263,10 @@ def _draw_batch(cfg: SimConfig, trials: range) -> tuple[np.ndarray, np.ndarray]:
     """
     spec = canonical_spec(cfg.n)
     order = spec.order
-    chans = _channels(cfg)
-    links = protocol.watcher_links(**chans)
+    links = protocol.watcher_links(**_channels(cfg))
     strategy = cfg.strategy()
     corrupt = strategy.kind != "honest"
-    # exhaustive_best draws no error: it is chosen from the drawn scenario below
+    # exhaustive_best draws no error: it is chosen from the sub-batch's arrays below
     drawn_error = corrupt and strategy.kind != "exhaustive_best"
     fixed = cfg.sources["fixed"] if isinstance(cfg.sources, dict) else None
     rng = random.Random()
@@ -296,23 +294,8 @@ def _draw_batch(cfg: SimConfig, trials: range) -> tuple[np.ndarray, np.ndarray]:
     if drawn_error:
         payloads.append(payloads[0] ^ draws[:, -1])
     elif corrupt:
-        payloads.append(_best_payloads(cfg, spec, chans, strategy, draws))
+        payloads.append(payloads[0] ^ protocol.best_errors(spec, tables, sources, coeffs, links, cfg.epsilon))
     return tables, protocol.view_rows(sources, coeffs, tables, np.stack(payloads, axis=1), noise)
-
-
-def _best_payloads(cfg: SimConfig, spec, chans: dict, strategy: protocol.AdversaryStrategy, draws) -> list[int]:
-    """exhaustive_best's relay payload for each row of draws, chosen from the trial's `Scenario`."""
-    element = spec.element
-    out = []
-    for x1, x2, a1, a2, *hash_coeffs in draws.tolist():
-        hf = HashFunction(tuple(map(element, hash_coeffs)), cfg.h)
-        scn = protocol.Scenario(
-            spec=spec, hf=hf, x1=element(x1), x2=element(x2), a1=element(a1), a2=element(a2),
-            epsilon=cfg.epsilon, **chans,
-        )
-        # exhaustive_best reads no rng
-        out.append(protocol.relay_output(scn, strategy, None).payload)
-    return out
 
 
 def _score(cfg: SimConfig, first: int, tables: np.ndarray, words: np.ndarray) -> tuple[int, int, int, int]:

@@ -20,7 +20,7 @@ from .gf2n import FieldElement, FieldSpec
 # `noise_mask`; `evaluate` and `transmit` stay importable here because the
 # benchmark's tracer wraps `protocol.evaluate` and `protocol.transmit`
 from .hashing import HashFunction, HashValue, evaluate  # noqa: F401
-from .watchdog import Observation, survivors_by_relay_word
+from .watchdog import Observation, relay_word_survivors
 
 EXHAUSTIVE_MAX_WIDTH = 12
 
@@ -122,8 +122,7 @@ class Scenario:
 def draw_error(strategy: AdversaryStrategy, spec: FieldSpec, rng) -> int:
     """The relay's error word under every strategy but exhaustive_best, drawn from rng.
 
-    exhaustive_best draws nothing: its error is a function of the scenario
-    (`relay_output` computes it).
+    exhaustive_best draws nothing: `best_errors` chooses its error.
     """
     order = spec.order
     if strategy.kind == "honest":
@@ -143,29 +142,30 @@ def draw_error(strategy: AdversaryStrategy, spec: FieldSpec, rng) -> int:
     raise ValueError(f"{strategy.kind} draws no error; its error is a function of the scenario")
 
 
-def _best_error(scn: Scenario) -> int:
-    """Error maximizing the zero-noise pass chance, by scanning the whole field.
+def best_errors(spec: FieldSpec, tables: np.ndarray, sources, coeffs, links, epsilon: float) -> np.ndarray:
+    """exhaustive_best's error in each of B trials, chosen by scanning the whole field.
 
-    For each candidate error the product over the two watchers of the
-    surviving-intersection size (computed on noise-free observations at the
-    configured radii) measures how well the corruption hides; ties break
-    toward the larger pass-count sum, then the smaller error word.
+    tables, sources and coeffs are read as `view_rows` reads them, links
+    as `watcher_links` gives them.  An error hides as well as the product
+    of the watchers' survivor counts c1 * c2 on noise-free observations at
+    the configured radii; ties break toward the larger c1 + c2, then the
+    smaller error word.
     """
-    n = scn.spec.n
-    if n > EXHAUSTIVE_MAX_WIDTH:
+    if spec.n > EXHAUSTIVE_MAX_WIDTH:
         raise ValueError(f"exhaustive_best scans 2^n errors; n <= {EXHAUSTIVE_MAX_WIDTH} required")
-    honest = scn.honest_payload
-    hash_of = scn.hf.of_word
-    errors = np.arange(1, scn.spec.order)
-    counts = []
-    for w in (1, 2):
-        peer = roles(w, scn)[3].value
-        obs = _observation(w, scn, hash_of(peer), hash_of(honest), peer, honest)
-        # the watcher's survivor count for every relay word it could overhear
-        counts.append(survivors_by_relay_word(obs)[honest ^ errors])
-    c1, c2 = counts
-    # the last error in (c1 * c2, c1 + c2, -e) order
-    return int(errors[np.lexsort((-errors, c1 + c2, c1 * c2))[-1]])
+    sources, coeffs = np.asarray(sources, dtype=np.int64), np.asarray(coeffs, dtype=np.int64)
+    honest = spec.mul_words(coeffs[:, 0], sources[:, 0]) ^ spec.mul_words(coeffs[:, 1], sources[:, 1])
+    batch = len(honest)
+    # each watcher's noiseless peer side; the survivor counts read no relay arm
+    rows = view_rows(sources, coeffs, tables, np.empty((batch, 0)), np.zeros((batch, 2, 2)))
+    c1, c2 = relay_word_survivors(spec, tables, rows, links, epsilon).transpose(1, 0, 2)
+    # relay words by (c1 * c2, c1 + c2), the honest word, error 0, last
+    score = c1 * c2
+    score[np.arange(batch), honest] = -1
+    total = np.where(score == score.max(axis=1, keepdims=True), c1 + c2, -1)
+    errors = np.arange(spec.order) ^ honest[:, None]
+    # the smallest error among the relay words that tie on both
+    return np.where(total == total.max(axis=1, keepdims=True), errors, spec.order).min(axis=1)
 
 
 def watcher_links(
@@ -220,7 +220,9 @@ def _observation(
 def relay_output(scn: Scenario, strategy: AdversaryStrategy, rng) -> Packet:
     """The relay's transmitted packet, honest or corrupted per the strategy."""
     if strategy.kind == "exhaustive_best":
-        error = _best_error(scn)
+        sources, coeffs = [[scn.x1.value, scn.x2.value]], [[scn.a1.value, scn.a2.value]]
+        links = watcher_links(scn.chan_12, scn.chan_21, scn.chan_31, scn.chan_32)
+        error = int(best_errors(scn.spec, scn.hf.table[None], sources, coeffs, links, scn.epsilon)[0])
     else:
         error = draw_error(strategy, scn.spec, rng)
     payload = scn.honest_payload ^ error
@@ -275,18 +277,6 @@ def views(scn: Scenario, relay_payloads, noise) -> list[list[Observation]]:
         for arm, payload, relay_hash in zip(out, relay_payloads, relay_hashes):
             arm.append(_observation(watcher, scn, peer_hash, relay_hash, peer ^ peer_noise, payload ^ relay_noise))
     return out
-
-
-def view_words(watcher: int, scn: Scenario, relay_payloads, noise: tuple[int, int]) -> list[int]:
-    """The integer fields of the watcher's `views` of each relay payload in turn, as one flat row.
-
-    `noise` is the watcher's (peer link, relay link) error patterns; the
-    row is the watcher's row of `view_rows` for this one trial.
-    """
-    sources, coeffs = [[scn.x1.value, scn.x2.value]], [[scn.a1.value, scn.a2.value]]
-    # the other watcher's row, built on the same noise, is dropped
-    rows = view_rows(sources, coeffs, scn.hf.table[None], [relay_payloads], [[noise, noise]])
-    return rows[0, watcher - 1].tolist()
 
 
 def view_rows(sources, coeffs, tables: np.ndarray, relay_payloads, noise) -> np.ndarray:

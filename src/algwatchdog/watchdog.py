@@ -4,7 +4,8 @@ The algebraic engine builds candidate sets (hash-consistent words inside a
 Hamming ball around each overheard payload), pushes the peer candidates
 through the known coding map, and flags the relay when the intersection with
 the relay candidates is empty.  `algebraic_check` checks one observation;
-`algebraic_batch` checks many at once on arrays, with the same verdicts.
+`algebraic_batch` checks many at once on arrays, with the same verdicts,
+and `relay_word_survivors` counts its survivors for every relay word.
 
 The trellis engine scores the same observation as a four-layer path-sum:
 overheard-peer vertex -> peer candidates -> coded images -> overheard-relay
@@ -102,19 +103,6 @@ def candidate_set(obs: Observation, which: str, radius_override: int | None = No
     return ball[obs.hf.values_on(ball) == target.value], r
 
 
-def peer_images(obs: Observation, radius_override: int | None = None) -> tuple[np.ndarray, int]:
-    """The peer side of the check: peer candidates mapped through the coding map.
-
-    Returns own_coeff*own_value + peer_coeff*x for every peer candidate x,
-    and the radius of the peer ball.  It reads nothing of the relay's
-    payload, so a caller that varies only the relay side can compute it once.
-    """
-    peer_words, r_peer = candidate_set(obs, "peer", radius_override)
-    spec = obs.own_value.spec
-    const = spec.mul(obs.own_coeff.value, obs.own_value.value)
-    return const ^ spec.mul_words(obs.peer_coeff.value, peer_words), r_peer
-
-
 def algebraic_check(obs: Observation, radius_override: int | None = None) -> Verdict:
     """Empty-intersection misbehavior check.
 
@@ -122,7 +110,9 @@ def algebraic_check(obs: Observation, radius_override: int | None = None) -> Ver
     and intersects the images with the relay candidate set; an empty
     intersection flags the relay.
     """
-    images, r_peer = peer_images(obs, radius_override)
+    peer_words, r_peer = candidate_set(obs, "peer", radius_override)
+    spec = obs.own_value.spec
+    images = spec.mul(obs.own_coeff.value, obs.own_value.value) ^ spec.mul_words(obs.peer_coeff.value, peer_words)
     relay_words, r_relay = candidate_set(obs, "relay", radius_override)
     # ball words are distinct, so relay_words holds no duplicates
     surviving = len(set(images.tolist()).intersection(relay_words.tolist()))
@@ -141,25 +131,65 @@ def algebraic_check(obs: Observation, radius_override: int | None = None) -> Ver
     )
 
 
-def survivors_by_relay_word(obs: Observation) -> np.ndarray:
-    """`algebraic_check`'s survivor count for every relay word, each overheard without noise.
+def _coded_images(
+    spec: FieldSpec, tables: np.ndarray, rows: np.ndarray, peer_chan: BinarySymmetricChannel, epsilon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One watcher's peer side in B trials: (row, image) per peer candidate x, trial by trial.
 
-    Entry c is `algebraic_check(obs').diagnostics["surviving"]` for obs' =
-    obs with relay payload c, its true hash, and noisy_relay = c.  Counted
-    from the image side, `peer_images(obs)`: an image x survives for c when
-    h(x) = h(c) and x lies within the relay radius of c; the images are
-    distinct, so each (x, c) pair counts once.
+    tables is the stacked tables, flattened; of rows (B, 5 + 2A) only the
+    peer side is read.  x is a word of trial row's peer ball that carries
+    the peer hash, and image is own_coeff*own_value + peer_coeff*x.
     """
-    images, _ = peer_images(obs)
-    table = obs.hf.table
-    offsets = ball_offsets(obs.n, radius_for_epsilon(obs.n, obs.relay_channel.p, obs.epsilon).r)
-    counts = np.zeros(len(table), dtype=np.int64)
-    # chunks of images x ball offsets hold at most 2^22 words (32 MB)
-    step = max(1, (1 << 22) // len(offsets))
-    for lo in range(0, len(images), step):
-        part = images[lo : lo + step]
-        words = part[:, None] ^ offsets
-        counts += np.bincount(words[table.take(words) == table.take(part)[:, None]], minlength=len(table))
+    n = spec.n
+    own, own_coeff, peer_coeff, peer_hash, noisy_peer = rows[:, :5].T
+    offsets = ball_offsets(n, radius_for_epsilon(n, peer_chan.p, epsilon).r)
+    # ball[b] = (b, noisy_peer[b] ^ offset) as an index into the stacked tables
+    ball = (np.arange(len(rows)) << n | noisy_peer)[:, None] ^ offsets
+    row, col = np.nonzero(tables.take(ball) == peer_hash[:, None])
+    cand = ball[row, col] & (spec.order - 1)
+    return row, spec.mul_words(own_coeff, own)[row] ^ spec.mul_words(peer_coeff[row], cand)
+
+
+# a chunk of images x relay-ball offsets holds at most this many words: a
+# 4-trial n = 12, h = 2, p = 0.3 exhaustive_best run peaks at 43 MB with
+# 2^18 and 144 MB with 2^22; below 2^18 each chunk's (B, 2^n) bincount costs
+# more than its words at n = 12
+_SURVIVOR_CHUNK_WORDS = 1 << 18
+
+
+def relay_word_survivors(
+    spec: FieldSpec,
+    tables: np.ndarray,
+    words: Sequence[Sequence[Sequence[int]]],
+    channels: Sequence[tuple[BinarySymmetricChannel, BinarySymmetricChannel]],
+    epsilon: float,
+) -> np.ndarray:
+    """`algebraic_check`'s survivor count for every relay word, each overheard without noise, in B trials.
+
+    Read as `algebraic_batch` reads its arguments, but of words only the
+    peer side.  counts[b, w, c] is `algebraic_check(obs)`'s survivor count
+    for watcher w's view of trial b with relay payload c, its true hash and
+    noisy_relay = c.  Counted from the image side: image x survives for
+    every c of its relay ball with h(c) = h(x); the images are distinct, so
+    each (x, c) pair counts once.
+    """
+    n = spec.n
+    words = np.asarray(words, dtype=np.int64)
+    batch = len(tables)
+    tables = tables.ravel()
+    counts = np.zeros((batch, 2, spec.order), dtype=np.int64)
+    for w, (peer_chan, relay_chan) in enumerate(channels):
+        row, images = _coded_images(spec, tables, words[:, w], peer_chan, epsilon)
+        offsets = ball_offsets(n, radius_for_epsilon(n, relay_chan.p, epsilon).r)
+        # (b, x) as an index into the stacked tables; x ^ offset keeps b
+        images = row << n | images
+        step = max(1, _SURVIVOR_CHUNK_WORDS // len(offsets))
+        for lo in range(0, len(images), step):
+            part = images[lo : lo + step]
+            ball = part[:, None] ^ offsets
+            # compress, not a boolean index, which took 4x as long
+            hit = ball.compress((tables.take(ball) == tables.take(part)[:, None]).ravel())
+            counts[:, w] += np.bincount(hit, minlength=batch << n).reshape(batch, -1)
     return counts
 
 
@@ -196,14 +226,8 @@ def algebraic_batch(
     tables = tables.ravel()
     surviving = np.empty((batch, 2, arms), dtype=np.int64)
     for w, (peer_chan, relay_chan) in enumerate(channels):
-        own, own_coeff, peer_coeff, peer_hash, noisy_peer = words[:, w, :5].T
         relay_hash, noisy_relay = words[:, w, 5::2], words[:, w, 6::2]
-        offsets = ball_offsets(n, radius_for_epsilon(n, peer_chan.p, epsilon).r)
-        # ball[b] = (b, noisy_peer[b] ^ offset) as an index into the stacked tables
-        ball = (np.arange(batch) << n | noisy_peer)[:, None] ^ offsets
-        row, col = np.nonzero(tables.take(ball) == peer_hash[:, None])
-        cand = ball[row, col] & (spec.order - 1)
-        images = spec.mul_words(own_coeff, own)[row] ^ spec.mul_words(peer_coeff[row], cand)
+        row, images = _coded_images(spec, tables, words[:, w], peer_chan, epsilon)
         r_relay = radius_for_epsilon(n, relay_chan.p, epsilon).r
         hit = tables.take(row << n | images)[:, None] == relay_hash[row]
         hit &= np.bitwise_count(images[:, None] ^ noisy_relay[row]) <= r_relay

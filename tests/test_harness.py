@@ -228,12 +228,34 @@ def test_arms_share_one_channel_realization(monkeypatch):
     assert relay_noise > trials  # the links did flip bits
 
 
+@pytest.mark.parametrize("engine", ["algebraic", "trellis"])
+def test_exhaustive_best_builds_no_scenario_or_hash_function(monkeypatch, engine):
+    # exhaustive_best's errors come from the sub-batch's arrays, as every other adversary's do
+    built = []
+    for cls in (protocol.Scenario, hashing.HashFunction):
+        def spy(self, post_init=cls.__post_init__):
+            built.append(type(self).__name__)
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", spy)
+    run_trials(small_cfg(engine=engine, adversary="exhaustive_best", threshold=0.01, trials=20))
+    assert built == []
+    # the spies see the objects the scalar path builds
+    spec = canonical_spec(8)
+    hf = hashing.sample(random.Random(1), 3, spec, 3)
+    protocol.Scenario(
+        spec=spec, hf=hf, x1=spec.element(1), x2=spec.element(2), a1=spec.element(3), a2=spec.element(4),
+        epsilon=0.01, **harness._channels(small_cfg()),
+    )
+    assert built == ["HashFunction", "Scenario"]
+
+
 class TestDrawStep:
     """The draw step against the scalar public path, trial by trial, on the same two seeded streams."""
 
     @staticmethod
     def scalar_trial(cfg, trial):
-        """Trial `trial`'s hash table and kernel rows, drawn through `Scenario`, `relay_output` and `view_words`."""
+        """Trial `trial`'s hash table and kernel rows, drawn through `Scenario`, `relay_output` and `view_rows`."""
         spec = canonical_spec(cfg.n)
         order = spec.order
         rng = random.Random(harness._derive_seed(cfg.seed, trial, "draw"))
@@ -252,7 +274,8 @@ class TestDrawStep:
         arms = [protocol.AdversaryStrategy.honest()] + ([strategy] if strategy.kind != "honest" else [])
         relays = [protocol.relay_output(scn, arm, rng).payload for arm in arms]
         noise = protocol.link_noise(scn, random.Random(harness._derive_seed(cfg.seed, trial, "noise")))
-        return hf.table, [protocol.view_words(w, scn, relays, noise[w - 1]) for w in (1, 2)]
+        rows = protocol.view_rows([[x1, x2]], [[a1, a2]], hf.table[None], [relays], [noise])
+        return hf.table, rows[0].tolist()
 
     @settings(max_examples=150, deadline=None)
     @given(

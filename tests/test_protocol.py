@@ -4,8 +4,10 @@ Packets carry only the hash and the payload; the watchers read the coding
 coefficients from the Scenario, which stands for the reliable headers.
 """
 
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from algwatchdog.channel import BinarySymmetricChannel, noise_mask, radius_for_epsilon
@@ -14,14 +16,15 @@ from algwatchdog.hashing import evaluate, sample
 from algwatchdog.protocol import (
     AdversaryStrategy,
     Scenario,
-    _observation,
+    best_errors,
     link_noise,
     observe,
     relay_output,
-    view_words,
+    view_rows,
     views,
+    watcher_links,
 )
-from algwatchdog.watchdog import algebraic_check, survivors_by_relay_word
+from algwatchdog.watchdog import algebraic_check, relay_word_survivors
 
 GF16 = canonical_spec(4)
 GF32 = canonical_spec(5)
@@ -29,16 +32,42 @@ GF256 = canonical_spec(8)
 
 
 def make_scenario(spec=GF16, x1=0b0101, x2=0b0111, a1=1, a2=1, p=0.0, h=2, seed=0, epsilon=0.01):
+    """A scenario whose links all have crossover probability p, or, for a 4-tuple p, p12, p21, p31 and p32."""
     rng = random.Random(seed)
     hf = sample(rng, 3, spec, h)
-    chan = BinarySymmetricChannel(p)
+    probs = p if isinstance(p, tuple) else (p,) * 4
+    chans = {f"chan_{link}": BinarySymmetricChannel(q) for link, q in zip(("12", "21", "31", "32"), probs)}
     return Scenario(
         spec=spec, hf=hf,
         x1=FieldElement(x1, spec), x2=FieldElement(x2, spec),
         a1=FieldElement(a1, spec), a2=FieldElement(a2, spec),
-        chan_12=chan, chan_21=chan, chan_31=chan, chan_32=chan,
-        epsilon=epsilon,
+        epsilon=epsilon, **chans,
     )
+
+
+def random_scenario(rng, spec, p, h):
+    """make_scenario with sources, coefficients and hash drawn from rng."""
+    return make_scenario(
+        spec=spec, x1=rng.randrange(spec.order), x2=rng.randrange(spec.order),
+        a1=rng.randrange(1, spec.order), a2=rng.randrange(1, spec.order), p=p, h=h, seed=rng.random(),
+    )
+
+
+def batch_arrays(scenarios):
+    """The stacked tables, sources and coefficients of scenarios, as the harness's draw step holds them."""
+    tables = np.stack([scn.hf.table for scn in scenarios])
+    sources = [[scn.x1.value, scn.x2.value] for scn in scenarios]
+    coeffs = [[scn.a1.value, scn.a2.value] for scn in scenarios]
+    return tables, sources, coeffs
+
+
+def best_error_key(scn):
+    """exhaustive_best's order on errors, from `reference_pass_counts`: the best error is the largest."""
+    def key(e):
+        c1, c2 = reference_pass_counts(scn, e)
+        return (c1 * c2, c1 + c2, -e)
+
+    return key
 
 
 def reference_pass_counts(scn, e):
@@ -117,40 +146,61 @@ class TestRelayOutput:
         pkt = relay_output(scn, AdversaryStrategy.exhaustive_best(), random.Random(4))
         assert pkt.payload != scn.honest_relay_value().value
 
-    @pytest.mark.parametrize("seed, p", [(1, 0.1), (5, 0.2)])
+    @pytest.mark.parametrize(
+        "seed, p",
+        [
+            (1, 0.1),
+            (5, 0.2),
+            # every watcher's peer and relay radii differ; a p=0 link has radius 0
+            pytest.param(2, (0.05, 0.2, 0.0, 0.3), id="2-asymmetric"),
+            pytest.param(3, (0.0, 0.1, 0.3, 0.05), id="3-asymmetric-p12-zero"),
+        ],
+    )
     def test_exhaustive_best_maximizes_pass_counts(self, seed, p):
         scn = make_scenario(spec=GF32, x1=0b10110, x2=0b01011, a1=3, a2=7, p=p, h=2, seed=seed)
-
-        def key(e):
-            c1, c2 = reference_pass_counts(scn, e)
-            return (c1 * c2, c1 + c2, -e)
-
+        key = best_error_key(scn)
         want = max(range(1, scn.spec.order), key=key)
         assert key(want)[0] > 0
         pkt = relay_output(scn, AdversaryStrategy.exhaustive_best(), random.Random(4))
         assert pkt.payload ^ scn.honest_relay_value().value == want
+
+    def test_best_errors_of_a_batch_maximize_pass_counts(self):
+        # one call picks every trial's error, as the harness's draw step makes it
+        rng = random.Random(9)
+        scenarios = [random_scenario(rng, GF32, (0.05, 0.2, 0.0, 0.3), rng.randrange(1, 4)) for _ in range(5)]
+        links = watcher_links(*(getattr(scenarios[0], f"chan_{link}") for link in ("12", "21", "31", "32")))
+        got = best_errors(GF32, *batch_arrays(scenarios), links, scenarios[0].epsilon)
+        assert got.shape == (5,)
+        keys = [best_error_key(scn) for scn in scenarios]
+        want = [max(range(1, GF32.order), key=key) for key in keys]
+        assert got.tolist() == want
+        # in one trial at least, c1 + c2 breaks a tie in c1 * c2
+        assert any(max(range(1, GF32.order), key=lambda e: key(e)[::2]) != e for key, e in zip(keys, want))
 
     @pytest.mark.parametrize(
         "spec, p, h, seed",
         [(GF32, 0.0, 2, 1), (GF32, 0.1, 2, 2), (GF32, 0.2, 3, 3), (canonical_spec(6), 0.1, 1, 4),
          (canonical_spec(6), 0.05, 4, 5), (canonical_spec(6), 0.5, 2, 6)],
     )
-    def test_batched_survivors_match_check_relay(self, spec, p, h, seed):
+    def test_relay_word_survivors_match_algebraic_check(self, spec, p, h, seed):
         # the whole-field count behind exhaustive_best against the
-        # per-observation kernel, error by error, for both watchers
+        # per-observation check, relay word by relay word, for both watchers
+        # of three trials, each watcher's peer overheard through its noisy link
         rng = random.Random(seed)
-        scn = make_scenario(
-            spec=spec, x1=rng.randrange(spec.order), x2=rng.randrange(spec.order),
-            a1=rng.randrange(1, spec.order), a2=rng.randrange(1, spec.order), p=p, h=h, seed=seed,
-        )
-        honest = scn.honest_payload
-        for w, peer in ((1, scn.source_packet(2)), (2, scn.source_packet(1))):
-            obs = _observation(w, scn, peer.own_hash, scn.hf.of_word(honest), peer.payload, honest)
-            counts = survivors_by_relay_word(obs)
-            for e in range(1, spec.order):
-                relay = honest ^ e
-                one = _observation(w, scn, peer.own_hash, scn.hf.of_word(relay), peer.payload, relay)
-                assert counts[relay] == algebraic_check(one).diagnostics["surviving"]
+        probs = (p, p / 2, 0.0, p)
+        scenarios = [random_scenario(rng, spec, probs, h) for _ in range(3)]
+        noise = [link_noise(scn, rng) for scn in scenarios]
+        tables, sources, coeffs = batch_arrays(scenarios)
+        honest = [[scn.honest_payload] for scn in scenarios]
+        rows = view_rows(sources, coeffs, tables, honest, noise)
+        links = watcher_links(*(BinarySymmetricChannel(q) for q in probs))
+        counts = relay_word_survivors(spec, tables, rows, links, 0.01)
+        assert counts.shape == (3, 2, spec.order)
+        for b, (scn, relays, trial_noise) in enumerate(zip(scenarios, honest, noise)):
+            for w, obs in enumerate(views(scn, relays, trial_noise)[0]):
+                for relay in range(spec.order):
+                    one = dataclasses.replace(obs, relay_hash=scn.hf.of_word(relay), noisy_relay=relay)
+                    assert counts[b, w, relay] == algebraic_check(one).diagnostics["surviving"]
 
     def test_exhaustive_best_cost_error_at_large_n(self):
         spec = canonical_spec(14)
@@ -232,14 +282,16 @@ class TestObserve:
             chan_31=BinarySymmetricChannel(0.0), chan_32=BinarySymmetricChannel(0.5), epsilon=0.01,
         )
         sources = (scn.source_packet(1), scn.source_packet(2))
+        tables, values, coeffs = batch_arrays([scn])
         for seed in range(20):
             relay = relay_output(scn, AdversaryStrategy.random_nonzero_error(), random.Random(seed))
             rng = random.Random(seed)
             want = [observe(w, scn, sources, relay, rng) for w in (1, 2)]
             noise = link_noise(scn, random.Random(seed))
             assert views(scn, [relay.payload], noise) == [want]
-            for w, obs in zip((1, 2), want):
-                assert view_words(w, scn, [relay.payload], noise[w - 1]) == [
+            rows = view_rows(values, coeffs, tables, [[relay.payload]], [noise])
+            for row, obs in zip(rows[0].tolist(), want):
+                assert row == [
                     obs.own_value.value, obs.own_coeff.value, obs.peer_coeff.value, obs.peer_hash.value,
                     obs.noisy_peer, obs.relay_hash.value, obs.noisy_relay,
                 ]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from algwatchdog.channel import BinarySymmetricChannel, ball_volume
 from algwatchdog.gf2n import FieldElement, canonical_spec
 from algwatchdog.hashing import HashFunction, HashValue, evaluate, preimage_set, sample
-from algwatchdog.protocol import AdversaryStrategy, Scenario, link_noise, relay_output, roles, view_words, views
+from algwatchdog.protocol import AdversaryStrategy, Scenario, link_noise, relay_output, roles, view_rows, views
 from algwatchdog.watchdog import (
     TRELLIS_MAX_WIDTH,
     Hypothesis,
@@ -303,10 +303,13 @@ def harness_trials(rng, n, h, d, probs, epsilon, count, arms=2):
 
 
 def algebraic_batch_of(trials):
-    """`algebraic_batch` on the rows of words `protocol.view_words` builds for each trial."""
-    words = [[view_words(w, scn, relays, noise[w - 1]) for w in (1, 2)] for scn, relays, noise in trials]
+    """`algebraic_batch` on the rows of words `protocol.view_rows` builds for the trials."""
+    scenarios, relays, noise = zip(*trials)
+    tables = np.stack([scn.hf.table for scn in scenarios])
+    sources = [[scn.x1.value, scn.x2.value] for scn in scenarios]
+    coeffs = [[scn.a1.value, scn.a2.value] for scn in scenarios]
+    words = view_rows(sources, coeffs, tables, relays, noise)
     links = [roles(w, trials[0][0])[4:] for w in (1, 2)]
-    tables = np.stack([scn.hf.table for scn, _, _ in trials])
     return algebraic_batch(trials[0][0].spec, tables, words, links, trials[0][0].epsilon)
 
 
