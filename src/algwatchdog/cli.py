@@ -55,6 +55,8 @@ def _sweep_value(tok: str) -> int | float:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     values = [_sweep_value(tok) for tok in map(str.strip, args.values.split(",")) if tok]
+    if not values:
+        raise ValueError(f"--values: {args.values!r} holds no number")
     harness.write_report(harness.sweep(cfg, args.axis, values, workers=args.workers), args.out, args.format)
     return 0
 

@@ -8,8 +8,7 @@ index 4 * 2^n, so exp[log[a] + log[b]] is the product for every pair, zero
 operands included, with no branch.  `FieldSpec.mul_words` gathers from the
 numpy tables for arrays of words, and `FieldSpec.mul_domain` multiplies by
 every word of the field at once; `FieldSpec.mul` multiplies two Python ints
-through a tuple view of the same tables, built on its first use, which is
-far cheaper than a numpy call for one pair.
+with one lookup in the same tables.
 """
 
 from __future__ import annotations
@@ -95,8 +94,8 @@ class FieldSpec:
 
     def mul(self, a: int, b: int) -> int:
         """Field product of two words given as Python ints."""
-        exp, log = _table_lists(self.n, self.reduction_poly)
-        return exp[log[a] + log[b]]
+        exp, log = _tables(self.n, self.reduction_poly)
+        return int(exp[log[a] + log[b]])
 
     def mul_words(self, a, b):
         """Vectorized field multiplication of numpy arrays (or scalars) of words."""
@@ -144,13 +143,6 @@ def _tables(n: int, poly: int):
             log[0] = 2 * size
             return exp, log
     raise FieldError(f"no primitive element found for 0b{poly:b}")  # pragma: no cover
-
-
-@lru_cache(maxsize=None)
-def _table_lists(n: int, poly: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The exp/log tables of `_tables` as tuples of Python ints, for scalar lookups."""
-    exp, log = _tables(n, poly)
-    return tuple(exp.tolist()), tuple(log.tolist())
 
 
 @lru_cache(maxsize=None)

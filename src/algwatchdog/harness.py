@@ -16,9 +16,10 @@ at 50 MB against 36 MB).  Each sub-batch runs in two steps.  The draw step
 for each of the trial's two streams, and reads from them, as plain ints
 and in a fixed order, the sources, the coefficients, the hash
 coefficients, the relay's error (`protocol.draw_error`) and the four
-noise masks (`protocol.noise_masks`, in `protocol.link_noise` order).
-Everything derived is then computed once for the sub-batch on arrays: the
-hash tables (`hashing.horner_tables`), the errors of the exhaustive_best
+noise masks (`protocol.noise_masks`, in the order `protocol.observe`
+draws them for watcher 1, then watcher 2).  Everything derived is then
+computed once for the sub-batch on arrays: the hash tables
+(`hashing.horner_tables`), the errors of the exhaustive_best
 adversary, which draws none (`protocol.best_errors`), both relay arms'
 payloads, and each watcher's views of them as one row of words per trial
 (`protocol.view_rows`).  The score step (`_score`) hands the tables and

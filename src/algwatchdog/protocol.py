@@ -178,45 +178,6 @@ def watcher_links(
     return (chan_21, chan_31), (chan_12, chan_32)
 
 
-def roles(
-    watcher: int, scn: Scenario
-) -> tuple[FieldElement, FieldElement, FieldElement, FieldElement, BinarySymmetricChannel, BinarySymmetricChannel]:
-    """A watcher's own value, own and peer coefficients, peer's value, and peer and relay links.
-
-    Watcher w's own value and coefficient are node w's, its peer the other
-    source; `view_rows` lays its rows out in the same roles.
-    """
-    links = watcher_links(scn.chan_12, scn.chan_21, scn.chan_31, scn.chan_32)[watcher - 1]
-    if watcher == 1:
-        return scn.x1, scn.a1, scn.a2, scn.x2, *links
-    return scn.x2, scn.a2, scn.a1, scn.x1, *links
-
-
-def _observation(
-    watcher: int,
-    scn: Scenario,
-    peer_hash: HashValue,
-    relay_hash: HashValue,
-    peer_payload: int,
-    relay_payload: int,
-) -> Observation:
-    """One watcher's view of a round: its own value and coefficients, its two links, the payloads as overheard."""
-    own, a_own, a_peer, _, peer_chan, relay_chan = roles(watcher, scn)
-    return Observation(
-        own_value=own,
-        own_coeff=a_own,
-        peer_coeff=a_peer,
-        peer_hash=peer_hash,
-        relay_hash=relay_hash,
-        noisy_peer=peer_payload,
-        noisy_relay=relay_payload,
-        peer_channel=peer_chan,
-        relay_channel=relay_chan,
-        epsilon=scn.epsilon,
-        hf=scn.hf,
-    )
-
-
 def relay_output(scn: Scenario, strategy: AdversaryStrategy, rng) -> Packet:
     """The relay's transmitted packet, honest or corrupted per the strategy."""
     if strategy.kind == "exhaustive_best":
@@ -230,53 +191,36 @@ def relay_output(scn: Scenario, strategy: AdversaryStrategy, rng) -> Packet:
 
 
 def observe(watcher: int, scn: Scenario, source_packets: tuple[Packet, Packet], relay_packet: Packet, rng) -> Observation:
-    """What one source-side watcher gathers: intact headers, noisy payloads."""
+    """What one source-side watcher gathers: intact headers, noisy payloads.
+
+    Watcher w's own value and coefficient are node w's, its peer the other
+    source; `view_rows` lays its rows out in the same roles.  The peer
+    link's error pattern is drawn from rng before the relay link's.
+    """
     if watcher not in (1, 2):
         raise ValueError("watcher must be node 1 or 2")
-    peer = source_packets[1] if watcher == 1 else source_packets[0]
-    peer_noise, relay_noise = _noise(watcher, scn, rng)
-    return _observation(
-        watcher, scn, peer.own_hash, relay_packet.own_hash, peer.payload ^ peer_noise, relay_packet.payload ^ relay_noise
+    own, a_own, a_peer = (scn.x1, scn.a1, scn.a2) if watcher == 1 else (scn.x2, scn.a2, scn.a1)
+    peer = source_packets[2 - watcher]
+    peer_chan, relay_chan = watcher_links(scn.chan_12, scn.chan_21, scn.chan_31, scn.chan_32)[watcher - 1]
+    ((peer_noise, relay_noise),) = noise_masks([(peer_chan, relay_chan)], scn.spec.n, rng)
+    return Observation(
+        own_value=own,
+        own_coeff=a_own,
+        peer_coeff=a_peer,
+        peer_hash=peer.own_hash,
+        relay_hash=relay_packet.own_hash,
+        noisy_peer=peer.payload ^ peer_noise,
+        noisy_relay=relay_packet.payload ^ relay_noise,
+        peer_channel=peer_chan,
+        relay_channel=relay_chan,
+        epsilon=scn.epsilon,
+        hf=scn.hf,
     )
-
-
-def _noise(watcher: int, scn: Scenario, rng) -> tuple[int, int]:
-    """The error patterns of the watcher's peer link, then its relay link, drawn from rng."""
-    return noise_masks([roles(watcher, scn)[4:]], scn.spec.n, rng)[0]
 
 
 def noise_masks(links, n: int, rng) -> tuple[tuple[int, int], ...]:
     """The n-bit error patterns of each (peer link, relay link) pair in turn, peer link first, drawn from rng."""
     return tuple((noise_mask(peer_chan, n, rng), noise_mask(relay_chan, n, rng)) for peer_chan, relay_chan in links)
-
-
-def link_noise(scn: Scenario, rng) -> tuple[tuple[int, int], tuple[int, int]]:
-    """One round's channel realization: each watcher's (peer link, relay link) error patterns.
-
-    Drawn as `observe` draws them for watcher 1, then watcher 2: with
-    equally seeded rngs, `views(scn, [relay_packet.payload],
-    link_noise(scn, rng))[0]` lists what `observe(w, scn, sources,
-    relay_packet, rng)` returns called for w = 1, then 2.
-    """
-    return noise_masks(watcher_links(scn.chan_12, scn.chan_21, scn.chan_31, scn.chan_32), scn.spec.n, rng)
-
-
-def views(scn: Scenario, relay_payloads, noise) -> list[list[Observation]]:
-    """Both watchers' observations of each relay payload in turn: entry [a][w - 1] is watcher w's of payload a.
-
-    `noise` is the round's channel realization, from `link_noise`; every
-    payload crosses it, so a corrupted payload picks up the error patterns
-    the honest one did, and the views of one watcher share its peer side.
-    """
-    hash_of = scn.hf.of_word
-    relay_hashes = [hash_of(payload) for payload in relay_payloads]
-    out = [[] for _ in relay_payloads]
-    for watcher, (peer_noise, relay_noise) in zip((1, 2), noise):
-        peer = roles(watcher, scn)[3].value
-        peer_hash = hash_of(peer)
-        for arm, payload, relay_hash in zip(out, relay_payloads, relay_hashes):
-            arm.append(_observation(watcher, scn, peer_hash, relay_hash, peer ^ peer_noise, payload ^ relay_noise))
-    return out
 
 
 def view_rows(sources, coeffs, tables: np.ndarray, relay_payloads, noise) -> np.ndarray:
@@ -285,11 +229,12 @@ def view_rows(sources, coeffs, tables: np.ndarray, relay_payloads, noise) -> np.
     sources and coeffs are (B, 2): x1, x2 and a1, a2 per trial.  tables is
     the (B, 2^n) hash tables, relay_payloads (B, A) the words the relay
     arms send, and noise (B, 2, 2) each watcher's (peer link, relay link)
-    error patterns, as `link_noise` gives them.  Row [b, w - 1] is watcher
-    w's: own value, own coefficient, peer coefficient, peer hash and noisy
-    peer payload, then relay hash and noisy relay payload for each relay
-    payload, in the roles `roles` gives.  This is the layout
-    `watchdog.trellis_batch` and `watchdog.algebraic_batch` read.
+    error patterns, as `noise_masks` draws them on `watcher_links`.  Row
+    [b, w - 1] is watcher w's: own value, own coefficient, peer
+    coefficient, peer hash and noisy peer payload, then relay hash and
+    noisy relay payload for each relay payload, in the roles `observe`
+    gives.  This is the layout `watchdog.trellis_batch` and
+    `watchdog.algebraic_batch` read.
     """
     own = np.asarray(sources, dtype=np.int64)
     a_own = np.asarray(coeffs, dtype=np.int64)

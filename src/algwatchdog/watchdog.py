@@ -297,7 +297,7 @@ def trellis_batch(
     arms as one row of integers: own value, own coefficient, peer
     coefficient, peer hash and noisy peer payload, then relay hash and
     noisy relay payload per arm (`protocol.view_rows` builds the rows).
-    The arms share the peer side, as `protocol.views` makes them.
+    The arms share the peer side.
     channels[w] is watcher w's (peer link, relay link) in every trial.
     Returns (accepted, scores), both of shape (B, 2, A): scores[b, w, a] is
     `consistency_probability(build_trellis(obs))` for obs, the `Observation`

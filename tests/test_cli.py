@@ -157,6 +157,13 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "--values" in err and repr(token.split(",")[-1]) in err
 
+    @pytest.mark.parametrize("token", [",", "", " , "])
+    def test_values_with_no_number_exit_2(self, tmp_path, capsys, token):
+        cfg = write_config(tmp_path, trials=5)
+        assert main(["sweep", "--config", cfg, "--axis", "h", "--values", token]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--values" in err and "no number" in err
+
     def test_too_wide_exhaustive_point_exit_2_before_any_trial(self, tmp_path, capsys, drawn_trials):
         cfg = write_config(tmp_path, adversary="exhaustive_best", trials=2)
         assert main(["sweep", "--config", cfg, "--axis", "n", "--values", "8,14"]) == 2

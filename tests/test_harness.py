@@ -273,7 +273,8 @@ class TestDrawStep:
         strategy = cfg.strategy()
         arms = [protocol.AdversaryStrategy.honest()] + ([strategy] if strategy.kind != "honest" else [])
         relays = [protocol.relay_output(scn, arm, rng).payload for arm in arms]
-        noise = protocol.link_noise(scn, random.Random(harness._derive_seed(cfg.seed, trial, "noise")))
+        links = protocol.watcher_links(scn.chan_12, scn.chan_21, scn.chan_31, scn.chan_32)
+        noise = protocol.noise_masks(links, cfg.n, random.Random(harness._derive_seed(cfg.seed, trial, "noise")))
         rows = protocol.view_rows([[x1, x2]], [[a1, a2]], hf.table[None], [relays], [noise])
         return hf.table, rows[0].tolist()
 

@@ -17,11 +17,10 @@ from algwatchdog.protocol import (
     AdversaryStrategy,
     Scenario,
     best_errors,
-    link_noise,
+    noise_masks,
     observe,
     relay_output,
     view_rows,
-    views,
     watcher_links,
 )
 from algwatchdog.watchdog import algebraic_check, relay_word_survivors
@@ -59,6 +58,19 @@ def batch_arrays(scenarios):
     sources = [[scn.x1.value, scn.x2.value] for scn in scenarios]
     coeffs = [[scn.a1.value, scn.a2.value] for scn in scenarios]
     return tables, sources, coeffs
+
+
+def scenario_links(scn):
+    """Both watchers' (peer link, relay link) in scn, watcher 1 first."""
+    return watcher_links(scn.chan_12, scn.chan_21, scn.chan_31, scn.chan_32)
+
+
+def row_of(obs):
+    """An observation's words in the order of a `view_rows` row with one relay arm."""
+    return [
+        obs.own_value.value, obs.own_coeff.value, obs.peer_coeff.value, obs.peer_hash.value,
+        obs.noisy_peer, obs.relay_hash.value, obs.noisy_relay,
+    ]
 
 
 def best_error_key(scn):
@@ -189,18 +201,22 @@ class TestRelayOutput:
         rng = random.Random(seed)
         probs = (p, p / 2, 0.0, p)
         scenarios = [random_scenario(rng, spec, probs, h) for _ in range(3)]
-        noise = [link_noise(scn, rng) for scn in scenarios]
+        seeds = [rng.random() for _ in scenarios]
+        links = watcher_links(*(BinarySymmetricChannel(q) for q in probs))
+        noise = [noise_masks(links, spec.n, random.Random(seed)) for seed in seeds]
         tables, sources, coeffs = batch_arrays(scenarios)
         honest = [[scn.honest_payload] for scn in scenarios]
         rows = view_rows(sources, coeffs, tables, honest, noise)
-        links = watcher_links(*(BinarySymmetricChannel(q) for q in probs))
         counts = relay_word_survivors(spec, tables, rows, links, 0.01)
         assert counts.shape == (3, 2, spec.order)
-        for b, (scn, relays, trial_noise) in enumerate(zip(scenarios, honest, noise)):
-            for w, obs in enumerate(views(scn, relays, trial_noise)[0]):
+        for b, (scn, seed) in enumerate(zip(scenarios, seeds)):
+            sources = (scn.source_packet(1), scn.source_packet(2))
+            packet, noise_rng = relay_output(scn, AdversaryStrategy.honest(), rng), random.Random(seed)
+            for w in (1, 2):
+                obs = observe(w, scn, sources, packet, noise_rng)
                 for relay in range(spec.order):
                     one = dataclasses.replace(obs, relay_hash=scn.hf.of_word(relay), noisy_relay=relay)
-                    assert counts[b, w, relay] == algebraic_check(one).diagnostics["surviving"]
+                    assert counts[b, w - 1, relay] == algebraic_check(one).diagnostics["surviving"]
 
     def test_exhaustive_best_cost_error_at_large_n(self):
         spec = canonical_spec(14)
@@ -247,32 +263,42 @@ class TestObserve:
         sigma = (8 * 0.1 * 0.9) ** 0.5
         assert abs(total / 10_000 - 0.8) <= 3 * sigma / 100
 
-    def test_peer_noise_drawn_before_relay_noise(self):
-        scn = make_scenario(spec=GF256, x1=0x31, x2=0x7C, h=3, p=0.3)
+    @pytest.mark.parametrize(
+        "watcher, peer, peer_link, relay_link",
+        [(1, 0x7C, "chan_21", "chan_31"), (2, 0x31, "chan_12", "chan_32")],
+        ids=["1", "2"],
+    )
+    def test_peer_noise_drawn_before_relay_noise(self, watcher, peer, peer_link, relay_link):
+        # every link has its own crossover probability, so a wrong link draws other masks
+        scn = make_scenario(spec=GF256, x1=0x31, x2=0x7C, h=3, p=(0.1, 0.2, 0.3, 0.4))
         sources = (scn.source_packet(1), scn.source_packet(2))
         relay = relay_output(scn, AdversaryStrategy.honest(), random.Random(1))
-        obs = observe(2, scn, sources, relay, random.Random(6))
+        obs = observe(watcher, scn, sources, relay, random.Random(6))
         rng = random.Random(6)
-        assert obs.noisy_peer == scn.x1.value ^ noise_mask(scn.chan_12, 8, rng)
-        assert obs.noisy_relay == relay.payload ^ noise_mask(scn.chan_32, 8, rng)
+        assert obs.noisy_peer == peer ^ noise_mask(getattr(scn, peer_link), 8, rng)
+        assert obs.noisy_relay == relay.payload ^ noise_mask(getattr(scn, relay_link), 8, rng)
 
     @pytest.mark.parametrize("watcher", [1, 2])
     def test_reobserve_crosses_the_same_channel_realization(self, watcher):
-        # `views` observes the corrupted payload again across the honest one's
-        # channel realization: each view is what `observe` gives for that
-        # payload from the rng the honest view was drawn from
+        # `view_rows` observes the corrupted payload again across the honest
+        # one's channel realization: each arm's view is what `observe` gives
+        # for that payload from the rng the honest view was drawn from
         scn = make_scenario(spec=GF256, x1=0x31, x2=0x7C, h=3, p=0.3)
         sources = (scn.source_packet(1), scn.source_packet(2))
         honest = relay_output(scn, AdversaryStrategy.honest(), random.Random(1))
+        tables, values, coeffs = batch_arrays([scn])
+        links = scenario_links(scn)
         for seed in range(20):
             corrupted = relay_output(scn, AdversaryStrategy.random_nonzero_error(), random.Random(seed))
-            arms = views(scn, [honest.payload, corrupted.payload], link_noise(scn, random.Random(seed)))
-            for arm, relay in zip(arms, (honest, corrupted)):
+            noise = noise_masks(links, scn.spec.n, random.Random(seed))
+            row = view_rows(values, coeffs, tables, [[honest.payload, corrupted.payload]], [noise])[0, watcher - 1]
+            for a, relay in enumerate((honest, corrupted)):
                 rng = random.Random(seed)
-                want = [observe(w, scn, sources, relay, rng) for w in (1, 2)]
-                assert arm[watcher - 1] == want[watcher - 1]
+                obs = [observe(w, scn, sources, relay, rng) for w in (1, 2)][watcher - 1]
+                assert row[:5].tolist() + row[5 + 2 * a : 7 + 2 * a].tolist() == row_of(obs)
+                assert (obs.peer_channel, obs.relay_channel) == links[watcher - 1]
 
-    def test_link_noise_and_view_draw_what_observe_draws(self):
+    def test_noise_masks_and_view_rows_draw_what_observe_draws(self):
         # one channel realization per round, in observe's order: the harness's draw step relies on it
         scn = Scenario(
             spec=GF256, hf=sample(random.Random(7), 3, GF256, 3),
@@ -283,18 +309,15 @@ class TestObserve:
         )
         sources = (scn.source_packet(1), scn.source_packet(2))
         tables, values, coeffs = batch_arrays([scn])
+        links = scenario_links(scn)
         for seed in range(20):
             relay = relay_output(scn, AdversaryStrategy.random_nonzero_error(), random.Random(seed))
             rng = random.Random(seed)
             want = [observe(w, scn, sources, relay, rng) for w in (1, 2)]
-            noise = link_noise(scn, random.Random(seed))
-            assert views(scn, [relay.payload], noise) == [want]
+            assert links == tuple((obs.peer_channel, obs.relay_channel) for obs in want)
+            noise = noise_masks(links, scn.spec.n, random.Random(seed))
             rows = view_rows(values, coeffs, tables, [[relay.payload]], [noise])
-            for row, obs in zip(rows[0].tolist(), want):
-                assert row == [
-                    obs.own_value.value, obs.own_coeff.value, obs.peer_coeff.value, obs.peer_hash.value,
-                    obs.noisy_peer, obs.relay_hash.value, obs.noisy_relay,
-                ]
+            assert rows[0].tolist() == [row_of(obs) for obs in want]
 
     def test_bad_watcher_id(self):
         scn = make_scenario()

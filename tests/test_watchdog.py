@@ -16,7 +16,16 @@ from hypothesis import strategies as st
 from algwatchdog.channel import BinarySymmetricChannel, ball_volume
 from algwatchdog.gf2n import FieldElement, canonical_spec
 from algwatchdog.hashing import HashFunction, HashValue, evaluate, preimage_set, sample
-from algwatchdog.protocol import AdversaryStrategy, Scenario, link_noise, relay_output, roles, view_rows, views
+from algwatchdog.protocol import (
+    AdversaryStrategy,
+    Packet,
+    Scenario,
+    noise_masks,
+    observe,
+    relay_output,
+    view_rows,
+    watcher_links,
+)
 from algwatchdog.watchdog import (
     TRELLIS_MAX_WIDTH,
     Hypothesis,
@@ -281,10 +290,11 @@ class TestTrellisBatch:
 
 
 def harness_trials(rng, n, h, d, probs, epsilon, count, arms=2):
-    """`count` trials drawn as the harness draws them: (scenario, relay payloads, link noise).
+    """`count` trials drawn as the harness draws them: (scenario, relay payloads, noise seed).
 
     probs are the crossover probabilities of links 12, 21, 31 and 32; the
     payloads are the honest relay's, then (arms=2) a corrupting relay's.
+    The noise seed seeds the rng of the trial's one channel realization.
     """
     spec = canonical_spec(n)
     chans = {f"chan_{link}": BinarySymmetricChannel(p) for link, p in zip(("12", "21", "31", "32"), probs)}
@@ -298,31 +308,48 @@ def harness_trials(rng, n, h, d, probs, epsilon, count, arms=2):
             epsilon=epsilon, **chans,
         )
         relays = [relay_output(scn, s, rng).payload for s in strategies]
-        trials.append((scn, relays, link_noise(scn, rng)))
+        trials.append((scn, relays, rng.randrange(2**32)))
     return trials
 
 
-def algebraic_batch_of(trials):
-    """`algebraic_batch` on the rows of words `protocol.view_rows` builds for the trials."""
-    scenarios, relays, noise = zip(*trials)
+def trial_views(scn, relays, seed, peer_flip=0):
+    """Each relay arm's observations by watchers 1 and 2, from `observe` on an rng seeded with the noise seed.
+
+    peer_flip flips bits of watcher 1's overheard peer payload.
+    """
+    sources = (scn.source_packet(1), scn.source_packet(2))
+    arms = []
+    for payload in relays:
+        rng = random.Random(seed)
+        first, second = (observe(w, scn, sources, Packet(scn.hf.of_word(payload), payload), rng) for w in (1, 2))
+        arms.append((dataclasses.replace(first, noisy_peer=first.noisy_peer ^ peer_flip), second))
+    return arms
+
+
+def algebraic_batch_of(trials, peer_flip=0):
+    """`algebraic_batch` on the rows of words `protocol.view_rows` builds for the trials, under `trial_views`' flip."""
+    scenarios, relays, seeds = zip(*trials)
+    first = scenarios[0]
     tables = np.stack([scn.hf.table for scn in scenarios])
     sources = [[scn.x1.value, scn.x2.value] for scn in scenarios]
     coeffs = [[scn.a1.value, scn.a2.value] for scn in scenarios]
+    links = watcher_links(first.chan_12, first.chan_21, first.chan_31, first.chan_32)
+    noise = [noise_masks(links, first.spec.n, random.Random(seed)) for seed in seeds]
+    noise = [((peer ^ peer_flip, relay), second) for (peer, relay), second in noise]
     words = view_rows(sources, coeffs, tables, relays, noise)
-    links = [roles(w, trials[0][0])[4:] for w in (1, 2)]
-    return algebraic_batch(trials[0][0].spec, tables, words, links, trials[0][0].epsilon)
+    return algebraic_batch(first.spec, tables, words, links, first.epsilon)
 
 
 class TestAlgebraicBatch:
-    """The batched check against `algebraic_check` on the `protocol.views` observations, view by view."""
+    """The batched check against `algebraic_check` on `protocol.observe`'s observations, view by view."""
 
     @staticmethod
-    def assert_matches_scalar(trials):
-        accepted, surviving = algebraic_batch_of(trials)
+    def assert_matches_scalar(trials, peer_flip=0):
+        accepted, surviving = algebraic_batch_of(trials, peer_flip)
         arms = len(trials[0][1])
         assert accepted.shape == surviving.shape == (len(trials), 2, arms)
-        for b, (scn, relays, noise) in enumerate(trials):
-            for a, arm in enumerate(views(scn, relays, noise)):
+        for b, (scn, relays, seed) in enumerate(trials):
+            for a, arm in enumerate(trial_views(scn, relays, seed, peer_flip)):
                 for w, obs in enumerate(arm):
                     verdict = algebraic_check(obs)
                     assert accepted[b, w, a] == (verdict.decision is Hypothesis.H0)
@@ -348,13 +375,14 @@ class TestAlgebraicBatch:
     def test_empty_peer_candidate_set(self):
         # noiseless links give radius 0, so a peer payload overheard with a
         # flipped bit that changes its hash leaves watcher 1 no candidate
-        scn, relays, noise = harness_trials(random.Random(3), 8, 4, 3, [0.0] * 4, 0.01, 1)[0]
+        trial = harness_trials(random.Random(3), 8, 4, 3, [0.0] * 4, 0.01, 1)[0]
+        scn = trial[0]
         peer = scn.x2.value
         flip = next(1 << i for i in range(8) if scn.hf.of_word(peer ^ 1 << i) != scn.hf.of_word(peer))
-        trial = (scn, relays, ((flip, noise[0][1]), noise[1]))
-        obs = views(*trial)[0][0]
+        obs = trial_views(*trial, flip)[0][0]
+        assert obs.noisy_peer == peer ^ flip
         assert algebraic_check(obs).diagnostics["peer_candidates"] == 0
-        accepted, surviving = self.assert_matches_scalar([trial])
+        accepted, surviving = self.assert_matches_scalar([trial], flip)
         # watcher 2's noiseless view of the honest relay still passes
         assert not accepted[0, 0].any() and accepted[0, 1, 0]
         assert surviving[0, 0].tolist() == [0, 0]
