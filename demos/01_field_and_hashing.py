@@ -9,14 +9,14 @@ messages by a factor of 2^h.
 import random
 from collections import Counter
 
-from algwatchdog import HashFunction, canonical_spec, evaluate, preimage_set, sample
+from algwatchdog import FieldElement, HashFunction, canonical_spec, evaluate, preimage_set, sample
 
 spec = canonical_spec(4)
 print(f"GF(2^4): reduction polynomial 0b{spec.reduction_poly:b}")
 print("  (lexicographically smallest irreducible of degree 4: x^4 + x + 1)\n")
 
-a = spec.element(0b0010)  # the element x
-b = spec.element(0b1000)  # x^3
+a = FieldElement(0b0010, spec)  # the element x
+b = FieldElement(0b1000, spec)  # x^3
 print(f"x * x^3 = x^4 ≡ x + 1 (mod x^4+x+1): {(a * b).value:#06b}")
 print(f"x ** 4 the same way:                 {(a ** 4).value:#06b}\n")
 
@@ -25,10 +25,10 @@ print(f"x ** 4 the same way:                 {(a ** 4).value:#06b}\n")
 hf = sample(random.Random(7), d=3, spec=spec, h=2)
 print(f"hash coefficients: {[c.value for c in hf.coeffs]}, output width h=2")
 
-counts = Counter(evaluate(hf, spec.element(x)).value for x in range(16))
+counts = Counter(evaluate(hf, FieldElement(x, spec)).value for x in range(16))
 print(f"bucket sizes over the whole domain: {dict(sorted(counts.items()))}")
 
-target = evaluate(hf, spec.element(0b1011))
+target = evaluate(hf, FieldElement(0b1011, spec))
 pre = sorted(e.value for e in preimage_set(hf, target))
 print(f"preimage of hash({0b1011:#06b}) = {target.value}: {[f'{v:#06b}' for v in pre]}")
 print("\nA watcher that knows hash(x) can discard every candidate outside")

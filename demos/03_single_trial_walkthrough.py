@@ -13,6 +13,7 @@ import random
 from algwatchdog import (
     AdversaryStrategy,
     BinarySymmetricChannel,
+    FieldElement,
     Scenario,
     algebraic_check,
     build_trellis,
@@ -30,24 +31,22 @@ chan = BinarySymmetricChannel(0.1)
 scn = Scenario(
     spec=spec,
     hf=sample(rng, d=3, spec=spec, h=3),
-    x1=spec.element(0x5A), x2=spec.element(0xC3),
-    a1=spec.element(0x02), a2=spec.element(0x07),
+    x1=FieldElement(0x5A, spec), x2=FieldElement(0xC3, spec),
+    a1=FieldElement(0x02, spec), a2=FieldElement(0x07, spec),
     chan_12=chan, chan_21=chan, chan_31=chan, chan_32=chan,
     epsilon=0.01,
 )
-honest = scn.honest_relay_value()
+honest = scn.honest_payload
 print(f"x1=0x{scn.x1.value:02X}, x2=0x{scn.x2.value:02X}; honest relay value "
-      f"a1*x1 + a2*x2 = 0x{honest.value:02X}\n")
+      f"a1*x1 + a2*x2 = 0x{honest:02X}\n")
 
-sources = (scn.source_packet(1), scn.source_packet(2))
-
-for label, strategy in (("honest relay", AdversaryStrategy.honest()),
-                        ("corrupting relay", AdversaryStrategy.random_nonzero_error())):
+for label, strategy in (("honest relay", AdversaryStrategy("honest")),
+                        ("corrupting relay", AdversaryStrategy("random_nonzero_error"))):
     relay = relay_output(scn, strategy, rng)
     print(f"--- {label}: transmitted payload 0x{relay.payload:02X} "
-          f"(error 0x{relay.payload ^ honest.value:02X})")
+          f"(error 0x{relay.payload ^ honest:02X})")
     for watcher in (1, 2):
-        obs = observe(watcher, scn, sources, relay, rng)
+        obs = observe(watcher, scn, relay, rng)
         verdict = algebraic_check(obs)
         score = consistency_probability(build_trellis(obs))
         print(f"  watcher {watcher}: heard peer 0x{obs.noisy_peer:02X}, "

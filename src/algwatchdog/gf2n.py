@@ -6,9 +6,8 @@ Multiplication goes through log/exp tables built once per field.  The log
 of zero is a sentinel, 2 * 2^n, and the exp table is padded with zeros up to
 index 4 * 2^n, so exp[log[a] + log[b]] is the product for every pair, zero
 operands included, with no branch.  `FieldSpec.mul_words` gathers from the
-numpy tables for arrays of words, and `FieldSpec.mul_domain` multiplies by
-every word of the field at once; `FieldSpec.mul` multiplies two Python ints
-with one lookup in the same tables.
+numpy tables for single words or arrays of words, and `FieldSpec.mul_domain`
+multiplies by every word of the field at once.
 """
 
 from __future__ import annotations
@@ -89,14 +88,6 @@ class FieldSpec:
     def order(self) -> int:
         return 1 << self.n
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value, self)
-
-    def mul(self, a: int, b: int) -> int:
-        """Field product of two words given as Python ints."""
-        exp, log = _tables(self.n, self.reduction_poly)
-        return int(exp[log[a] + log[b]])
-
     def mul_words(self, a, b):
         """Vectorized field multiplication of numpy arrays (or scalars) of words."""
         exp, log = _tables(self.n, self.reduction_poly)
@@ -131,14 +122,12 @@ def _tables(n: int, poly: int):
     for g in range(2, size):
         exp = np.zeros(4 * size + 1, dtype=np.int64)
         log = np.zeros(size, dtype=np.int64)
-        seen = 0
         acc = 1
         for i in range(size - 1):
             exp[i] = acc
             log[acc] = i
-            seen += 1
             acc = poly_mod(clmul(acc, g), poly)
-        if acc == 1 and seen == size - 1 and len(set(exp[: size - 1].tolist())) == size - 1:
+        if acc == 1 and len(set(exp[: size - 1].tolist())) == size - 1:
             exp[size - 1 : 2 * (size - 1)] = exp[: size - 1]
             log[0] = 2 * size
             return exp, log
@@ -177,7 +166,7 @@ class FieldElement:
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
-        return FieldElement(self.spec.mul(self.value, other.value), self.spec)
+        return FieldElement(int(self.spec.mul_words(self.value, other.value)), self.spec)
 
     def __pow__(self, k: int) -> "FieldElement":
         if k < 0:

@@ -307,7 +307,7 @@ def _score(cfg: SimConfig, first: int, tables: np.ndarray, words: np.ndarray) ->
     spec = canonical_spec(cfg.n)
     links = protocol.watcher_links(**_channels(cfg))
     if cfg.engine == "trellis":
-        accepted = watchdog.trellis_batch(spec, tables, words, links, cfg.epsilon, cfg.threshold)[0]
+        accepted = watchdog.trellis_batch(spec, tables, words, links, cfg.threshold)[0]
     else:
         accepted = watchdog.algebraic_batch(spec, tables, words, links, cfg.epsilon)[0]
     honest_passed = accepted[:, 0, 0] & accepted[:, 1, 0]

@@ -40,7 +40,7 @@ def is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class AdversaryStrategy:
-    """How the relay corrupts its output; `honest()` for no corruption."""
+    """How the relay corrupts its output; `AdversaryStrategy("honest")` for no corruption."""
 
     kind: str
     error: int | None = None
@@ -59,26 +59,6 @@ class AdversaryStrategy:
             value = getattr(self, name)
             if value is not None and self.kind != kind:
                 raise ValueError(f"{name}={value!r} applies only to {kind}, not to {self.kind}")
-
-    @classmethod
-    def honest(cls):
-        return cls("honest")
-
-    @classmethod
-    def random_nonzero_error(cls):
-        return cls("random_nonzero_error")
-
-    @classmethod
-    def fixed_error(cls, e: int):
-        return cls("fixed_error", error=e)
-
-    @classmethod
-    def weight_bounded_error(cls, w: int):
-        return cls("weight_bounded_error", max_weight=w)
-
-    @classmethod
-    def exhaustive_best(cls):
-        return cls("exhaustive_best")
 
 
 @dataclass(frozen=True)
@@ -107,12 +87,9 @@ class Scenario:
     def __post_init__(self):
         if self.a1.value == 0 or self.a2.value == 0:
             raise ValueError("zero coding coefficients degenerate the check")
-        mul = self.spec.mul
-        honest = mul(self.a1.value, self.x1.value) ^ mul(self.a2.value, self.x2.value)
+        mul = self.spec.mul_words
+        honest = int(mul(self.a1.value, self.x1.value) ^ mul(self.a2.value, self.x2.value))
         object.__setattr__(self, "honest_payload", honest)
-
-    def honest_relay_value(self) -> FieldElement:
-        return FieldElement(self.honest_payload, self.spec)
 
     def source_packet(self, which: int) -> Packet:
         x = (self.x1 if which == 1 else self.x2).value
@@ -190,17 +167,18 @@ def relay_output(scn: Scenario, strategy: AdversaryStrategy, rng) -> Packet:
     return Packet(scn.hf.of_word(payload), payload)
 
 
-def observe(watcher: int, scn: Scenario, source_packets: tuple[Packet, Packet], relay_packet: Packet, rng) -> Observation:
+def observe(watcher: int, scn: Scenario, relay_packet: Packet, rng) -> Observation:
     """What one source-side watcher gathers: intact headers, noisy payloads.
 
     Watcher w's own value and coefficient are node w's, its peer the other
-    source; `view_rows` lays its rows out in the same roles.  The peer
-    link's error pattern is drawn from rng before the relay link's.
+    source, whose packet comes from the scenario; `view_rows` lays its rows
+    out in the same roles.  The peer link's error pattern is drawn from rng
+    before the relay link's.
     """
     if watcher not in (1, 2):
         raise ValueError("watcher must be node 1 or 2")
     own, a_own, a_peer = (scn.x1, scn.a1, scn.a2) if watcher == 1 else (scn.x2, scn.a2, scn.a1)
-    peer = source_packets[2 - watcher]
+    peer = scn.source_packet(3 - watcher)
     peer_chan, relay_chan = watcher_links(scn.chan_12, scn.chan_21, scn.chan_31, scn.chan_32)[watcher - 1]
     ((peer_noise, relay_noise),) = noise_masks([(peer_chan, relay_chan)], scn.spec.n, rng)
     return Observation(

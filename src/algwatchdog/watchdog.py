@@ -112,7 +112,7 @@ def algebraic_check(obs: Observation, radius_override: int | None = None) -> Ver
     """
     peer_words, r_peer = candidate_set(obs, "peer", radius_override)
     spec = obs.own_value.spec
-    images = spec.mul(obs.own_coeff.value, obs.own_value.value) ^ spec.mul_words(obs.peer_coeff.value, peer_words)
+    images = spec.mul_words(obs.own_coeff.value, obs.own_value.value) ^ spec.mul_words(obs.peer_coeff.value, peer_words)
     relay_words, r_relay = candidate_set(obs, "relay", radius_override)
     # ball words are distinct, so relay_words holds no duplicates
     surviving = len(set(images.tolist()).intersection(relay_words.tolist()))
@@ -249,7 +249,7 @@ def build_trellis(obs: Observation) -> Trellis:
     candidates = np.flatnonzero(obs.hf.table == obs.peer_hash.value)
     raw_in = likelihood(obs.peer_channel, candidates, obs.noisy_peer, n)
     total = _sum_in_order(raw_in)
-    images = spec.mul(obs.own_coeff.value, obs.own_value.value) ^ spec.mul_words(obs.peer_coeff.value, candidates)
+    images = spec.mul_words(obs.own_coeff.value, obs.own_value.value) ^ spec.mul_words(obs.peer_coeff.value, candidates)
     return Trellis(
         candidates=candidates,
         images=images,
@@ -286,7 +286,6 @@ def trellis_batch(
     tables: np.ndarray,
     words: Sequence[Sequence[Sequence[int]]],
     channels: Sequence[tuple[BinarySymmetricChannel, BinarySymmetricChannel]],
-    epsilon: float,
     threshold: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The trellis verdicts and scores of a batch of B trials, computed on arrays.
@@ -301,7 +300,7 @@ def trellis_batch(
     channels[w] is watcher w's (peer link, relay link) in every trial.
     Returns (accepted, scores), both of shape (B, 2, A): scores[b, w, a] is
     `consistency_probability(build_trellis(obs))` for obs, the `Observation`
-    with those fields, links and `epsilon`, and accepted[b, w, a] is True
+    with those fields and links, and accepted[b, w, a] is True
     exactly when `decide(scores[b, w, a], threshold)` accepts obs.
 
     One `np.flatnonzero` over the tables finds every watcher's peer

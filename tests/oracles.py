@@ -8,12 +8,19 @@ Pascal-recurrence binomial CDF against the radius computation.
 from fractions import Fraction
 
 from algwatchdog.channel import radius_for_epsilon
-from algwatchdog.gf2n import clmul, poly_mod
 
 
 def slow_mul(a: int, b: int, poly: int) -> int:
-    """Reference field multiply: carry-less product, then long-division reduction."""
-    return poly_mod(clmul(a, b), poly)
+    """Reference field multiply: shift-XOR carry-less product, then long-division reduction."""
+    prod = 0
+    for i in range(b.bit_length()):
+        if (b >> i) & 1:
+            prod ^= a << i
+    deg = poly.bit_length() - 1
+    for shift in range(prod.bit_length() - 1 - deg, -1, -1):
+        if (prod >> (shift + deg)) & 1:
+            prod ^= poly << shift
+    return prod
 
 
 def binomial_cdf_pascal(n: int, r: int, p: float) -> Fraction:

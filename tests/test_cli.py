@@ -93,6 +93,12 @@ class TestSimulate:
          "adversary: error=5 applies only to fixed_error"),
         ({"adversary": {"kind": "fixed_error", "error": 5, "max_weight": 2}},
          "adversary: max_weight=2 applies only to weight_bounded_error"),
+        ({"engine": "foo"}, "engine='foo' not one of algebraic, trellis"),
+        ({"engine": "trellis", "n": 13}, "trellis engine requires n <= 12"),
+        ({"d": -1}, "d=-1 negative"),
+        ({"sources": "x"}, "sources='x' not 'uniform' or {'fixed': [x1, x2]}"),
+        ({"sources": {"fixed": [1]}}, "sources: fixed form needs two values"),
+        ({"adversary": 5}, "adversary: unrecognized adversary 5"),
     ])
     def test_out_of_range_value_exit_2(self, tmp_path, capsys, fields, named):
         cfg = write_config(tmp_path, trials=5, **fields)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from algwatchdog import hashing, harness, protocol, theory, watchdog
 from algwatchdog.channel import BinarySymmetricChannel
-from algwatchdog.gf2n import canonical_spec
+from algwatchdog.gf2n import FieldElement, canonical_spec
 from algwatchdog.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -208,11 +208,11 @@ def test_arms_share_one_channel_realization(monkeypatch):
     run_trials(small_cfg(p12=0.3, p21=0.2, p31=0.3, p32=0.2, trials=trials))
     # each arm's true payload: a1 x1 + a2 x2 from the two watchers' own
     # value and coefficient, then that XOR the corrupting arm's drawn error
-    mul = canonical_spec(8).mul
+    mul = canonical_spec(8).mul_words
     payloads = []
     for t, error in enumerate(errors):
         (x1, a1, *_), (x2, a2, *_) = rows[2 * t : 2 * t + 2]
-        honest = mul(a1, x1) ^ mul(a2, x2)
+        honest = int(mul(a1, x1) ^ mul(a2, x2))
         payloads += (honest, honest ^ error)
     # (noisy peer, noisy relay) of each view, in row order
     views = [(row[4], noisy_relay) for row in rows for noisy_relay in row[6::2]]
@@ -244,7 +244,7 @@ def test_exhaustive_best_builds_no_scenario_or_hash_function(monkeypatch, engine
     spec = canonical_spec(8)
     hf = hashing.sample(random.Random(1), 3, spec, 3)
     protocol.Scenario(
-        spec=spec, hf=hf, x1=spec.element(1), x2=spec.element(2), a1=spec.element(3), a2=spec.element(4),
+        spec=spec, hf=hf, x1=FieldElement(1, spec), x2=FieldElement(2, spec), a1=FieldElement(3, spec), a2=FieldElement(4, spec),
         epsilon=0.01, **harness._channels(small_cfg()),
     )
     assert built == ["HashFunction", "Scenario"]
@@ -267,11 +267,11 @@ class TestDrawStep:
         hf = hashing.sample(rng, cfg.d, spec, cfg.h)
         chans = {f"chan_{e[1:]}": BinarySymmetricChannel(getattr(cfg, e)) for e in ("p12", "p21", "p31", "p32")}
         scn = protocol.Scenario(
-            spec=spec, hf=hf, x1=spec.element(x1), x2=spec.element(x2), a1=spec.element(a1), a2=spec.element(a2),
+            spec=spec, hf=hf, x1=FieldElement(x1, spec), x2=FieldElement(x2, spec), a1=FieldElement(a1, spec), a2=FieldElement(a2, spec),
             epsilon=cfg.epsilon, **chans,
         )
         strategy = cfg.strategy()
-        arms = [protocol.AdversaryStrategy.honest()] + ([strategy] if strategy.kind != "honest" else [])
+        arms = [protocol.AdversaryStrategy("honest")] + ([strategy] if strategy.kind != "honest" else [])
         relays = [protocol.relay_output(scn, arm, rng).payload for arm in arms]
         links = protocol.watcher_links(scn.chan_12, scn.chan_21, scn.chan_31, scn.chan_32)
         noise = protocol.noise_masks(links, cfg.n, random.Random(harness._derive_seed(cfg.seed, trial, "noise")))
@@ -550,6 +550,20 @@ class TestReports:
         assert rows[0] == CSV_COLUMNS
         assert len(rows) == 4
         assert all(len(r) == len(CSV_COLUMNS) for r in rows)
+
+    def test_honest_run_leaves_beta_cells_empty(self, tmp_path):
+        # an honest run measures no beta and predicts none: its CSV cells are empty, not dropped
+        rep = run_trials(small_cfg(adversary="honest", trials=20))
+        path = tmp_path / "honest.csv"
+        write_report(rep, str(path), format="csv")
+        with open(path) as f:
+            header, row = list(csv.reader(f))
+        assert header == CSV_COLUMNS and len(row) == len(CSV_COLUMNS) == 33
+        cells = dict(zip(header, row))
+        measured = ["beta_count", "beta_estimate", "beta_wilson_low", "beta_wilson_high",
+                    "beta_v1_estimate", "beta_v2_estimate"]
+        assert [cells[k] for k in measured] == [""] * 6
+        assert [cells[k] for k in ("predicted_beta", "predicted_beta_v1", "predicted_beta_v2")] == [""] * 3
 
     def test_no_path_writes_to_stdout(self, capsys):
         rep = run_trials(small_cfg(trials=5))

@@ -17,6 +17,7 @@ from algwatchdog.protocol import (
     AdversaryStrategy,
     Scenario,
     best_errors,
+    draw_error,
     noise_masks,
     observe,
     relay_output,
@@ -89,7 +90,7 @@ def reference_pass_counts(scn, e):
     scalar hash evaluation; no ball enumeration or vector arithmetic.
     """
     spec, hf = scn.spec, scn.hf
-    corrupted = scn.honest_relay_value().value ^ e
+    corrupted = scn.honest_payload ^ e
     relay_hash = evaluate(hf, FieldElement(corrupted, spec))
     words = [FieldElement(w, spec) for w in range(spec.order)]
     counts = []
@@ -111,7 +112,7 @@ def reference_pass_counts(scn, e):
 class TestRelayOutput:
     def test_honest_xor_of_sources(self):
         scn = make_scenario()
-        pkt = relay_output(scn, AdversaryStrategy.honest(), random.Random(1))
+        pkt = relay_output(scn, AdversaryStrategy("honest"), random.Random(1))
         assert pkt.payload == 0b0010
         assert pkt.own_hash == evaluate(scn.hf, FieldElement(pkt.payload, scn.spec))
 
@@ -122,41 +123,47 @@ class TestRelayOutput:
                 x1=rng.randrange(16), x2=rng.randrange(16),
                 a1=rng.randrange(1, 16), a2=rng.randrange(1, 16), seed=rng.random(),
             )
-            pkt = relay_output(scn, AdversaryStrategy.honest(), rng)
-            assert pkt.payload == scn.honest_relay_value().value
+            pkt = relay_output(scn, AdversaryStrategy("honest"), rng)
+            assert pkt.payload == scn.honest_payload
             assert pkt.own_hash == evaluate(scn.hf, FieldElement(pkt.payload, scn.spec))
 
     def test_fixed_error_offsets_payload(self):
         scn = make_scenario()
-        pkt = relay_output(scn, AdversaryStrategy.fixed_error(0b1001), random.Random(1))
+        pkt = relay_output(scn, AdversaryStrategy("fixed_error", error=0b1001), random.Random(1))
         assert pkt.payload == 0b0010 ^ 0b1001
         assert pkt.own_hash == evaluate(scn.hf, FieldElement(pkt.payload, scn.spec))
 
     def test_fixed_zero_error_rejected(self):
         with pytest.raises(ValueError):
-            AdversaryStrategy.fixed_error(0)
+            AdversaryStrategy("fixed_error", error=0)
+
+    def test_fixed_error_outside_the_field_rejected(self):
+        # validation stops such a config before a run; a direct call is refused too
+        for error in (GF16.order, GF16.order + 3):
+            with pytest.raises(ValueError, match=f"fixed error {error} not a nonzero 4-bit word"):
+                draw_error(AdversaryStrategy("fixed_error", error=error), GF16, random.Random(1))
 
     def test_random_nonzero_error_statistics(self):
         scn = make_scenario(spec=GF256, h=3)
         rng = random.Random(2)
-        honest = scn.honest_relay_value().value
-        errors = {relay_output(scn, AdversaryStrategy.random_nonzero_error(), rng).payload ^ honest for _ in range(10_000)}
+        honest = scn.honest_payload
+        errors = {relay_output(scn, AdversaryStrategy("random_nonzero_error"), rng).payload ^ honest for _ in range(10_000)}
         assert 0 not in errors
         assert len(errors) > 200
 
     def test_weight_bounded_error(self):
         scn = make_scenario(spec=GF256, h=3)
         rng = random.Random(3)
-        honest = scn.honest_relay_value().value
+        honest = scn.honest_payload
         for _ in range(200):
-            pkt = relay_output(scn, AdversaryStrategy.weight_bounded_error(2), rng)
+            pkt = relay_output(scn, AdversaryStrategy("weight_bounded_error", max_weight=2), rng)
             e = pkt.payload ^ honest
             assert 1 <= e.bit_count() <= 2
 
     def test_exhaustive_best_returns_nonzero_error(self):
         scn = make_scenario(p=0.1)
-        pkt = relay_output(scn, AdversaryStrategy.exhaustive_best(), random.Random(4))
-        assert pkt.payload != scn.honest_relay_value().value
+        pkt = relay_output(scn, AdversaryStrategy("exhaustive_best"), random.Random(4))
+        assert pkt.payload != scn.honest_payload
 
     @pytest.mark.parametrize(
         "seed, p",
@@ -173,8 +180,8 @@ class TestRelayOutput:
         key = best_error_key(scn)
         want = max(range(1, scn.spec.order), key=key)
         assert key(want)[0] > 0
-        pkt = relay_output(scn, AdversaryStrategy.exhaustive_best(), random.Random(4))
-        assert pkt.payload ^ scn.honest_relay_value().value == want
+        pkt = relay_output(scn, AdversaryStrategy("exhaustive_best"), random.Random(4))
+        assert pkt.payload ^ scn.honest_payload == want
 
     def test_best_errors_of_a_batch_maximize_pass_counts(self):
         # one call picks every trial's error, as the harness's draw step makes it
@@ -210,10 +217,9 @@ class TestRelayOutput:
         counts = relay_word_survivors(spec, tables, rows, links, 0.01)
         assert counts.shape == (3, 2, spec.order)
         for b, (scn, seed) in enumerate(zip(scenarios, seeds)):
-            sources = (scn.source_packet(1), scn.source_packet(2))
-            packet, noise_rng = relay_output(scn, AdversaryStrategy.honest(), rng), random.Random(seed)
+            packet, noise_rng = relay_output(scn, AdversaryStrategy("honest"), rng), random.Random(seed)
             for w in (1, 2):
-                obs = observe(w, scn, sources, packet, noise_rng)
+                obs = observe(w, scn, packet, noise_rng)
                 for relay in range(spec.order):
                     one = dataclasses.replace(obs, relay_hash=scn.hf.of_word(relay), noisy_relay=relay)
                     assert counts[b, w - 1, relay] == algebraic_check(one).diagnostics["surviving"]
@@ -222,7 +228,7 @@ class TestRelayOutput:
         spec = canonical_spec(14)
         scn = make_scenario(spec=spec, x1=5, x2=9, h=4, p=0.05)
         with pytest.raises(ValueError, match="exhaustive"):
-            relay_output(scn, AdversaryStrategy.exhaustive_best(), random.Random(5))
+            relay_output(scn, AdversaryStrategy("exhaustive_best"), random.Random(5))
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
@@ -232,20 +238,18 @@ class TestRelayOutput:
 class TestObserve:
     def test_noiseless_overhearing_is_exact(self):
         scn = make_scenario(p=0.0)
-        sources = (scn.source_packet(1), scn.source_packet(2))
-        relay = relay_output(scn, AdversaryStrategy.honest(), random.Random(1))
-        obs = observe(1, scn, sources, relay, random.Random(2))
+        relay = relay_output(scn, AdversaryStrategy("honest"), random.Random(1))
+        obs = observe(1, scn, relay, random.Random(2))
         assert obs.noisy_peer == scn.x2.value
         assert obs.noisy_relay == relay.payload
 
     def test_headers_never_corrupted(self):
         scn = make_scenario(p=0.5)
-        sources = (scn.source_packet(1), scn.source_packet(2))
-        relay = relay_output(scn, AdversaryStrategy.honest(), random.Random(1))
+        relay = relay_output(scn, AdversaryStrategy("honest"), random.Random(1))
         rng = random.Random(3)
         for watcher in (1, 2):
             for _ in range(20):
-                obs = observe(watcher, scn, sources, relay, rng)
+                obs = observe(watcher, scn, relay, rng)
                 peer = scn.x2 if watcher == 1 else scn.x1
                 assert obs.peer_hash == evaluate(scn.hf, peer)
                 assert obs.relay_hash == relay.own_hash
@@ -253,11 +257,10 @@ class TestObserve:
 
     def test_mean_overheard_distance(self):
         scn = make_scenario(spec=GF256, x1=0x31, x2=0x7C, h=3, p=0.1)
-        sources = (scn.source_packet(1), scn.source_packet(2))
-        relay = relay_output(scn, AdversaryStrategy.honest(), random.Random(1))
+        relay = relay_output(scn, AdversaryStrategy("honest"), random.Random(1))
         rng = random.Random(4)
         total = sum(
-            (observe(1, scn, sources, relay, rng).noisy_relay ^ relay.payload).bit_count()
+            (observe(1, scn, relay, rng).noisy_relay ^ relay.payload).bit_count()
             for _ in range(10_000)
         )
         sigma = (8 * 0.1 * 0.9) ** 0.5
@@ -271,9 +274,8 @@ class TestObserve:
     def test_peer_noise_drawn_before_relay_noise(self, watcher, peer, peer_link, relay_link):
         # every link has its own crossover probability, so a wrong link draws other masks
         scn = make_scenario(spec=GF256, x1=0x31, x2=0x7C, h=3, p=(0.1, 0.2, 0.3, 0.4))
-        sources = (scn.source_packet(1), scn.source_packet(2))
-        relay = relay_output(scn, AdversaryStrategy.honest(), random.Random(1))
-        obs = observe(watcher, scn, sources, relay, random.Random(6))
+        relay = relay_output(scn, AdversaryStrategy("honest"), random.Random(1))
+        obs = observe(watcher, scn, relay, random.Random(6))
         rng = random.Random(6)
         assert obs.noisy_peer == peer ^ noise_mask(getattr(scn, peer_link), 8, rng)
         assert obs.noisy_relay == relay.payload ^ noise_mask(getattr(scn, relay_link), 8, rng)
@@ -284,17 +286,16 @@ class TestObserve:
         # one's channel realization: each arm's view is what `observe` gives
         # for that payload from the rng the honest view was drawn from
         scn = make_scenario(spec=GF256, x1=0x31, x2=0x7C, h=3, p=0.3)
-        sources = (scn.source_packet(1), scn.source_packet(2))
-        honest = relay_output(scn, AdversaryStrategy.honest(), random.Random(1))
+        honest = relay_output(scn, AdversaryStrategy("honest"), random.Random(1))
         tables, values, coeffs = batch_arrays([scn])
         links = scenario_links(scn)
         for seed in range(20):
-            corrupted = relay_output(scn, AdversaryStrategy.random_nonzero_error(), random.Random(seed))
+            corrupted = relay_output(scn, AdversaryStrategy("random_nonzero_error"), random.Random(seed))
             noise = noise_masks(links, scn.spec.n, random.Random(seed))
             row = view_rows(values, coeffs, tables, [[honest.payload, corrupted.payload]], [noise])[0, watcher - 1]
             for a, relay in enumerate((honest, corrupted)):
                 rng = random.Random(seed)
-                obs = [observe(w, scn, sources, relay, rng) for w in (1, 2)][watcher - 1]
+                obs = [observe(w, scn, relay, rng) for w in (1, 2)][watcher - 1]
                 assert row[:5].tolist() + row[5 + 2 * a : 7 + 2 * a].tolist() == row_of(obs)
                 assert (obs.peer_channel, obs.relay_channel) == links[watcher - 1]
 
@@ -307,13 +308,12 @@ class TestObserve:
             chan_12=BinarySymmetricChannel(0.3), chan_21=BinarySymmetricChannel(0.1),
             chan_31=BinarySymmetricChannel(0.0), chan_32=BinarySymmetricChannel(0.5), epsilon=0.01,
         )
-        sources = (scn.source_packet(1), scn.source_packet(2))
         tables, values, coeffs = batch_arrays([scn])
         links = scenario_links(scn)
         for seed in range(20):
-            relay = relay_output(scn, AdversaryStrategy.random_nonzero_error(), random.Random(seed))
+            relay = relay_output(scn, AdversaryStrategy("random_nonzero_error"), random.Random(seed))
             rng = random.Random(seed)
-            want = [observe(w, scn, sources, relay, rng) for w in (1, 2)]
+            want = [observe(w, scn, relay, rng) for w in (1, 2)]
             assert links == tuple((obs.peer_channel, obs.relay_channel) for obs in want)
             noise = noise_masks(links, scn.spec.n, random.Random(seed))
             rows = view_rows(values, coeffs, tables, [[relay.payload]], [noise])
@@ -322,7 +322,7 @@ class TestObserve:
     def test_bad_watcher_id(self):
         scn = make_scenario()
         with pytest.raises(ValueError):
-            observe(3, scn, (scn.source_packet(1), scn.source_packet(2)), relay_output(scn, AdversaryStrategy.honest(), random.Random(1)), random.Random(1))
+            observe(3, scn, relay_output(scn, AdversaryStrategy("honest"), random.Random(1)), random.Random(1))
 
 
 def test_zero_coefficients_need_override():

@@ -232,7 +232,7 @@ def batch_of(trials, threshold):
     links = [(views[0].peer_channel, views[0].relay_channel) for views in trials[0]]
     first = trials[0][0][0]
     tables = np.stack([trial[0][0].hf.table for trial in trials])
-    return trellis_batch(first.hf.spec, tables, words, links, first.epsilon, threshold)
+    return trellis_batch(first.hf.spec, tables, words, links, threshold)
 
 
 class TestTrellisBatch:
@@ -298,7 +298,7 @@ def harness_trials(rng, n, h, d, probs, epsilon, count, arms=2):
     """
     spec = canonical_spec(n)
     chans = {f"chan_{link}": BinarySymmetricChannel(p) for link, p in zip(("12", "21", "31", "32"), probs)}
-    strategies = (AdversaryStrategy.honest(), AdversaryStrategy.random_nonzero_error())[:arms]
+    strategies = (AdversaryStrategy("honest"), AdversaryStrategy("random_nonzero_error"))[:arms]
     trials = []
     for _ in range(count):
         scn = Scenario(
@@ -317,11 +317,10 @@ def trial_views(scn, relays, seed, peer_flip=0):
 
     peer_flip flips bits of watcher 1's overheard peer payload.
     """
-    sources = (scn.source_packet(1), scn.source_packet(2))
     arms = []
     for payload in relays:
         rng = random.Random(seed)
-        first, second = (observe(w, scn, sources, Packet(scn.hf.of_word(payload), payload), rng) for w in (1, 2))
+        first, second = (observe(w, scn, Packet(scn.hf.of_word(payload), payload), rng) for w in (1, 2))
         arms.append((dataclasses.replace(first, noisy_peer=first.noisy_peer ^ peer_flip), second))
     return arms
 
