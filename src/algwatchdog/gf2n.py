@@ -6,8 +6,7 @@ Multiplication goes through log/exp tables built once per field.  The log
 of zero is a sentinel, 2 * 2^n, and the exp table is padded with zeros up to
 index 4 * 2^n, so exp[log[a] + log[b]] is the product for every pair, zero
 operands included, with no branch.  `FieldSpec.mul_words` gathers from the
-numpy tables for single words or arrays of words, and `FieldSpec.mul_domain`
-multiplies by every word of the field at once.
+numpy tables for single words or arrays of words.
 """
 
 from __future__ import annotations
@@ -95,17 +94,6 @@ class FieldSpec:
         # its inputs into int64 arrays, and reads a bool array as 0/1 words
         # where indexing would read it as a mask
         return exp.take(log.take(a) + log.take(b))
-
-    def mul_domain(self, a):
-        """a[..., x] * x for every word x of the field, in word order along the last axis.
-
-        `a` is one word, a column of words (one per row), or rows of 2^n
-        words indexed by x.  The log table already holds the logs of all
-        words in order, so this is `mul_words(a, arange(2^n))` without
-        gathering those logs again.
-        """
-        exp, log = _tables(self.n, self.reduction_poly)
-        return exp.take(log.take(a) + log)
 
 
 @lru_cache(maxsize=None)

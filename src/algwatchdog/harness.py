@@ -19,7 +19,7 @@ coefficients, the relay's error (`protocol.draw_error`) and the four
 noise masks (`protocol.noise_masks`, in the order `protocol.observe`
 draws them for watcher 1, then watcher 2).  Everything derived is then
 computed once for the sub-batch on arrays: the hash tables
-(`hashing.horner_tables`), the errors of the exhaustive_best
+(`hashing.hash_tables`, in the log domain), the errors of the exhaustive_best
 adversary, which draws none (`protocol.best_errors`), both relay arms'
 payloads, and each watcher's views of them as one row of words per trial
 (`protocol.view_rows`).  The score step (`_score`) hands the tables and
@@ -75,7 +75,7 @@ import numpy as np
 from . import protocol, theory, watchdog
 from .channel import BinarySymmetricChannel, radius_for_epsilon
 from .gf2n import canonical_spec
-from .hashing import horner_tables
+from .hashing import hash_tables
 # the draw step reads hash coefficients as plain ints; `sample_hash` stays
 # importable here because the benchmark's tracer wraps `harness.sample_hash`
 from .hashing import sample as sample_hash  # noqa: F401
@@ -290,7 +290,7 @@ def _draw_batch(cfg: SimConfig, trials: range) -> tuple[np.ndarray, np.ndarray]:
         noise.append(noise_masks(links, n, rng))
     draws = np.array(draws, dtype=np.int64)
     sources, coeffs = draws[:, 0:2], draws[:, 2:4]
-    tables = horner_tables(draws[:, 4 : 5 + cfg.d], spec, cfg.h)
+    tables = hash_tables(draws[:, 4 : 5 + cfg.d], spec, cfg.h)
     payloads = [spec.mul_words(coeffs[:, 0], sources[:, 0]) ^ spec.mul_words(coeffs[:, 1], sources[:, 1])]
     if drawn_error:
         payloads.append(payloads[0] ^ draws[:, -1])
@@ -498,7 +498,7 @@ def sweep(base: SimConfig, axis: str, values, workers: int = 1) -> list[SimRepor
     """One run per value of a numeric config field.
 
     Point i runs at seed `base.seed ^ i`, except on the `seed` axis, where
-    each point runs at the seed it names.
+    each point runs at the seed it names.  An empty `values` is a ConfigError.
     Every point is validated before any trial runs, and all points share the
     process's one pool.  A point's `wall_time_s` is the wall time from the
     moment the previous point finished (for the first point, the start of
@@ -510,6 +510,8 @@ def sweep(base: SimConfig, axis: str, values, workers: int = 1) -> list[SimRepor
         raise ConfigError([f"axis {axis!r} is not a numeric config field"])
     # the axis value comes last, so on the seed axis it replaces the derived seed
     cfgs = [replace(base, **{"seed": base.seed ^ i, axis: v}) for i, v in enumerate(values)]
+    if not cfgs:
+        raise ConfigError(["values: holds no value, so the sweep has no point"])
     for cfg in cfgs:
         cfg.validate()
     tallied = _tally(cfgs, workers)

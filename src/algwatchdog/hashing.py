@@ -5,18 +5,20 @@ sum(a_i * x^i) in the field and keeps the low h output bits.  One hash
 function is shared by every node in a scenario, adversary included, and is
 read on many words per round, so each `HashFunction` hashes the whole field
 once, on first use, into `table`; `evaluate` and `values_on` read it.
-`horner_tables` builds those tables, one row per coefficient vector, for a
-single hash function and for a whole sub-batch of trials alike.
+`hash_tables` builds those tables, one row per coefficient vector, for a
+single hash function and for a whole sub-batch of trials alike, in the log
+domain, where a term over every nonzero x is one strided read of exp.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .gf2n import FieldElement, FieldSpec, SpecMismatchError
+from .gf2n import FieldElement, FieldSpec, SpecMismatchError, _tables
 
 
 class HashWidthError(ValueError):
@@ -59,14 +61,14 @@ class HashFunction:
 
     @cached_property
     def table(self) -> np.ndarray:
-        """h(x) for every word x of the field, indexed by x (Horner from a_d).
+        """h(x) for every word x of the field, indexed by x (`hash_tables`).
 
         Built on first use and kept for the life of the hash function, which
         is frozen, so the table never goes stale.  Held as uint16 (h <= n <=
         16): a quarter of the int64 table's memory, which the trellis engine
         holds for a whole sub-batch of trials.
         """
-        return horner_tables([[c.value for c in self.coeffs]], self.spec, self.width)[0]
+        return hash_tables([[c.value for c in self.coeffs]], self.spec, self.width)[0]
 
     def values_on(self, words: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an array of n-bit words."""
@@ -77,31 +79,39 @@ class HashFunction:
         return HashValue(self.table.item(x), self.width)
 
 
-# one Horner pass covers at most this many words: building a sub-batch's
-# tables took 34 us a trial in 4,096-word passes at n = 12 against 67 us
-# in one (16, 4096) pass, and 2.7 against 4.1 us at n = 8 (256 rows, d = 3)
-_PASS_WORDS = 1 << 12
-
-
-def horner_tables(coeffs, spec: FieldSpec, width: int) -> np.ndarray:
-    """h(x) for every word x of the field, one row per coefficient vector (Horner from a_d).
+def hash_tables(coeffs, spec: FieldSpec, width: int) -> np.ndarray:
+    """h(x) for every word x of the field, one row per coefficient vector.
 
     coeffs is (B, d+1) words, a_0 first, as `HashFunction.coeffs` holds
-    them; the result is (B, 2^n) uint16, row b indexed by x.  Rows are
-    built in groups of at most 2^12 words.
+    them; the result is (B, 2^n) uint16, row b indexed by x.  A nonzero x
+    is exp[k], k = log x, so the term a_i x^i is exp[log a_i + i k]: over
+    every k, one row of `_term_windows` (zeroed where a_i = 0).  The terms
+    are XORed into columns k, and one gather by log x puts them in word
+    order; it clips log 0, the sentinel, to column 2^n - 1, which no term
+    reaches, so h(0) = a_0.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64)
-    out = np.empty((len(coeffs), spec.order), dtype=np.uint16)
-    step = max(1, _PASS_WORDS >> spec.n)
-    for lo in range(0, len(coeffs), step):
-        group = coeffs[lo : lo + step]
-        # acc stays one column until the first multiply by the domain; d = 0
-        # leaves it one, the same hash for every word of a row
-        acc = group[:, -1:]
-        for i in range(group.shape[1] - 2, -1, -1):
-            acc = spec.mul_domain(acc) ^ group[:, i : i + 1]
-        out[lo : lo + step] = acc & ((1 << width) - 1)
-    return out
+    _, log = _tables(spec.n, spec.reduction_poly)
+    period = spec.order - 1
+    acc = np.zeros((len(coeffs), spec.order), dtype=np.uint16)
+    starts = log.take(coeffs[:, 1:]) % period
+    for i, window in enumerate(_term_windows(spec, coeffs.shape[1] - 1)):
+        term = window[starts[:, i]]
+        term[coeffs[:, i + 1] == 0] = 0
+        acc[:, :period] ^= term
+    acc ^= coeffs[:, :1].astype(np.uint16)
+    acc &= (1 << width) - 1
+    return acc.take(log, axis=1, mode="clip")
+
+
+@lru_cache(maxsize=None)
+def _term_windows(spec: FieldSpec, d: int) -> tuple[np.ndarray, ...]:
+    """Window i - 1 holds exp[s + i k] at [s, k] for s, k < 2^n - 1: stride-i
+    views of one uint16 copy of exp's cycle repeated d + 1 times."""
+    exp, _ = _tables(spec.n, spec.reduction_poly)
+    period = spec.order - 1
+    cycles = np.tile(exp[:period].astype(np.uint16), d + 1)
+    return tuple(sliding_window_view(cycles, (period - 1) * i + 1)[:period, ::i] for i in range(1, d + 1))
 
 
 def evaluate(hf: HashFunction, x: FieldElement) -> HashValue:

@@ -291,12 +291,12 @@ def trellis_batch(
     """The trellis verdicts and scores of a batch of B trials, computed on arrays.
 
     The trials lie in the field spec.  tables is their (B, 2^n) uint16
-    hash tables, as `hashing.horner_tables` stacks them: trial b hashes
-    with tables[b].  words[b][w] holds its watcher w's views of the A relay
-    arms as one row of integers: own value, own coefficient, peer
-    coefficient, peer hash and noisy peer payload, then relay hash and
-    noisy relay payload per arm (`protocol.view_rows` builds the rows).
-    The arms share the peer side.
+    hash tables, built in the log domain by `hashing.hash_tables`: trial
+    b hashes with tables[b], indexed by word.  words[b][w] holds its
+    watcher w's views of the A relay arms as one row of integers: own
+    value, own coefficient, peer coefficient, peer hash and noisy peer
+    payload, then relay hash and noisy relay payload per arm
+    (`protocol.view_rows` builds the rows).  The arms share the peer side.
     channels[w] is watcher w's (peer link, relay link) in every trial.
     Returns (accepted, scores), both of shape (B, 2, A): scores[b, w, a] is
     `consistency_probability(build_trellis(obs))` for obs, the `Observation`

@@ -1,8 +1,8 @@
 """Field arithmetic tests.
 
-The multiplication oracle here is deliberately independent of the package:
-schoolbook shift-XOR carry-less multiply followed by long-division
-reduction, coded from scratch.
+The multiplication oracle, `oracles.slow_mul`, is deliberately independent
+of the package: schoolbook shift-XOR carry-less multiply followed by
+long-division reduction, coded from scratch.
 """
 
 import random
@@ -22,24 +22,12 @@ from algwatchdog.gf2n import (
 from oracles import slow_mul
 
 
-def oracle_clmul(a: int, b: int) -> int:
-    r = 0
-    for i in range(b.bit_length()):
-        if (b >> i) & 1:
-            r ^= a << i
-    return r
-
-
 def oracle_reduce(a: int, poly: int) -> int:
     deg = poly.bit_length() - 1
     for shift in range(a.bit_length() - 1 - deg, -1, -1):
         if (a >> (shift + deg)) & 1:
             a ^= poly << shift
     return a
-
-
-def oracle_mul(a: int, b: int, poly: int) -> int:
-    return oracle_reduce(oracle_clmul(a, b), poly)
 
 
 def oracle_is_irreducible(poly: int) -> bool:
@@ -154,7 +142,7 @@ def test_mul_matches_oracle_exhaustively(n):
     spec = canonical_spec(n)
     for a in range(spec.order):
         got = spec.mul_words(a, np.arange(spec.order, dtype=np.int64))
-        want = [oracle_mul(a, b, spec.reduction_poly) for b in range(spec.order)]
+        want = [slow_mul(a, b, spec.reduction_poly) for b in range(spec.order)]
         assert got.tolist() == want
 
 
@@ -164,7 +152,7 @@ def test_mul_matches_oracle_random_pairs(n):
     rng = random.Random(n)
     for _ in range(2000):
         a, b = rng.randrange(spec.order), rng.randrange(spec.order)
-        assert int(spec.mul_words(a, b)) == oracle_mul(a, b, spec.reduction_poly)
+        assert int(spec.mul_words(a, b)) == slow_mul(a, b, spec.reduction_poly)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
@@ -208,23 +196,6 @@ class TestMulWordsZero:
     def test_largest_index_at_n16(self):
         # log[0] + log[0] = 4 * 2^16, the last entry of the padded exp table
         assert int(canonical_spec(16).mul_words(0, 0)) == 0
-
-
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
-def test_mul_domain_matches_slow_mul(n):
-    # one word, or one word per field element (zeros included), times every word
-    spec = canonical_spec(n)
-    poly = spec.reduction_poly
-    rng = random.Random(n)
-    xs = range(spec.order) if n <= 8 else [rng.randrange(spec.order) for _ in range(2000)]
-    per_word = np.array([rng.randrange(spec.order) for _ in range(spec.order)], dtype=np.int64)
-    per_word[::7] = 0
-    for a in (0, 1, spec.order - 1, rng.randrange(spec.order)):
-        got = spec.mul_domain(a)
-        assert len(got) == spec.order
-        assert [int(got[x]) for x in xs] == [slow_mul(a, x, poly) for x in xs]
-    got = spec.mul_domain(per_word)
-    assert [int(got[x]) for x in xs] == [slow_mul(int(per_word[x]), x, poly) for x in xs]
 
 
 def test_element_range_checked():

@@ -315,7 +315,7 @@ class TestDrawStep:
         assert words.shape == (count, 2, 5 + 2 * arms)
         for b in range(count):
             table, rows = self.scalar_trial(cfg, first + b)
-            # the batched Horner row is the single hash function's table
+            # the sub-batch's table row is the single hash function's table
             assert tables[b].tolist() == table.tolist()
             assert words[b].tolist() == rows
 
@@ -376,7 +376,10 @@ class TestSweep:
             assert replace(rep, wall_time_s=0.0) == replace(alone, wall_time_s=0.0)
 
     def test_empty_values(self):
-        assert sweep(small_cfg(), "h", []) == []
+        # as the CLI's --values check does, name the field rather than return no report
+        for values in ([], (), iter([])):
+            with pytest.raises(ConfigError, match="values"):
+                sweep(small_cfg(), "h", values)
 
     def test_unknown_axis(self):
         with pytest.raises(ConfigError):

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from algwatchdog import hashing
 from algwatchdog.gf2n import FieldElement, FieldSpec, SpecMismatchError, canonical_spec
 from algwatchdog.hashing import (
     HashFunction,
     HashValue,
     HashWidthError,
     evaluate,
-    horner_tables,
+    hash_tables,
     preimage_set,
     sample,
 )
@@ -58,7 +59,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("d", [0, 1, 3])
     def test_values_on_agrees_with_scalar_every_word(self, d):
-        # d = 0 leaves the vector Horner loop empty: the leading coefficient alone
+        # d = 0 reads no term window: the constant a_0 alone
         spec = canonical_spec(8)
         rng = random.Random(40 + d)
         for _ in range(3):
@@ -89,6 +90,10 @@ def sum_of_powers(hf: HashFunction, x: int) -> int:
     return acc.value & ((1 << hf.width) - 1)
 
 
+def coeff_rows(hfs):
+    return [[c.value for c in hf.coeffs] for hf in hfs]
+
+
 class TestTable:
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("d", [0, 1, 3])
@@ -105,14 +110,14 @@ class TestTable:
         for x in [rng.randrange(spec.order) for _ in range(2000)]:
             assert hf.table[x] == sum_of_powers(hf, x)
 
-    @pytest.mark.parametrize("n, rows", [(2, 3), (8, 40), (10, 9), (12, 3)])
+    @pytest.mark.parametrize("n, rows", [(2, 3), (8, 40), (10, 9), (12, 3), (16, 3)])
     @pytest.mark.parametrize("d", [0, 1, 3])
     def test_stacked_rows_match_each_hash_function(self, n, rows, d):
-        # 40 rows at n = 8 and 9 at n = 10 span several Horner passes
+        # one call per stack, each row read from the same term windows
         spec = canonical_spec(n)
         rng = random.Random(10 * n + d)
         hfs = [sample(rng, d, spec, max(1, n - 2)) for _ in range(rows)]
-        tables = horner_tables([[c.value for c in hf.coeffs] for hf in hfs], spec, max(1, n - 2))
+        tables = hash_tables(coeff_rows(hfs), spec, max(1, n - 2))
         assert tables.shape == (rows, spec.order) and tables.dtype == np.uint16
         for hf, row in zip(hfs, tables):
             assert row.tolist() == hf.table.tolist()
@@ -122,13 +127,12 @@ class TestTable:
     def test_built_once_per_hash_function(self, monkeypatch):
         spec = canonical_spec(8)
         calls = []
-        mul_domain = FieldSpec.mul_domain
 
-        def counted(self, a):
-            calls.append(np.size(a))
-            return mul_domain(self, a)
+        def counted(coeffs, spec, width):
+            calls.append(len(coeffs))
+            return hash_tables(coeffs, spec, width)
 
-        monkeypatch.setattr(FieldSpec, "mul_domain", counted)
+        monkeypatch.setattr(hashing, "hash_tables", counted)
         hf = sample(random.Random(2), 3, spec, 4)
         for x in range(0, 256, 17):
             evaluate(hf, fe(x, spec))
@@ -136,12 +140,38 @@ class TestTable:
         preimage_set(hf, HashValue(3, 4))
         table = hf.table
         assert hf.table is table
-        # Horner over the whole field: one multiply per coefficient below a_d,
-        # the first one by the leading coefficient alone
-        assert calls == [1, spec.order, spec.order]
+        # one single-row build on first use, none after
+        assert calls == [1]
         other = sample(random.Random(2), 3, spec, 4)
         other.values_on(np.arange(5, dtype=np.int64))
-        assert len(calls) == 6
+        assert calls == [1, 1]
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 12])
+    def test_zero_coefficients_above_a0(self, n):
+        # log 0 is the sentinel 2 * 2^n: a zero a_i must contribute nothing,
+        # whatever window row its start lands on
+        spec = canonical_spec(n)
+        rng = random.Random(200 + n)
+        width = max(1, n - 1)
+        rows = [[rng.randrange(spec.order) for _ in range(5)] for _ in range(6)]
+        rows[0][1] = rows[1][4] = rows[2][2] = rows[2][3] = 0
+        rows[3][1:] = [0, 0, 0, 0]
+        rows[4] = [0, 0, 0, 0, 0]
+        tables = hash_tables(rows, spec, width)
+        xs = range(spec.order) if n <= 8 else [rng.randrange(spec.order) for _ in range(300)]
+        for row, table in zip(rows, tables):
+            hf = HashFunction(tuple(fe(c, spec) for c in row), width)
+            assert [int(table[x]) for x in xs] == [sum_of_powers(hf, x) for x in xs]
+
+    @pytest.mark.parametrize("n, d", [(2, 3), (2, 7), (3, 7), (3, 9)])
+    def test_degree_at_least_the_group_order(self, n, d):
+        # x^(2^n - 1) = 1 for every nonzero x, so a stride of i >= 2^n - 1
+        # wraps exp's cycle more than once within one window row
+        spec = canonical_spec(n)
+        rng = random.Random(300 + 10 * n + d)
+        hfs = [sample(rng, d, spec, n) for _ in range(8)]
+        for hf, table in zip(hfs, hash_tables(coeff_rows(hfs), spec, n)):
+            assert table.tolist() == [sum_of_powers(hf, x) for x in range(spec.order)]
 
 
 class TestSample:
