@@ -1,7 +1,7 @@
 """Two-hop algebraic watchdog for wireless network coding.
 
 Source nodes overhear their peer and the downstream relay over noisy
-channels and decide, from hash side-information and Hamming-ball candidate
+channels and determine, from hash side-information and Hamming-ball candidate
 sets, whether the relay corrupted the coded payload.  The package bundles
 the field/hash/channel primitives, both detection engines, closed-form
 error-probability predictors, and a reproducible Monte Carlo harness.
@@ -14,7 +14,6 @@ from .channel import (
     ball_volume,
     binomial_cdf_exact,
     likelihood,
-    log_likelihood,
     radius_for_epsilon,
     transmit,
 )
@@ -29,7 +28,7 @@ from .harness import (
     wilson_interval,
     write_report,
 )
-from .hashing import HashFunction, HashValue, evaluate, preimage_set, sample
+from .hashing import HashFunction, HashValue, evaluate, sample
 from .protocol import (
     AdversaryStrategy,
     Packet,
@@ -57,7 +56,6 @@ from .watchdog import (
     build_trellis,
     candidate_set,
     consistency_probability,
-    decide,
     trellis_batch,
 )
 

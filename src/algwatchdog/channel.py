@@ -102,32 +102,21 @@ def ball_offsets(n: int, r: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def log_likelihood(chan: BinarySymmetricChannel, sent, received: int, n: int):
-    """ln P(received | sent) for an n-bit BSC transmission.
-
-    `sent` is one word or an array of words; the result has its shape.  At
-    p = 0 consistent bits contribute 0 and any flipped bit makes the
-    observation impossible (-inf), keeping trellis weights well-defined.
-    """
-    k = np.bitwise_count(np.asarray(sent, dtype=np.int64) ^ received)
-    p = chan.p
-    if p == 0.0:
-        return np.where(k == 0, 0.0, -math.inf)[()]
-    return k * math.log(p) + (n - k) * math.log(1.0 - p)
-
-
 @lru_cache(maxsize=None)
 def likelihood_by_distance(p: float, n: int) -> np.ndarray:
-    """Entry k: P(received | sent) for words k bits apart, through `log_likelihood`; read-only."""
-    table = np.exp(log_likelihood(BinarySymmetricChannel(p), (1 << np.arange(n + 1)) - 1, 0, n))
+    """Entry k: P(received | sent) for n-bit words k bits apart, exp(k ln p + (n - k) ln(1 - p)); read-only.
+
+    At p = 0 the table is [1, 0, ..., 0]: a flipped bit is impossible.
+    """
+    k = np.arange(n + 1)
+    if p == 0.0:
+        table = (k == 0).astype(float)
+    else:
+        table = np.exp(k * math.log(p) + (n - k) * math.log(1.0 - p))
     table.setflags(write=False)
     return table
 
 
 def likelihood(chan: BinarySymmetricChannel, sent: np.ndarray, received: int, n: int) -> np.ndarray:
-    """P(received | sent) for an array of n-bit words, read by Hamming distance.
-
-    Each entry is the float `np.exp(log_likelihood(chan, sent, received, n))`
-    gives; the n + 1 distinct values are computed once per (p, n).
-    """
+    """P(received | sent) for an array of n-bit words, read from `likelihood_by_distance` by Hamming distance."""
     return likelihood_by_distance(chan.p, n).take(np.bitwise_count(sent ^ received))

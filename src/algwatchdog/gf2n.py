@@ -29,7 +29,7 @@ class UnsupportedWidthError(FieldError):
 
 
 class SpecMismatchError(FieldError):
-    """Arithmetic attempted between elements of different fields."""
+    """Elements of different fields used together."""
 
 
 def clmul(a: int, b: int) -> int:
@@ -135,7 +135,7 @@ def canonical_spec(n: int) -> FieldSpec:
 
 @dataclass(frozen=True)
 class FieldElement:
-    """An element of GF(2^n), carrying its field so mixing fields is an error."""
+    """A range-checked word of GF(2^n), carrying its field so a hash can reject another field's words."""
 
     value: int
     spec: FieldSpec
@@ -143,28 +143,3 @@ class FieldElement:
     def __post_init__(self):
         if not (0 <= self.value < self.spec.order):
             raise FieldError(f"value {self.value} not an {self.spec.n}-bit word")
-
-    def _check(self, other: "FieldElement"):
-        if self.spec != other.spec:
-            raise SpecMismatchError(f"mixing {self.spec} with {other.spec}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value ^ other.value, self.spec)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(int(self.spec.mul_words(self.value, other.value)), self.spec)
-
-    def __pow__(self, k: int) -> "FieldElement":
-        if k < 0:
-            raise FieldError("negative exponent")
-        result = FieldElement(1, self.spec)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-

@@ -55,10 +55,6 @@ class HashFunction:
     def spec(self) -> FieldSpec:
         return self.coeffs[0].spec
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     @cached_property
     def table(self) -> np.ndarray:
         """h(x) for every word x of the field, indexed by x (`hash_tables`).
@@ -84,20 +80,28 @@ def hash_tables(coeffs, spec: FieldSpec, width: int) -> np.ndarray:
 
     coeffs is (B, d+1) words, a_0 first, as `HashFunction.coeffs` holds
     them; the result is (B, 2^n) uint16, row b indexed by x.  A nonzero x
-    is exp[k], k = log x, so the term a_i x^i is exp[log a_i + i k]: over
-    every k, one row of `_term_windows` (zeroed where a_i = 0).  The terms
-    are XORed into columns k, and one gather by log x puts them in word
-    order; it clips log 0, the sentinel, to column 2^n - 1, which no term
-    reaches, so h(0) = a_0.
+    is exp[k], k = log x, and x^i = x^j for j = ((i - 1) mod (2^n - 1)) + 1,
+    so the term a_i x^i is exp[log a_i + j k]: over every k, ceil(j / 4)
+    chunks of stride-j reads from `_cycle_windows` (zeroed where a_i = 0),
+    one chunk per span of at most four cycles, so the memory a term needs
+    does not grow with d.  The terms are XORed into columns k, and one
+    gather by log x puts them in word order; it clips log 0, the sentinel,
+    to column 2^n - 1, which no term reaches, so h(0) = a_0.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64)
     _, log = _tables(spec.n, spec.reduction_poly)
     period = spec.order - 1
+    windows = _cycle_windows(spec)
     acc = np.zeros((len(coeffs), spec.order), dtype=np.uint16)
-    starts = log.take(coeffs[:, 1:]) % period
-    for i, window in enumerate(_term_windows(spec, coeffs.shape[1] - 1)):
-        term = window[starts[:, i]]
-        term[coeffs[:, i + 1] == 0] = 0
+    for i in range(1, coeffs.shape[1]):
+        j = (i - 1) % period + 1
+        chunk = -(-period // -(-j // 4))
+        rows = log.take(coeffs[:, i]) % period
+        if chunk < period:
+            # chunk c of row b starts at column c * chunk, at exp[log a_i + j c chunk]
+            rows = (rows[:, None] + np.arange(0, j * period, j * chunk)).ravel() % period
+        term = windows[:, : (chunk - 1) * j + 1 : j][rows].reshape(len(coeffs), -1)[:, :period]
+        term[coeffs[:, i] == 0] = 0
         acc[:, :period] ^= term
     acc ^= coeffs[:, :1].astype(np.uint16)
     acc &= (1 << width) - 1
@@ -105,13 +109,12 @@ def hash_tables(coeffs, spec: FieldSpec, width: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _term_windows(spec: FieldSpec, d: int) -> tuple[np.ndarray, ...]:
-    """Window i - 1 holds exp[s + i k] at [s, k] for s, k < 2^n - 1: stride-i
-    views of one uint16 copy of exp's cycle repeated d + 1 times."""
+def _cycle_windows(spec: FieldSpec) -> np.ndarray:
+    """Row s holds exp[s + t] for t <= 4 (2^n - 1): windows over one uint16 copy
+    of exp's cycle repeated five times, the field's only copy whatever d is."""
     exp, _ = _tables(spec.n, spec.reduction_poly)
     period = spec.order - 1
-    cycles = np.tile(exp[:period].astype(np.uint16), d + 1)
-    return tuple(sliding_window_view(cycles, (period - 1) * i + 1)[:period, ::i] for i in range(1, d + 1))
+    return sliding_window_view(np.tile(exp[:period].astype(np.uint16), 5), 4 * period + 1)[:period]
 
 
 def evaluate(hf: HashFunction, x: FieldElement) -> HashValue:
@@ -130,10 +133,3 @@ def sample(rng, d: int, spec: FieldSpec, h: int) -> HashFunction:
     order = spec.order
     coeffs = tuple(FieldElement(rng.randrange(order), spec) for _ in range(d + 1))
     return HashFunction(coeffs, h)
-
-
-def preimage_set(hf: HashFunction, target: HashValue) -> set[FieldElement]:
-    """All field elements hashing to `target`, by exhaustive domain scan."""
-    if target.width != hf.width:
-        raise ValueError("target width does not match hash output width")
-    return {FieldElement(v, hf.spec) for v in np.flatnonzero(hf.table == target.value).tolist()}

@@ -9,10 +9,10 @@ and `relay_word_survivors` counts its survivors for every relay word.
 
 The trellis engine scores the same observation as a four-layer path-sum:
 overheard-peer vertex -> peer candidates -> coded images -> overheard-relay
-vertex, with channel-likelihood edge weights.  `build_trellis`,
-`consistency_probability` and `decide` score one observation;
-`trellis_batch` scores many at once on arrays, with the same scores bit for
-bit.
+vertex, with channel-likelihood edge weights.  `build_trellis` and
+`consistency_probability` score one observation; `trellis_batch` scores
+many at once on arrays, with the same scores bit for bit, and accepts a
+view iff its score reaches the threshold.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ class Observation:
 @dataclass(frozen=True)
 class Verdict:
     decision: Hypothesis
-    consistency_score: float
     diagnostics: dict
 
 
@@ -116,11 +115,9 @@ def algebraic_check(obs: Observation, radius_override: int | None = None) -> Ver
     relay_words, r_relay = candidate_set(obs, "relay", radius_override)
     # ball words are distinct, so relay_words holds no duplicates
     surviving = len(set(images.tolist()).intersection(relay_words.tolist()))
-    score = surviving / len(relay_words) if len(relay_words) else 0.0
     decision = Hypothesis.H1 if not surviving else Hypothesis.H0
     return Verdict(
         decision,
-        score,
         {
             "peer_candidates": len(images),
             "relay_candidates": len(relay_words),
@@ -269,18 +266,6 @@ def consistency_probability(tr: Trellis) -> float:
     return _sum_in_order(tr.weights_in * np.where(tr.edge_out, tr.likelihood_out, 0.0))
 
 
-def decide(score: float, threshold: float) -> Verdict:
-    """Threshold rule on a consistency score: accept the relay iff score >= t.
-
-    The score is an unnormalized path-sum likelihood (its relay-side factor
-    is p^k (1-p)^(n-k)), so a fixed t means different things at different n
-    and p: at n=8, p=0.1 a clean overhearing scores at most (1-p)^8 = 0.43
-    and one flipped bit about 0.048, below t = 0.05.
-    """
-    decision = Hypothesis.H0 if score >= threshold else Hypothesis.H1
-    return Verdict(decision, score, {"threshold": threshold})
-
-
 def trellis_batch(
     spec: FieldSpec,
     tables: np.ndarray,
@@ -300,8 +285,9 @@ def trellis_batch(
     channels[w] is watcher w's (peer link, relay link) in every trial.
     Returns (accepted, scores), both of shape (B, 2, A): scores[b, w, a] is
     `consistency_probability(build_trellis(obs))` for obs, the `Observation`
-    with those fields and links, and accepted[b, w, a] is True
-    exactly when `decide(scores[b, w, a], threshold)` accepts obs.
+    with those fields and links, and accepted[b, w, a] is True exactly when
+    scores[b, w, a] >= threshold.  A score is an unnormalized path-sum
+    likelihood, so a fixed threshold means different things at different n and p.
 
     One `np.flatnonzero` over the tables finds every watcher's peer
     candidates, and weights, coded images and image hashes follow for all

@@ -1,8 +1,9 @@
 """Reference implementations the tests check the package against.
 
 Each re-derives a result through a code path the package does not use: a
-shift-XOR-reduce multiplier against the table-based one, and a
-Pascal-recurrence binomial CDF against the radius computation.
+shift-XOR-reduce multiplier against the table-based one, a hash summed
+power by power with that multiplier against the log-domain hash tables, and
+a Pascal-recurrence binomial CDF against the radius computation.
 """
 
 from fractions import Fraction
@@ -21,6 +22,15 @@ def slow_mul(a: int, b: int, poly: int) -> int:
         if (prod >> (shift + deg)) & 1:
             prod ^= poly << shift
     return prod
+
+
+def slow_hash(coeffs, x: int, poly: int, width: int) -> int:
+    """Reference hash: the low `width` bits of a_0 + a_1 x + ... + a_d x^d by `slow_mul`; x^0 = 1, also at x = 0."""
+    acc, power = 0, 1
+    for c in coeffs:
+        acc ^= slow_mul(c, power, poly)
+        power = slow_mul(power, x, poly)
+    return acc & ((1 << width) - 1)
 
 
 def binomial_cdf_pascal(n: int, r: int, p: float) -> Fraction:

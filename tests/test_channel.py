@@ -16,7 +16,6 @@ from algwatchdog.channel import (
     ball_offsets,
     ball_volume,
     likelihood,
-    log_likelihood,
     radius_for_epsilon,
     transmit,
 )
@@ -153,7 +152,20 @@ class TestBalls:
             ball_offsets(4, 5)
 
 
+def bsc_log_likelihood(p: float, k, n: int):
+    """ln P(received | sent) for n-bit words k bits apart, as the float expression k ln p + (n - k) ln(1 - p)."""
+    return k * math.log(p) + (n - k) * math.log(1.0 - p)
+
+
+def log_likelihood(chan, sent, received, n):
+    """ln of `likelihood`: -inf, not a warning, where a flip is impossible."""
+    with np.errstate(divide="ignore"):
+        return np.log(likelihood(chan, sent, received, n))
+
+
 class TestLogLikelihood:
+    """The BSC likelihood read in the log domain, k ln p + (n - k) ln(1 - p)."""
+
     def test_uninformative_channel(self):
         chan = BinarySymmetricChannel(0.5)
         for received in (0, 0b0110, 0b1111):
@@ -165,6 +177,7 @@ class TestLogLikelihood:
         assert got == pytest.approx(2 * math.log(0.1) + 6 * math.log(0.9))
 
     def test_noiseless_sentinels(self):
+        # at p = 0 a flipped bit is impossible: likelihood 0, not a tiny float
         chan = BinarySymmetricChannel(0.0)
         assert log_likelihood(chan, 0b101, 0b101, 3) == 0.0
         assert log_likelihood(chan, 0b101, 0b100, 3) == -math.inf
@@ -172,8 +185,7 @@ class TestLogLikelihood:
     def test_ball_mass_equals_binomial_cdf(self):
         chan = BinarySymmetricChannel(0.1)
         n, r, center = 8, 3, 0b1100_1010
-        words = (center ^ ball_offsets(n, r)).tolist()
-        mass = sum(math.exp(log_likelihood(chan, x, center, n)) for x in words)
+        mass = np.exp(log_likelihood(chan, center ^ ball_offsets(n, r), center, n)).sum()
         assert mass == pytest.approx(float(binomial_cdf_pascal(n, r, 0.1)))
 
     def test_array_matches_scalar(self):
@@ -196,12 +208,39 @@ class TestLikelihood:
         chan = BinarySymmetricChannel(p)
         words = np.arange(1 << n, dtype=np.int64)
         received = random.Random(n).randrange(1 << n)
-        want = np.exp(log_likelihood(chan, words, received, n))
+        k = np.bitwise_count(words ^ received).astype(np.int64)
+        want = np.where(k == 0, 1.0, 0.0) if p == 0.0 else np.exp(bsc_log_likelihood(p, k, n))
         got = likelihood(chan, words, received, n)
         assert got.dtype == want.dtype and (got == want).all()
+
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 0.5])
+    def test_mass_sums_to_one_over_the_domain(self, p):
+        n = 10
+        received = random.Random(3).randrange(1 << n)
+        mass = likelihood(BinarySymmetricChannel(p), np.arange(1 << n), received, n).sum()
+        assert mass == pytest.approx(1.0)
 
     def test_table_is_read_only(self):
         likelihood(BinarySymmetricChannel(0.1), np.arange(4), 0, 2)
         table = channel.likelihood_by_distance(0.1, 2)
         with pytest.raises(ValueError):
             table[0] = 0.0
+
+
+class TestLikelihoodByDistance:
+    """The n + 1 floats every trellis score is built from, pinned to the bit."""
+
+    @pytest.mark.parametrize("p", [1e-9, 1e-3, 0.01, 0.1, 0.15, 0.25, 1 / 3, 0.45, 0.5])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12, 16])
+    def test_bytes_of_the_float_expression(self, n, p):
+        want = np.exp(bsc_log_likelihood(p, np.arange(n + 1), n))
+        assert channel.likelihood_by_distance(p, n).tobytes() == want.tobytes()
+
+    def test_recorded_floats(self):
+        want = ["0x1.4fec56d5cfaadp-1", "0x1.2a9930be0ded3p-4", "0x1.096bb98c7e284p-7",
+                "0x1.d7dbf487fcb98p-11", "0x1.a36e2eb1c4333p-14"]
+        assert [float(v).hex() for v in channel.likelihood_by_distance(0.1, 4)] == want
+
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_noiseless_channel(self, n):
+        assert channel.likelihood_by_distance(0.0, n).tolist() == [1.0] + [0.0] * n

@@ -1,6 +1,7 @@
 """Polynomial hash family tests."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +11,12 @@ from algwatchdog import hashing
 from algwatchdog.gf2n import FieldElement, FieldSpec, SpecMismatchError, canonical_spec
 from algwatchdog.hashing import (
     HashFunction,
-    HashValue,
     HashWidthError,
     evaluate,
     hash_tables,
-    preimage_set,
     sample,
 )
+from oracles import slow_hash
 
 GF16 = canonical_spec(4)
 
@@ -44,12 +44,9 @@ class TestEvaluate:
     def test_matches_horner_free_evaluation(self):
         rng = random.Random(3)
         hf = sample(rng, 3, GF16, 3)
+        coeffs = [c.value for c in hf.coeffs]
         for x in range(16):
-            xe = fe(x)
-            acc = fe(0)
-            for i, c in enumerate(hf.coeffs):
-                acc = acc + c * xe**i
-            assert evaluate(hf, xe).value == acc.value & 0b111
+            assert evaluate(hf, fe(x)).value == slow_hash(coeffs, x, GF16.reduction_poly, 3)
 
     def test_values_on_agrees_with_scalar(self):
         rng = random.Random(9)
@@ -59,7 +56,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("d", [0, 1, 3])
     def test_values_on_agrees_with_scalar_every_word(self, d):
-        # d = 0 reads no term window: the constant a_0 alone
+        # d = 0 reads no term: the constant a_0 alone
         spec = canonical_spec(8)
         rng = random.Random(40 + d)
         for _ in range(3):
@@ -82,12 +79,8 @@ class TestEvaluate:
 
 
 def sum_of_powers(hf: HashFunction, x: int) -> int:
-    """Reference hash: the sum of a_i * x^i with FieldElement arithmetic, truncated."""
-    xe = FieldElement(x, hf.spec)
-    acc = FieldElement(0, hf.spec)
-    for i, c in enumerate(hf.coeffs):
-        acc = acc + c * xe**i
-    return acc.value & ((1 << hf.width) - 1)
+    """Reference hash of one word: `oracles.slow_hash` on the hash function's coefficients."""
+    return slow_hash([c.value for c in hf.coeffs], x, hf.spec.reduction_poly, hf.width)
 
 
 def coeff_rows(hfs):
@@ -113,7 +106,7 @@ class TestTable:
     @pytest.mark.parametrize("n, rows", [(2, 3), (8, 40), (10, 9), (12, 3), (16, 3)])
     @pytest.mark.parametrize("d", [0, 1, 3])
     def test_stacked_rows_match_each_hash_function(self, n, rows, d):
-        # one call per stack, each row read from the same term windows
+        # one call per stack, each row read from the same cycle windows
         spec = canonical_spec(n)
         rng = random.Random(10 * n + d)
         hfs = [sample(rng, d, spec, max(1, n - 2)) for _ in range(rows)]
@@ -137,7 +130,7 @@ class TestTable:
         for x in range(0, 256, 17):
             evaluate(hf, fe(x, spec))
         hf.values_on(np.arange(40, dtype=np.int64))
-        preimage_set(hf, HashValue(3, 4))
+        hf.of_word(3)
         table = hf.table
         assert hf.table is table
         # one single-row build on first use, none after
@@ -163,15 +156,48 @@ class TestTable:
             hf = HashFunction(tuple(fe(c, spec) for c in row), width)
             assert [int(table[x]) for x in xs] == [sum_of_powers(hf, x) for x in xs]
 
-    @pytest.mark.parametrize("n, d", [(2, 3), (2, 7), (3, 7), (3, 9)])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+    def test_every_degree_to_20_matches_the_oracle(self, n):
+        # a term of stride j >= 5 is read in ceil(j / 4) chunks; zero
+        # coefficients sit at every position
+        spec = canonical_spec(n)
+        rng = random.Random(400 + n)
+        xs = range(spec.order) if n <= 5 else [0, 1] + [rng.randrange(2, spec.order) for _ in range(30)]
+        for d in range(21):
+            rows = [[rng.randrange(spec.order) if rng.random() < 0.8 else 0 for _ in range(d + 1)] for _ in range(3)]
+            for row, table in zip(rows, hash_tables(rows, spec, n)):
+                assert [int(table[x]) for x in xs] == [slow_hash(row, x, spec.reduction_poly, n) for x in xs]
+
+    @pytest.mark.parametrize("n, d", [(2, 3), (2, 7), (3, 7), (3, 9), (4, 31), (6, 70)])
     def test_degree_at_least_the_group_order(self, n, d):
-        # x^(2^n - 1) = 1 for every nonzero x, so a stride of i >= 2^n - 1
-        # wraps exp's cycle more than once within one window row
+        # x^(2^n - 1) = 1 for every nonzero x, so term i reads the stride of
+        # ((i - 1) mod (2^n - 1)) + 1, up to 2^n - 1 itself
         spec = canonical_spec(n)
         rng = random.Random(300 + 10 * n + d)
         hfs = [sample(rng, d, spec, n) for _ in range(8)]
         for hf, table in zip(hfs, hash_tables(coeff_rows(hfs), spec, n)):
             assert table.tolist() == [sum_of_powers(hf, x) for x in range(spec.order)]
+
+    def test_peak_memory_does_not_grow_with_the_degree(self):
+        # one copy of exp's cycle per term would hold (d + 1)(2^n - 1) uint16
+        # words, 4.1 MB at d = 2000; the build needs the same few chunks at any d
+        spec = canonical_spec(10)
+        rng = np.random.default_rng(7)
+        small, large = (rng.integers(0, spec.order, size=(4, d + 1)) for d in (3, 2000))
+        hash_tables(small, spec, 5)  # the field's log/exp tables, built once per process
+
+        def peak(coeffs):
+            tracemalloc.start()
+            try:
+                table = hash_tables(coeffs, spec, 5)
+                return tracemalloc.get_traced_memory()[1], table
+            finally:
+                tracemalloc.stop()
+
+        (small_peak, _), (large_peak, table) = peak(small), peak(large)
+        assert large_peak < 2 * small_peak
+        for x in (0, 1, 2, 700, 1023):
+            assert table[0, x] == slow_hash(large[0].tolist(), x, spec.reduction_poly, 5)
 
 
 class TestSample:
@@ -180,7 +206,7 @@ class TestSample:
 
     def test_degree_zero(self):
         hf = sample(random.Random(0), 0, GF16, 2)
-        assert hf.degree == 0 and len(hf.coeffs) == 1
+        assert len(hf.coeffs) == 1 and hf.table.tolist() == [hf.coeffs[0].value & 0b11] * 16
 
     def test_width_exceeding_field_rejected(self):
         with pytest.raises(HashWidthError):
@@ -195,25 +221,30 @@ class TestSample:
         assert stats.chisquare(counts).pvalue > 0.01
 
 
+def preimage(hf: HashFunction, target: int) -> list[int]:
+    """The words hashing to target, by one scan of the table, as the trellis reads its layer 2."""
+    return np.flatnonzero(hf.table == target).tolist()
+
+
 class TestPreimageSet:
     def test_identity_hash_singleton(self):
         hf = HashFunction((fe(0), fe(1)), width=4)
-        assert {e.value for e in preimage_set(hf, HashValue(0b1010, 4))} == {0b1010}
+        assert preimage(hf, 0b1010) == [0b1010]
 
     def test_constant_hash_whole_domain(self):
         hf = HashFunction((fe(0b0101), fe(0)), width=2)
-        assert len(preimage_set(hf, HashValue(0b01, 2))) == 16
-        assert len(preimage_set(hf, HashValue(0b10, 2))) == 0
+        assert preimage(hf, 0b01) == list(range(16))
+        assert preimage(hf, 0b10) == []
 
     def test_partition_of_domain(self):
         spec = canonical_spec(8)
         rng = random.Random(5)
         for _ in range(5):
             hf = sample(rng, 3, spec, 3)
-            sets = [preimage_set(hf, HashValue(t, 3)) for t in range(8)]
-            assert sum(len(s) for s in sets) == 256
-            union = set().union(*({e.value for e in s} for s in sets))
-            assert len(union) == 256
+            sets = [preimage(hf, t) for t in range(8)]
+            assert sorted(sum(sets, [])) == list(range(256))
+            for t, words in enumerate(sets):
+                assert all(sum_of_powers(hf, x) == t for x in words)
 
 
 def test_preimage_sizes_near_uniform():

@@ -25,6 +25,7 @@ from algwatchdog.protocol import (
     watcher_links,
 )
 from algwatchdog.watchdog import algebraic_check, relay_word_survivors
+from oracles import slow_mul
 
 GF16 = canonical_spec(4)
 GF32 = canonical_spec(5)
@@ -105,7 +106,8 @@ def reference_pass_counts(scn, e):
         relay_cands = {
             y.value for y in words if (y.value ^ corrupted).bit_count() <= r_relay and evaluate(hf, y) == relay_hash
         }
-        counts.append(len({(a_own * own + a_peer * x).value for x in peer_cands} & relay_cands))
+        coded = slow_mul(a_own.value, own.value, spec.reduction_poly)
+        counts.append(len({coded ^ slow_mul(a_peer.value, x.value, spec.reduction_poly) for x in peer_cands} & relay_cands))
     return counts
 
 
