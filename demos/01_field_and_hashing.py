@@ -29,12 +29,12 @@ print(f"x * x * x * x the same way:          {x4:#06b}\n")
 hf = sample(random.Random(7), d=3, spec=spec, h=2)
 print(f"hash coefficients: {[c.value for c in hf.coeffs]}, output width h=2")
 
-counts = Counter(evaluate(hf, FieldElement(x, spec)).value for x in range(16))
+counts = Counter(evaluate(hf, FieldElement(x, spec)) for x in range(16))
 print(f"bucket sizes over the whole domain: {dict(sorted(counts.items()))}")
 
 target = evaluate(hf, FieldElement(0b1011, spec))
 # the hash is read from a table of every word's hash, so a preimage is one scan of it
-pre = np.flatnonzero(hf.table == target.value).tolist()
-print(f"preimage of hash({0b1011:#06b}) = {target.value}: {[f'{v:#06b}' for v in pre]}")
+pre = np.flatnonzero(hf.table == target).tolist()
+print(f"preimage of hash({0b1011:#06b}) = {target}: {[f'{v:#06b}' for v in pre]}")
 print("\nA watcher that knows hash(x) can discard every candidate outside")
 print("that preimage — roughly a 2^h = 4x reduction here.")

@@ -43,8 +43,8 @@ print(f"x1=0x{scn.x1.value:02X}, x2=0x{scn.x2.value:02X}; honest relay value "
 for label, strategy in (("honest relay", AdversaryStrategy("honest")),
                         ("corrupting relay", AdversaryStrategy("random_nonzero_error"))):
     relay = relay_output(scn, strategy, rng)
-    print(f"--- {label}: transmitted payload 0x{relay.payload:02X} "
-          f"(error 0x{relay.payload ^ honest:02X})")
+    print(f"--- {label}: transmitted payload 0x{relay:02X} "
+          f"(error 0x{relay ^ honest:02X})")
     for watcher in (1, 2):
         obs = observe(watcher, scn, relay, rng)
         verdict = algebraic_check(obs)

@@ -28,10 +28,9 @@ from .harness import (
     wilson_interval,
     write_report,
 )
-from .hashing import HashFunction, HashValue, evaluate, sample
+from .hashing import HashFunction, evaluate, sample
 from .protocol import (
     AdversaryStrategy,
-    Packet,
     Scenario,
     observe,
     relay_output,

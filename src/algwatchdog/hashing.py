@@ -26,16 +26,6 @@ class HashWidthError(ValueError):
 
 
 @dataclass(frozen=True)
-class HashValue:
-    value: int
-    width: int
-
-    def __post_init__(self):
-        if not (0 <= self.value < (1 << self.width)):
-            raise ValueError(f"{self.value} is not a {self.width}-bit word")
-
-
-@dataclass(frozen=True)
 class HashFunction:
     """h(x) = a_0 + a_1 x + ... + a_d x^d in GF(2^n), truncated to `width` bits."""
 
@@ -69,10 +59,6 @@ class HashFunction:
     def values_on(self, words: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an array of n-bit words."""
         return self.table.take(words)
-
-    def of_word(self, x: int) -> HashValue:
-        """Scalar evaluation of one n-bit word given as an int."""
-        return HashValue(self.table.item(x), self.width)
 
 
 def hash_tables(coeffs, spec: FieldSpec, width: int) -> np.ndarray:
@@ -117,19 +103,17 @@ def _cycle_windows(spec: FieldSpec) -> np.ndarray:
     return sliding_window_view(np.tile(exp[:period].astype(np.uint16), 5), 4 * period + 1)[:period]
 
 
-def evaluate(hf: HashFunction, x: FieldElement) -> HashValue:
-    """Scalar evaluation of one field element."""
+def evaluate(hf: HashFunction, x: FieldElement) -> int:
+    """Scalar evaluation of one field element: its h-bit hash word."""
     if x.spec != hf.spec:
         raise SpecMismatchError("hash input from a different field")
-    return hf.of_word(x.value)
+    return hf.table.item(x.value)
 
 
 def sample(rng, d: int, spec: FieldSpec, h: int) -> HashFunction:
     """Draw d+1 coefficients independently uniform over the field."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    if not (1 <= h <= spec.n):
-        raise HashWidthError(f"output width {h} not in [1, {spec.n}]")
     order = spec.order
     coeffs = tuple(FieldElement(rng.randrange(order), spec) for _ in range(d + 1))
     return HashFunction(coeffs, h)

@@ -1,11 +1,11 @@
-"""Packets, the two-source/one-relay scenario, relay behaviors, and overhearing.
+"""The two-source/one-relay scenario, relay behaviors, and overhearing.
 
 Headers are reliable: the watchers know the coding coefficients through the
-`Scenario`, which stands for the overheard headers, so a packet carries only
-its own hash and the coded payload, the one noise-exposed part.  The relay is
-either honest or injects a nonzero error into its payload while keeping its
-own hash consistent with the corrupted payload (the downstream receiver
-checks that hash, so an inconsistent one would be caught immediately).
+`Scenario`, which stands for the overheard headers, and each node's hash, an
+`evaluate` read of its payload, so a packet is just its payload word, the one
+noise-exposed part.  The relay is either honest or injects a nonzero error
+into its payload while keeping its own hash consistent with the corrupted
+payload (the receiver checks that hash, so an inconsistent one is caught).
 """
 
 from __future__ import annotations
@@ -14,23 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# noise comes from `noise_mask`; `transmit` stays importable here because
+# the benchmark's tracer wraps `protocol.transmit`
 from .channel import BinarySymmetricChannel, noise_mask, transmit  # noqa: F401
 from .gf2n import FieldElement, FieldSpec
-# packets hash through `HashFunction.of_word` and noise comes from
-# `noise_mask`; `evaluate` and `transmit` stay importable here because the
-# benchmark's tracer wraps `protocol.evaluate` and `protocol.transmit`
-from .hashing import HashFunction, HashValue, evaluate  # noqa: F401
+from .hashing import HashFunction, evaluate
 from .watchdog import Observation, relay_word_survivors
 
 EXHAUSTIVE_MAX_WIDTH = 12
-
-
-@dataclass(frozen=True)
-class Packet:
-    """What a node transmits: its hash of the payload and the payload word."""
-
-    own_hash: HashValue
-    payload: int
 
 
 def is_int(value) -> bool:
@@ -91,9 +82,11 @@ class Scenario:
         honest = int(mul(self.a1.value, self.x1.value) ^ mul(self.a2.value, self.x2.value))
         object.__setattr__(self, "honest_payload", honest)
 
-    def source_packet(self, which: int) -> Packet:
-        x = (self.x1 if which == 1 else self.x2).value
-        return Packet(self.hf.of_word(x), x)
+    def source_packet(self, which: int) -> int:
+        """The payload word source `which`, node 1 or 2, transmits."""
+        if which not in (1, 2):
+            raise ValueError("source must be node 1 or 2")
+        return (self.x1 if which == 1 else self.x2).value
 
 
 def draw_error(strategy: AdversaryStrategy, spec: FieldSpec, rng) -> int:
@@ -155,40 +148,39 @@ def watcher_links(
     return (chan_21, chan_31), (chan_12, chan_32)
 
 
-def relay_output(scn: Scenario, strategy: AdversaryStrategy, rng) -> Packet:
-    """The relay's transmitted packet, honest or corrupted per the strategy."""
+def relay_output(scn: Scenario, strategy: AdversaryStrategy, rng) -> int:
+    """The relay's transmitted payload word, honest or corrupted per the strategy."""
     if strategy.kind == "exhaustive_best":
         sources, coeffs = [[scn.x1.value, scn.x2.value]], [[scn.a1.value, scn.a2.value]]
         links = watcher_links(scn.chan_12, scn.chan_21, scn.chan_31, scn.chan_32)
         error = int(best_errors(scn.spec, scn.hf.table[None], sources, coeffs, links, scn.epsilon)[0])
     else:
         error = draw_error(strategy, scn.spec, rng)
-    payload = scn.honest_payload ^ error
-    return Packet(scn.hf.of_word(payload), payload)
+    return scn.honest_payload ^ error
 
 
-def observe(watcher: int, scn: Scenario, relay_packet: Packet, rng) -> Observation:
+def observe(watcher: int, scn: Scenario, relay_payload: int, rng) -> Observation:
     """What one source-side watcher gathers: intact headers, noisy payloads.
 
     Watcher w's own value and coefficient are node w's, its peer the other
-    source, whose packet comes from the scenario; `view_rows` lays its rows
-    out in the same roles.  The peer link's error pattern is drawn from rng
-    before the relay link's.
+    source, whose payload comes from the scenario; `view_rows` lays its rows
+    out in the same roles.  Both hashes are `evaluate` reads, of the peer's
+    word and of relay_payload.  The peer link's error pattern is drawn from
+    rng before the relay link's.
     """
     if watcher not in (1, 2):
         raise ValueError("watcher must be node 1 or 2")
-    own, a_own, a_peer = (scn.x1, scn.a1, scn.a2) if watcher == 1 else (scn.x2, scn.a2, scn.a1)
-    peer = scn.source_packet(3 - watcher)
+    own, peer, a_own, a_peer = (scn.x1, scn.x2, scn.a1, scn.a2) if watcher == 1 else (scn.x2, scn.x1, scn.a2, scn.a1)
     peer_chan, relay_chan = watcher_links(scn.chan_12, scn.chan_21, scn.chan_31, scn.chan_32)[watcher - 1]
     ((peer_noise, relay_noise),) = noise_masks([(peer_chan, relay_chan)], scn.spec.n, rng)
     return Observation(
         own_value=own,
         own_coeff=a_own,
         peer_coeff=a_peer,
-        peer_hash=peer.own_hash,
-        relay_hash=relay_packet.own_hash,
-        noisy_peer=peer.payload ^ peer_noise,
-        noisy_relay=relay_packet.payload ^ relay_noise,
+        peer_hash=evaluate(scn.hf, peer),
+        relay_hash=evaluate(scn.hf, FieldElement(relay_payload, scn.spec)),
+        noisy_peer=peer.value ^ peer_noise,
+        noisy_relay=relay_payload ^ relay_noise,
         peer_channel=peer_chan,
         relay_channel=relay_chan,
         epsilon=scn.epsilon,

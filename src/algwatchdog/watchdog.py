@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import BinarySymmetricChannel, ball_offsets, likelihood, likelihood_by_distance, radius_for_epsilon
 from .gf2n import FieldElement, FieldSpec
-from .hashing import HashFunction, HashValue
+from .hashing import HashFunction
 
 TRELLIS_MAX_WIDTH = 12
 
@@ -39,15 +39,15 @@ class Hypothesis(enum.Enum):
 class Observation:
     """Everything one watcher gathers in a single round.
 
-    Headers (coefficients and hashes) arrive intact; the two overheard
-    payloads went through the corresponding interference channels.
+    Headers (coefficients, and hashes as h-bit words) arrive intact; the two
+    overheard payloads went through the corresponding interference channels.
     """
 
     own_value: FieldElement
     own_coeff: FieldElement
     peer_coeff: FieldElement
-    peer_hash: HashValue
-    relay_hash: HashValue
+    peer_hash: int
+    relay_hash: int
     noisy_peer: int
     noisy_relay: int
     peer_channel: BinarySymmetricChannel
@@ -99,7 +99,7 @@ def candidate_set(obs: Observation, which: str, radius_override: int | None = No
     n = obs.n
     r = radius_for_epsilon(n, chan.p, obs.epsilon).r if radius_override is None else radius_override
     ball = noisy ^ ball_offsets(n, r)
-    return ball[obs.hf.values_on(ball) == target.value], r
+    return ball[obs.hf.values_on(ball) == target], r
 
 
 def algebraic_check(obs: Observation, radius_override: int | None = None) -> Verdict:
@@ -243,7 +243,7 @@ def build_trellis(obs: Observation) -> Trellis:
     if n > TRELLIS_MAX_WIDTH:
         raise ValueError(f"trellis engine supports n <= {TRELLIS_MAX_WIDTH}, got {n}")
     spec = obs.own_value.spec
-    candidates = np.flatnonzero(obs.hf.table == obs.peer_hash.value)
+    candidates = np.flatnonzero(obs.hf.table == obs.peer_hash)
     raw_in = likelihood(obs.peer_channel, candidates, obs.noisy_peer, n)
     total = _sum_in_order(raw_in)
     images = spec.mul_words(obs.own_coeff.value, obs.own_value.value) ^ spec.mul_words(obs.peer_coeff.value, candidates)
@@ -252,7 +252,7 @@ def build_trellis(obs: Observation) -> Trellis:
         images=images,
         weights_in=raw_in / total if total > 0 else np.zeros_like(raw_in),
         likelihood_out=likelihood(obs.relay_channel, images, obs.noisy_relay, n),
-        edge_out=obs.hf.values_on(images) == obs.relay_hash.value,
+        edge_out=obs.hf.values_on(images) == obs.relay_hash,
     )
 
 

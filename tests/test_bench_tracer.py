@@ -38,8 +38,8 @@ def imported_but_unused(path: Path) -> set[str]:
 
 def test_unused_imports_are_trace_points():
     # the package keeps a name it does not use only for the tracer to wrap
-    # (protocol.evaluate, protocol.transmit and harness.sample_hash); any
-    # other unused import is dead
+    # (protocol.transmit and harness.sample_hash); any other unused import
+    # is dead
     bound = {(owner.__name__, attr) for owner, attr, _ in runpy.run_path(str(TRACER))["TRACE_POINTS"]}
     unused = {
         (f"algwatchdog.{path.stem}", name)

@@ -1,6 +1,10 @@
-"""The package imports nothing from scipy: it is a test-only dependency."""
+"""The package imports only the standard library and numpy, its one declared dependency.
+
+scipy in particular is a test-only dependency.
+"""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "algwatchdog"
@@ -19,5 +23,15 @@ def test_package_never_imports_scipy():
     assert files, f"no sources under {SRC}"
     offenders = {
         f"{path.name}: {mod}" for path in files for mod in imported_modules(path) if mod.split(".")[0] == "scipy"
+    }
+    assert not offenders
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # numpy is the one entry of pyproject.toml's `dependencies`
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    offenders = {
+        f"{path.name}: {mod}" for path in sorted(SRC.glob("*.py")) for mod in imported_modules(path)
+        if mod.split(".")[0] not in allowed
     }
     assert not offenders

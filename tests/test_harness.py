@@ -83,6 +83,26 @@ class TestRunTrials:
         assert rep.gamma["count"] == 0
         assert rep.beta is None
 
+    def test_noiseless_self_check_names_the_flagged_trial(self, monkeypatch):
+        # a kernel that rejects watcher 1's honest view of trial 3 trips the
+        # check that noiseless channels never flag an honest relay; in
+        # sub-batches of 2 trials, trial 3 is row 1 of the second one
+        batch, calls = watchdog.algebraic_batch, []
+
+        def rejecting(*args):
+            accepted, surviving = batch(*args)
+            calls.append(len(accepted))
+            if len(calls) == 2:
+                accepted[1, 0, 0] = False
+            return accepted, surviving
+
+        monkeypatch.setattr(harness, "_BATCH_TRIALS", 2)
+        monkeypatch.setattr(harness.watchdog, "algebraic_batch", rejecting)
+        cfg = small_cfg(p12=0.0, p21=0.0, p31=0.0, p32=0.0, trials=5)
+        with pytest.raises(AssertionError, match=r"honest relay flagged under noiseless channels \(trial 3\)"):
+            run_trials(cfg, workers=1)
+        assert calls == [2, 2]
+
     def test_deterministic_given_seed(self):
         cfg = small_cfg(trials=200)
         a, b = run_trials(cfg), run_trials(cfg)
@@ -272,7 +292,7 @@ class TestDrawStep:
         )
         strategy = cfg.strategy()
         arms = [protocol.AdversaryStrategy("honest")] + ([strategy] if strategy.kind != "honest" else [])
-        relays = [protocol.relay_output(scn, arm, rng).payload for arm in arms]
+        relays = [protocol.relay_output(scn, arm, rng) for arm in arms]
         links = protocol.watcher_links(scn.chan_12, scn.chan_21, scn.chan_31, scn.chan_32)
         noise = protocol.noise_masks(links, cfg.n, random.Random(harness._derive_seed(cfg.seed, trial, "noise")))
         rows = protocol.view_rows([[x1, x2]], [[a1, a2]], hf.table[None], [relays], [noise])
@@ -580,6 +600,13 @@ class TestReports:
         rep = run_trials(small_cfg(trials=5))
         with pytest.raises(IOError):
             write_report(rep, "/nonexistent-dir/report.json")
+
+    def test_unknown_format_rejected_before_writing(self, tmp_path):
+        rep = run_trials(small_cfg(trials=5))
+        path = tmp_path / "report.xml"
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            write_report(rep, str(path), format="xml")
+        assert not path.exists()
 
     def test_floats_rounded_to_12_significant_digits(self):
         rep = run_trials(small_cfg(trials=30))

@@ -1,7 +1,8 @@
 """Relay behavior and overhearing tests.
 
-Packets carry only the hash and the payload; the watchers read the coding
-coefficients from the Scenario, which stands for the reliable headers.
+A packet is its payload word and its hash the `evaluate` read of that word;
+the watchers read the coding coefficients from the Scenario, which stands
+for the reliable headers.
 """
 
 import dataclasses
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from algwatchdog.channel import BinarySymmetricChannel, noise_mask, radius_for_epsilon
-from algwatchdog.gf2n import FieldElement, canonical_spec
+from algwatchdog.gf2n import FieldElement, FieldError, canonical_spec
 from algwatchdog.hashing import evaluate, sample
 from algwatchdog.protocol import (
     AdversaryStrategy,
@@ -70,8 +71,8 @@ def scenario_links(scn):
 def row_of(obs):
     """An observation's words in the order of a `view_rows` row with one relay arm."""
     return [
-        obs.own_value.value, obs.own_coeff.value, obs.peer_coeff.value, obs.peer_hash.value,
-        obs.noisy_peer, obs.relay_hash.value, obs.noisy_relay,
+        obs.own_value.value, obs.own_coeff.value, obs.peer_coeff.value, obs.peer_hash,
+        obs.noisy_peer, obs.relay_hash, obs.noisy_relay,
     ]
 
 
@@ -114,9 +115,8 @@ def reference_pass_counts(scn, e):
 class TestRelayOutput:
     def test_honest_xor_of_sources(self):
         scn = make_scenario()
-        pkt = relay_output(scn, AdversaryStrategy("honest"), random.Random(1))
-        assert pkt.payload == 0b0010
-        assert pkt.own_hash == evaluate(scn.hf, FieldElement(pkt.payload, scn.spec))
+        payload = relay_output(scn, AdversaryStrategy("honest"), random.Random(1))
+        assert payload == 0b0010 and type(payload) is int
 
     def test_honest_packet_valid_under_random_coefficients(self):
         rng = random.Random(11)
@@ -125,15 +125,13 @@ class TestRelayOutput:
                 x1=rng.randrange(16), x2=rng.randrange(16),
                 a1=rng.randrange(1, 16), a2=rng.randrange(1, 16), seed=rng.random(),
             )
-            pkt = relay_output(scn, AdversaryStrategy("honest"), rng)
-            assert pkt.payload == scn.honest_payload
-            assert pkt.own_hash == evaluate(scn.hf, FieldElement(pkt.payload, scn.spec))
+            payload = relay_output(scn, AdversaryStrategy("honest"), rng)
+            assert payload == scn.honest_payload and type(payload) is int
 
     def test_fixed_error_offsets_payload(self):
         scn = make_scenario()
-        pkt = relay_output(scn, AdversaryStrategy("fixed_error", error=0b1001), random.Random(1))
-        assert pkt.payload == 0b0010 ^ 0b1001
-        assert pkt.own_hash == evaluate(scn.hf, FieldElement(pkt.payload, scn.spec))
+        payload = relay_output(scn, AdversaryStrategy("fixed_error", error=0b1001), random.Random(1))
+        assert payload == 0b0010 ^ 0b1001 and type(payload) is int
 
     def test_fixed_zero_error_rejected(self):
         with pytest.raises(ValueError):
@@ -149,7 +147,7 @@ class TestRelayOutput:
         scn = make_scenario(spec=GF256, h=3)
         rng = random.Random(2)
         honest = scn.honest_payload
-        errors = {relay_output(scn, AdversaryStrategy("random_nonzero_error"), rng).payload ^ honest for _ in range(10_000)}
+        errors = {relay_output(scn, AdversaryStrategy("random_nonzero_error"), rng) ^ honest for _ in range(10_000)}
         assert 0 not in errors
         assert len(errors) > 200
 
@@ -158,14 +156,13 @@ class TestRelayOutput:
         rng = random.Random(3)
         honest = scn.honest_payload
         for _ in range(200):
-            pkt = relay_output(scn, AdversaryStrategy("weight_bounded_error", max_weight=2), rng)
-            e = pkt.payload ^ honest
+            e = relay_output(scn, AdversaryStrategy("weight_bounded_error", max_weight=2), rng) ^ honest
             assert 1 <= e.bit_count() <= 2
 
     def test_exhaustive_best_returns_nonzero_error(self):
         scn = make_scenario(p=0.1)
-        pkt = relay_output(scn, AdversaryStrategy("exhaustive_best"), random.Random(4))
-        assert pkt.payload != scn.honest_payload
+        payload = relay_output(scn, AdversaryStrategy("exhaustive_best"), random.Random(4))
+        assert payload != scn.honest_payload and type(payload) is int
 
     @pytest.mark.parametrize(
         "seed, p",
@@ -182,8 +179,8 @@ class TestRelayOutput:
         key = best_error_key(scn)
         want = max(range(1, scn.spec.order), key=key)
         assert key(want)[0] > 0
-        pkt = relay_output(scn, AdversaryStrategy("exhaustive_best"), random.Random(4))
-        assert pkt.payload ^ scn.honest_payload == want
+        payload = relay_output(scn, AdversaryStrategy("exhaustive_best"), random.Random(4))
+        assert payload ^ scn.honest_payload == want
 
     def test_best_errors_of_a_batch_maximize_pass_counts(self):
         # one call picks every trial's error, as the harness's draw step makes it
@@ -219,11 +216,11 @@ class TestRelayOutput:
         counts = relay_word_survivors(spec, tables, rows, links, 0.01)
         assert counts.shape == (3, 2, spec.order)
         for b, (scn, seed) in enumerate(zip(scenarios, seeds)):
-            packet, noise_rng = relay_output(scn, AdversaryStrategy("honest"), rng), random.Random(seed)
+            payload, noise_rng = relay_output(scn, AdversaryStrategy("honest"), rng), random.Random(seed)
             for w in (1, 2):
-                obs = observe(w, scn, packet, noise_rng)
+                obs = observe(w, scn, payload, noise_rng)
                 for relay in range(spec.order):
-                    one = dataclasses.replace(obs, relay_hash=scn.hf.of_word(relay), noisy_relay=relay)
+                    one = dataclasses.replace(obs, relay_hash=evaluate(scn.hf, FieldElement(relay, spec)), noisy_relay=relay)
                     assert counts[b, w - 1, relay] == algebraic_check(one).diagnostics["surviving"]
 
     def test_exhaustive_best_cost_error_at_large_n(self):
@@ -243,7 +240,7 @@ class TestObserve:
         relay = relay_output(scn, AdversaryStrategy("honest"), random.Random(1))
         obs = observe(1, scn, relay, random.Random(2))
         assert obs.noisy_peer == scn.x2.value
-        assert obs.noisy_relay == relay.payload
+        assert obs.noisy_relay == relay
 
     def test_headers_never_corrupted(self):
         scn = make_scenario(p=0.5)
@@ -254,7 +251,7 @@ class TestObserve:
                 obs = observe(watcher, scn, relay, rng)
                 peer = scn.x2 if watcher == 1 else scn.x1
                 assert obs.peer_hash == evaluate(scn.hf, peer)
-                assert obs.relay_hash == relay.own_hash
+                assert obs.relay_hash == evaluate(scn.hf, FieldElement(relay, scn.spec))
                 assert (obs.own_coeff, obs.peer_coeff) == ((scn.a1, scn.a2) if watcher == 1 else (scn.a2, scn.a1))
 
     def test_mean_overheard_distance(self):
@@ -262,7 +259,7 @@ class TestObserve:
         relay = relay_output(scn, AdversaryStrategy("honest"), random.Random(1))
         rng = random.Random(4)
         total = sum(
-            (observe(1, scn, relay, rng).noisy_relay ^ relay.payload).bit_count()
+            (observe(1, scn, relay, rng).noisy_relay ^ relay).bit_count()
             for _ in range(10_000)
         )
         sigma = (8 * 0.1 * 0.9) ** 0.5
@@ -280,7 +277,7 @@ class TestObserve:
         obs = observe(watcher, scn, relay, random.Random(6))
         rng = random.Random(6)
         assert obs.noisy_peer == peer ^ noise_mask(getattr(scn, peer_link), 8, rng)
-        assert obs.noisy_relay == relay.payload ^ noise_mask(getattr(scn, relay_link), 8, rng)
+        assert obs.noisy_relay == relay ^ noise_mask(getattr(scn, relay_link), 8, rng)
 
     @pytest.mark.parametrize("watcher", [1, 2])
     def test_reobserve_crosses_the_same_channel_realization(self, watcher):
@@ -294,7 +291,7 @@ class TestObserve:
         for seed in range(20):
             corrupted = relay_output(scn, AdversaryStrategy("random_nonzero_error"), random.Random(seed))
             noise = noise_masks(links, scn.spec.n, random.Random(seed))
-            row = view_rows(values, coeffs, tables, [[honest.payload, corrupted.payload]], [noise])[0, watcher - 1]
+            row = view_rows(values, coeffs, tables, [[honest, corrupted]], [noise])[0, watcher - 1]
             for a, relay in enumerate((honest, corrupted)):
                 rng = random.Random(seed)
                 obs = [observe(w, scn, relay, rng) for w in (1, 2)][watcher - 1]
@@ -318,13 +315,26 @@ class TestObserve:
             want = [observe(w, scn, relay, rng) for w in (1, 2)]
             assert links == tuple((obs.peer_channel, obs.relay_channel) for obs in want)
             noise = noise_masks(links, scn.spec.n, random.Random(seed))
-            rows = view_rows(values, coeffs, tables, [[relay.payload]], [noise])
+            rows = view_rows(values, coeffs, tables, [[relay]], [noise])
             assert rows[0].tolist() == [row_of(obs) for obs in want]
 
     def test_bad_watcher_id(self):
         scn = make_scenario()
         with pytest.raises(ValueError):
             observe(3, scn, relay_output(scn, AdversaryStrategy("honest"), random.Random(1)), random.Random(1))
+
+    def test_relay_payload_outside_the_field_rejected(self):
+        # the relay's hash is read through a range-checked FieldElement
+        scn = make_scenario()
+        with pytest.raises(FieldError, match="4-bit word"):
+            observe(1, scn, GF16.order, random.Random(1))
+
+    @pytest.mark.parametrize("which", [0, 3])
+    def test_source_packet_of_a_non_source_rejected(self, which):
+        scn = make_scenario()
+        assert (scn.source_packet(1), scn.source_packet(2)) == (scn.x1.value, scn.x2.value)
+        with pytest.raises(ValueError, match="source must be node 1 or 2"):
+            scn.source_packet(which)
 
 
 def test_zero_coefficients_need_override():

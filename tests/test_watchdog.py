@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 
 from algwatchdog.channel import BinarySymmetricChannel, ball_volume
 from algwatchdog.gf2n import FieldElement, canonical_spec
-from algwatchdog.hashing import HashFunction, HashValue, evaluate, sample
+from algwatchdog.hashing import HashFunction, evaluate, sample
 from algwatchdog.protocol import (
     AdversaryStrategy,
-    Packet,
     Scenario,
     noise_masks,
     observe,
@@ -73,10 +72,10 @@ def brute_force_accepts(spec, hf, x_own, a_own, a_peer, peer_hash, relay_hash):
     """Full-domain re-implementation of the empty-intersection rule (radius n)."""
     c = mul(a_own, x_own, spec)
     for x in range(spec.order):
-        if evaluate(hf, fe(x, spec)).value != peer_hash:
+        if evaluate(hf, fe(x, spec)) != peer_hash:
             continue
         w = c ^ mul(a_peer, x, spec)
-        if evaluate(hf, fe(w, spec)).value == relay_hash:
+        if evaluate(hf, fe(w, spec)) == relay_hash:
             return True
     return False
 
@@ -104,7 +103,7 @@ class TestCandidateSet:
             target = obs.peer_hash if which == "peer" else obs.relay_hash
             for w in words.tolist():
                 assert (w ^ noisy).bit_count() <= r
-                assert evaluate(hf, fe(w, GF256)).value == target.value
+                assert evaluate(hf, fe(w, GF256)) == target
 
     def test_thinning_statistics(self):
         # average candidate count near ball_volume / 2^h for random hashes
@@ -138,8 +137,8 @@ class TestAlgebraicCheck:
         found = None
         for e in range(1, 16):
             if not brute_force_accepts(GF16, hf, x1, a1, a2,
-                                       evaluate(hf, fe(x2)).value,
-                                       evaluate(hf, fe(x3 ^ e)).value):
+                                       evaluate(hf, fe(x2)),
+                                       evaluate(hf, fe(x3 ^ e))):
                 found = e
                 break
         assert found is not None
@@ -155,7 +154,7 @@ class TestAlgebraicCheck:
                 for e in range(1, 16):
                     obs = make_obs(GF16, hf, x1, a1, a2, x2, x3 ^ e, p=0.0)
                     got = algebraic_check(obs, radius_override=4).decision
-                    want = brute_force_accepts(GF16, hf, x1, a1, a2, obs.peer_hash.value, obs.relay_hash.value)
+                    want = brute_force_accepts(GF16, hf, x1, a1, a2, obs.peer_hash, obs.relay_hash)
                     assert (got is Hypothesis.H0) == want
 
 
@@ -165,7 +164,7 @@ class TestTrellis:
         obs = make_obs(GF16, hf, 3, 5, 7, 0b1001, 0b0100, p=0.1)
         tr = build_trellis(obs)
         coeffs = [c.value for c in hf.coeffs]
-        want = {x for x in range(16) if slow_hash(coeffs, x, GF16.reduction_poly, 2) == obs.peer_hash.value}
+        want = {x for x in range(16) if slow_hash(coeffs, x, GF16.reduction_poly, 2) == obs.peer_hash}
         assert set(tr.candidates.tolist()) == want
 
     def test_permutation_layer_is_bijection(self):
@@ -208,13 +207,13 @@ def random_trellis_trials(rng, n, d, links, count):
             corrupted = honest ^ rng.randrange(1, spec.order)
             obs = Observation(
                 own_value=fe(own, spec), own_coeff=fe(a_own, spec), peer_coeff=fe(a_peer, spec),
-                peer_hash=hf.of_word(peer), relay_hash=hf.of_word(honest),
+                peer_hash=evaluate(hf, fe(peer, spec)), relay_hash=evaluate(hf, fe(honest, spec)),
                 noisy_peer=peer ^ noise(peer_p), noisy_relay=honest ^ noise(relay_p),
                 peer_channel=BinarySymmetricChannel(peer_p), relay_channel=BinarySymmetricChannel(relay_p),
                 epsilon=0.01, hf=hf,
             )
             noisy_relay = obs.noisy_relay ^ honest ^ corrupted
-            views.append((obs, dataclasses.replace(obs, relay_hash=hf.of_word(corrupted), noisy_relay=noisy_relay)))
+            views.append((obs, dataclasses.replace(obs, relay_hash=evaluate(hf, fe(corrupted, spec)), noisy_relay=noisy_relay)))
         trials.append(tuple(views))
     return trials
 
@@ -223,8 +222,8 @@ def batch_of(trials, threshold):
     """`trellis_batch` on trials of observations, each watcher's views turned into one row of words."""
     def row(views):
         obs = views[0]
-        peer_side = [obs.own_value.value, obs.own_coeff.value, obs.peer_coeff.value, obs.peer_hash.value, obs.noisy_peer]
-        return peer_side + [v for o in views for v in (o.relay_hash.value, o.noisy_relay)]
+        peer_side = [obs.own_value.value, obs.own_coeff.value, obs.peer_coeff.value, obs.peer_hash, obs.noisy_peer]
+        return peer_side + [v for o in views for v in (o.relay_hash, o.noisy_relay)]
 
     words = [[row(views) for views in trial] for trial in trials]
     links = [(views[0].peer_channel, views[0].relay_channel) for views in trials[0]]
@@ -305,7 +304,7 @@ def harness_trials(rng, n, h, d, probs, epsilon, count, arms=2):
             a1=fe(rng.randrange(1, spec.order), spec), a2=fe(rng.randrange(1, spec.order), spec),
             epsilon=epsilon, **chans,
         )
-        relays = [relay_output(scn, s, rng).payload for s in strategies]
+        relays = [relay_output(scn, s, rng) for s in strategies]
         trials.append((scn, relays, rng.randrange(2**32)))
     return trials
 
@@ -318,7 +317,7 @@ def trial_views(scn, relays, seed, peer_flip=0):
     arms = []
     for payload in relays:
         rng = random.Random(seed)
-        first, second = (observe(w, scn, Packet(scn.hf.of_word(payload), payload), rng) for w in (1, 2))
+        first, second = (observe(w, scn, payload, rng) for w in (1, 2))
         arms.append((dataclasses.replace(first, noisy_peer=first.noisy_peer ^ peer_flip), second))
     return arms
 
@@ -375,7 +374,7 @@ class TestAlgebraicBatch:
         trial = harness_trials(random.Random(3), 8, 4, 3, [0.0] * 4, 0.01, 1)[0]
         scn = trial[0]
         peer = scn.x2.value
-        flip = next(1 << i for i in range(8) if scn.hf.of_word(peer ^ 1 << i) != scn.hf.of_word(peer))
+        flip = next(1 << i for i in range(8) if evaluate(scn.hf, fe(peer ^ 1 << i, scn.spec)) != evaluate(scn.hf, scn.x2))
         obs = trial_views(*trial, flip)[0][0]
         assert obs.noisy_peer == peer ^ flip
         assert algebraic_check(obs).diagnostics["peer_candidates"] == 0
@@ -402,7 +401,7 @@ class TestConsistencyProbability:
             obs = make_obs(GF16, hf, rng.randrange(16), rng.randrange(1, 16), rng.randrange(1, 16),
                            rng.randrange(16), rng.randrange(16), p=0.1)
             for target in range(4):
-                tr = build_trellis(dataclasses.replace(obs, relay_hash=HashValue(target, 2)))
+                tr = build_trellis(dataclasses.replace(obs, relay_hash=target))
                 if not tr.edge_out.any():
                     assert consistency_probability(tr) == 0.0
                     return
@@ -416,14 +415,14 @@ class TestConsistencyProbability:
         c = mul(3, 6)
         raw = {}
         for v in range(16):
-            if evaluate(hf, fe(v)).value == obs.peer_hash.value:
+            if evaluate(hf, fe(v)) == obs.peer_hash:
                 k = (v ^ obs.noisy_peer).bit_count()
                 raw[v] = (p**k) * ((1 - p) ** (4 - k))
         norm = sum(raw.values())
         total = 0.0
         for v, w_in in raw.items():
             w = c ^ mul(5, v)
-            if evaluate(hf, fe(w)).value == obs.relay_hash.value:
+            if evaluate(hf, fe(w)) == obs.relay_hash:
                 k = (w ^ obs.noisy_relay).bit_count()
                 total += (w_in / norm) * (p**k) * ((1 - p) ** (4 - k))
         assert consistency_probability(build_trellis(obs)) == pytest.approx(total)
