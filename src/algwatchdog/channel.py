@@ -33,17 +33,43 @@ class Radius:
     epsilon: float
 
 
+# 2^i for each bit i of a word of the widest field, n = 16
+_BIT_VALUES = np.array([1 << i for i in range(16)], dtype=np.int64)
+
+
+def stream_bytes(rng, words: int) -> bytes:
+    """The next `words` 32-bit outputs of rng's MT19937 stream, in order, as little-endian bytes.
+
+    One getrandbits(32 * words) call reads them: it fills its result one
+    output per 32 bits, starting from the least significant word.
+    """
+    return rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+
+
+def masks_from_words(words: np.ndarray, p) -> np.ndarray:
+    """n-bit error patterns from MT19937 outputs: bit i is set when the i-th `random()` they hold is < p.
+
+    words is (..., n, 2) uint32, the two outputs each `random()` reads, and
+    p broadcasts against (...).  `random()` is ((w0 >> 5) 2^26 + (w1 >> 6))
+    2^-53, and both that product and p 2^53 are exact in float64, so the
+    numerator is compared with p 2^53.  Returns the (...) int64 masks.
+    """
+    numerator = (words[..., 0] >> 5) * 67108864.0
+    numerator += words[..., 1] >> 6
+    bits = numerator < np.multiply(p, 2.0**53)[..., None]
+    return bits.dot(_BIT_VALUES[: words.shape[-2]])
+
+
 def noise_mask(chan: BinarySymmetricChannel, n: int, rng) -> int:
-    """Draw an n-bit error pattern, each bit set independently with prob p."""
-    p = chan.p
-    if p == 0.0:
+    """Draw an n-bit error pattern, each bit set independently with prob p.
+
+    Bit i is set when the i-th `random()` of rng is < p (`masks_from_words`
+    reads the 2n outputs those calls would); at p = 0 nothing is drawn.
+    """
+    if chan.p == 0.0:
         return 0
-    random = rng.random
-    mask = 0
-    for i in range(n):
-        if random() < p:
-            mask |= 1 << i
-    return mask
+    words = np.frombuffer(stream_bytes(rng, 2 * n), dtype="<u4").reshape(n, 2)
+    return int(masks_from_words(words, chan.p))
 
 
 def transmit(chan: BinarySymmetricChannel, payload: int, n: int, rng) -> int:

@@ -13,12 +13,18 @@ tables never exceed 2^16 words and at small n few trials are held at once
 (with B = 2^16 / 2^n alone, a 20,000-trial trellis chunk at n = 2 peaked
 at 50 MB against 36 MB).  Each sub-batch runs in two steps.  The draw step
 (`_draw_batch`) does two things per trial: it reseeds one `random.Random`
-for each of the trial's two streams, and reads from them, as plain ints
-and in a fixed order, the sources, the coefficients, the hash
-coefficients, the relay's error (`protocol.draw_error`) and the four
-noise masks (`protocol.noise_masks`, in the order `protocol.observe`
-draws them for watcher 1, then watcher 2).  Everything derived is then
-computed once for the sub-batch on arrays: the hash tables
+for each of the trial's two streams, and reads them as MT19937 32-bit
+words.  From the draw stream come, in a fixed order, the sources, the
+coefficients, the hash coefficients and the relay's error
+(`protocol.draw_error`), each by the rejection read randrange runs
+(`protocol.draws_below`); from the noise stream, in one getrandbits call,
+the words of the `random()` calls behind the four noise masks, in the
+order `protocol.observe` draws them for watcher 1, then watcher 2.  The
+values are the ones randrange and `random()` would draw, but they rest on
+the MT19937 stream alone, not on how those two are implemented, which
+Python does not promise to keep.  Everything derived is then computed
+once for the sub-batch on arrays: the noise masks
+(`channel.masks_from_words`), the hash tables
 (`hashing.hash_tables`, in the log domain), the errors of the exhaustive_best
 adversary, which draws none (`protocol.best_errors`), both relay arms'
 payloads, and each watcher's views of them as one row of words per trial
@@ -57,7 +63,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
-import hashlib
 import itertools
 import json
 import math
@@ -69,11 +74,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from hashlib import blake2b
 
 import numpy as np
 
 from . import protocol, theory, watchdog
-from .channel import BinarySymmetricChannel, radius_for_epsilon
+from .channel import BinarySymmetricChannel, masks_from_words, radius_for_epsilon, stream_bytes
 from .gf2n import canonical_spec
 from .hashing import hash_tables
 # the draw step reads hash coefficients as plain ints; `sample_hash` stays
@@ -237,10 +243,18 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+def _derive_seeds(seed: int, trials, key: str) -> list[int]:
+    """The seeds of one of the trials' streams: blake2b of the parts' reprs, each followed by a NUL.
+
+    The parts around the trial index are encoded once per call.
+    """
+    head, tail = f"{seed!r}\x00".encode(), f"\x00{key!r}\x00".encode()
+    return [int.from_bytes(blake2b(b"%b%d%b" % (head, t, tail), digest_size=8).digest(), "little") for t in trials]
+
+
 def _derive_seed(seed: int, trial: int, key: str) -> int:
-    """The seed of one of a trial's streams: blake2b of the parts' reprs, each followed by a NUL."""
-    data = f"{seed!r}\x00{trial!r}\x00{key!r}\x00".encode()
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+    """The seed of one of a trial's streams (`_derive_seeds`)."""
+    return _derive_seeds(seed, (trial,), key)[0]
 
 
 # a sub-batch holds at most this many trials and hash-table words
@@ -259,36 +273,50 @@ def _draw_batch(cfg: SimConfig, trials: range) -> tuple[np.ndarray, np.ndarray]:
     tables is the trials' (B, 2^n) uint16 hash tables and words their
     (B, 2, 5 + 2A) rows (`protocol.view_rows`): arm 0 is the honest
     relay's payload and, unless the strategy is honest, arm 1 the
-    corrupting relay's.  Each trial only reads its two streams; everything
-    derived from the draws is computed on arrays for the whole sub-batch.
+    corrupting relay's.  Each trial only reads its two streams, as MT19937
+    32-bit words, so the draws do not depend on how randrange and
+    `random()` are implemented; everything derived from the draws is
+    computed on arrays for the whole sub-batch.  The draw stream gives, by
+    `protocol.draws_below`, what randrange would: the sources, the
+    coefficients, the hash coefficients a_0..a_d, then the relay's error
+    (`protocol.draw_error`).  The noise stream gives each link with p > 0,
+    in `watcher_links` order, the 2n words of its n `random()` calls, read
+    with one getrandbits call per trial and turned into masks for the whole
+    sub-batch by `channel.masks_from_words`; a link with p = 0 draws
+    nothing, and with no such link the stream is not seeded.
     """
     spec = canonical_spec(cfg.n)
-    order = spec.order
+    order, n = spec.order, cfg.n
     links = protocol.watcher_links(**_channels(cfg))
     strategy = cfg.strategy()
     corrupt = strategy.kind != "honest"
     # exhaustive_best draws no error: it is chosen from the sub-batch's arrays below
     drawn_error = corrupt and strategy.kind != "exhaustive_best"
-    fixed = cfg.sources["fixed"] if isinstance(cfg.sources, dict) else None
-    rng = random.Random()
-    reseed, randrange = rng.seed, rng.randrange
-    draw_error, noise_masks = protocol.draw_error, protocol.noise_masks
-    seed, n, hash_coeffs = cfg.seed, cfg.n, range(cfg.d + 1)
-    draws, noise = [], []
-    for trial in trials:
-        reseed(_derive_seed(seed, trial, "draw"))
-        # x1, x2, a1, a2, the hash coefficients a_0..a_d, then the relay's error
-        row = list(fixed) if fixed else [randrange(order), randrange(order)]
-        row.append(randrange(1, order))
-        row.append(randrange(1, order))
-        for _ in hash_coeffs:
-            row.append(randrange(order))
+    fixed = list(cfg.sources["fixed"]) if isinstance(cfg.sources, dict) else []
+    # x1 and x2 unless fixed, a1 - 1 and a2 - 1 (randrange(1, order)), then a_0..a_d
+    bounds = [order] * (2 - len(fixed)) + [order - 1] * 2 + [order] * (cfg.d + 1)
+    # reseeded for every stream below; an int seeds it faster than the OS entropy Random() reads
+    rng = random.Random(0)
+    reseed, draws_below, draw_error = rng.seed, protocol.draws_below, protocol.draw_error
+    draws = []
+    for seed in _derive_seeds(cfg.seed, trials, "draw"):
+        reseed(seed)
+        row = fixed + draws_below(rng, bounds)
         if drawn_error:
             row.append(draw_error(strategy, spec, rng))
         draws.append(row)
-        reseed(_derive_seed(seed, trial, "noise"))
-        noise.append(noise_masks(links, n, rng))
     draws = np.array(draws, dtype=np.int64)
+    draws[:, 2:4] += 1
+    probs = [chan.p for link in links for chan in link]
+    live = [i for i, p in enumerate(probs) if p > 0.0]
+    noise = np.zeros((len(trials), 4), dtype=np.int64)
+    if live:
+        blocks = []
+        for seed in _derive_seeds(cfg.seed, trials, "noise"):
+            reseed(seed)
+            blocks.append(stream_bytes(rng, 2 * n * len(live)))
+        words = np.frombuffer(b"".join(blocks), dtype="<u4").reshape(len(trials), len(live), n, 2)
+        noise[:, live] = masks_from_words(words, [probs[i] for i in live])
     sources, coeffs = draws[:, 0:2], draws[:, 2:4]
     tables = hash_tables(draws[:, 4 : 5 + cfg.d], spec, cfg.h)
     payloads = [spec.mul_words(coeffs[:, 0], sources[:, 0]) ^ spec.mul_words(coeffs[:, 1], sources[:, 1])]
@@ -296,7 +324,7 @@ def _draw_batch(cfg: SimConfig, trials: range) -> tuple[np.ndarray, np.ndarray]:
         payloads.append(payloads[0] ^ draws[:, -1])
     elif corrupt:
         payloads.append(payloads[0] ^ protocol.best_errors(spec, tables, sources, coeffs, links, cfg.epsilon))
-    return tables, protocol.view_rows(sources, coeffs, tables, np.stack(payloads, axis=1), noise)
+    return tables, protocol.view_rows(sources, coeffs, tables, np.stack(payloads, axis=1), noise.reshape(-1, 2, 2))
 
 
 def _score(cfg: SimConfig, first: int, tables: np.ndarray, words: np.ndarray) -> tuple[int, int, int, int]:

@@ -89,10 +89,33 @@ class Scenario:
         return (self.x1 if which == 1 else self.x2).value
 
 
+def draws_below(rng, bounds) -> list[int]:
+    """`rng.randrange(bound)` for each bound in turn, read from rng's MT19937 words as CPython reads it.
+
+    randrange(b) reads getrandbits(b.bit_length()), the top bits of one
+    32-bit output, until a read falls below b; randrange(1, b) is 1 +
+    randrange(b - 1).  Reading those words directly draws the same values
+    from the same stream without randrange's per-call cost, and keeps the
+    draws fixed if a later Python changes how randrange is implemented,
+    which it does not promise to keep.
+    """
+    getrandbits = rng.getrandbits
+    out = []
+    for bound in bounds:
+        k = bound.bit_length()
+        r = getrandbits(k)
+        while r >= bound:
+            r = getrandbits(k)
+        out.append(r)
+    return out
+
+
 def draw_error(strategy: AdversaryStrategy, spec: FieldSpec, rng) -> int:
     """The relay's error word under every strategy but exhaustive_best, drawn from rng.
 
-    exhaustive_best draws nothing: `best_errors` chooses its error.
+    A drawn error is a `draws_below` read of a nonzero word, repeated under
+    weight_bounded_error until its weight is in bound.  exhaustive_best
+    draws nothing: `best_errors` chooses its error.
     """
     order = spec.order
     if strategy.kind == "honest":
@@ -101,12 +124,12 @@ def draw_error(strategy: AdversaryStrategy, spec: FieldSpec, rng) -> int:
         if not (0 < strategy.error < order):
             raise ValueError(f"fixed error {strategy.error} not a nonzero {spec.n}-bit word")
         return strategy.error
-    if strategy.kind == "random_nonzero_error":
-        return rng.randrange(1, order)
-    if strategy.kind == "weight_bounded_error":
-        w = min(strategy.max_weight, spec.n)
+    if strategy.kind in ("random_nonzero_error", "weight_bounded_error"):
+        # random_nonzero_error sets no max_weight: every nonzero word is in bound
+        w = strategy.max_weight or spec.n
         while True:
-            e = rng.randrange(1, order)
+            [e] = draws_below(rng, (order - 1,))
+            e += 1
             if e.bit_count() <= w:
                 return e
     raise ValueError(f"{strategy.kind} draws no error; its error is a function of the scenario")

@@ -2,8 +2,10 @@
 
 Each re-derives a result through a code path the package does not use: a
 shift-XOR-reduce multiplier against the table-based one, a hash summed
-power by power with that multiplier against the log-domain hash tables, and
-a Pascal-recurrence binomial CDF against the radius computation.
+power by power with that multiplier against the log-domain hash tables, a
+Pascal-recurrence binomial CDF against the radius computation, and a noise
+mask drawn one `random()` call per bit against the one read from raw
+MT19937 words.
 """
 
 from fractions import Fraction
@@ -31,6 +33,13 @@ def slow_hash(coeffs, x: int, poly: int, width: int) -> int:
         acc ^= slow_mul(c, power, poly)
         power = slow_mul(power, x, poly)
     return acc & ((1 << width) - 1)
+
+
+def noise_mask_per_bit(p: float, n: int, rng) -> int:
+    """Reference noise draw: bit i set when the i-th `rng.random()` is < p; at p = 0 nothing is drawn."""
+    if p == 0.0:
+        return 0
+    return sum(1 << i for i in range(n) if rng.random() < p)
 
 
 def binomial_cdf_pascal(n: int, r: int, p: float) -> Fraction:

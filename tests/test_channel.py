@@ -16,10 +16,12 @@ from algwatchdog.channel import (
     ball_offsets,
     ball_volume,
     likelihood,
+    masks_from_words,
+    noise_mask,
     radius_for_epsilon,
     transmit,
 )
-from oracles import binomial_cdf_pascal, radius_oracle_suite, radius_pascal
+from oracles import binomial_cdf_pascal, noise_mask_per_bit, radius_oracle_suite, radius_pascal
 
 
 class TestTransmit:
@@ -49,6 +51,45 @@ class TestTransmit:
     def test_probability_out_of_range(self):
         with pytest.raises(ValueError):
             BinarySymmetricChannel(0.6)
+
+
+NOISE_PROBS = [0.0, 2.0**-53, 0.1, 0.3, 0.5]
+
+
+class TestNoiseMask:
+    """Masks read from raw MT19937 words against the per-bit `random() < p` reference."""
+
+    @pytest.mark.parametrize("p", NOISE_PROBS)
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_equals_per_bit_reference(self, n, p):
+        for seed in range(200):
+            got, want = random.Random(seed), random.Random(seed)
+            assert noise_mask(BinarySymmetricChannel(p), n, got) == noise_mask_per_bit(p, n, want)
+            # the same number of outputs read (none at p = 0), so the stream goes on where it would have
+            assert got.getstate() == want.getstate()
+
+    def test_threshold_is_exact_at_the_smallest_probability(self):
+        # random() is 0 for words whose kept bits are all zero and 2^-53 when
+        # only the lowest kept bit is set: only the first is below 2^-53
+        words = np.array([[0, 0], [31, 63], [0, 64], [32, 0]], dtype=np.uint32)
+        assert masks_from_words(words, 2.0**-53) == 0b0011
+        assert masks_from_words(words, 2.0**-52) == 0b0111
+        assert masks_from_words(words, 2.0**-53 * 2**26 + 2.0**-53) == 0b1111
+        top = np.full((3, 2), 0xFFFFFFFF, dtype=np.uint32)
+        # the largest random() is 1 - 2^-53, below 0.5 nowhere and below 1 everywhere
+        assert masks_from_words(top, 0.5) == 0 and masks_from_words(top, 1.0) == 0b111
+
+    def test_batch_of_links_with_their_own_probabilities(self):
+        # (B, L, n, 2) words and one probability per link, as the harness's draw step reads them
+        n, probs = 8, [0.1, 0.5, 2.0**-53]
+        streams = [random.Random(seed) for seed in range(20)]
+        words = np.array(
+            [[[[s.getrandbits(32), s.getrandbits(32)] for _ in range(n)] for _ in probs] for s in streams],
+            dtype=np.uint32,
+        )
+        streams = [random.Random(seed) for seed in range(20)]
+        want = [[noise_mask_per_bit(p, n, s) for p in probs] for s in streams]
+        assert masks_from_words(words, probs).tolist() == want
 
 
 class TestRadiusForEpsilon:

@@ -33,6 +33,7 @@ from algwatchdog.harness import (
     wilson_interval,
     write_report,
 )
+from oracles import noise_mask_per_bit
 
 
 def small_cfg(**kw):
@@ -339,11 +340,59 @@ class TestDrawStep:
             assert tables[b].tolist() == table.tolist()
             assert words[b].tolist() == rows
 
+    @pytest.mark.parametrize("n", [2, 8, 12])
+    def test_noise_with_a_dead_link_between_live_links_equals_per_bit_draws(self, monkeypatch, n):
+        # links in watcher_links order are p21, p31, p12, p32: the dead p31
+        # link draws nothing, so p12's words follow p21's in each trial's stream
+        recorded = []
+        view_rows = protocol.view_rows
+
+        def recording(sources, coeffs, tables, payloads, noise):
+            recorded.extend(np.asarray(noise).tolist())
+            return view_rows(sources, coeffs, tables, payloads, noise)
+
+        monkeypatch.setattr(protocol, "view_rows", recording)
+        cfg = small_cfg(n=n, h=2, p21=0.3, p31=0.0, p12=0.1, p32=0.5, trials=40)
+        run_trials(cfg)
+        want = []
+        for trial in range(cfg.trials):
+            rng = random.Random(harness._derive_seed(cfg.seed, trial, "noise"))
+            w1 = [noise_mask_per_bit(p, n, rng) for p in (cfg.p21, cfg.p31)]
+            want.append([w1, [noise_mask_per_bit(p, n, rng) for p in (cfg.p12, cfg.p32)]])
+        assert recorded == want
+        assert all(trial[0][1] == 0 for trial in recorded)
+
     def test_derived_seeds_pinned(self):
         # recorded before the seed derivation was rewritten; every tally rests on them
         assert harness._derive_seed(0, 0, "draw") == 16436181301074276647
         assert harness._derive_seed(42, 12345, "noise") == 7579827467035994739
         assert harness._derive_seed(2**40 + 7, 999999, "draw") == 10190733824899363748
+
+
+@pytest.mark.parametrize("engine", ["algebraic", "trellis"])
+@pytest.mark.parametrize(
+    "adversary",
+    [
+        "honest",
+        "random_nonzero_error",
+        {"kind": "fixed_error", "error": 5},
+        {"kind": "weight_bounded_error", "max_weight": 2},
+        "exhaustive_best",
+    ],
+    ids=["honest", "random_nonzero_error", "fixed_error", "weight_bounded_error", "exhaustive_best"],
+)
+def test_trials_read_words_not_randrange_or_random(monkeypatch, engine, adversary):
+    # both streams are read as MT19937 words (getrandbits), so the draws do
+    # not rest on how randrange and random() are implemented
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial called Random.randrange or Random.random")
+
+    monkeypatch.setattr(random.Random, "randrange", refuse)
+    monkeypatch.setattr(random.Random, "random", refuse)
+    with pytest.raises(AssertionError):
+        random.Random(1).random()
+    rep = run_trials(small_cfg(engine=engine, adversary=adversary, threshold=0.01, trials=2))
+    assert rep.gamma["trials"] == 2
 
 
 class TestBetaBoundScope:

@@ -19,6 +19,7 @@ from algwatchdog.protocol import (
     Scenario,
     best_errors,
     draw_error,
+    draws_below,
     noise_masks,
     observe,
     relay_output,
@@ -110,6 +111,37 @@ def reference_pass_counts(scn, e):
         coded = slow_mul(a_own.value, own.value, spec.reduction_poly)
         counts.append(len({coded ^ slow_mul(a_peer.value, x.value, spec.reduction_poly) for x in peer_cands} & relay_cands))
     return counts
+
+
+class TestDrawsBelow:
+    """The rejection read of MT19937 words against `random.Random.randrange`, which runs the same read."""
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_equals_randrange(self, n):
+        order = 1 << n
+        for seed in range(300):
+            got, want = random.Random(seed), random.Random(seed)
+            # randrange(1, order) is 1 + the read below order - 1
+            values = draws_below(got, [order, order - 1, order, order - 1])
+            values[1] += 1
+            values[3] += 1
+            assert values == [want.randrange(order), want.randrange(1, order), want.randrange(order), want.randrange(1, order)]
+            assert got.getstate() == want.getstate()
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [AdversaryStrategy("random_nonzero_error"), AdversaryStrategy("weight_bounded_error", max_weight=2)],
+        ids=["random_nonzero_error", "weight_bounded_error"],
+    )
+    def test_drawn_error_equals_randrange_loop(self, strategy):
+        # draw_error's reads are what randrange(1, order) drew before they were read as words
+        for seed in range(300):
+            got, want = random.Random(seed), random.Random(seed)
+            e = want.randrange(1, GF256.order)
+            while strategy.max_weight and e.bit_count() > strategy.max_weight:
+                e = want.randrange(1, GF256.order)
+            assert draw_error(strategy, GF256, got) == e
+            assert got.getstate() == want.getstate()
 
 
 class TestRelayOutput:
