@@ -37,10 +37,15 @@ engine's, `watchdog.algebraic_batch`, counts survivors in integers, so its
 verdicts are `algebraic_check`'s.
 
 `run_trials` and `sweep` share one run path: their trials run as (cfg, lo,
-hi) chunk jobs, read in order through the builtin `map` in this process,
-or, once `workers` splits a config into chunks, through
-`ProcessPoolExecutor.map` on the process's one pool.  `write_report` writes
-the result as JSON or CSV to a file or to stdout.
+hi) chunks, grouped into jobs whose results are read in order.  Serially
+each config is one chunk and one job, run through the builtin `map` in
+this process.  With workers > 1 and a config of 2 * workers trials or
+more, the call pools: every config is cut into `workers` near-equal
+chunks, job k holds chunk k of each, and the `workers` jobs go through
+`ProcessPoolExecutor.map` on the process's one pool, however many points
+a sweep has.  A chunk builds its config's links and strategy once, a job
+one `random.Random`.  `write_report` writes the result as JSON or CSV to
+a file or to stdout.
 
 The pool lives as long as the process.  The first pooled call starts it,
 with min(workers, usable cores) worker processes (the chunk plan still
@@ -267,7 +272,9 @@ def _channels(cfg: SimConfig) -> dict[str, BinarySymmetricChannel]:
     return {"chan_" + name[1:]: BinarySymmetricChannel(getattr(cfg, name)) for name in _EDGE_PROBS}
 
 
-def _draw_batch(cfg: SimConfig, trials: range) -> tuple[np.ndarray, np.ndarray]:
+def _draw_batch(
+    cfg: SimConfig, trials: range, links: list, strategy: protocol.AdversaryStrategy, rng: random.Random
+) -> tuple[np.ndarray, np.ndarray]:
     """The draw step of one sub-batch of trials: (tables, words), the arrays its kernel reads.
 
     tables is the trials' (B, 2^n) uint16 hash tables and words their
@@ -283,20 +290,17 @@ def _draw_batch(cfg: SimConfig, trials: range) -> tuple[np.ndarray, np.ndarray]:
     in `watcher_links` order, the 2n words of its n `random()` calls, read
     with one getrandbits call per trial and turned into masks for the whole
     sub-batch by `channel.masks_from_words`; a link with p = 0 draws
-    nothing, and with no such link the stream is not seeded.
+    nothing, and with no such link the stream is not seeded.  `rng` is
+    reseeded for each stream, so it carries nothing between sub-batches.
     """
     spec = canonical_spec(cfg.n)
     order, n = spec.order, cfg.n
-    links = protocol.watcher_links(**_channels(cfg))
-    strategy = cfg.strategy()
     corrupt = strategy.kind != "honest"
     # exhaustive_best draws no error: it is chosen from the sub-batch's arrays below
     drawn_error = corrupt and strategy.kind != "exhaustive_best"
     fixed = list(cfg.sources["fixed"]) if isinstance(cfg.sources, dict) else []
     # x1 and x2 unless fixed, a1 - 1 and a2 - 1 (randrange(1, order)), then a_0..a_d
     bounds = [order] * (2 - len(fixed)) + [order - 1] * 2 + [order] * (cfg.d + 1)
-    # reseeded for every stream below; an int seeds it faster than the OS entropy Random() reads
-    rng = random.Random(0)
     reseed, draws_below, draw_error = rng.seed, protocol.draws_below, protocol.draw_error
     draws = []
     for seed in _derive_seeds(cfg.seed, trials, "draw"):
@@ -327,13 +331,12 @@ def _draw_batch(cfg: SimConfig, trials: range) -> tuple[np.ndarray, np.ndarray]:
     return tables, protocol.view_rows(sources, coeffs, tables, np.stack(payloads, axis=1), noise.reshape(-1, 2, 2))
 
 
-def _score(cfg: SimConfig, first: int, tables: np.ndarray, words: np.ndarray) -> tuple[int, int, int, int]:
+def _score(cfg: SimConfig, first: int, tables: np.ndarray, words: np.ndarray, links: list) -> tuple[int, int, int, int]:
     """The score step: summed tallies of trials `first`, `first` + 1, ... given their `_draw_batch`.
 
     Returns (honest_flagged, mal_passed_both, mal_passed_v1, mal_passed_v2).
     """
     spec = canonical_spec(cfg.n)
-    links = protocol.watcher_links(**_channels(cfg))
     if cfg.engine == "trellis":
         accepted = watchdog.trellis_batch(spec, tables, words, links, cfg.threshold)[0]
     else:
@@ -350,26 +353,30 @@ def _score(cfg: SimConfig, first: int, tables: np.ndarray, words: np.ndarray) ->
     return flagged, int((v1 & v2).sum()), int(v1.sum()), int(v2.sum())
 
 
-def _run_chunk(job: tuple[SimConfig, int, int]) -> tuple[int, int, int, int]:
-    """Summed tallies of trials lo..hi-1 of one config, given as the job (cfg, lo, hi).
+def _run_chunks(job: list[tuple[SimConfig, int, int]]) -> list[tuple[int, int, int, int]]:
+    """For each (cfg, lo, hi) chunk of the job, in order, the summed tallies of trials lo..hi-1 of cfg.
 
-    Trials are drawn and scored in sub-batches (see the module docstring).
+    Trials are drawn and scored in sub-batches (see the module docstring);
+    a chunk's links and strategy are built once for all its sub-batches.
     """
-    cfg, lo, hi = job
-    size = max(1, min(_BATCH_TRIALS, _BATCH_WORDS >> cfg.n))
-    tallies = (0, 0, 0, 0)
-    for first in range(lo, hi, size):
-        tables, words = _draw_batch(cfg, range(first, min(first + size, hi)))
-        tallies = tuple(a + b for a, b in zip(tallies, _score(cfg, first, tables, words)))
-    return tallies
+    # reseeded for every stream it gives; an int seeds it faster than the OS entropy Random() reads
+    rng = random.Random(0)
+    out = []
+    for cfg, lo, hi in job:
+        links, strategy = protocol.watcher_links(**_channels(cfg)), cfg.strategy()
+        size = max(1, min(_BATCH_TRIALS, _BATCH_WORDS >> cfg.n))
+        tallies = (0, 0, 0, 0)
+        for first in range(lo, hi, size):
+            tables, words = _draw_batch(cfg, range(first, min(first + size, hi)), links, strategy, rng)
+            tallies = tuple(a + b for a, b in zip(tallies, _score(cfg, first, tables, words, links)))
+        out.append(tallies)
+    return out
 
 
 def _chunks(trials: int, workers: int) -> list[tuple[int, int]]:
-    """Trial ranges for one config: one range below 2 * workers trials, else one per worker."""
-    if workers == 1 or trials < 2 * workers:
-        return [(0, trials)]
+    """Trial ranges for one config: `workers` near-equal ranges, the empty ones dropped."""
     bounds = [round(i * trials / workers) for i in range(workers + 1)]
-    return list(zip(bounds[:-1], bounds[1:]))
+    return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
 
 
 # (pid, size, executor) of this process's pool, or None before the first pooled call
@@ -417,11 +424,11 @@ def _pooled(jobs: list, size: int):
     results are the same.
     """
     try:
-        parts = _pool_of(size).map(_run_chunk, jobs)
+        parts = _pool_of(size).map(_run_chunks, jobs)
         first = next(parts)
     except BrokenProcessPool:
         _drop_pool()
-        parts = _pool_of(size).map(_run_chunk, jobs)
+        parts = _pool_of(size).map(_run_chunks, jobs)
         first = next(parts)
     return itertools.chain([first], parts)
 
@@ -429,12 +436,12 @@ def _pooled(jobs: list, size: int):
 def _tally(cfgs: list[SimConfig], workers: int) -> list[tuple[tuple[int, int, int, int], float]]:
     """Each config's summed tallies, with the wall seconds since the previous config's finished.
 
-    Every config becomes one or more (cfg, lo, hi) chunk jobs.  If any config
-    is split into several, all jobs of all configs go to the process's pool
-    (see the module docstring), so a sweep uses one pool however many points
-    it has; otherwise the jobs run one after another in this process.  Either
-    way the results come back in job order and each config's chunks are
-    summed as they arrive.  If a pooled call fails in any way (a job raises,
+    Serially each config is one job of one chunk, run in this process.  If
+    workers > 1 and a config has 2 * workers trials or more, job k holds
+    chunk k of every config and the `workers` jobs go to the process's pool
+    (see the module docstring).  Either way the results come back in job order, and a config
+    is reported once its last chunk is summed, so a pooled sweep's points
+    all come back together.  If a pooled call fails in any way (a job raises,
     a worker dies, an interrupt), the pool is shut down before the error
     propagates, and the next pooled call starts a new one; a pool that
     broke before the call began is replaced instead (see `_pooled`).
@@ -443,19 +450,24 @@ def _tally(cfgs: list[SimConfig], workers: int) -> list[tuple[tuple[int, int, in
         raise ConfigError([f"workers={workers!r} is not an integer"])
     if workers < 1:
         raise ConfigError([f"workers={workers} < 1"])
-    plans = [_chunks(cfg.trials, workers) for cfg in cfgs]
-    jobs = [(cfg, lo, hi) for cfg, plan in zip(cfgs, plans) for lo, hi in plan]
-    pooled = len(jobs) > len(cfgs)
-    out = []
+    pooled = workers > 1 and any(cfg.trials >= 2 * workers for cfg in cfgs)
+    plans = [[(i, lo, hi) for lo, hi in _chunks(cfg.trials, workers if pooled else 1)] for i, cfg in enumerate(cfgs)]
+    # pooled, job k holds chunk k of every config that has one; serially, each config is one job
+    shares = [[c for c in share if c] for share in itertools.zip_longest(*plans)] if pooled else plans
+    jobs = [[(cfgs[i], lo, hi) for i, lo, hi in share] for share in shares]
+    sums, left, out = [(0, 0, 0, 0)] * len(cfgs), [len(plan) for plan in plans], []
     start = time.perf_counter()
     with _pool_lock if pooled else contextlib.nullcontext():
         try:
-            parts = _pooled(jobs, min(workers, _usable_cores())) if pooled else map(_run_chunk, jobs)
-            for plan in plans:
-                tallies = tuple(sum(col) for col in zip(*itertools.islice(parts, len(plan))))
+            parts = _pooled(jobs, min(workers, _usable_cores())) if pooled else map(_run_chunks, jobs)
+            for share, tallies in zip(shares, parts):
+                for (i, _, _), part in zip(share, tallies):
+                    sums[i] = tuple(a + b for a, b in zip(sums[i], part))
+                    left[i] -= 1
                 now = time.perf_counter()
-                out.append((tallies, now - start))
-                start = now
+                while len(out) < len(cfgs) and not left[len(out)]:
+                    out.append((sums[len(out)], now - start))
+                    start = now
         except BaseException:
             if pooled:
                 _drop_pool()
@@ -531,8 +543,9 @@ def sweep(base: SimConfig, axis: str, values, workers: int = 1) -> list[SimRepor
     process's one pool.  A point's `wall_time_s` is the wall time from the
     moment the previous point finished (for the first point, the start of
     the sweep) until its own last chunk finished; the first point's time
-    includes pool start-up only when this call starts the pool.  With
-    workers > 1 a point's chunks may have started while earlier points ran.
+    includes pool start-up only when this call starts the pool.  A pooled
+    sweep's points all finish together: the first point's time holds the
+    pooled run, later points read about 0, and the times sum to the sweep's.
     """
     if axis not in _NUMERIC_FIELDS:
         raise ConfigError([f"axis {axis!r} is not a numeric config field"])

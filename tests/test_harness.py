@@ -330,7 +330,8 @@ class TestDrawStep:
             **dict(zip(("p12", "p21", "p31", "p32"), probs)),
         )
         cfg.validate()
-        tables, words = harness._draw_batch(cfg, range(first, first + count))
+        links = protocol.watcher_links(**harness._channels(cfg))
+        tables, words = harness._draw_batch(cfg, range(first, first + count), links, cfg.strategy(), random.Random())
         arms = 1 if kind == "honest" else 2
         assert tables.shape == (count, order) and tables.dtype == np.uint16
         assert words.shape == (count, 2, 5 + 2 * arms)
@@ -361,6 +362,34 @@ class TestDrawStep:
             want.append([w1, [noise_mask_per_bit(p, n, rng) for p in (cfg.p12, cfg.p32)]])
         assert recorded == want
         assert all(trial[0][1] == 0 for trial in recorded)
+
+    @pytest.mark.parametrize("probs", [(0.1, 0.1, 0.1, 0.1), (0.1, 0.0, 0.2, 0.3)], ids=["live", "p21_dead"])
+    def test_reused_generator_carries_nothing_between_sub_batches(self, monkeypatch, probs):
+        # at n=12 a sub-batch holds 16 trials, so one 48-trial chunk reads three
+        # sub-batches through one generator, where three jobs start one each;
+        # weight_bounded_error reads a variable number of words per trial, and a
+        # dead link leaves its noise words unread
+        cfg = small_cfg(
+            n=12, h=4, adversary={"kind": "weight_bounded_error", "max_weight": 3}, trials=48,
+            **dict(zip(("p12", "p21", "p31", "p32"), probs)),
+        )
+        assert harness._BATCH_WORDS >> cfg.n == 16
+        score, rows = harness._score, []
+
+        def recording(cfg, first, tables, words, links):
+            rows.append(words.tolist())
+            return score(cfg, first, tables, words, links)
+
+        monkeypatch.setattr(harness, "_score", recording)
+        [whole] = harness._run_chunks([(cfg, 0, 48)])
+        parts = [harness._run_chunks([(cfg, lo, lo + 16)])[0] for lo in (0, 16, 32)]
+        assert whole == tuple(map(sum, zip(*parts)))
+        assert 0 < whole[1] < 48
+        # the tallies are coarse: the kernel rows must match too
+        assert len(rows) == 6 and rows[:3] == rows[3:]
+        # three chunks in one job reuse one generator across chunks too
+        assert harness._run_chunks([(cfg, lo, lo + 16) for lo in (0, 16, 32)]) == parts
+        assert rows[6:] == rows[3:6]
 
     def test_derived_seeds_pinned(self):
         # recorded before the seed derivation was rewritten; every tally rests on them
@@ -455,11 +484,47 @@ class TestSweep:
             sweep(small_cfg(), "banana", [1, 2])
 
     def test_pooled_sweep_matches_serial(self):
-        # 3 trials sit below the 2 * workers cut and run as one chunk
+        # 30 trials reach 2 * workers, so the call pools and every point, the
+        # 3-trial one too, is cut into one chunk per worker
         base = small_cfg(n=6, h=2)
         reports = [sweep(base, "trials", [30, 3, 17], workers=w) for w in (2, 1)]
         pooled, serial = (report_json([replace(r, wall_time_s=0.0) for r in reps]) for reps in reports)
         assert pooled == serial
+
+    @pytest.mark.parametrize(
+        "axis, values, workers", [("trials", [30, 3, 17], 3), ("n", [8, 10, 12], 2), ("n", [8, 10, 12], 3)]
+    )
+    def test_pooled_sweep_report_equals_serial(self, axis, values, workers):
+        # as test_pooled_sweep_matches_serial at more workers, and on an n sweep, whose points differ in cost
+        base = small_cfg(n=6, h=2, trials=30)
+        reports = [sweep(base, axis, values, workers=w) for w in (workers, 1)]
+        pooled, serial = (report_json([replace(r, wall_time_s=0.0) for r in reps]) for reps in reports)
+        assert pooled == serial
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pooled_sweep_sends_one_job_per_worker(self, monkeypatch, pool_slot, workers):
+        pooled, sent = harness._pooled, []
+
+        def recording(jobs, size):
+            sent.append(jobs)
+            return pooled(jobs, size)
+
+        monkeypatch.setattr(harness, "_pooled", recording)
+        values = [30, 3, 17, 1]
+        reports = sweep(small_cfg(n=6, h=2), "trials", values, workers=workers)
+        assert [tally_json(r) for r in reports] == [tally_json(r) for r in sweep(small_cfg(n=6, h=2), "trials", values)]
+        [jobs] = sent
+        assert len(jobs) == workers
+        plans = [harness._chunks(trials, workers) for trials in values]
+        for k, job in enumerate(jobs):
+            # job k holds chunk k of every point that has one, in point order
+            assert [(cfg.trials, lo, hi) for cfg, lo, hi in job] == [
+                (trials, *plan[k]) for trials, plan in zip(values, plans) if k < len(plan)
+            ]
+        for trials, plan in zip(values, plans):
+            assert [lo for lo, _ in plan] + [trials] == [0] + [hi for _, hi in plan]
+        totals = [sum(hi - lo for _, lo, hi in job) for job in jobs]
+        assert max(totals) - min(totals) <= len(values)
 
     @pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1), (4, 1)])
     def test_one_pool_per_sweep(self, monkeypatch, pool_slot, workers, pools):
