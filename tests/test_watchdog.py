@@ -244,7 +244,7 @@ class TestTrellisBatch:
 
     @pytest.mark.parametrize("p", PROBS)
     @pytest.mark.parametrize("n", range(2, 13))
-    def test_verdicts_and_scores_equal_scalar_path(self, n, p):
+    def test_verdicts_equal_scalar_path_and_scores_within_slack(self, n, p):
         # the slack is zero: every batched score is the scalar score bit for bit
         rng = random.Random(1000 * n + int(1000 * p))
         for d in range(4):
