@@ -44,8 +44,9 @@ more, the call pools: every config is cut into `workers` near-equal
 chunks, job k holds chunk k of each, and the `workers` jobs go through
 `ProcessPoolExecutor.map` on the process's one pool, however many points
 a sweep has.  A chunk builds its config's links and strategy once, a job
-one `random.Random`.  `write_report` writes the result as JSON or CSV to
-a file or to stdout.
+one `random.Random`.  `write_report` writes the result to a file or to
+stdout as JSON, or as CSV: one column per leaf of the JSON document, named
+by its dotted path (`config.n`, `per_watcher.beta_v1.count`).
 
 The pool lives as long as the process.  The first pooled call starts it,
 with min(workers, usable cores) worker processes (the chunk plan still
@@ -484,13 +485,8 @@ def run_trials(cfg: SimConfig, workers: int = 1) -> SimReport:
 
 def _report(cfg: SimConfig, tallies: tuple[int, int, int, int], wall: float) -> SimReport:
     flagged, passed_both, passed_v1, passed_v2 = tallies
-    radii = {
-        "r12": radius_for_epsilon(cfg.n, cfg.p12, cfg.epsilon).r,
-        "r21": radius_for_epsilon(cfg.n, cfg.p21, cfg.epsilon).r,
-        "r31": radius_for_epsilon(cfg.n, cfg.p31, cfg.epsilon).r,
-        "r32": radius_for_epsilon(cfg.n, cfg.p32, cfg.epsilon).r,
-    }
-    tp = theory.TheoryParams(cfg.n, cfg.h, radii["r12"], radii["r21"], radii["r31"], radii["r32"])
+    radii = {"r" + name[1:]: radius_for_epsilon(cfg.n, getattr(cfg, name), cfg.epsilon).r for name in _EDGE_PROBS}
+    tp = theory.TheoryParams(cfg.n, cfg.h, **radii)
     pred = theory.predict(tp, cfg.epsilon)
     strategy = cfg.strategy()
     # the beta bounds are claimed only for this adversary and d >= 2 (see theory)
@@ -577,34 +573,16 @@ def report_json(rep: SimReport | list[SimReport]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-CSV_COLUMNS = [
-    "n", "h", "d", "p12", "p21", "p31", "p32", "epsilon", "adversary", "engine",
-    "threshold", "trials", "seed", "r12", "r21", "r31", "r32",
-    "gamma_count", "gamma_estimate", "gamma_wilson_low", "gamma_wilson_high",
-    "beta_count", "beta_estimate", "beta_wilson_low", "beta_wilson_high",
-    "beta_v1_estimate", "beta_v2_estimate",
-    "predicted_gamma_bound", "predicted_gamma_bound_conservative",
-    "predicted_beta", "predicted_beta_v1", "predicted_beta_v2",
-    "wall_time_s",
-]
+def _leaves(obj, path: str = ""):
+    """(dotted path, cell) for each leaf of a report document, in document order.
 
-
-def _csv_row(rep: SimReport) -> list:
-    cfg = rep.config
-    adv = cfg["adversary"]
-    row = [cfg[k] for k in ("n", "h", "d", "p12", "p21", "p31", "p32", "epsilon")]
-    row.append(adv if isinstance(adv, str) else adv.get("kind"))
-    row += [cfg["engine"], cfg["threshold"], cfg["trials"], cfg["seed"]]
-    row += [rep.radii[k] for k in ("r12", "r21", "r31", "r32")]
-    row += [rep.gamma["count"], rep.gamma["estimate"], rep.gamma["wilson_low"], rep.gamma["wilson_high"]]
-    if rep.beta is None:
-        row += ["", "", "", "", "", ""]
+    A list leaf's cell is its JSON text; a null stays None, which `csv` writes as an empty cell.
+    """
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
     else:
-        row += [rep.beta["count"], rep.beta["estimate"], rep.beta["wilson_low"], rep.beta["wilson_high"]]
-        row += [rep.per_watcher["beta_v1"]["estimate"], rep.per_watcher["beta_v2"]["estimate"]]
-    row += [rep.predicted[k] for k in ("gamma_bound", "gamma_bound_conservative", "beta", "beta_v1", "beta_v2")]
-    row.append(rep.wall_time_s)
-    return _round_floats(row)
+        yield path, json.dumps(obj) if isinstance(obj, list) else obj
 
 
 def write_report(rep: SimReport | list[SimReport], path: str | None = None, format: str = "json") -> None:
@@ -618,9 +596,10 @@ def write_report(rep: SimReport | list[SimReport], path: str | None = None, form
             if format == "json":
                 f.write(report_json(rep))
             else:
-                w = csv.writer(f)
-                w.writerow(CSV_COLUMNS)
-                for r in reports:
-                    w.writerow(_csv_row(r))
+                rows = [dict(_leaves(_round_floats(r.to_dict()))) for r in reports]
+                # one header for every report: the union of their paths, a path a report lacks left empty
+                w = csv.DictWriter(f, list(dict.fromkeys(key for row in rows for key in row)), restval="")
+                w.writeheader()
+                w.writerows(rows)
     except OSError as exc:
         raise IOError(f"cannot write report to {path or 'stdout'}: {exc}") from exc

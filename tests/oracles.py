@@ -5,7 +5,8 @@ shift-XOR-reduce multiplier against the table-based one, a hash summed
 power by power with that multiplier against the log-domain hash tables, a
 Pascal-recurrence binomial CDF against the radius computation, and a noise
 mask drawn one `random()` call per bit against the one read from raw
-MT19937 words.
+MT19937 words, and a report document's leaves, walked by key, against the
+CSV columns the report writer derives from them.
 """
 
 from fractions import Fraction
@@ -68,3 +69,12 @@ def radius_oracle_suite() -> None:
                 got = radius_for_epsilon(n, p, eps).r
                 want = radius_pascal(n, p, eps)
                 assert got == want, f"radius mismatch n={n} p={p} eps={eps}: {got} != {want}"
+
+
+def json_leaves(obj, path=()):
+    """(dotted path, value) for each leaf of a JSON document, in its key order."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from json_leaves(value, (*path, key))
+    else:
+        yield ".".join(path), obj

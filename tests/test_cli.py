@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from algwatchdog import harness
 from algwatchdog.cli import main
+from oracles import json_leaves
 
 
 def write_config(tmp_path, **kw):
@@ -140,6 +140,26 @@ class TestSweep:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3
 
+    def test_csv_identical_across_worker_counts(self, tmp_path):
+        # criterion 8's rule for the CSV: with its wall_time_s cells blanked, it is the same at 1 and 2 workers
+        cfg = write_config(tmp_path, adversary={"kind": "fixed_error", "error": 5}, sources={"fixed": [0x3A, 0xC5]},
+                           trials=20)
+        blanked = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"sweep-{workers}.csv"
+            argv = ["sweep", "--config", cfg, "--axis", "h", "--values", "2,3,4", "--workers", workers, "--format", "csv"]
+            assert main([*argv, "--out", str(out)]) == 0
+            with open(out, newline="") as f:
+                header, *rows = csv.reader(f)
+            assert len(rows) == 3 and "config.adversary.error" in header
+            col = header.index("wall_time_s")
+            for row in rows:
+                row[col] = ""
+            buf = io.StringIO()
+            csv.writer(buf).writerows([header, *rows])
+            blanked.append(buf.getvalue())
+        assert blanked[0] == blanked[1]
+
     def test_bad_axis_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, trials=20)
         assert main(["sweep", "--config", cfg, "--axis", "nope", "--values", "1,2"]) == 2
@@ -188,5 +208,8 @@ def test_csv_without_out_prints_csv(tmp_path, capsys, command, rows):
     cfg = write_config(tmp_path, trials=10)
     assert main([command[0], "--config", cfg, *command[1:], "--format", "csv"]) == 0
     printed = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-    assert printed[0] == harness.CSV_COLUMNS
     assert len(printed) == rows
+    # the header names the JSON report's leaves
+    assert main([command[0], "--config", cfg, *command[1:]]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert sorted(printed[0]) == sorted(key for key, _ in json_leaves(doc["reports"][0] if "reports" in doc else doc))

@@ -24,7 +24,6 @@ from algwatchdog import hashing, harness, protocol, theory, watchdog
 from algwatchdog.channel import BinarySymmetricChannel
 from algwatchdog.gf2n import FieldElement, canonical_spec
 from algwatchdog.harness import (
-    CSV_COLUMNS,
     ConfigError,
     SimConfig,
     report_json,
@@ -33,7 +32,7 @@ from algwatchdog.harness import (
     wilson_interval,
     write_report,
 )
-from oracles import noise_mask_per_bit
+from oracles import json_leaves, noise_mask_per_bit
 
 
 def small_cfg(**kw):
@@ -51,6 +50,11 @@ def strip_wall_time(doc: dict) -> dict:
 
 def tally_json(rep) -> str:
     return report_json(replace(rep, wall_time_s=0.0))
+
+
+def read_csv(path) -> list[list[str]]:
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
 
 
 @pytest.fixture
@@ -436,11 +440,10 @@ class TestBetaBoundScope:
         assert all(doc["predicted"][k] is None for k in self.BETA_KEYS)
         path = tmp_path / "report.csv"
         write_report(rep, str(path), format="csv")
-        with open(path) as f:
-            header, row = list(csv.reader(f))
+        header, row = read_csv(path)
         cells = dict(zip(header, row))
-        assert all(cells["predicted_" + k] == "" for k in self.BETA_KEYS)
-        assert cells["predicted_gamma_bound"] == "0.01"
+        assert all(cells["predicted." + k] == "" for k in self.BETA_KEYS)
+        assert cells["predicted.gamma_bound"] == "0.01"
 
     def test_constant_hash_has_no_beta_bound(self, tmp_path):
         # d = 0: every word hashes alike, so the hash never exposes the
@@ -678,29 +681,50 @@ class TestReports:
         assert doc["gamma"]["count"] == rep.gamma["count"]
         assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == report_json(rep)
 
-    def test_csv_columns_match_documented_header(self, tmp_path):
-        reports = sweep(small_cfg(trials=20), "h", [2, 3, 4])
-        path = tmp_path / "sweep.csv"
-        write_report(reports, str(path), format="csv")
-        with open(path) as f:
-            rows = list(csv.reader(f))
-        assert rows[0] == CSV_COLUMNS
-        assert len(rows) == 4
-        assert all(len(r) == len(CSV_COLUMNS) for r in rows)
+    def test_csv_columns_are_the_json_leaves(self, tmp_path):
+        # the adversary's error word and the fixed sources are nested config leaves
+        cfg = small_cfg(adversary={"kind": "fixed_error", "error": 5}, sources={"fixed": [0x3A, 0xC5]}, trials=20)
+        rep = run_trials(cfg)
+        out = tmp_path / "report.csv"
+        write_report(rep, str(out), format="csv")
+        header, row = read_csv(out)
+        # one column per leaf, named by its dotted path, in the document's order
+        assert header == [key for key, _ in json_leaves(rep.to_dict())]
+        assert len(header) == 49 and "config.adversary.error" in header
+        cells = dict(zip(header, row))
+        leaves = dict(json_leaves(json.loads(report_json(rep))))
+        assert cells.keys() == leaves.keys()
+        for key, leaf in leaves.items():
+            # null is an empty cell and a list its JSON text; numbers and strings read back as written
+            want = "" if leaf is None else json.dumps(leaf) if isinstance(leaf, list) else str(leaf)
+            assert cells[key] == want, key
+        assert json.loads(cells["config.sources.fixed"]) == [0x3A, 0xC5]
 
     def test_honest_run_leaves_beta_cells_empty(self, tmp_path):
-        # an honest run measures no beta and predicts none: its CSV cells are empty, not dropped
+        # an honest run measures no beta and predicts none: its beta and per_watcher are null, so empty cells
         rep = run_trials(small_cfg(adversary="honest", trials=20))
-        path = tmp_path / "honest.csv"
-        write_report(rep, str(path), format="csv")
-        with open(path) as f:
-            header, row = list(csv.reader(f))
-        assert header == CSV_COLUMNS and len(row) == len(CSV_COLUMNS) == 33
+        out = tmp_path / "honest.csv"
+        write_report(rep, str(out), format="csv")
+        header, row = read_csv(out)
         cells = dict(zip(header, row))
-        measured = ["beta_count", "beta_estimate", "beta_wilson_low", "beta_wilson_high",
-                    "beta_v1_estimate", "beta_v2_estimate"]
-        assert [cells[k] for k in measured] == [""] * 6
-        assert [cells[k] for k in ("predicted_beta", "predicted_beta_v1", "predicted_beta_v2")] == [""] * 3
+        assert [cells[k] for k in ("beta", "per_watcher")] == ["", ""]
+        assert [cells[k] for k in ("predicted.beta", "predicted.beta_v1", "predicted.beta_v2")] == [""] * 3
+        assert not [k for k in header if k.startswith(("beta.", "per_watcher."))]
+
+    def test_reports_of_one_call_share_one_header(self, tmp_path):
+        # the header is the union of the reports' paths; a path a report lacks is an empty cell
+        honest, corrupted = (run_trials(small_cfg(adversary=a, trials=20)) for a in ("honest", "random_nonzero_error"))
+        out = tmp_path / "both.csv"
+        write_report([honest, corrupted], str(out), format="csv")
+        header, *rows = read_csv(out)
+        paths = [key for key, _ in json_leaves(honest.to_dict())]
+        assert header == paths + [key for key, _ in json_leaves(corrupted.to_dict()) if key not in paths]
+        honest_cells, corrupted_cells = (dict(zip(header, row)) for row in rows)
+        measured = [k for k in header if k.startswith(("beta.", "per_watcher."))]
+        assert len(measured) == 17
+        assert [honest_cells[k] for k in measured] == [""] * 17
+        assert all(corrupted_cells[k] for k in measured)
+        assert corrupted_cells["beta"] == corrupted_cells["per_watcher"] == ""
 
     def test_no_path_writes_to_stdout(self, capsys):
         rep = run_trials(small_cfg(trials=5))
@@ -708,7 +732,7 @@ class TestReports:
         assert capsys.readouterr().out == report_json(rep)
         write_report([rep, rep], format="csv")
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-        assert rows[0] == CSV_COLUMNS and len(rows) == 3
+        assert rows[0] == [key for key, _ in json_leaves(rep.to_dict())] and len(rows) == 3
 
     def test_unwritable_path_raises_io_error(self):
         rep = run_trials(small_cfg(trials=5))
