@@ -7,46 +7,49 @@ random numbers), drawn once per trial: the corrupted payload picks up the
 error patterns the honest one did.  Per-trial randomness is keyed by (seed,
 trial index), so tallies are bit-identical for any worker count.
 
-A chunk of trials runs in sub-batches of B = max(1, min(256, 2^16 /
-2^n)) trials, 256 up to n = 8 and 16 at n = 12, so a sub-batch's hash
-tables never exceed 2^16 words and at small n few trials are held at once
-(with B = 2^16 / 2^n alone, a 20,000-trial trellis chunk at n = 2 peaked
-at 50 MB against 36 MB).  Each sub-batch runs in two steps.  The draw step
-(`_draw_batch`) does two things per trial: it reseeds one `random.Random`
-for each of the trial's two streams, and reads them as MT19937 32-bit
-words.  From the draw stream come, in a fixed order, the sources, the
-coefficients, the hash coefficients and the relay's error
-(`protocol.draw_error`), each by the rejection read randrange runs
-(`protocol.draws_below`); from the noise stream, in one getrandbits call,
-the words of the `random()` calls behind the four noise masks, in the
-order `protocol.observe` draws them for watcher 1, then watcher 2.  The
-values are the ones randrange and `random()` would draw, but they rest on
-the MT19937 stream alone, not on how those two are implemented, which
-Python does not promise to keep.  Everything derived is then computed
-once for the sub-batch on arrays: the noise masks
-(`channel.masks_from_words`), the hash tables
-(`hashing.hash_tables`, in the log domain), the errors of the exhaustive_best
-adversary, which draws none (`protocol.best_errors`), both relay arms'
-payloads, and each watcher's views of them as one row of words per trial
-(`protocol.view_rows`).  The score step (`_score`) hands the tables and
-rows to one array kernel and sums the tallies from its verdicts.  The
-trellis engine's kernel, `watchdog.trellis_batch`, adds each score's
-terms in the order the scalar `consistency_probability(build_trellis(...))`
-path does, so its scores are that path's bit for bit; the algebraic
-engine's, `watchdog.algebraic_batch`, counts survivors in integers, so its
-verdicts are `algebraic_check`'s.
+A job's trials run in sub-batches of B = max(1, min(256, 2^16 / 2^n))
+trials, 256 up to n = 8 and 16 at n = 12, so a sub-batch's hash tables
+never exceed 2^16 words and at small n few trials are held at once (with
+B = 2^16 / 2^n alone, a 20,000-trial trellis chunk at n = 2 peaked at 50
+MB against 36 MB).  A job's chunks are cut into sub-batches in order, and
+consecutive chunks whose configs differ only in h, seed and trials share
+them, so a sub-batch is a list of (cfg, trials) segments.  Each sub-batch
+runs in two steps.  The draw step (`_draw_batch`) does two things per
+trial: it reseeds one `random.Random` for each of the trial's two streams,
+and reads them as MT19937 32-bit words.  From the draw stream come, in a
+fixed order, the sources, the coefficients, the hash coefficients and the
+relay's error (`protocol.draw_error`), each by the rejection read
+randrange runs (`protocol.draws_below`); from the noise stream, in one
+getrandbits call, the words of the `random()` calls behind the four noise
+masks, in the order `protocol.observe` draws them for watcher 1, then
+watcher 2.  The values are the ones randrange and `random()` would draw,
+but they rest on the MT19937 stream alone, not on how those two are
+implemented, which Python does not promise to keep.  Everything derived is
+then computed once for the sub-batch on arrays: the noise masks
+(`channel.masks_from_words`), the hash tables (`hashing.hash_tables`, in
+the log domain, each row cut to its segment's h), the errors of the
+exhaustive_best adversary, which draws none (`protocol.best_errors`), both
+relay arms' payloads, and each watcher's views of them as one row of words
+per trial (`protocol.view_rows`).  The score step (`_score`) hands the
+tables and rows to one array kernel and sums each segment's tallies from
+its verdicts.  The trellis engine's kernel, `watchdog.trellis_batch`, adds
+each score's terms in the order the scalar
+`consistency_probability(build_trellis(...))` path does, so its scores are
+that path's bit for bit; the algebraic engine's,
+`watchdog.algebraic_batch`, counts survivors in integers, so its verdicts
+are `algebraic_check`'s.
 
-`run_trials` and `sweep` share one run path: their trials run as (cfg, lo,
-hi) chunks, grouped into jobs whose results are read in order.  Serially
-each config is one chunk and one job, run through the builtin `map` in
-this process.  With workers > 1 and a config of 2 * workers trials or
-more, the call pools: every config is cut into `workers` near-equal
-chunks, job k holds chunk k of each, and the `workers` jobs go through
-`ProcessPoolExecutor.map` on the process's one pool, however many points
-a sweep has.  A chunk builds its config's links and strategy once, a job
-one `random.Random`.  `write_report` writes the result to a file or to
-stdout as JSON, or as CSV: one column per leaf of the JSON document, named
-by its dotted path (`config.n`, `per_watcher.beta_v1.count`).
+`run_trials` and `sweep` share one run path and one plan: their trials
+run as (cfg, lo, hi) chunks, job k holds chunk k of every config, and
+the jobs' results are read in order.  Serially each config is one chunk,
+and the one job runs through the builtin `map` in this process.  With
+workers > 1 and a config of 2 * workers trials or more, the call pools:
+every config is cut into `workers` near-equal chunks, and the `workers`
+jobs go through `ProcessPoolExecutor.map` on the process's one pool,
+however many points a sweep has.  `write_report` writes the result to a
+file or to stdout as JSON, or as CSV: one column per leaf of the JSON
+document, named by its dotted path (`config.n`,
+`per_watcher.beta_v1.count`).
 
 The pool lives as long as the process.  The first pooled call starts it,
 with min(workers, usable cores) worker processes (the chunk plan still
@@ -274,16 +277,18 @@ def _channels(cfg: SimConfig) -> dict[str, BinarySymmetricChannel]:
 
 
 def _draw_batch(
-    cfg: SimConfig, trials: range, links: list, strategy: protocol.AdversaryStrategy, rng: random.Random
+    segments: list[tuple[SimConfig, range]], links: list, strategy: protocol.AdversaryStrategy, rng: random.Random
 ) -> tuple[np.ndarray, np.ndarray]:
     """The draw step of one sub-batch of trials: (tables, words), the arrays its kernel reads.
 
-    tables is the trials' (B, 2^n) uint16 hash tables and words their
-    (B, 2, 5 + 2A) rows (`protocol.view_rows`): arm 0 is the honest
-    relay's payload and, unless the strategy is honest, arm 1 the
-    corrupting relay's.  Each trial only reads its two streams, as MT19937
-    32-bit words, so the draws do not depend on how randrange and
-    `random()` are implemented; everything derived from the draws is
+    The sub-batch is (cfg, trials) segments whose configs differ at most in
+    h, seed and trials.  tables is the trials' (B, 2^n) uint16 hash tables,
+    each cut to its segment's h, and words their (B, 2, 5 + 2A) rows
+    (`protocol.view_rows`): arm 0 is the honest relay's payload and, unless
+    the strategy is honest, arm 1 the corrupting relay's.  Each trial only
+    reads its two streams, keyed by its segment's seed and its index there,
+    as MT19937 32-bit words, so the draws do not depend on how randrange
+    and `random()` are implemented; everything derived from the draws is
     computed on arrays for the whole sub-batch.  The draw stream gives, by
     `protocol.draws_below`, what randrange would: the sources, the
     coefficients, the hash coefficients a_0..a_d, then the relay's error
@@ -294,6 +299,7 @@ def _draw_batch(
     nothing, and with no such link the stream is not seeded.  `rng` is
     reseeded for each stream, so it carries nothing between sub-batches.
     """
+    cfg = segments[0][0]
     spec = canonical_spec(cfg.n)
     order, n = spec.order, cfg.n
     corrupt = strategy.kind != "honest"
@@ -304,7 +310,7 @@ def _draw_batch(
     bounds = [order] * (2 - len(fixed)) + [order - 1] * 2 + [order] * (cfg.d + 1)
     reseed, draws_below, draw_error = rng.seed, protocol.draws_below, protocol.draw_error
     draws = []
-    for seed in _derive_seeds(cfg.seed, trials, "draw"):
+    for seed in (s for c, trials in segments for s in _derive_seeds(c.seed, trials, "draw")):
         reseed(seed)
         row = fixed + draws_below(rng, bounds)
         if drawn_error:
@@ -314,16 +320,18 @@ def _draw_batch(
     draws[:, 2:4] += 1
     probs = [chan.p for link in links for chan in link]
     live = [i for i, p in enumerate(probs) if p > 0.0]
-    noise = np.zeros((len(trials), 4), dtype=np.int64)
+    noise = np.zeros((len(draws), 4), dtype=np.int64)
     if live:
         blocks = []
-        for seed in _derive_seeds(cfg.seed, trials, "noise"):
+        for seed in (s for c, trials in segments for s in _derive_seeds(c.seed, trials, "noise")):
             reseed(seed)
             blocks.append(stream_bytes(rng, 2 * n * len(live)))
-        words = np.frombuffer(b"".join(blocks), dtype="<u4").reshape(len(trials), len(live), n, 2)
+        words = np.frombuffer(b"".join(blocks), dtype="<u4").reshape(len(draws), len(live), n, 2)
         noise[:, live] = masks_from_words(words, [probs[i] for i in live])
     sources, coeffs = draws[:, 0:2], draws[:, 2:4]
-    tables = hash_tables(draws[:, 4 : 5 + cfg.d], spec, cfg.h)
+    # an int when the rows share one width, which spares a (B,) mask at small B
+    widths = cfg.h if len(segments) == 1 else np.repeat([c.h for c, _ in segments], [len(t) for _, t in segments])
+    tables = hash_tables(draws[:, 4 : 5 + cfg.d], spec, widths)
     payloads = [spec.mul_words(coeffs[:, 0], sources[:, 0]) ^ spec.mul_words(coeffs[:, 1], sources[:, 1])]
     if drawn_error:
         payloads.append(payloads[0] ^ draws[:, -1])
@@ -332,11 +340,13 @@ def _draw_batch(
     return tables, protocol.view_rows(sources, coeffs, tables, np.stack(payloads, axis=1), noise.reshape(-1, 2, 2))
 
 
-def _score(cfg: SimConfig, first: int, tables: np.ndarray, words: np.ndarray, links: list) -> tuple[int, int, int, int]:
-    """The score step: summed tallies of trials `first`, `first` + 1, ... given their `_draw_batch`.
+def _score(segments: list, tables: np.ndarray, words: np.ndarray, links: list) -> list[tuple[int, int, int, int]]:
+    """The score step: each segment's summed tallies, given the sub-batch's `_draw_batch`.
 
-    Returns (honest_flagged, mal_passed_both, mal_passed_v1, mal_passed_v2).
+    A tally is (honest_flagged, mal_passed_both, mal_passed_v1, mal_passed_v2);
+    the noiseless self-check names a flagged trial by its index in its own point.
     """
+    cfg = segments[0][0]
     spec = canonical_spec(cfg.n)
     if cfg.engine == "trellis":
         accepted = watchdog.trellis_batch(spec, tables, words, links, cfg.threshold)[0]
@@ -345,33 +355,47 @@ def _score(cfg: SimConfig, first: int, tables: np.ndarray, words: np.ndarray, li
     honest_passed = accepted[:, 0, 0] & accepted[:, 1, 0]
     noiseless = cfg.p12 == cfg.p21 == cfg.p31 == cfg.p32 == 0.0 and cfg.engine == "algebraic"
     if noiseless and not honest_passed.all():
-        trial = first + int(np.argmin(honest_passed))
+        trial = [t for _, trials in segments for t in trials][int(np.argmin(honest_passed))]
         raise AssertionError(f"honest relay flagged under noiseless channels (trial {trial})")
-    flagged = len(honest_passed) - int(honest_passed.sum())
-    if accepted.shape[2] == 1:
-        return flagged, 0, 0, 0
-    v1, v2 = accepted[:, 0, 1], accepted[:, 1, 1]
-    return flagged, int((v1 & v2).sum()), int(v1.sum()), int(v2.sum())
+    # the corrupted arm's verdicts; an honest run has none, so it passes no malicious relay
+    v1, v2 = accepted[:, :, 1].T if accepted.shape[2] > 1 else (np.zeros(len(accepted), dtype=bool),) * 2
+    columns = (~honest_passed, v1 & v2, v1, v2)
+    bounds = itertools.pairwise(itertools.accumulate((len(trials) for _, trials in segments), initial=0))
+    return [tuple(int(np.count_nonzero(column[lo:hi])) for column in columns) for lo, hi in bounds]
+
+
+def _sub_batches(chunks, size: int):
+    """(k, (cfg, lo, hi)) chunks cut, in order, into sub-batches: lists of (k, cfg, trials) of `size` trials at most."""
+    batch, room = [], size
+    for k, (cfg, lo, hi) in chunks:
+        while lo < hi:
+            take = min(room, hi - lo)
+            batch.append((k, cfg, range(lo, lo + take)))
+            lo, room = lo + take, room - take
+            if not room:
+                yield batch
+                batch, room = [], size
+    if batch:
+        yield batch
 
 
 def _run_chunks(job: list[tuple[SimConfig, int, int]]) -> list[tuple[int, int, int, int]]:
     """For each (cfg, lo, hi) chunk of the job, in order, the summed tallies of trials lo..hi-1 of cfg.
 
-    Trials are drawn and scored in sub-batches (see the module docstring);
-    a chunk's links and strategy are built once for all its sub-batches.
+    Consecutive chunks whose configs differ only in h, seed and trials share
+    sub-batches (see the module docstring) and one build of links and strategy.
     """
     # reseeded for every stream it gives; an int seeds it faster than the OS entropy Random() reads
     rng = random.Random(0)
-    out = []
-    for cfg, lo, hi in job:
+    sums = [(0, 0, 0, 0)] * len(job)
+    for cfg, chunks in itertools.groupby(enumerate(job), lambda chunk: replace(chunk[1][0], h=1, seed=0, trials=1)):
         links, strategy = protocol.watcher_links(**_channels(cfg)), cfg.strategy()
-        size = max(1, min(_BATCH_TRIALS, _BATCH_WORDS >> cfg.n))
-        tallies = (0, 0, 0, 0)
-        for first in range(lo, hi, size):
-            tables, words = _draw_batch(cfg, range(first, min(first + size, hi)), links, strategy, rng)
-            tallies = tuple(a + b for a, b in zip(tallies, _score(cfg, first, tables, words, links)))
-        out.append(tallies)
-    return out
+        for batch in _sub_batches(chunks, max(1, min(_BATCH_TRIALS, _BATCH_WORDS >> cfg.n))):
+            segments = [(c, trials) for _, c, trials in batch]
+            tables, words = _draw_batch(segments, links, strategy, rng)
+            for (k, _, _), part in zip(batch, _score(segments, tables, words, links)):
+                sums[k] = tuple(a + b for a, b in zip(sums[k], part))
+    return sums
 
 
 def _chunks(trials: int, workers: int) -> list[tuple[int, int]]:
@@ -437,13 +461,13 @@ def _pooled(jobs: list, size: int):
 def _tally(cfgs: list[SimConfig], workers: int) -> list[tuple[tuple[int, int, int, int], float]]:
     """Each config's summed tallies, with the wall seconds since the previous config's finished.
 
-    Serially each config is one job of one chunk, run in this process.  If
-    workers > 1 and a config has 2 * workers trials or more, job k holds
-    chunk k of every config and the `workers` jobs go to the process's pool
-    (see the module docstring).  Either way the results come back in job order, and a config
-    is reported once its last chunk is summed, so a pooled sweep's points
-    all come back together.  If a pooled call fails in any way (a job raises,
-    a worker dies, an interrupt), the pool is shut down before the error
+    Job k holds chunk k of every config, serially and pooled alike.  Serially
+    each config is one chunk, and the one job runs in this process; if
+    workers > 1 and a config has 2 * workers trials or more, the `workers`
+    jobs go to the process's pool (see the module docstring).  A config is
+    reported once its last chunk is summed, so a sweep's points all come
+    back together.  If a pooled call fails in any way (a job raises, a
+    worker dies, an interrupt), the pool is shut down before the error
     propagates, and the next pooled call starts a new one; a pool that
     broke before the call began is replaced instead (see `_pooled`).
     """
@@ -453,8 +477,8 @@ def _tally(cfgs: list[SimConfig], workers: int) -> list[tuple[tuple[int, int, in
         raise ConfigError([f"workers={workers} < 1"])
     pooled = workers > 1 and any(cfg.trials >= 2 * workers for cfg in cfgs)
     plans = [[(i, lo, hi) for lo, hi in _chunks(cfg.trials, workers if pooled else 1)] for i, cfg in enumerate(cfgs)]
-    # pooled, job k holds chunk k of every config that has one; serially, each config is one job
-    shares = [[c for c in share if c] for share in itertools.zip_longest(*plans)] if pooled else plans
+    # job k holds chunk k of every config that has one; serially, the one job holds every config
+    shares = [[c for c in share if c] for share in itertools.zip_longest(*plans)]
     jobs = [[(cfgs[i], lo, hi) for i, lo, hi in share] for share in shares]
     sums, left, out = [(0, 0, 0, 0)] * len(cfgs), [len(plan) for plan in plans], []
     start = time.perf_counter()
@@ -539,9 +563,9 @@ def sweep(base: SimConfig, axis: str, values, workers: int = 1) -> list[SimRepor
     process's one pool.  A point's `wall_time_s` is the wall time from the
     moment the previous point finished (for the first point, the start of
     the sweep) until its own last chunk finished; the first point's time
-    includes pool start-up only when this call starts the pool.  A pooled
-    sweep's points all finish together: the first point's time holds the
-    pooled run, later points read about 0, and the times sum to the sweep's.
+    includes pool start-up only when this call starts the pool.  The points
+    all finish together, serially too: the first point's time holds the
+    whole run, later points read about 0, and the times sum to the sweep's.
     """
     if axis not in _NUMERIC_FIELDS:
         raise ConfigError([f"axis {axis!r} is not a numeric config field"])

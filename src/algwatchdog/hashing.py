@@ -61,12 +61,13 @@ class HashFunction:
         return self.table.take(words)
 
 
-def hash_tables(coeffs, spec: FieldSpec, width: int) -> np.ndarray:
+def hash_tables(coeffs, spec: FieldSpec, width: int | np.ndarray) -> np.ndarray:
     """h(x) for every word x of the field, one row per coefficient vector.
 
     coeffs is (B, d+1) words, a_0 first, as `HashFunction.coeffs` holds
-    them; the result is (B, 2^n) uint16, row b indexed by x.  A nonzero x
-    is exp[k], k = log x, and x^i = x^j for j = ((i - 1) mod (2^n - 1)) + 1,
+    them; width is one output width for every row, or a (B,) array with row
+    b's width.  The result is (B, 2^n) uint16, row b indexed by x.  A nonzero
+    x is exp[k], k = log x, and x^i = x^j for j = ((i - 1) mod (2^n - 1)) + 1,
     so the term a_i x^i is exp[log a_i + j k]: over every k, ceil(j / 4)
     chunks of stride-j reads from `_cycle_windows` (zeroed where a_i = 0),
     one chunk per span of at most four cycles, so the memory a term needs
@@ -90,7 +91,7 @@ def hash_tables(coeffs, spec: FieldSpec, width: int) -> np.ndarray:
         term[coeffs[:, i] == 0] = 0
         acc[:, :period] ^= term
     acc ^= coeffs[:, :1].astype(np.uint16)
-    acc &= (1 << width) - 1
+    acc &= (1 << int(width)) - 1 if np.ndim(width) == 0 else ((1 << np.asarray(width)) - 1).astype(np.uint16)[:, None]
     return acc.take(log, axis=1, mode="clip")
 
 

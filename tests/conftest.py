@@ -15,6 +15,9 @@ os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYT
 def drawn_trials(monkeypatch):
     """The trial indices the harness's draw step draws in this process, in order.
 
+    A sub-batch's segments are read in order, so a sub-batch shared by two
+    points records the first point's trials, then the second's.
+
     The draw step still runs, so a valid config runs to its report; a test
     that expects no trial before validation checks this list stays empty.
     """
@@ -23,9 +26,10 @@ def drawn_trials(monkeypatch):
     drawn = []
     draw = harness._draw_batch
 
-    def recorded(cfg, trials, *args):
-        drawn.extend(trials)
-        return draw(cfg, trials, *args)
+    def recorded(segments, *args):
+        for _, trials in segments:
+            drawn.extend(trials)
+        return draw(segments, *args)
 
     monkeypatch.setattr(harness, "_draw_batch", recorded)
     return drawn

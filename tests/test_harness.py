@@ -108,6 +108,23 @@ class TestRunTrials:
             run_trials(cfg, workers=1)
         assert calls == [2, 2]
 
+    def test_noiseless_self_check_names_the_trial_in_its_own_point(self, monkeypatch):
+        # the two points of an h sweep share one 10-row sub-batch; row 8 is
+        # trial 3 of the second point, not trial 8
+        batch, calls = watchdog.algebraic_batch, []
+
+        def rejecting(*args):
+            accepted, surviving = batch(*args)
+            calls.append(len(accepted))
+            accepted[8, 0, 0] = False
+            return accepted, surviving
+
+        monkeypatch.setattr(harness.watchdog, "algebraic_batch", rejecting)
+        cfg = small_cfg(p12=0.0, p21=0.0, p31=0.0, p32=0.0, trials=5)
+        with pytest.raises(AssertionError, match=r"honest relay flagged under noiseless channels \(trial 3\)"):
+            sweep(cfg, "h", [2, 3], workers=1)
+        assert calls == [10]
+
     def test_deterministic_given_seed(self):
         cfg = small_cfg(trials=200)
         a, b = run_trials(cfg), run_trials(cfg)
@@ -335,7 +352,7 @@ class TestDrawStep:
         )
         cfg.validate()
         links = protocol.watcher_links(**harness._channels(cfg))
-        tables, words = harness._draw_batch(cfg, range(first, first + count), links, cfg.strategy(), random.Random())
+        tables, words = harness._draw_batch([(cfg, range(first, first + count))], links, cfg.strategy(), random.Random())
         arms = 1 if kind == "honest" else 2
         assert tables.shape == (count, order) and tables.dtype == np.uint16
         assert words.shape == (count, 2, 5 + 2 * arms)
@@ -380,9 +397,9 @@ class TestDrawStep:
         assert harness._BATCH_WORDS >> cfg.n == 16
         score, rows = harness._score, []
 
-        def recording(cfg, first, tables, words, links):
+        def recording(segments, tables, words, links):
             rows.append(words.tolist())
-            return score(cfg, first, tables, words, links)
+            return score(segments, tables, words, links)
 
         monkeypatch.setattr(harness, "_score", recording)
         [whole] = harness._run_chunks([(cfg, 0, 48)])
@@ -461,6 +478,18 @@ class TestBetaBoundScope:
         self.assert_no_beta_bound(rep, tmp_path)
 
 
+def record_draw_calls(monkeypatch) -> list:
+    """The (cfg, trials) segments of each `_draw_batch` call in this process, one list per call."""
+    calls, draw = [], harness._draw_batch
+
+    def recorded(segments, *args):
+        calls.append(list(segments))
+        return draw(segments, *args)
+
+    monkeypatch.setattr(harness, "_draw_batch", recorded)
+    return calls
+
+
 class TestSweep:
     def test_reports_one_per_value_with_derived_seeds(self):
         reports = sweep(small_cfg(trials=50), "h", [2, 3, 4])
@@ -528,6 +557,71 @@ class TestSweep:
             assert [lo for lo, _ in plan] + [trials] == [0] + [hi for _, hi in plan]
         totals = [sum(hi - lo for _, lo, hi in job) for job in jobs]
         assert max(totals) - min(totals) <= len(values)
+
+    @pytest.mark.parametrize("engine", ["algebraic", "trellis"])
+    @pytest.mark.parametrize(
+        "adversary",
+        [
+            "honest",
+            "random_nonzero_error",
+            {"kind": "fixed_error", "error": 5},
+            {"kind": "weight_bounded_error", "max_weight": 2},
+            "exhaustive_best",
+        ],
+        ids=["honest", "random_nonzero_error", "fixed_error", "weight_bounded_error", "exhaustive_best"],
+    )
+    @pytest.mark.parametrize("sources", ["uniform", {"fixed": [0x0B, 0x35]}], ids=["uniform", "fixed"])
+    def test_points_sharing_sub_batches_equal_their_runs_alone(self, engine, adversary, sources):
+        # an h, seed or trials sweep's points share sub-batches; each point's
+        # report is still the one run_trials gives it alone, at any worker count
+        base = small_cfg(
+            n=6, h=2, p21=0.3, p31=0.0, p32=0.05, engine=engine, threshold=0.01, adversary=adversary,
+            sources=sources, trials=8,
+        )
+        for axis, values in (("h", [1, 3, 6]), ("seed", [5, 6, 99]), ("trials", [8, 1, 13])):
+            alone = [tally_json(run_trials(replace(base, **{"seed": base.seed ^ i, axis: v}))) for i, v in enumerate(values)]
+            for workers in (1, 3):
+                assert [tally_json(r) for r in sweep(base, axis, values, workers=workers)] == alone, (axis, workers)
+
+    def test_serial_h_sweep_draws_in_one_call(self, monkeypatch):
+        # five 20-trial points at n = 8 fill 100 rows of one 256-trial sub-batch
+        calls = record_draw_calls(monkeypatch)
+        hs = [1, 2, 3, 4, 5]
+        sweep(small_cfg(trials=20), "h", hs)
+        assert [[(cfg.h, cfg.seed, trials) for cfg, trials in segments] for segments in calls] == [
+            [(h, 42 ^ i, range(0, 20)) for i, h in enumerate(hs)]
+        ]
+
+    def test_trials_sweep_splits_at_the_sub_batch_size(self, monkeypatch):
+        # at n = 12 a sub-batch holds 16 trials, so the second point spans two
+        calls = record_draw_calls(monkeypatch)
+        sweep(small_cfg(n=12, trials=1), "trials", [10, 10, 10])
+        assert [[(cfg.seed, trials) for cfg, trials in segments] for segments in calls] == [
+            [(42, range(0, 10)), (43, range(0, 6))],
+            [(43, range(6, 10)), (40, range(0, 10))],
+        ]
+
+    @pytest.mark.parametrize("axis, values", [("n", [6, 8, 10]), ("p12", [0.05, 0.1, 0.2]), ("d", [1, 2, 3])])
+    def test_points_with_other_kernels_never_share_a_sub_batch(self, monkeypatch, axis, values):
+        calls = record_draw_calls(monkeypatch)
+        sweep(small_cfg(n=6, trials=20), axis, values)
+        assert [[(getattr(cfg, axis), trials) for cfg, trials in segments] for segments in calls] == [
+            [(v, range(0, 20))] for v in values
+        ]
+
+    def test_serial_sweep_sends_one_job_holding_every_point(self, monkeypatch):
+        run, jobs = harness._run_chunks, []
+
+        def recording(job):
+            jobs.append(job)
+            return run(job)
+
+        monkeypatch.setattr(harness, "_run_chunks", recording)
+        values = [30, 3, 17]
+        reports = sweep(small_cfg(n=6), "trials", values)
+        assert [[(cfg.trials, lo, hi) for cfg, lo, hi in job] for job in jobs] == [[(t, 0, t) for t in values]]
+        # the points come back together: the first holds the run's time, the others none
+        assert reports[0].wall_time_s > 0 and [r.wall_time_s for r in reports[1:]] == [0.0, 0.0]
 
     @pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1), (4, 1)])
     def test_one_pool_per_sweep(self, monkeypatch, pool_slot, workers, pools):

@@ -117,6 +117,25 @@ class TestTable:
             for x in [rng.randrange(spec.order) for _ in range(20)]:
                 assert row[x] == sum_of_powers(hf, x)
 
+    @pytest.mark.parametrize("n", [2, 8, 12])
+    def test_width_per_row_equals_row_by_row_builds(self, n):
+        # a sub-batch shared by the points of an h sweep cuts each row to its own width;
+        # each coefficient vector appears at every width 1..n
+        spec = canonical_spec(n)
+        rng = random.Random(500 + n)
+        vectors = [[rng.randrange(spec.order) for _ in range(4)] for _ in range(3)]
+        rows = [v for v in vectors for _ in range(n)]
+        widths = np.tile(np.arange(1, n + 1), len(vectors))
+        tables = hash_tables(rows, spec, widths)
+        assert tables.shape == (len(rows), spec.order) and tables.dtype == np.uint16
+        for row, width, table in zip(rows, widths, tables):
+            assert table.tolist() == hash_tables([row], spec, int(width))[0].tolist()
+        # the widest row keeps every bit, and each narrower one its low bits
+        for v in range(len(vectors)):
+            full = tables[(v + 1) * n - 1]
+            for width in range(1, n + 1):
+                assert (tables[v * n + width - 1] == full & ((1 << width) - 1)).all()
+
     def test_built_once_per_hash_function(self, monkeypatch):
         spec = canonical_spec(8)
         calls = []
