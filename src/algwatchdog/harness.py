@@ -7,49 +7,46 @@ random numbers), drawn once per trial: the corrupted payload picks up the
 error patterns the honest one did.  Per-trial randomness is keyed by (seed,
 trial index), so tallies are bit-identical for any worker count.
 
-A job's trials run in sub-batches of B = max(1, min(256, 2^16 / 2^n))
-trials, 256 up to n = 8 and 16 at n = 12, so a sub-batch's hash tables
-never exceed 2^16 words and at small n few trials are held at once (with
-B = 2^16 / 2^n alone, a 20,000-trial trellis chunk at n = 2 peaked at 50
-MB against 36 MB).  A job's chunks are cut into sub-batches in order, and
-consecutive chunks whose configs differ only in h, seed and trials share
-them, so a sub-batch is a list of (cfg, trials) segments.  Each sub-batch
-runs in two steps.  The draw step (`_draw_batch`) does two things per
-trial: it reseeds one `random.Random` for each of the trial's two streams,
-and reads them as MT19937 32-bit words.  From the draw stream come, in a
-fixed order, the sources, the coefficients, the hash coefficients and the
-relay's error (`protocol.draw_error`), each by the rejection read
-randrange runs (`protocol.draws_below`); from the noise stream, in one
-getrandbits call, the words of the `random()` calls behind the four noise
-masks, in the order `protocol.observe` draws them for watcher 1, then
-watcher 2.  The values are the ones randrange and `random()` would draw,
-but they rest on the MT19937 stream alone, not on how those two are
-implemented, which Python does not promise to keep.  Everything derived is
-then computed once for the sub-batch on arrays: the noise masks
-(`channel.masks_from_words`), the hash tables (`hashing.hash_tables`, in
-the log domain, each row cut to its segment's h), the errors of the
-exhaustive_best adversary, which draws none (`protocol.best_errors`), both
-relay arms' payloads, and each watcher's views of them as one row of words
-per trial (`protocol.view_rows`).  The score step (`_score`) hands the
-tables and rows to one array kernel and sums each segment's tallies from
-its verdicts.  The trellis engine's kernel, `watchdog.trellis_batch`, adds
-each score's terms in the order the scalar
+A job's trials run in sub-batches of B = max(1, min(256, 2^16 / 2^n)) trials,
+256 up to n = 8 and 16 at n = 12, so a sub-batch's hash tables never exceed
+2^16 words and at small n few trials are held at once (with B = 2^16 / 2^n
+alone, a 20,000-trial trellis chunk at n = 2 peaked at 50 MB against 36 MB).
+A job's chunks are cut into sub-batches in order, and consecutive chunks
+whose configs differ only in h, seed and trials share them, so a sub-batch is
+a list of (cfg, trials) segments.  Each sub-batch runs in two steps.  The
+draw step (`_draw_batch`) does two things per trial: it reseeds one
+`random.Random` for each of the trial's two streams, and reads them as
+MT19937 32-bit words.  From the draw stream come, in a fixed order, the
+sources, the coefficients, the hash coefficients and the relay's error
+(`protocol.draw_error`), each by the rejection read randrange runs
+(`protocol.draws_below`); from the noise stream, in one getrandbits call, the
+words of the `random()` calls behind the four noise masks, in the order
+`protocol.observe` draws them for watcher 1, then watcher 2.  The values are
+the ones randrange and `random()` would draw, but they rest on the MT19937
+stream alone, not on how those two are implemented, which Python does not
+promise to keep.  Everything derived is then computed once for the sub-batch
+on arrays: the noise masks (`channel.masks_from_words`), the hash tables
+(`hashing.hash_tables`, in the log domain, each row cut to its segment's h),
+the errors of the exhaustive_best adversary, which draws none
+(`protocol.best_errors`), both relay arms' payloads, and each watcher's views
+of them as one row of words per trial (`protocol.view_rows`).  The score step
+(`_score`) hands the tables and rows to one array kernel and sums each
+segment's tallies from its verdicts.  The trellis engine's kernel,
+`watchdog.trellis_batch`, adds each score's terms in the order the scalar
 `consistency_probability(build_trellis(...))` path does, so its scores are
-that path's bit for bit; the algebraic engine's,
-`watchdog.algebraic_batch`, counts survivors in integers, so its verdicts
-are `algebraic_check`'s.
+that path's bit for bit; the algebraic engine's, `watchdog.algebraic_batch`,
+counts survivors in integers, so its verdicts are `algebraic_check`'s.
 
-`run_trials` and `sweep` share one run path and one plan: their trials
-run as (cfg, lo, hi) chunks, job k holds chunk k of every config, and
-the jobs' results are read in order.  Serially each config is one chunk,
-and the one job runs through the builtin `map` in this process.  With
-workers > 1 and a config of 2 * workers trials or more, the call pools:
-every config is cut into `workers` near-equal chunks, and the `workers`
-jobs go through `ProcessPoolExecutor.map` on the process's one pool,
-however many points a sweep has.  `write_report` writes the result to a
-file or to stdout as JSON, or as CSV: one column per leaf of the JSON
-document, named by its dotted path (`config.n`,
-`per_watcher.beta_v1.count`).
+`run_trials` and `sweep` share one run path and one plan: their trials run as
+(cfg, lo, hi) chunks, job k holds chunk k of every config, and the jobs'
+results are read in order.  Serially each config is one chunk, and the one
+job runs through the builtin `map` in this process.  With workers > 1 and a
+config of 2 * workers trials or more, the call pools: every config is cut
+into `workers` near-equal chunks, and the `workers` jobs go through
+`ProcessPoolExecutor.map` on the process's one pool, however many points a
+sweep has.  `write_report` writes the result to a file or to stdout as JSON,
+or as CSV: one column per leaf of the JSON document, named by its dotted path
+(`config.n`, `per_watcher.beta_v1.count`).
 
 The pool lives as long as the process.  The first pooled call starts it,
 with min(workers, usable cores) worker processes (the chunk plan still
@@ -75,6 +72,7 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import sys
@@ -269,6 +267,7 @@ def _derive_seed(seed: int, trial: int, key: str) -> int:
 # a sub-batch holds at most this many trials and hash-table words
 _BATCH_TRIALS = 256
 _BATCH_WORDS = 1 << 16
+_shared = operator.attrgetter(*(f.name for f in dataclasses.fields(SimConfig) if f.name not in ("h", "seed", "trials")))
 
 
 def _channels(cfg: SimConfig) -> dict[str, BinarySymmetricChannel]:
@@ -329,8 +328,8 @@ def _draw_batch(
         words = np.frombuffer(b"".join(blocks), dtype="<u4").reshape(len(draws), len(live), n, 2)
         noise[:, live] = masks_from_words(words, [probs[i] for i in live])
     sources, coeffs = draws[:, 0:2], draws[:, 2:4]
-    # an int when the rows share one width, which spares a (B,) mask at small B
-    widths = cfg.h if len(segments) == 1 else np.repeat([c.h for c, _ in segments], [len(t) for _, t in segments])
+    # ndarray.repeat: np.repeat of lists took ≈15 µs a sub-batch in this step, against ≈3 µs (2-core x86_64 VM)
+    widths = np.array([c.h for c, _ in segments]).repeat([len(trials) for _, trials in segments])
     tables = hash_tables(draws[:, 4 : 5 + cfg.d], spec, widths)
     payloads = [spec.mul_words(coeffs[:, 0], sources[:, 0]) ^ spec.mul_words(coeffs[:, 1], sources[:, 1])]
     if drawn_error:
@@ -344,7 +343,7 @@ def _score(segments: list, tables: np.ndarray, words: np.ndarray, links: list) -
     """The score step: each segment's summed tallies, given the sub-batch's `_draw_batch`.
 
     A tally is (honest_flagged, mal_passed_both, mal_passed_v1, mal_passed_v2);
-    the noiseless self-check names a flagged trial by its index in its own point.
+    the noiseless self-check names a flagged trial by its point's h and seed and its index there.
     """
     cfg = segments[0][0]
     spec = canonical_spec(cfg.n)
@@ -355,8 +354,8 @@ def _score(segments: list, tables: np.ndarray, words: np.ndarray, links: list) -
     honest_passed = accepted[:, 0, 0] & accepted[:, 1, 0]
     noiseless = cfg.p12 == cfg.p21 == cfg.p31 == cfg.p32 == 0.0 and cfg.engine == "algebraic"
     if noiseless and not honest_passed.all():
-        trial = [t for _, trials in segments for t in trials][int(np.argmin(honest_passed))]
-        raise AssertionError(f"honest relay flagged under noiseless channels (trial {trial})")
+        c, t = [(c, t) for c, trials in segments for t in trials][int(np.argmin(honest_passed))]
+        raise AssertionError(f"honest relay flagged under noiseless channels (h={c.h}, seed={c.seed}, trial {t})")
     # the corrupted arm's verdicts; an honest run has none, so it passes no malicious relay
     v1, v2 = accepted[:, :, 1].T if accepted.shape[2] > 1 else (np.zeros(len(accepted), dtype=bool),) * 2
     columns = (~honest_passed, v1 & v2, v1, v2)
@@ -382,13 +381,14 @@ def _sub_batches(chunks, size: int):
 def _run_chunks(job: list[tuple[SimConfig, int, int]]) -> list[tuple[int, int, int, int]]:
     """For each (cfg, lo, hi) chunk of the job, in order, the summed tallies of trials lo..hi-1 of cfg.
 
-    Consecutive chunks whose configs differ only in h, seed and trials share
-    sub-batches (see the module docstring) and one build of links and strategy.
+    Consecutive chunks differing only in h, seed and trials share sub-batches and one build of links and strategy.
     """
     # reseeded for every stream it gives; an int seeds it faster than the OS entropy Random() reads
     rng = random.Random(0)
     sums = [(0, 0, 0, 0)] * len(job)
-    for cfg, chunks in itertools.groupby(enumerate(job), lambda chunk: replace(chunk[1][0], h=1, seed=0, trials=1)):
+    for _, chunks in itertools.groupby(enumerate(job), lambda chunk: _shared(chunk[1][0])):
+        chunks = list(chunks)
+        cfg = chunks[0][1][0]
         links, strategy = protocol.watcher_links(**_channels(cfg)), cfg.strategy()
         for batch in _sub_batches(chunks, max(1, min(_BATCH_TRIALS, _BATCH_WORDS >> cfg.n))):
             segments = [(c, trials) for _, c, trials in batch]

@@ -91,7 +91,7 @@ def hash_tables(coeffs, spec: FieldSpec, width: int | np.ndarray) -> np.ndarray:
         term[coeffs[:, i] == 0] = 0
         acc[:, :period] ^= term
     acc ^= coeffs[:, :1].astype(np.uint16)
-    acc &= (1 << int(width)) - 1 if np.ndim(width) == 0 else ((1 << np.asarray(width)) - 1).astype(np.uint16)[:, None]
+    acc &= ((1 << np.asarray(width)) - 1).astype(np.uint16).reshape(-1, 1)
     return acc.take(log, axis=1, mode="clip")
 
 

@@ -1,6 +1,6 @@
 """Let the subprocesses some tests start (the CLI in criterion 8) import the
 package from a checkout, as pytest's own `pythonpath` setting does in-process;
-and record the trials the harness draws (`drawn_trials`)."""
+and record the harness's draw-step calls (`draw_calls`)."""
 
 import os
 from pathlib import Path
@@ -11,25 +11,29 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
-@pytest.fixture
-def drawn_trials(monkeypatch):
-    """The trial indices the harness's draw step draws in this process, in order.
+class DrawCalls(list):
+    """Each `_draw_batch` call's (cfg, trials) segments, one list per call."""
 
-    A sub-batch's segments are read in order, so a sub-batch shared by two
-    points records the first point's trials, then the second's.
+    def trials(self) -> list[int]:
+        """The trial indices drawn, in order; a sub-batch shared by two points gives the first point's, then the second's."""
+        return [t for segments in self for _, trials in segments for t in trials]
+
+
+@pytest.fixture
+def draw_calls(monkeypatch):
+    """The harness's draw-step calls in this process (`DrawCalls`).
 
     The draw step still runs, so a valid config runs to its report; a test
     that expects no trial before validation checks this list stays empty.
     """
     from algwatchdog import harness
 
-    drawn = []
+    calls = DrawCalls()
     draw = harness._draw_batch
 
     def recorded(segments, *args):
-        for _, trials in segments:
-            drawn.extend(trials)
+        calls.append(list(segments))
         return draw(segments, *args)
 
     monkeypatch.setattr(harness, "_draw_batch", recorded)
-    return drawn
+    return calls

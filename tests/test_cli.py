@@ -190,14 +190,14 @@ class TestSweep:
         out, err = capsys.readouterr()
         assert out == "" and "--values" in err and "no number" in err
 
-    def test_too_wide_exhaustive_point_exit_2_before_any_trial(self, tmp_path, capsys, drawn_trials):
+    def test_too_wide_exhaustive_point_exit_2_before_any_trial(self, tmp_path, capsys, draw_calls):
         cfg = write_config(tmp_path, adversary="exhaustive_best", trials=2)
         assert main(["sweep", "--config", cfg, "--axis", "n", "--values", "8,14"]) == 2
         assert "adversary: exhaustive_best" in capsys.readouterr().err
-        assert drawn_trials == []
+        assert draw_calls == []
         # the same record fills for points that validate
         assert main(["sweep", "--config", cfg, "--axis", "n", "--values", "6,8"]) == 0
-        assert drawn_trials == [0, 1, 0, 1]
+        assert draw_calls.trials() == [0, 1, 0, 1]
 
 
 @pytest.mark.parametrize("command, rows", [

@@ -104,13 +104,14 @@ class TestRunTrials:
         monkeypatch.setattr(harness, "_BATCH_TRIALS", 2)
         monkeypatch.setattr(harness.watchdog, "algebraic_batch", rejecting)
         cfg = small_cfg(p12=0.0, p21=0.0, p31=0.0, p32=0.0, trials=5)
-        with pytest.raises(AssertionError, match=r"honest relay flagged under noiseless channels \(trial 3\)"):
+        flagged = r"honest relay flagged under noiseless channels \(h=3, seed=42, trial 3\)"
+        with pytest.raises(AssertionError, match=flagged):
             run_trials(cfg, workers=1)
         assert calls == [2, 2]
 
     def test_noiseless_self_check_names_the_trial_in_its_own_point(self, monkeypatch):
         # the two points of an h sweep share one 10-row sub-batch; row 8 is
-        # trial 3 of the second point, not trial 8
+        # trial 3 of the second point (h = 3, seed 42 ^ 1), not trial 8
         batch, calls = watchdog.algebraic_batch, []
 
         def rejecting(*args):
@@ -121,7 +122,8 @@ class TestRunTrials:
 
         monkeypatch.setattr(harness.watchdog, "algebraic_batch", rejecting)
         cfg = small_cfg(p12=0.0, p21=0.0, p31=0.0, p32=0.0, trials=5)
-        with pytest.raises(AssertionError, match=r"honest relay flagged under noiseless channels \(trial 3\)"):
+        flagged = r"honest relay flagged under noiseless channels \(h=3, seed=43, trial 3\)"
+        with pytest.raises(AssertionError, match=flagged):
             sweep(cfg, "h", [2, 3], workers=1)
         assert calls == [10]
 
@@ -189,14 +191,14 @@ class TestRunTrials:
         ({"kind": "fixed_error", "error": -3}, "fixed error -3"),
         ("exhaustive_best", "exhaustive_best"),
     ])
-    def test_bad_adversary_rejected_before_any_trial(self, drawn_trials, adversary, named):
+    def test_bad_adversary_rejected_before_any_trial(self, draw_calls, adversary, named):
         n = 14 if adversary == "exhaustive_best" else 8
         with pytest.raises(ConfigError, match="adversary: .*" + named):
             run_trials(small_cfg(n=n, adversary=adversary, trials=5))
-        assert drawn_trials == []
+        assert draw_calls == []
         # the same record fills for a config that validates
         run_trials(small_cfg(n=6, trials=5))
-        assert drawn_trials == [0, 1, 2, 3, 4]
+        assert draw_calls.trials() == [0, 1, 2, 3, 4]
 
     def test_trellis_kernel_gets_one_row_per_watcher_per_trial(self, monkeypatch):
         # trellis_batch builds one peer side per watcher of each trial it
@@ -478,18 +480,6 @@ class TestBetaBoundScope:
         self.assert_no_beta_bound(rep, tmp_path)
 
 
-def record_draw_calls(monkeypatch) -> list:
-    """The (cfg, trials) segments of each `_draw_batch` call in this process, one list per call."""
-    calls, draw = [], harness._draw_batch
-
-    def recorded(segments, *args):
-        calls.append(list(segments))
-        return draw(segments, *args)
-
-    monkeypatch.setattr(harness, "_draw_batch", recorded)
-    return calls
-
-
 class TestSweep:
     def test_reports_one_per_value_with_derived_seeds(self):
         reports = sweep(small_cfg(trials=50), "h", [2, 3, 4])
@@ -583,29 +573,26 @@ class TestSweep:
             for workers in (1, 3):
                 assert [tally_json(r) for r in sweep(base, axis, values, workers=workers)] == alone, (axis, workers)
 
-    def test_serial_h_sweep_draws_in_one_call(self, monkeypatch):
+    def test_serial_h_sweep_draws_in_one_call(self, draw_calls):
         # five 20-trial points at n = 8 fill 100 rows of one 256-trial sub-batch
-        calls = record_draw_calls(monkeypatch)
         hs = [1, 2, 3, 4, 5]
         sweep(small_cfg(trials=20), "h", hs)
-        assert [[(cfg.h, cfg.seed, trials) for cfg, trials in segments] for segments in calls] == [
+        assert [[(cfg.h, cfg.seed, trials) for cfg, trials in segments] for segments in draw_calls] == [
             [(h, 42 ^ i, range(0, 20)) for i, h in enumerate(hs)]
         ]
 
-    def test_trials_sweep_splits_at_the_sub_batch_size(self, monkeypatch):
+    def test_trials_sweep_splits_at_the_sub_batch_size(self, draw_calls):
         # at n = 12 a sub-batch holds 16 trials, so the second point spans two
-        calls = record_draw_calls(monkeypatch)
         sweep(small_cfg(n=12, trials=1), "trials", [10, 10, 10])
-        assert [[(cfg.seed, trials) for cfg, trials in segments] for segments in calls] == [
+        assert [[(cfg.seed, trials) for cfg, trials in segments] for segments in draw_calls] == [
             [(42, range(0, 10)), (43, range(0, 6))],
             [(43, range(6, 10)), (40, range(0, 10))],
         ]
 
     @pytest.mark.parametrize("axis, values", [("n", [6, 8, 10]), ("p12", [0.05, 0.1, 0.2]), ("d", [1, 2, 3])])
-    def test_points_with_other_kernels_never_share_a_sub_batch(self, monkeypatch, axis, values):
-        calls = record_draw_calls(monkeypatch)
+    def test_points_with_other_kernels_never_share_a_sub_batch(self, draw_calls, axis, values):
         sweep(small_cfg(n=6, trials=20), axis, values)
-        assert [[(getattr(cfg, axis), trials) for cfg, trials in segments] for segments in calls] == [
+        assert [[(getattr(cfg, axis), trials) for cfg, trials in segments] for segments in draw_calls] == [
             [(v, range(0, 20))] for v in values
         ]
 
@@ -636,12 +623,12 @@ class TestSweep:
         assert built == [workers] * pools + [3]
         assert shut == [workers] * pools
 
-    def test_invalid_point_rejected_before_any_trial(self, drawn_trials):
+    def test_invalid_point_rejected_before_any_trial(self, draw_calls):
         with pytest.raises(ConfigError, match="h=99"):
             sweep(small_cfg(trials=3), "h", [3, 99])
-        assert drawn_trials == []
+        assert draw_calls == []
         sweep(small_cfg(trials=3), "h", [3, 4])
-        assert drawn_trials == [0, 1, 2, 0, 1, 2]
+        assert draw_calls.trials() == [0, 1, 2, 0, 1, 2]
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_worker_count_below_one_rejected(self, workers):
@@ -651,15 +638,15 @@ class TestSweep:
             run_trials(small_cfg(trials=5), workers=workers)
 
     @pytest.mark.parametrize("workers", [2.5, "2", None, True])
-    def test_worker_count_not_an_int_rejected(self, drawn_trials, workers):
+    def test_worker_count_not_an_int_rejected(self, draw_calls, workers):
         named = re.escape(f"workers={workers!r} is not an integer")
         with pytest.raises(ConfigError, match=named):
             sweep(small_cfg(trials=5), "h", [2, 3], workers=workers)
         with pytest.raises(ConfigError, match=named):
             run_trials(small_cfg(trials=5), workers=workers)
-        assert drawn_trials == []
+        assert draw_calls == []
         run_trials(small_cfg(trials=5), workers=1)
-        assert drawn_trials == [0, 1, 2, 3, 4]
+        assert draw_calls.trials() == [0, 1, 2, 3, 4]
 
     def test_predicted_beta_decreasing_in_n_at_fixed_radii_axis(self):
         reports = sweep(small_cfg(trials=1, p12=0.01, p21=0.01, p31=0.01, p32=0.01), "n", [8, 10, 12])
