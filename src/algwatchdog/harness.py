@@ -46,7 +46,10 @@ into `workers` near-equal chunks, and the `workers` jobs go through
 `ProcessPoolExecutor.map` on the process's one pool, however many points a
 sweep has.  `write_report` writes the result to a file or to stdout as JSON,
 or as CSV: one column per leaf of the JSON document, named by its dotted path
-(`config.n`, `per_watcher.beta_v1.count`).
+(`config.n`, `per_watcher.beta_v1.count`).  Both serialize the document
+`_document` builds by rounding the report's fields straight into fresh
+containers, with no deep copy first, and `theory.predict` computes each
+watcher's bound once, so a report costs about what its leaves do.
 
 The pool lives as long as the process.  The first pooled call starts it,
 with min(workers, usable cores) worker processes (the chunk plan still
@@ -58,15 +61,18 @@ workers hold their own copy of this module, taken when the pool starts
 (forked) or imported afresh (spawned): a change made here after the pool
 started, such as a monkeypatch, never reaches them.  Idle workers stay
 until the process exits, where the exit hook of `concurrent.futures`
-joins them.  Pooled calls from several threads run one at a time.  A
-process forked while the pool exists starts its own.  Only processes that
-make repeated pooled calls gain; a one-shot CLI run still pays one
-start-up.
+joins them; this module's own exit hook then drops the pool.  Pooled calls
+from several threads run one at a time.  A process forked while the pool
+exists starts its own.  Only processes that make repeated pooled calls
+gain; a one-shot CLI run still pays one start-up.  `concurrent.futures` is
+imported by the first pooled call, so a serial run never loads it.
 """
 
 from __future__ import annotations
 
+import atexit
 import contextlib
+import copy
 import csv
 import dataclasses
 import itertools
@@ -78,10 +84,9 @@ import random
 import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from hashlib import blake2b
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -92,6 +97,10 @@ from .hashing import hash_tables
 # the draw step reads hash coefficients as plain ints; `sample_hash` stays
 # importable here because the benchmark's tracer wraps `harness.sample_hash`
 from .hashing import sample as sample_hash  # noqa: F401
+
+if TYPE_CHECKING:
+    # imported where a call pools (`_pool_of`, `_pooled`), so a serial run never loads the pool machinery
+    from concurrent.futures import ProcessPoolExecutor
 
 _EDGE_PROBS = ("p12", "p21", "p31", "p32")
 _INT_FIELDS = ("n", "h", "d", "trials", "seed")
@@ -210,7 +219,9 @@ class SimConfig:
         raise ValueError(f"unrecognized adversary {adv!r}")
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # `asdict`'s fields and values, but only the containers are copied, not every value
+        values = ((f.name, getattr(self, f.name)) for f in _CONFIG_FIELDS)
+        return {k: copy.deepcopy(v) if isinstance(v, (dict, list, tuple)) else v for k, v in values}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
@@ -221,6 +232,9 @@ class SimConfig:
         if unknown:
             raise ConfigError([f"unknown field {u!r}" for u in unknown])
         return cls(**data)
+
+
+_CONFIG_FIELDS = dataclasses.fields(SimConfig)
 
 
 @dataclass
@@ -236,6 +250,9 @@ class SimReport:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+_REPORT_FIELDS = dataclasses.fields(SimReport)
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -267,7 +284,7 @@ def _derive_seed(seed: int, trial: int, key: str) -> int:
 # a sub-batch holds at most this many trials and hash-table words
 _BATCH_TRIALS = 256
 _BATCH_WORDS = 1 << 16
-_shared = operator.attrgetter(*(f.name for f in dataclasses.fields(SimConfig) if f.name not in ("h", "seed", "trials")))
+_shared = operator.attrgetter(*(f.name for f in _CONFIG_FIELDS if f.name not in ("h", "seed", "trials")))
 
 
 def _channels(cfg: SimConfig) -> dict[str, BinarySymmetricChannel]:
@@ -422,6 +439,8 @@ def _pool_of(size: int) -> ProcessPoolExecutor:
     pid = os.getpid()
     if _pool is not None and _pool[:2] == (pid, size):
         return _pool[2]
+    from concurrent.futures import ProcessPoolExecutor
+
     _drop_pool()
     ex = ProcessPoolExecutor(max_workers=size)
     _pool = (pid, size, ex)
@@ -440,6 +459,12 @@ def _drop_pool() -> None:
     _pool = None
 
 
+# runs after `concurrent.futures` joins the workers; a pool left in the slot until module teardown
+# would be collected after the pool modules, imported later than this one, were cleared, and its
+# weakref callback would fail on the cleared `multiprocessing` name
+atexit.register(_drop_pool)
+
+
 def _pooled(jobs: list, size: int):
     """The jobs' results, in order, from the process's pool of `size` workers.
 
@@ -448,6 +473,8 @@ def _pooled(jobs: list, size: int):
     it is replaced once and the jobs resubmitted; they are pure, so the
     results are the same.
     """
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         parts = _pool_of(size).map(_run_chunks, jobs)
         first = next(parts)
@@ -589,11 +616,17 @@ def _round_floats(obj, sig: int = 12):
     return obj
 
 
+def _document(rep: SimReport) -> dict:
+    """The report as the rounded document `report_json` and `write_report` serialize.
+
+    The fields go in `asdict` order; `_round_floats` returns fresh containers,
+    so the report's own are never shared and need no deep copy first.
+    """
+    return {f.name: _round_floats(getattr(rep, f.name)) for f in _REPORT_FIELDS}
+
+
 def report_json(rep: SimReport | list[SimReport]) -> str:
-    if isinstance(rep, SimReport):
-        doc = _round_floats(rep.to_dict())
-    else:
-        doc = {"reports": [_round_floats(r.to_dict()) for r in rep]}
+    doc = _document(rep) if isinstance(rep, SimReport) else {"reports": [_document(r) for r in rep]}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -620,7 +653,7 @@ def write_report(rep: SimReport | list[SimReport], path: str | None = None, form
             if format == "json":
                 f.write(report_json(rep))
             else:
-                rows = [dict(_leaves(_round_floats(r.to_dict()))) for r in reports]
+                rows = [dict(_leaves(_document(r))) for r in reports]
                 # one header for every report: the union of their paths, a path a report lacks left empty
                 w = csv.DictWriter(f, list(dict.fromkeys(key for row in rows for key in row)), restval="")
                 w.writeheader()

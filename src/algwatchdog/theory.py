@@ -155,9 +155,6 @@ def predicted_beta_no_overhear(n: int, h: int, r31: int, r32: int) -> Fraction:
 
 
 def predict(tp: TheoryParams, eps: float) -> Prediction:
-    return Prediction(
-        gamma_bound_conservative=conservative_gamma_bound(eps),
-        beta=predicted_beta(tp),
-        beta_v1=misdetection_v1(tp),
-        beta_v2=misdetection_v2(tp),
-    )
+    """Every predictor for one point, each watcher's figure computed once."""
+    v1, v2 = misdetection_v1(tp), misdetection_v2(tp)
+    return Prediction(gamma_bound_conservative=conservative_gamma_bound(eps), beta=min(v1, v2), beta_v1=v1, beta_v2=v2)

@@ -1,5 +1,6 @@
 """Monte Carlo runner, sweeps, and report serialization tests."""
 
+import concurrent.futures
 import csv
 import io
 import json
@@ -75,7 +76,8 @@ def pool_slot(monkeypatch):
             shut.append(self._max_workers)
             super().shutdown(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    # `_pool_of` imports the pool class when it starts a pool, so it reads this name
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(harness, "_pool", None)
     yield built, shut
     harness._drop_pool()
@@ -739,6 +741,33 @@ class TestPool:
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
         assert (out.returncode, out.stdout) == (0, "done\n"), out.stderr
 
+    def test_serial_call_leaves_the_pool_unimported(self):
+        script = (
+            "import sys\n"
+            "from dataclasses import replace\n"
+            "from algwatchdog import SimConfig, report_json, run_trials\n"
+            "cfg = SimConfig(n=6, trials=12)\n"
+            "serial = report_json(replace(run_trials(cfg), wall_time_s=0.0))\n"
+            "print('concurrent.futures' in sys.modules)\n"
+            "pooled = report_json(replace(run_trials(cfg, workers=2), wall_time_s=0.0))\n"
+            "print('concurrent.futures' in sys.modules, pooled == serial)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+        assert (out.returncode, out.stdout) == (0, "False\nTrue True\n")
+
+    def test_pool_left_at_exit_is_collected_before_module_teardown(self):
+        # a module that outlives sys.modules, as a test runner's collected
+        # modules do, is torn down after the pool modules it imported later;
+        # a pool still in its slot then would print an ignored AttributeError
+        script = (
+            "import sys\n"
+            "from algwatchdog import SimConfig, harness, run_trials\n"
+            "run_trials(SimConfig(n=6, trials=12), workers=2)\n"
+            "sys.held_until_teardown = harness\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+        assert (out.returncode, out.stderr) == (0, "")
+
 
 class TestWilson:
     def test_zero_and_full(self):
@@ -753,6 +782,22 @@ class TestWilson:
 
 
 class TestReports:
+    def test_serializing_changes_nothing_and_shares_nothing(self, tmp_path):
+        adversary, sources = {"kind": "fixed_error", "error": 5}, {"fixed": [0x3A, 0xC5]}
+        cfg = small_cfg(adversary=dict(adversary), sources={"fixed": list(sources["fixed"])}, trials=20)
+        rep = run_trials(cfg)
+        before, tallies = rep.to_dict(), tally_json(rep)
+        report_json(rep)
+        write_report(rep, str(tmp_path / "report.csv"), format="csv")
+        assert rep.to_dict() == before
+        # the report's config is its own copy: changing it reaches neither the config nor its next report
+        rep.config["adversary"]["error"] = 9
+        rep.config["sources"]["fixed"][0] = 0
+        assert (cfg.adversary, cfg.sources) == (adversary, sources)
+        again = run_trials(cfg)
+        assert (again.config["adversary"], again.config["sources"]) == (adversary, sources)
+        assert tally_json(again) == tallies
+
     def test_json_round_trip(self, tmp_path):
         rep = run_trials(small_cfg(trials=20))
         path = tmp_path / "report.json"

@@ -13,6 +13,7 @@ from algwatchdog.theory import (
     gamma_bound,
     misdetection_v1,
     misdetection_v2,
+    predict,
     predicted_beta,
     predicted_beta_no_overhear,
 )
@@ -124,6 +125,37 @@ class TestPredictedBeta:
         assert isinstance(v, Fraction)
         b = bsum(16, 4)
         assert v == Fraction(b * b + 2**8 * (b + b), 2**16 * (2**16 - 1))
+
+
+class TestPredict:
+    """`predict` computes each watcher's bound once; each field must be what its per-field function gives."""
+
+    GRID = [
+        TheoryParams(n, h, *radii)
+        for n in (3, 8)
+        for h in (0, 2, n)
+        for radii in ((0, 0, 0, 0), (n, 1, 2, n), (1, n, n, 0), (n, n, n, n))
+    ]
+
+    @pytest.mark.parametrize("tp", GRID, ids=str)
+    def test_fields_equal_the_per_field_functions(self, tp):
+        for eps in (0.01, 0.3):
+            got = predict(tp, eps)
+            assert got.gamma_bound_conservative == conservative_gamma_bound(eps)
+            assert (got.beta_v1, got.beta_v2) == (misdetection_v1(tp), misdetection_v2(tp))
+            assert got.beta == predicted_beta(tp)
+
+    def test_equal_keys_give_equal_results(self):
+        tp = TheoryParams(8, 3, 3, 2, 4, 1)
+        first = predict(tp, 0.01)
+        assert predict(replace(tp), 0.01) == first
+        assert predict(tp, 0.01) == first
+
+    def test_other_eps_moves_only_the_gamma_bound(self):
+        tp = TheoryParams(8, 3, 3, 2, 4, 1)
+        low, high = predict(tp, 0.01), predict(tp, 0.3)
+        assert (low.gamma_bound_conservative, high.gamma_bound_conservative) == (Fraction(0.01) * 2, Fraction(0.3) * 2)
+        assert replace(high, gamma_bound_conservative=low.gamma_bound_conservative) == low
 
 
 class TestNoOverhearCorollary:
