@@ -13,7 +13,6 @@ from .channel import (
     ball_offsets,
     ball_volume,
     binomial_cdf_exact,
-    likelihood,
     radius_for_epsilon,
     transmit,
 )
@@ -48,12 +47,10 @@ from .theory import (
 from .watchdog import (
     Hypothesis,
     Observation,
-    Trellis,
     Verdict,
     algebraic_batch,
     algebraic_check,
     build_trellis,
-    candidate_set,
     consistency_probability,
     trellis_batch,
 )

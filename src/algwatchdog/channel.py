@@ -95,8 +95,9 @@ def binomial_cdf_exact(n: int, r: int, p: float) -> Fraction:
 def radius_for_epsilon(n: int, p: float, eps: float) -> Radius:
     """Smallest r with binomial CDF(n, p) at r >= 1 - eps.
 
-    Memoized: a run asks for the same few (n, p, eps) once per candidate
-    set, and each answer costs up to n + 1 exact rational CDFs.
+    Memoized: a run asks for the same few (n, p, eps) for every group of
+    chunks and every report, and each answer costs up to n + 1 exact
+    rational CDFs.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"epsilon {eps} outside (0, 1)")
@@ -142,7 +143,3 @@ def likelihood_by_distance(p: float, n: int) -> np.ndarray:
     table.setflags(write=False)
     return table
 
-
-def likelihood(chan: BinarySymmetricChannel, sent: np.ndarray, received: int, n: int) -> np.ndarray:
-    """P(received | sent) for an array of n-bit words, read from `likelihood_by_distance` by Hamming distance."""
-    return likelihood_by_distance(chan.p, n).take(np.bitwise_count(sent ^ received))

@@ -31,11 +31,11 @@ the errors of the exhaustive_best adversary, which draws none
 (`protocol.best_errors`), both relay arms' payloads, and each watcher's views
 of them as one row of words per trial (`protocol.view_rows`).  The score step
 (`_score`) hands the tables and rows to one array kernel and sums each
-segment's tallies from its verdicts.  The trellis engine's kernel,
-`watchdog.trellis_batch`, adds each score's terms in the order the scalar
-`consistency_probability(build_trellis(...))` path does, so its scores are
-that path's bit for bit; the algebraic engine's, `watchdog.algebraic_batch`,
-counts survivors in integers, so its verdicts are `algebraic_check`'s.
+segment's tallies from its verdicts: `watchdog.trellis_batch` compares the
+trellis path-sum with the threshold, and `watchdog.algebraic_batch` applies
+the paper's empty-intersection rule at each watcher's (peer, relay) radii.
+The radii are selected once for each group of chunks that share
+sub-batches, with the group's links and strategy.
 
 `run_trials` and `sweep` share one run path and one plan: their trials run as
 (cfg, lo, hi) chunks, job k holds chunk k of every config, and the jobs'
@@ -276,11 +276,6 @@ def _derive_seeds(seed: int, trials, key: str) -> list[int]:
     return [int.from_bytes(blake2b(b"%b%d%b" % (head, t, tail), digest_size=8).digest(), "little") for t in trials]
 
 
-def _derive_seed(seed: int, trial: int, key: str) -> int:
-    """The seed of one of a trial's streams (`_derive_seeds`)."""
-    return _derive_seeds(seed, (trial,), key)[0]
-
-
 # a sub-batch holds at most this many trials and hash-table words
 _BATCH_TRIALS = 256
 _BATCH_WORDS = 1 << 16
@@ -293,7 +288,8 @@ def _channels(cfg: SimConfig) -> dict[str, BinarySymmetricChannel]:
 
 
 def _draw_batch(
-    segments: list[tuple[SimConfig, range]], links: list, strategy: protocol.AdversaryStrategy, rng: random.Random
+    segments: list[tuple[SimConfig, range]], links: list, radii: list, strategy: protocol.AdversaryStrategy,
+    rng: random.Random,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The draw step of one sub-batch of trials: (tables, words), the arrays its kernel reads.
 
@@ -301,7 +297,8 @@ def _draw_batch(
     h, seed and trials.  tables is the trials' (B, 2^n) uint16 hash tables,
     each cut to its segment's h, and words their (B, 2, 5 + 2A) rows
     (`protocol.view_rows`): arm 0 is the honest relay's payload and, unless
-    the strategy is honest, arm 1 the corrupting relay's.  Each trial only
+    the strategy is honest, arm 1 the corrupting relay's (exhaustive_best's
+    error is `protocol.best_errors`' at the radii).  Each trial only
     reads its two streams, keyed by its segment's seed and its index there,
     as MT19937 32-bit words, so the draws do not depend on how randrange
     and `random()` are implemented; everything derived from the draws is
@@ -352,11 +349,13 @@ def _draw_batch(
     if drawn_error:
         payloads.append(payloads[0] ^ draws[:, -1])
     elif corrupt:
-        payloads.append(payloads[0] ^ protocol.best_errors(spec, tables, sources, coeffs, links, cfg.epsilon))
+        payloads.append(payloads[0] ^ protocol.best_errors(spec, tables, sources, coeffs, radii))
     return tables, protocol.view_rows(sources, coeffs, tables, np.stack(payloads, axis=1), noise.reshape(-1, 2, 2))
 
 
-def _score(segments: list, tables: np.ndarray, words: np.ndarray, links: list) -> list[tuple[int, int, int, int]]:
+def _score(
+    segments: list, tables: np.ndarray, words: np.ndarray, links: list, radii: list
+) -> list[tuple[int, int, int, int]]:
     """The score step: each segment's summed tallies, given the sub-batch's `_draw_batch`.
 
     A tally is (honest_flagged, mal_passed_both, mal_passed_v1, mal_passed_v2);
@@ -367,7 +366,7 @@ def _score(segments: list, tables: np.ndarray, words: np.ndarray, links: list) -
     if cfg.engine == "trellis":
         accepted = watchdog.trellis_batch(spec, tables, words, links, cfg.threshold)[0]
     else:
-        accepted = watchdog.algebraic_batch(spec, tables, words, links, cfg.epsilon)[0]
+        accepted = watchdog.algebraic_batch(spec, tables, words, radii)[0]
     honest_passed = accepted[:, 0, 0] & accepted[:, 1, 0]
     noiseless = cfg.p12 == cfg.p21 == cfg.p31 == cfg.p32 == 0.0 and cfg.engine == "algebraic"
     if noiseless and not honest_passed.all():
@@ -407,10 +406,12 @@ def _run_chunks(job: list[tuple[SimConfig, int, int]]) -> list[tuple[int, int, i
         chunks = list(chunks)
         cfg = chunks[0][1][0]
         links, strategy = protocol.watcher_links(**_channels(cfg)), cfg.strategy()
+        # each watcher's (peer, relay) radii, read by the algebraic kernel and by exhaustive_best
+        radii = [[radius_for_epsilon(cfg.n, chan.p, cfg.epsilon).r for chan in link] for link in links]
         for batch in _sub_batches(chunks, max(1, min(_BATCH_TRIALS, _BATCH_WORDS >> cfg.n))):
             segments = [(c, trials) for _, c, trials in batch]
-            tables, words = _draw_batch(segments, links, strategy, rng)
-            for (k, _, _), part in zip(batch, _score(segments, tables, words, links)):
+            tables, words = _draw_batch(segments, links, radii, strategy, rng)
+            for (k, _, _), part in zip(batch, _score(segments, tables, words, links, radii)):
                 sums[k] = tuple(a + b for a, b in zip(sums[k], part))
     return sums
 

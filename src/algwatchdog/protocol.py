@@ -16,7 +16,7 @@ import numpy as np
 
 # noise comes from `noise_mask`; `transmit` stays importable here because
 # the benchmark's tracer wraps `protocol.transmit`
-from .channel import BinarySymmetricChannel, noise_mask, transmit  # noqa: F401
+from .channel import BinarySymmetricChannel, noise_mask, radius_for_epsilon, transmit  # noqa: F401
 from .gf2n import FieldElement, FieldSpec
 from .hashing import HashFunction, evaluate
 from .watchdog import Observation, relay_word_survivors
@@ -135,14 +135,14 @@ def draw_error(strategy: AdversaryStrategy, spec: FieldSpec, rng) -> int:
     raise ValueError(f"{strategy.kind} draws no error; its error is a function of the scenario")
 
 
-def best_errors(spec: FieldSpec, tables: np.ndarray, sources, coeffs, links, epsilon: float) -> np.ndarray:
+def best_errors(spec: FieldSpec, tables: np.ndarray, sources, coeffs, radii) -> np.ndarray:
     """exhaustive_best's error in each of B trials, chosen by scanning the whole field.
 
-    tables, sources and coeffs are read as `view_rows` reads them, links
-    as `watcher_links` gives them.  An error hides as well as the product
-    of the watchers' survivor counts c1 * c2 on noise-free observations at
-    the configured radii; ties break toward the larger c1 + c2, then the
-    smaller error word.
+    tables, sources and coeffs are read as `view_rows` reads them, and
+    radii[w] is watcher w's (peer radius, relay radius), in `watcher_links`
+    order.  An error hides as well as the product of the watchers' survivor
+    counts c1 * c2 on noise-free observations at those radii; ties break
+    toward the larger c1 + c2, then the smaller error word.
     """
     if spec.n > EXHAUSTIVE_MAX_WIDTH:
         raise ValueError(f"exhaustive_best scans 2^n errors; n <= {EXHAUSTIVE_MAX_WIDTH} required")
@@ -151,7 +151,7 @@ def best_errors(spec: FieldSpec, tables: np.ndarray, sources, coeffs, links, eps
     batch = len(honest)
     # each watcher's noiseless peer side; the survivor counts read no relay arm
     rows = view_rows(sources, coeffs, tables, np.empty((batch, 0)), np.zeros((batch, 2, 2)))
-    c1, c2 = relay_word_survivors(spec, tables, rows, links, epsilon).transpose(1, 0, 2)
+    c1, c2 = relay_word_survivors(spec, tables, rows, radii).transpose(1, 0, 2)
     # relay words by (c1 * c2, c1 + c2), the honest word, error 0, last
     score = c1 * c2
     score[np.arange(batch), honest] = -1
@@ -176,7 +176,8 @@ def relay_output(scn: Scenario, strategy: AdversaryStrategy, rng) -> int:
     if strategy.kind == "exhaustive_best":
         sources, coeffs = [[scn.x1.value, scn.x2.value]], [[scn.a1.value, scn.a2.value]]
         links = watcher_links(scn.chan_12, scn.chan_21, scn.chan_31, scn.chan_32)
-        error = int(best_errors(scn.spec, scn.hf.table[None], sources, coeffs, links, scn.epsilon)[0])
+        radii = [[radius_for_epsilon(scn.spec.n, chan.p, scn.epsilon).r for chan in link] for link in links]
+        error = int(best_errors(scn.spec, scn.hf.table[None], sources, coeffs, radii)[0])
     else:
         error = draw_error(strategy, scn.spec, rng)
     return scn.honest_payload ^ error

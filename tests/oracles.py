@@ -5,8 +5,10 @@ shift-XOR-reduce multiplier against the table-based one, a hash summed
 power by power with that multiplier against the log-domain hash tables, a
 Pascal-recurrence binomial CDF against the radius computation, and a noise
 mask drawn one `random()` call per bit against the one read from raw
-MT19937 words, and a report document's leaves, walked by key, against the
-CSV columns the report writer derives from them.
+MT19937 words, a report document's leaves, walked by key, against the
+CSV columns the report writer derives from them, and both detection rules,
+applied to one observation by a scan of the whole field, against the
+detection kernels.
 """
 
 from fractions import Fraction
@@ -78,3 +80,46 @@ def json_leaves(obj, path=()):
             yield from json_leaves(value, (*path, key))
     else:
         yield ".".join(path), obj
+
+
+def coded_images(obs) -> list[int]:
+    """a_own*own + a_peer*x for every word x of an `Observation`'s field, indexed by x.
+
+    a_peer*x is the XOR of the `slow_mul` products a_peer*2^i over the bits i of x: multiplying is linear over GF(2).
+    """
+    poly = obs.hf.spec.reduction_poly
+    images = [slow_mul(obs.own_coeff.value, obs.own_value.value, poly)]
+    for i in range(obs.n):
+        term = slow_mul(obs.peer_coeff.value, 1 << i, poly)
+        images += [y ^ term for y in images]
+    return images
+
+
+def survivors_by_scan(obs, r_peer: int, r_relay: int) -> int:
+    """The algebraic rule's survivor count for an `Observation`, by a scan of the whole field.
+
+    A survivor is a word x with the peer's hash within r_peer of the overheard peer payload whose image
+    (`coded_images`) has the relay's hash within r_relay of the overheard relay payload.  Hashes are read from
+    obs.hf.table, the kernels' input.
+    """
+    table = obs.hf.table.tolist()
+    return sum(
+        table[x] == obs.peer_hash and (x ^ obs.noisy_peer).bit_count() <= r_peer
+        and table[y] == obs.relay_hash and (y ^ obs.noisy_relay).bit_count() <= r_relay
+        for x, y in enumerate(coded_images(obs))
+    )
+
+
+def path_sum_by_scan(obs) -> float:
+    """The trellis score of an `Observation`, by enumerating its paths over the whole field.
+
+    Each word v with the peer's hash weighs p^k (1 - p)^(n - k), k its distance from the overheard peer payload,
+    normalized over all such v; if its image (`coded_images`) has the relay's hash, its path adds that weight
+    times the relay link's likelihood of the image.
+    """
+    n, table, images = obs.n, obs.hf.table.tolist(), coded_images(obs)
+    peer, relay = ([p**k * (1 - p) ** (n - k) for k in range(n + 1)] for p in (obs.peer_channel.p, obs.relay_channel.p))
+    paths = [(peer[(v ^ obs.noisy_peer).bit_count()], y) for v, y in enumerate(images) if table[v] == obs.peer_hash]
+    norm = sum(weight for weight, _ in paths)
+    hits = [w / norm * relay[(y ^ obs.noisy_relay).bit_count()] for w, y in paths if w and table[y] == obs.relay_hash]
+    return sum(hits, start=0.0)

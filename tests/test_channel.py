@@ -15,7 +15,7 @@ from algwatchdog.channel import (
     BinarySymmetricChannel,
     ball_offsets,
     ball_volume,
-    likelihood,
+    likelihood_by_distance,
     masks_from_words,
     noise_mask,
     radius_for_epsilon,
@@ -198,6 +198,11 @@ def bsc_log_likelihood(p: float, k, n: int):
     return k * math.log(p) + (n - k) * math.log(1.0 - p)
 
 
+def likelihood(chan, sent, received, n):
+    """P(received | sent) for n-bit words: `likelihood_by_distance` read at their Hamming distance."""
+    return likelihood_by_distance(chan.p, n).take(np.bitwise_count(np.asarray(sent) ^ received))
+
+
 def log_likelihood(chan, sent, received, n):
     """ln of `likelihood`: -inf, not a warning, where a flip is impossible."""
     with np.errstate(divide="ignore"):
@@ -263,7 +268,7 @@ class TestLikelihood:
 
     def test_table_is_read_only(self):
         likelihood(BinarySymmetricChannel(0.1), np.arange(4), 0, 2)
-        table = channel.likelihood_by_distance(0.1, 2)
+        table = likelihood_by_distance(0.1, 2)
         with pytest.raises(ValueError):
             table[0] = 0.0
 

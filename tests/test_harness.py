@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algwatchdog import hashing, harness, protocol, theory, watchdog
-from algwatchdog.channel import BinarySymmetricChannel
+from algwatchdog.channel import BinarySymmetricChannel, radius_for_epsilon
 from algwatchdog.gf2n import FieldElement, canonical_spec
 from algwatchdog.harness import (
     ConfigError,
@@ -304,7 +304,7 @@ class TestDrawStep:
         """Trial `trial`'s hash table and kernel rows, drawn through `Scenario`, `relay_output` and `view_rows`."""
         spec = canonical_spec(cfg.n)
         order = spec.order
-        rng = random.Random(harness._derive_seed(cfg.seed, trial, "draw"))
+        rng = random.Random(harness._derive_seeds(cfg.seed, (trial,), "draw")[0])
         if isinstance(cfg.sources, dict):
             x1, x2 = cfg.sources["fixed"]
         else:
@@ -320,7 +320,7 @@ class TestDrawStep:
         arms = [protocol.AdversaryStrategy("honest")] + ([strategy] if strategy.kind != "honest" else [])
         relays = [protocol.relay_output(scn, arm, rng) for arm in arms]
         links = protocol.watcher_links(scn.chan_12, scn.chan_21, scn.chan_31, scn.chan_32)
-        noise = protocol.noise_masks(links, cfg.n, random.Random(harness._derive_seed(cfg.seed, trial, "noise")))
+        noise = protocol.noise_masks(links, cfg.n, random.Random(harness._derive_seeds(cfg.seed, (trial,), "noise")[0]))
         rows = protocol.view_rows([[x1, x2]], [[a1, a2]], hf.table[None], [relays], [noise])
         return hf.table, rows[0].tolist()
 
@@ -356,7 +356,10 @@ class TestDrawStep:
         )
         cfg.validate()
         links = protocol.watcher_links(**harness._channels(cfg))
-        tables, words = harness._draw_batch([(cfg, range(first, first + count))], links, cfg.strategy(), random.Random())
+        radii = [[radius_for_epsilon(n, chan.p, cfg.epsilon).r for chan in link] for link in links]
+        tables, words = harness._draw_batch(
+            [(cfg, range(first, first + count))], links, radii, cfg.strategy(), random.Random()
+        )
         arms = 1 if kind == "honest" else 2
         assert tables.shape == (count, order) and tables.dtype == np.uint16
         assert words.shape == (count, 2, 5 + 2 * arms)
@@ -382,7 +385,7 @@ class TestDrawStep:
         run_trials(cfg)
         want = []
         for trial in range(cfg.trials):
-            rng = random.Random(harness._derive_seed(cfg.seed, trial, "noise"))
+            rng = random.Random(harness._derive_seeds(cfg.seed, (trial,), "noise")[0])
             w1 = [noise_mask_per_bit(p, n, rng) for p in (cfg.p21, cfg.p31)]
             want.append([w1, [noise_mask_per_bit(p, n, rng) for p in (cfg.p12, cfg.p32)]])
         assert recorded == want
@@ -401,9 +404,9 @@ class TestDrawStep:
         assert harness._BATCH_WORDS >> cfg.n == 16
         score, rows = harness._score, []
 
-        def recording(segments, tables, words, links):
+        def recording(segments, tables, words, *args):
             rows.append(words.tolist())
-            return score(segments, tables, words, links)
+            return score(segments, tables, words, *args)
 
         monkeypatch.setattr(harness, "_score", recording)
         [whole] = harness._run_chunks([(cfg, 0, 48)])
@@ -418,9 +421,9 @@ class TestDrawStep:
 
     def test_derived_seeds_pinned(self):
         # recorded before the seed derivation was rewritten; every tally rests on them
-        assert harness._derive_seed(0, 0, "draw") == 16436181301074276647
-        assert harness._derive_seed(42, 12345, "noise") == 7579827467035994739
-        assert harness._derive_seed(2**40 + 7, 999999, "draw") == 10190733824899363748
+        assert harness._derive_seeds(0, (0,), "draw")[0] == 16436181301074276647
+        assert harness._derive_seeds(42, (12345,), "noise")[0] == 7579827467035994739
+        assert harness._derive_seeds(2**40 + 7, (999999,), "draw")[0] == 10190733824899363748
 
 
 @pytest.mark.parametrize("engine", ["algebraic", "trellis"])

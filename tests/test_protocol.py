@@ -26,8 +26,8 @@ from algwatchdog.protocol import (
     view_rows,
     watcher_links,
 )
-from algwatchdog.watchdog import algebraic_check, relay_word_survivors
-from oracles import slow_mul
+from algwatchdog.watchdog import relay_word_survivors
+from oracles import slow_mul, survivors_by_scan
 
 GF16 = canonical_spec(4)
 GF32 = canonical_spec(5)
@@ -67,6 +67,11 @@ def batch_arrays(scenarios):
 def scenario_links(scn):
     """Both watchers' (peer link, relay link) in scn, watcher 1 first."""
     return watcher_links(scn.chan_12, scn.chan_21, scn.chan_31, scn.chan_32)
+
+
+def link_radii(links, n, epsilon):
+    """Each watcher's (peer, relay) radii, as `radius_for_epsilon` selects them for its links."""
+    return [tuple(radius_for_epsilon(n, chan.p, epsilon).r for chan in link) for link in links]
 
 
 def row_of(obs):
@@ -218,8 +223,8 @@ class TestRelayOutput:
         # one call picks every trial's error, as the harness's draw step makes it
         rng = random.Random(9)
         scenarios = [random_scenario(rng, GF32, (0.05, 0.2, 0.0, 0.3), rng.randrange(1, 4)) for _ in range(5)]
-        links = watcher_links(*(getattr(scenarios[0], f"chan_{link}") for link in ("12", "21", "31", "32")))
-        got = best_errors(GF32, *batch_arrays(scenarios), links, scenarios[0].epsilon)
+        radii = link_radii(scenario_links(scenarios[0]), GF32.n, scenarios[0].epsilon)
+        got = best_errors(GF32, *batch_arrays(scenarios), radii)
         assert got.shape == (5,)
         keys = [best_error_key(scn) for scn in scenarios]
         want = [max(range(1, GF32.order), key=key) for key in keys]
@@ -232,10 +237,10 @@ class TestRelayOutput:
         [(GF32, 0.0, 2, 1), (GF32, 0.1, 2, 2), (GF32, 0.2, 3, 3), (canonical_spec(6), 0.1, 1, 4),
          (canonical_spec(6), 0.05, 4, 5), (canonical_spec(6), 0.5, 2, 6)],
     )
-    def test_relay_word_survivors_match_algebraic_check(self, spec, p, h, seed):
-        # the whole-field count behind exhaustive_best against the
-        # per-observation check, relay word by relay word, for both watchers
-        # of three trials, each watcher's peer overheard through its noisy link
+    def test_relay_word_survivors_match_survivor_scan(self, spec, p, h, seed):
+        # the whole-field count behind exhaustive_best against a scan of
+        # each observation, relay word by relay word, for both watchers of
+        # three trials, each watcher's peer overheard through its noisy link
         rng = random.Random(seed)
         probs = (p, p / 2, 0.0, p)
         scenarios = [random_scenario(rng, spec, probs, h) for _ in range(3)]
@@ -245,7 +250,8 @@ class TestRelayOutput:
         tables, sources, coeffs = batch_arrays(scenarios)
         honest = [[scn.honest_payload] for scn in scenarios]
         rows = view_rows(sources, coeffs, tables, honest, noise)
-        counts = relay_word_survivors(spec, tables, rows, links, 0.01)
+        radii = link_radii(links, spec.n, 0.01)
+        counts = relay_word_survivors(spec, tables, rows, radii)
         assert counts.shape == (3, 2, spec.order)
         for b, (scn, seed) in enumerate(zip(scenarios, seeds)):
             payload, noise_rng = relay_output(scn, AdversaryStrategy("honest"), rng), random.Random(seed)
@@ -253,7 +259,7 @@ class TestRelayOutput:
                 obs = observe(w, scn, payload, noise_rng)
                 for relay in range(spec.order):
                     one = dataclasses.replace(obs, relay_hash=evaluate(scn.hf, FieldElement(relay, spec)), noisy_relay=relay)
-                    assert counts[b, w - 1, relay] == algebraic_check(one).diagnostics["surviving"]
+                    assert counts[b, w - 1, relay] == survivors_by_scan(one, *radii[w - 1])
 
     def test_exhaustive_best_cost_error_at_large_n(self):
         spec = canonical_spec(14)

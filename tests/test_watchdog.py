@@ -1,8 +1,9 @@
 """Detection engine tests.
 
-The algebraic check is validated against a brute-force re-implementation
-that scans the whole field with no ball pruning; the trellis path-sum is
-validated against a scalar path enumeration coded from first principles.
+The algebraic kernels are validated against a survivor count that scans the
+whole field (`oracles.survivors_by_scan`); the trellis kernel against a
+path enumeration over the whole field coded from first principles
+(`oracles.path_sum_by_scan`).
 """
 
 import dataclasses
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algwatchdog.channel import BinarySymmetricChannel, ball_volume
+from algwatchdog.channel import BinarySymmetricChannel, ball_volume, radius_for_epsilon
 from algwatchdog.gf2n import FieldElement, canonical_spec
 from algwatchdog.hashing import HashFunction, evaluate, sample
 from algwatchdog.protocol import (
@@ -32,11 +33,10 @@ from algwatchdog.watchdog import (
     algebraic_batch,
     algebraic_check,
     build_trellis,
-    candidate_set,
     consistency_probability,
     trellis_batch,
 )
-from oracles import slow_hash, slow_mul
+from oracles import path_sum_by_scan, slow_hash, slow_mul, survivors_by_scan
 
 GF16 = canonical_spec(4)
 GF256 = canonical_spec(8)
@@ -68,42 +68,33 @@ def mul(a, x, spec=GF16):
     return slow_mul(a, x, spec.reduction_poly)
 
 
-def brute_force_accepts(spec, hf, x_own, a_own, a_peer, peer_hash, relay_hash):
-    """Full-domain re-implementation of the empty-intersection rule (radius n)."""
-    c = mul(a_own, x_own, spec)
-    for x in range(spec.order):
-        if evaluate(hf, fe(x, spec)) != peer_hash:
-            continue
-        w = c ^ mul(a_peer, x, spec)
-        if evaluate(hf, fe(w, spec)) == relay_hash:
-            return True
-    return False
-
-
 class TestCandidateSet:
+    """The candidate counts `algebraic_check` reports for each ball."""
+
     def test_truth_present_when_noiseless(self):
         hf = sample(random.Random(1), 3, GF16, 2)
         obs = make_obs(GF16, hf, x_own=3, a_own=1, a_peer=1, peer_true=0b0110, relay_sent=0b0101, p=0.0)
-        words, r = candidate_set(obs, "peer")
-        assert r == 0
-        assert 0b0110 in words.tolist()
+        diagnostics = algebraic_check(obs).diagnostics
+        # radius 0: the ball is the overheard peer payload, the true word, which has the peer hash
+        assert diagnostics["peer_radius"] == 0
+        assert diagnostics["peer_candidates"] == 1
 
     def test_constant_hash_radius_n_is_whole_domain(self):
         hf = HashFunction((fe(0b0101), fe(0), fe(0)), width=2)
         obs = make_obs(GF16, hf, x_own=1, a_own=1, a_peer=1, peer_true=7, relay_sent=9, p=0.3)
-        words, _ = candidate_set(obs, "peer", radius_override=4)
-        assert len(set(words.tolist())) == 16
+        assert algebraic_check(obs, radius_override=4).diagnostics["peer_candidates"] == 16
 
-    def test_members_satisfy_both_predicates(self):
+    def test_counts_the_words_satisfying_both_predicates(self):
         hf = sample(random.Random(2), 3, GF256, 3)
         obs = make_obs(GF256, hf, x_own=3, a_own=5, a_peer=9, peer_true=0x21, relay_sent=0x5A, noisy_peer=0x23, noisy_relay=0x58, p=0.1)
+        diagnostics = algebraic_check(obs).diagnostics
+        coeffs = [c.value for c in hf.coeffs]
         for which in ("peer", "relay"):
-            words, r = candidate_set(obs, which)
-            noisy = obs.noisy_peer if which == "peer" else obs.noisy_relay
-            target = obs.peer_hash if which == "peer" else obs.relay_hash
-            for w in words.tolist():
-                assert (w ^ noisy).bit_count() <= r
-                assert evaluate(hf, fe(w, GF256)) == target
+            noisy, target = getattr(obs, f"noisy_{which}"), getattr(obs, f"{which}_hash")
+            r = diagnostics[f"{which}_radius"]
+            members = [w for w in range(256) if slow_hash(coeffs, w, GF256.reduction_poly, 3) == target]
+            want = sum((w ^ noisy).bit_count() <= r for w in members)
+            assert diagnostics[f"{which}_candidates"] == want > 0
 
     def test_thinning_statistics(self):
         # average candidate count near ball_volume / 2^h for random hashes
@@ -113,7 +104,7 @@ class TestCandidateSet:
             hf = sample(rng, 3, GF256, 4)
             obs = make_obs(GF256, hf, x_own=1, a_own=1, a_peer=1,
                            peer_true=rng.randrange(256), relay_sent=rng.randrange(256), p=0.1)
-            sizes.append(len(set(candidate_set(obs, "relay")[0].tolist())))
+            sizes.append(algebraic_check(obs).diagnostics["relay_candidates"])
         expected = ball_volume(8, 3) / 16
         assert expected / 2 <= sum(sizes) / len(sizes) <= expected * 2
 
@@ -136,9 +127,7 @@ class TestAlgebraicCheck:
         x3 = mul(a1, x1) ^ mul(a2, x2)
         found = None
         for e in range(1, 16):
-            if not brute_force_accepts(GF16, hf, x1, a1, a2,
-                                       evaluate(hf, fe(x2)),
-                                       evaluate(hf, fe(x3 ^ e))):
+            if not survivors_by_scan(make_obs(GF16, hf, x1, a1, a2, x2, x3 ^ e, p=0.0), 4, 4):
                 found = e
                 break
         assert found is not None
@@ -153,33 +142,52 @@ class TestAlgebraicCheck:
                 x3 = mul(a1, x1) ^ mul(a2, x2)
                 for e in range(1, 16):
                     obs = make_obs(GF16, hf, x1, a1, a2, x2, x3 ^ e, p=0.0)
-                    got = algebraic_check(obs, radius_override=4).decision
-                    want = brute_force_accepts(GF16, hf, x1, a1, a2, obs.peer_hash, obs.relay_hash)
-                    assert (got is Hypothesis.H0) == want
+                    verdict = algebraic_check(obs, radius_override=4)
+                    want = survivors_by_scan(obs, 4, 4)
+                    assert verdict.diagnostics["surviving"] == want
+                    assert (verdict.decision is Hypothesis.H0) == (want > 0)
+
+    def test_zero_peer_coefficient_rejected(self):
+        # every peer candidate would have one image, so a count of images
+        # would no longer be the size of an intersection
+        hf = sample(random.Random(8), 3, GF16, 2)
+        obs = make_obs(GF16, hf, 3, 5, 0, 9, mul(5, 3), p=0.1)
+        with pytest.raises(ValueError, match="zero peer coefficient"):
+            algebraic_check(obs)
 
 
 class TestTrellis:
     def test_layer2_equals_preimage_set(self):
+        # at p = 0.5 every path weighs 2^-n / |layer 2|, so the score counts
+        # the preimages of the peer hash whose image has the relay hash
         hf = sample(random.Random(9), 3, GF16, 2)
-        obs = make_obs(GF16, hf, 3, 5, 7, 0b1001, 0b0100, p=0.1)
-        tr = build_trellis(obs)
+        obs = make_obs(GF16, hf, 3, 5, 7, 0b1001, mul(5, 3) ^ mul(7, 0b1001), p=0.5)
         coeffs = [c.value for c in hf.coeffs]
-        want = {x for x in range(16) if slow_hash(coeffs, x, GF16.reduction_poly, 2) == obs.peer_hash}
-        assert set(tr.candidates.tolist()) == want
+        h = lambda x: slow_hash(coeffs, x, GF16.reduction_poly, 2)
+        layer2 = [x for x in range(16) if h(x) == obs.peer_hash]
+        reached = sum(h(mul(5, 3) ^ mul(7, x)) == obs.relay_hash for x in layer2)
+        assert 0 < reached < len(layer2)
+        assert consistency_probability(build_trellis(obs)) == pytest.approx(reached / len(layer2) / 16)
 
     def test_permutation_layer_is_bijection(self):
-        hf = sample(random.Random(10), 3, GF16, 2)
-        obs = make_obs(GF16, hf, 3, 5, 7, 0b1001, 0b0100, p=0.1)
-        tr = build_trellis(obs)
-        assert len(set(tr.images.tolist())) == len(tr.candidates)
+        # a constant hash puts every word in layer 2 and every image on a
+        # path; at peer p = 0.5 each weighs 1/16, so the score is 1/16 times
+        # the relay likelihood summed over the images, which is 1 iff the
+        # images are the whole field
+        hf = HashFunction((fe(0b0101), fe(0), fe(0)), width=2)
+        obs = make_obs(GF16, hf, 3, 5, 7, 0b1001, 0b0100, noisy_relay=0b0110, p=0.5)
+        obs = dataclasses.replace(obs, relay_channel=BinarySymmetricChannel(0.1))
+        assert consistency_probability(build_trellis(obs)) == pytest.approx(1 / 16)
 
     def test_noiseless_weight_concentrates_on_truth(self):
+        # another word with the peer hash also has a hash-consistent path
+        # when the relay sends its image, but at p = 0 it weighs nothing
         hf = sample(random.Random(11), 3, GF16, 2)
-        obs = make_obs(GF16, hf, 3, 5, 7, 0b1001, 0b0100, p=0.0)
-        tr = build_trellis(obs)
-        idx = tr.candidates.tolist().index(0b1001)
-        assert tr.weights_in[idx] == pytest.approx(1.0)
-        assert tr.weights_in.sum() == pytest.approx(1.0)
+        truth = 0b1001
+        other = next(v for v in range(16) if v != truth and evaluate(hf, fe(v)) == evaluate(hf, fe(truth)))
+        for v, want in ((truth, 1.0), (other, 0.0)):
+            obs = make_obs(GF16, hf, 3, 5, 7, truth, mul(5, 3) ^ mul(7, v), p=0.0)
+            assert consistency_probability(build_trellis(obs)) == want
 
     def test_width_bound(self):
         spec = canonical_spec(14)
@@ -233,50 +241,49 @@ def batch_of(trials, threshold):
 
 
 class TestTrellisBatch:
-    """The batched kernel against the scalar path, which it must agree with verdict for verdict."""
+    """The batched kernel against a path enumeration over the whole field, view by view."""
 
     PROBS = [0.0, 1e-3, 0.1, 0.25, 0.5]
 
     @staticmethod
-    def scalar(obs):
-        tr = build_trellis(obs)
-        return consistency_probability(tr), len(tr.candidates)
+    def assert_scores_enumerated(trials, scores):
+        want = [[[path_sum_by_scan(obs) for obs in views] for views in trial] for trial in trials]
+        # the float expressions differ, so the scores agree to rounding; a zero is exact
+        np.testing.assert_allclose(scores, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("p", PROBS)
     @pytest.mark.parametrize("n", range(2, 13))
-    def test_verdicts_equal_scalar_path_and_scores_within_slack(self, n, p):
-        # the slack is zero: every batched score is the scalar score bit for bit
+    def test_scores_equal_path_enumeration_and_verdicts_follow_threshold(self, n, p):
         rng = random.Random(1000 * n + int(1000 * p))
         for d in range(4):
             links = [(p, rng.choice(self.PROBS)), (rng.choice(self.PROBS), p)]
             trials = random_trellis_trials(rng, n, d, links, 3)
-            want = [[[self.scalar(obs)[0] for obs in views] for views in trial] for trial in trials]
-            # thresholds below, at and between the scalar scores
-            cuts = sorted({score for trial in want for score in sum(trial, [])})
+            _, scores = batch_of(trials, 0.0)
+            assert scores.shape == (len(trials), 2, 2)
+            self.assert_scores_enumerated(trials, scores)
+            # thresholds below, at and between the scores
+            cuts = sorted(set(scores.ravel().tolist()))
             for t in {1e-9, 0.01, 0.2, cuts[len(cuts) // 2], min(1.0, 2 * cuts[-1])}:
-                accepted, scores = batch_of(trials, t)
-                assert accepted.shape == scores.shape == (len(trials), 2, 2)
-                for b, trial in enumerate(want):
-                    for w, views in enumerate(trial):
-                        for a, score in enumerate(views):
-                            assert scores[b, w, a] == score
-                            assert accepted[b, w, a] == (score >= t)
+                accepted, again = batch_of(trials, t)
+                assert (again == scores).all()
+                assert (accepted == (scores >= t)).all()
 
     def test_threshold_equal_to_a_score_accepts_that_view(self):
         trials = random_trellis_trials(random.Random(5), 10, 3, [(0.1, 0.1), (0.2, 0.05)], 2)
-        target, _ = self.scalar(trials[1][0][0])
+        _, scores = batch_of(trials, 0.0)
+        target = scores[1, 0, 0]
         assert target > 0
-        accepted, scores = batch_of(trials, target)
-        assert accepted[1, 0, 0] and scores[1, 0, 0] == target
-        want = [[[self.scalar(obs)[0] >= target for obs in views] for views in trial] for trial in trials]
-        assert accepted.tolist() == want
+        accepted, again = batch_of(trials, target)
+        assert accepted[1, 0, 0] and again[1, 0, 0] == target
+        assert (accepted == (scores >= target)).all()
 
     def test_one_arm(self):
         trials = random_trellis_trials(random.Random(6), 8, 2, [(0.1, 0.1)] * 2, 3)
         trials = [tuple((obs,) for obs, _ in trial) for trial in trials]
         accepted, scores = batch_of(trials, 0.01)
         assert accepted.shape == (3, 2, 1)
-        assert accepted.tolist() == [[[self.scalar(obs)[0] >= 0.01] for (obs,) in trial] for trial in trials]
+        self.assert_scores_enumerated(trials, scores)
+        assert (accepted == (scores >= 0.01)).all()
 
     def test_too_wide_rejected(self):
         spec = canonical_spec(TRELLIS_MAX_WIDTH + 1)
@@ -333,23 +340,30 @@ def algebraic_batch_of(trials, peer_flip=0):
     noise = [noise_masks(links, first.spec.n, random.Random(seed)) for seed in seeds]
     noise = [((peer ^ peer_flip, relay), second) for (peer, relay), second in noise]
     words = view_rows(sources, coeffs, tables, relays, noise)
-    return algebraic_batch(first.spec, tables, words, links, first.epsilon)
+    radii = [watcher_radii(link, first.spec.n, first.epsilon) for link in links]
+    return algebraic_batch(first.spec, tables, words, radii)
+
+
+def watcher_radii(link, n, epsilon):
+    """The (peer, relay) radii `radius_for_epsilon` selects for a watcher's (peer link, relay link)."""
+    return tuple(radius_for_epsilon(n, chan.p, epsilon).r for chan in link)
 
 
 class TestAlgebraicBatch:
-    """The batched check against `algebraic_check` on `protocol.observe`'s observations, view by view."""
+    """The batched check against a whole-field survivor scan of `protocol.observe`'s observations, view by view."""
 
     @staticmethod
-    def assert_matches_scalar(trials, peer_flip=0):
+    def assert_matches_scan(trials, peer_flip=0):
         accepted, surviving = algebraic_batch_of(trials, peer_flip)
         arms = len(trials[0][1])
         assert accepted.shape == surviving.shape == (len(trials), 2, arms)
         for b, (scn, relays, seed) in enumerate(trials):
             for a, arm in enumerate(trial_views(scn, relays, seed, peer_flip)):
                 for w, obs in enumerate(arm):
-                    verdict = algebraic_check(obs)
-                    assert accepted[b, w, a] == (verdict.decision is Hypothesis.H0)
-                    assert surviving[b, w, a] == verdict.diagnostics["surviving"]
+                    link = obs.peer_channel, obs.relay_channel
+                    want = survivors_by_scan(obs, *watcher_radii(link, obs.n, obs.epsilon))
+                    assert surviving[b, w, a] == want
+                    assert accepted[b, w, a] == (want > 0)
         return accepted, surviving
 
     @settings(max_examples=120, deadline=None)
@@ -362,11 +376,11 @@ class TestAlgebraicBatch:
         arms=st.integers(1, 2),
         seed=st.integers(0, 2**32),
     )
-    def test_verdicts_and_survivors_equal_algebraic_check(self, data, n, d, probs, epsilon, arms, seed):
+    def test_verdicts_and_survivors_equal_field_scan(self, data, n, d, probs, epsilon, arms, seed):
         h = data.draw(st.integers(1, n), label="h")
-        # the harness's sub-batch size rule, capped at 4 trials to keep the scalar side fast
+        # the harness's sub-batch size rule, capped at 4 trials to keep the scan fast
         count = max(1, min(4, (1 << 16) >> n))
-        self.assert_matches_scalar(harness_trials(random.Random(seed), n, h, d, probs, epsilon, count, arms))
+        self.assert_matches_scan(harness_trials(random.Random(seed), n, h, d, probs, epsilon, count, arms))
 
     def test_empty_peer_candidate_set(self):
         # noiseless links give radius 0, so a peer payload overheard with a
@@ -378,7 +392,7 @@ class TestAlgebraicBatch:
         obs = trial_views(*trial, flip)[0][0]
         assert obs.noisy_peer == peer ^ flip
         assert algebraic_check(obs).diagnostics["peer_candidates"] == 0
-        accepted, surviving = self.assert_matches_scalar([trial], flip)
+        accepted, surviving = self.assert_matches_scan([trial], flip)
         # watcher 2's noiseless view of the honest relay still passes
         assert not accepted[0, 0].any() and accepted[0, 1, 0]
         assert surviving[0, 0].tolist() == [0, 0]
@@ -393,39 +407,24 @@ class TestConsistencyProbability:
         assert consistency_probability(build_trellis(obs)) == pytest.approx(1.0)
 
     def test_no_consistent_path_is_zero(self):
-        import dataclasses
-
         rng = random.Random(14)
         for _ in range(100):
             hf = sample(rng, 3, GF16, 2)
-            obs = make_obs(GF16, hf, rng.randrange(16), rng.randrange(1, 16), rng.randrange(1, 16),
-                           rng.randrange(16), rng.randrange(16), p=0.1)
-            for target in range(4):
-                tr = build_trellis(dataclasses.replace(obs, relay_hash=target))
-                if not tr.edge_out.any():
-                    assert consistency_probability(tr) == 0.0
-                    return
+            x_own, a_own, a_peer = rng.randrange(16), rng.randrange(1, 16), rng.randrange(1, 16)
+            obs = make_obs(GF16, hf, x_own, a_own, a_peer, rng.randrange(16), rng.randrange(16), p=0.1)
+            candidates = [v for v in range(16) if evaluate(hf, fe(v)) == obs.peer_hash]
+            image_hashes = {evaluate(hf, fe(mul(a_own, x_own) ^ mul(a_peer, v))) for v in candidates}
+            for target in set(range(4)) - image_hashes:
+                assert consistency_probability(build_trellis(dataclasses.replace(obs, relay_hash=target))) == 0.0
+                return
         pytest.fail("never found an instance with no hash-consistent path")
 
     def test_matches_scalar_path_enumeration(self):
-        p = 0.1
         hf = sample(random.Random(15), 3, GF16, 2)
-        obs = make_obs(GF16, hf, 6, 3, 5, 0b1010, 0b0111, noisy_peer=0b1000, noisy_relay=0b0110, p=p)
-        # independent scalar enumeration of all start->destination paths
-        c = mul(3, 6)
-        raw = {}
-        for v in range(16):
-            if evaluate(hf, fe(v)) == obs.peer_hash:
-                k = (v ^ obs.noisy_peer).bit_count()
-                raw[v] = (p**k) * ((1 - p) ** (4 - k))
-        norm = sum(raw.values())
-        total = 0.0
-        for v, w_in in raw.items():
-            w = c ^ mul(5, v)
-            if evaluate(hf, fe(w)) == obs.relay_hash:
-                k = (w ^ obs.noisy_relay).bit_count()
-                total += (w_in / norm) * (p**k) * ((1 - p) ** (4 - k))
-        assert consistency_probability(build_trellis(obs)) == pytest.approx(total)
+        obs = make_obs(GF16, hf, 6, 3, 5, 0b1010, 0b0111, noisy_peer=0b1000, noisy_relay=0b0110, p=0.1)
+        want = path_sum_by_scan(obs)
+        assert want > 0
+        assert consistency_probability(build_trellis(obs)) == pytest.approx(want)
 
     def test_bounded_by_unit_interval(self):
         rng = random.Random(16)
