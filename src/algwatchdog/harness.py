@@ -7,35 +7,33 @@ random numbers), drawn once per trial: the corrupted payload picks up the
 error patterns the honest one did.  Per-trial randomness is keyed by (seed,
 trial index), so tallies are bit-identical for any worker count.
 
-A job's trials run in sub-batches of B = max(1, min(256, 2^16 / 2^n)) trials,
-256 up to n = 8 and 16 at n = 12, so a sub-batch's hash tables never exceed
-2^16 words and at small n few trials are held at once (with B = 2^16 / 2^n
-alone, a 20,000-trial trellis chunk at n = 2 peaked at 50 MB against 36 MB).
-A job's chunks are cut into sub-batches in order, and consecutive chunks
-whose configs differ only in h, seed and trials share them, so a sub-batch is
-a list of (cfg, trials) segments.  Each sub-batch runs in two steps.  The
-draw step (`_draw_batch`) does two things per trial: it reseeds one
-`random.Random` for each of the trial's two streams, and reads them as
-MT19937 32-bit words.  From the draw stream come, in a fixed order, the
-sources, the coefficients, the hash coefficients and the relay's error
-(`protocol.draw_error`), each by the rejection read randrange runs
-(`protocol.draws_below`); from the noise stream, in one getrandbits call, the
-words of the `random()` calls behind the four noise masks, in the order
-`protocol.observe` draws them for watcher 1, then watcher 2.  The values are
-the ones randrange and `random()` would draw, but they rest on the MT19937
-stream alone, not on how those two are implemented, which Python does not
-promise to keep.  Everything derived is then computed once for the sub-batch
-on arrays: the noise masks (`channel.masks_from_words`), the hash tables
-(`hashing.hash_tables`, in the log domain, each row cut to its segment's h),
-the errors of the exhaustive_best adversary, which draws none
-(`protocol.best_errors`), both relay arms' payloads, and each watcher's views
-of them as one row of words per trial (`protocol.view_rows`).  The score step
-(`_score`) hands the tables and rows to one array kernel and sums each
-segment's tallies from its verdicts: `watchdog.trellis_batch` compares the
-trellis path-sum with the threshold, and `watchdog.algebraic_batch` applies
-the paper's empty-intersection rule at each watcher's (peer, relay) radii.
-The radii are selected once for each group of chunks that share
-sub-batches, with the group's links and strategy.
+A job's trials are drawn in blocks of up to 256 trials (`_BATCH_TRIALS`),
+and each block's hash tables are built and scored in sub-batches of B =
+max(1, min(256, `_TABLE_WORDS` >> n)) rows, where the word cap is 2^18 for
+the algebraic engine and 2^16 for the trellis engine, whose kernel scans
+every table word: B is 256 up to n = 10 and 4 at n = 16 for the algebraic
+engine, 256 up to n = 8 and 16 at n = 12 for the trellis engine.  The block
+bounds what a job holds at small n, where B is never the limit: a
+20,000-trial trellis chunk at n = 2 peaks at 0.31 MB (tracemalloc) in
+256-trial blocks and at 18 MB drawn in one.  A job's chunks are cut into
+blocks in order, and consecutive chunks whose configs differ only in h, seed
+and trials share them, so a block is a list of (cfg, trials) segments.
+
+Per trial, the draw step (`_draw_batch`) derives two seeds by blake2b,
+reseeds one `random.Random` with each through the C seed, and reads the two
+streams as MT19937 32-bit words.  Per block, on arrays: the draws array, the
+noise masks (`channel.masks_from_words`), the hash widths and the payloads,
+then the score step (`_score`) sums each segment's tallies.  Per sub-batch:
+the hash tables (`hashing.hash_tables`, in the log domain, each row cut to
+its segment's h), the errors of the exhaustive_best adversary, which draws
+none (`protocol.best_errors`), each watcher's views as one row of words per
+trial (`protocol.view_rows`), and one array kernel: `watchdog.trellis_batch`
+compares the trellis path-sum with the threshold, and
+`watchdog.algebraic_batch` applies the paper's empty-intersection rule at
+each watcher's (peer, relay) radii.  Each trial is keyed by (seed, trial
+index), so neither size moves a draw or a tally.  The radii are selected
+once for each group of chunks that share blocks, with the group's links and
+strategy.
 
 `run_trials` and `sweep` share one run path and one plan: their trials run as
 (cfg, lo, hi) chunks, job k holds chunk k of every config, and the jobs'
@@ -276,9 +274,11 @@ def _derive_seeds(seed: int, trials, key: str) -> list[int]:
     return [int.from_bytes(blake2b(b"%b%d%b" % (head, t, tail), digest_size=8).digest(), "little") for t in trials]
 
 
-# a sub-batch holds at most this many trials and hash-table words
+# a block draws at most this many trials, and a sub-batch of its rows holds at most this many hash-table
+# words; the trellis kernel scans every table word, the algebraic one a ball per trial, and at n = 16
+# algebraic sub-batches of 4 trials ran ≈1.4x as fast as 1 with peak RSS unchanged (ROADMAP item 15)
 _BATCH_TRIALS = 256
-_BATCH_WORDS = 1 << 16
+_TABLE_WORDS = {"algebraic": 1 << 18, "trellis": 1 << 16}
 _shared = operator.attrgetter(*(f.name for f in _CONFIG_FIELDS if f.name not in ("h", "seed", "trials")))
 
 
@@ -290,38 +290,41 @@ def _channels(cfg: SimConfig) -> dict[str, BinarySymmetricChannel]:
 def _draw_batch(
     segments: list[tuple[SimConfig, range]], links: list, radii: list, strategy: protocol.AdversaryStrategy,
     rng: random.Random,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The draw step of one sub-batch of trials: (tables, words), the arrays its kernel reads.
+):
+    """The draw step of one block of trials: a generator of the (tables, words) its kernel reads, one per sub-batch.
 
-    The sub-batch is (cfg, trials) segments whose configs differ at most in
-    h, seed and trials.  tables is the trials' (B, 2^n) uint16 hash tables,
-    each cut to its segment's h, and words their (B, 2, 5 + 2A) rows
-    (`protocol.view_rows`): arm 0 is the honest relay's payload and, unless
-    the strategy is honest, arm 1 the corrupting relay's (exhaustive_best's
-    error is `protocol.best_errors`' at the radii).  Each trial only
-    reads its two streams, keyed by its segment's seed and its index there,
-    as MT19937 32-bit words, so the draws do not depend on how randrange
-    and `random()` are implemented; everything derived from the draws is
-    computed on arrays for the whole sub-batch.  The draw stream gives, by
+    The block is (cfg, trials) segments whose configs differ at most in h,
+    seed and trials; its draws all run at the first `next`.  Each trial
+    only reads its two streams, keyed by its segment's seed and its index
+    there, as MT19937 32-bit words.  The draw stream gives, by
     `protocol.draws_below`, what randrange would: the sources, the
     coefficients, the hash coefficients a_0..a_d, then the relay's error
     (`protocol.draw_error`).  The noise stream gives each link with p > 0,
     in `watcher_links` order, the 2n words of its n `random()` calls, read
-    with one getrandbits call per trial and turned into masks for the whole
-    sub-batch by `channel.masks_from_words`; a link with p = 0 draws
-    nothing, and with no such link the stream is not seeded.  `rng` is
-    reseeded for each stream, so it carries nothing between sub-batches.
+    with one getrandbits call; a link with p = 0 draws nothing, and with no
+    such link the stream is not seeded.  `rng` is reseeded for each stream
+    through the C seed `Random.seed` calls for an int, which skips its
+    Python-level type checks, so it carries nothing between blocks.  The
+    noise masks, widths and payloads are computed once for the block.  Each
+    sub-batch of B = max(1, `_TABLE_WORDS`[engine] >> n) rows then gets its
+    (B, 2^n) uint16 hash tables, each cut to its segment's h, and its
+    (B, 2, 5 + 2A) rows (`protocol.view_rows`): arm 0 is the honest relay's
+    payload and, unless the strategy is honest, arm 1 the corrupting
+    relay's (exhaustive_best's error is `protocol.best_errors`' at the
+    radii, chosen from the sub-batch's tables).  Blocks bound memory at
+    small n, sub-batches at large n (see the module docstring).
     """
     cfg = segments[0][0]
     spec = canonical_spec(cfg.n)
     order, n = spec.order, cfg.n
     corrupt = strategy.kind != "honest"
-    # exhaustive_best draws no error: it is chosen from the sub-batch's arrays below
-    drawn_error = corrupt and strategy.kind != "exhaustive_best"
+    # exhaustive_best draws no error: it is chosen from each sub-batch's tables below
+    chosen = strategy.kind == "exhaustive_best"
+    drawn_error = corrupt and not chosen
     fixed = list(cfg.sources["fixed"]) if isinstance(cfg.sources, dict) else []
     # x1 and x2 unless fixed, a1 - 1 and a2 - 1 (randrange(1, order)), then a_0..a_d
     bounds = [order] * (2 - len(fixed)) + [order - 1] * 2 + [order] * (cfg.d + 1)
-    reseed, draws_below, draw_error = rng.seed, protocol.draws_below, protocol.draw_error
+    reseed, draws_below, draw_error = super(random.Random, rng).seed, protocol.draws_below, protocol.draw_error
     draws = []
     for seed in (s for c, trials in segments for s in _derive_seeds(c.seed, trials, "draw")):
         reseed(seed)
@@ -335,38 +338,43 @@ def _draw_batch(
     live = [i for i, p in enumerate(probs) if p > 0.0]
     noise = np.zeros((len(draws), 4), dtype=np.int64)
     if live:
-        blocks = []
+        streams = []
         for seed in (s for c, trials in segments for s in _derive_seeds(c.seed, trials, "noise")):
             reseed(seed)
-            blocks.append(stream_bytes(rng, 2 * n * len(live)))
-        words = np.frombuffer(b"".join(blocks), dtype="<u4").reshape(len(draws), len(live), n, 2)
+            streams.append(stream_bytes(rng, 2 * n * len(live)))
+        words = np.frombuffer(b"".join(streams), dtype="<u4").reshape(len(draws), len(live), n, 2)
         noise[:, live] = masks_from_words(words, [probs[i] for i in live])
+    noise = noise.reshape(-1, 2, 2)
     sources, coeffs = draws[:, 0:2], draws[:, 2:4]
-    # ndarray.repeat: np.repeat of lists took ≈15 µs a sub-batch in this step, against ≈3 µs (2-core x86_64 VM)
+    # ndarray.repeat: np.repeat of lists took ≈15 µs a call in this step, against ≈3 µs (2-core x86_64 VM)
     widths = np.array([c.h for c, _ in segments]).repeat([len(trials) for _, trials in segments])
-    tables = hash_tables(draws[:, 4 : 5 + cfg.d], spec, widths)
-    payloads = [spec.mul_words(coeffs[:, 0], sources[:, 0]) ^ spec.mul_words(coeffs[:, 1], sources[:, 1])]
-    if drawn_error:
-        payloads.append(payloads[0] ^ draws[:, -1])
-    elif corrupt:
-        payloads.append(payloads[0] ^ protocol.best_errors(spec, tables, sources, coeffs, radii))
-    return tables, protocol.view_rows(sources, coeffs, tables, np.stack(payloads, axis=1), noise.reshape(-1, 2, 2))
+    honest = spec.mul_words(coeffs[:, 0], sources[:, 0]) ^ spec.mul_words(coeffs[:, 1], sources[:, 1])
+    payloads = np.stack([honest, honest ^ draws[:, -1]] if drawn_error else [honest], axis=1)
+    size = max(1, _TABLE_WORDS[cfg.engine] >> n)
+    for lo in range(0, len(draws), size):
+        part = slice(lo, lo + size)
+        tables = hash_tables(draws[part, 4 : 5 + cfg.d], spec, widths[part])
+        arms = payloads[part]
+        if chosen:
+            error = protocol.best_errors(spec, tables, sources[part], coeffs[part], radii)
+            arms = np.column_stack((arms[:, 0], arms[:, 0] ^ error))
+        yield tables, protocol.view_rows(sources[part], coeffs[part], tables, arms, noise[part])
 
 
-def _score(
-    segments: list, tables: np.ndarray, words: np.ndarray, links: list, radii: list
-) -> list[tuple[int, int, int, int]]:
-    """The score step: each segment's summed tallies, given the sub-batch's `_draw_batch`.
+def _score(segments: list, views, links: list, radii: list) -> list[tuple[int, int, int, int]]:
+    """The score step: each segment's summed tallies, given the block's `_draw_batch` sub-batches.
 
+    Each sub-batch goes to the engine's kernel, and the block's verdicts are tallied at once.
     A tally is (honest_flagged, mal_passed_both, mal_passed_v1, mal_passed_v2);
     the noiseless self-check names a flagged trial by its point's h and seed and its index there.
     """
     cfg = segments[0][0]
     spec = canonical_spec(cfg.n)
-    if cfg.engine == "trellis":
-        accepted = watchdog.trellis_batch(spec, tables, words, links, cfg.threshold)[0]
-    else:
-        accepted = watchdog.algebraic_batch(spec, tables, words, radii)[0]
+    accepted = np.concatenate([
+        watchdog.trellis_batch(spec, tables, words, links, cfg.threshold)[0] if cfg.engine == "trellis"
+        else watchdog.algebraic_batch(spec, tables, words, radii)[0]
+        for tables, words in views
+    ])
     honest_passed = accepted[:, 0, 0] & accepted[:, 1, 0]
     noiseless = cfg.p12 == cfg.p21 == cfg.p31 == cfg.p32 == 0.0 and cfg.engine == "algebraic"
     if noiseless and not honest_passed.all():
@@ -379,25 +387,25 @@ def _score(
     return [tuple(int(np.count_nonzero(column[lo:hi])) for column in columns) for lo, hi in bounds]
 
 
-def _sub_batches(chunks, size: int):
-    """(k, (cfg, lo, hi)) chunks cut, in order, into sub-batches: lists of (k, cfg, trials) of `size` trials at most."""
-    batch, room = [], size
+def _blocks(chunks, size: int):
+    """(k, (cfg, lo, hi)) chunks cut, in order, into blocks: lists of (k, cfg, trials) of `size` trials at most."""
+    block, room = [], size
     for k, (cfg, lo, hi) in chunks:
         while lo < hi:
             take = min(room, hi - lo)
-            batch.append((k, cfg, range(lo, lo + take)))
+            block.append((k, cfg, range(lo, lo + take)))
             lo, room = lo + take, room - take
             if not room:
-                yield batch
-                batch, room = [], size
-    if batch:
-        yield batch
+                yield block
+                block, room = [], size
+    if block:
+        yield block
 
 
 def _run_chunks(job: list[tuple[SimConfig, int, int]]) -> list[tuple[int, int, int, int]]:
     """For each (cfg, lo, hi) chunk of the job, in order, the summed tallies of trials lo..hi-1 of cfg.
 
-    Consecutive chunks differing only in h, seed and trials share sub-batches and one build of links and strategy.
+    Consecutive chunks differing only in h, seed and trials share blocks and one build of links and strategy.
     """
     # reseeded for every stream it gives; an int seeds it faster than the OS entropy Random() reads
     rng = random.Random(0)
@@ -408,10 +416,10 @@ def _run_chunks(job: list[tuple[SimConfig, int, int]]) -> list[tuple[int, int, i
         links, strategy = protocol.watcher_links(**_channels(cfg)), cfg.strategy()
         # each watcher's (peer, relay) radii, read by the algebraic kernel and by exhaustive_best
         radii = [[radius_for_epsilon(cfg.n, chan.p, cfg.epsilon).r for chan in link] for link in links]
-        for batch in _sub_batches(chunks, max(1, min(_BATCH_TRIALS, _BATCH_WORDS >> cfg.n))):
-            segments = [(c, trials) for _, c, trials in batch]
-            tables, words = _draw_batch(segments, links, radii, strategy, rng)
-            for (k, _, _), part in zip(batch, _score(segments, tables, words, links, radii)):
+        for block in _blocks(chunks, _BATCH_TRIALS):
+            segments = [(c, trials) for _, c, trials in block]
+            views = _draw_batch(segments, links, radii, strategy, rng)
+            for (k, _, _), part in zip(block, _score(segments, views, links, radii)):
                 sums[k] = tuple(a + b for a, b in zip(sums[k], part))
     return sums
 

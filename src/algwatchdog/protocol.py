@@ -135,6 +135,12 @@ def draw_error(strategy: AdversaryStrategy, spec: FieldSpec, rng) -> int:
     raise ValueError(f"{strategy.kind} draws no error; its error is a function of the scenario")
 
 
+# best_errors scores at most this many table words of trials at once: its (B, 2, 2^n) survivor
+# counts and score arrays grow with them (tracemalloc peak of one call, d = 3, p = 0.1: 256 trials
+# at n = 10 and 64 at n = 12 reach 12.3 MB scored at once, 5.3 and 3.9 MB in slices)
+_BEST_ERRORS_WORDS = 1 << 16
+
+
 def best_errors(spec: FieldSpec, tables: np.ndarray, sources, coeffs, radii) -> np.ndarray:
     """exhaustive_best's error in each of B trials, chosen by scanning the whole field.
 
@@ -142,11 +148,16 @@ def best_errors(spec: FieldSpec, tables: np.ndarray, sources, coeffs, radii) -> 
     radii[w] is watcher w's (peer radius, relay radius), in `watcher_links`
     order.  An error hides as well as the product of the watchers' survivor
     counts c1 * c2 on noise-free observations at those radii; ties break
-    toward the larger c1 + c2, then the smaller error word.
+    toward the larger c1 + c2, then the smaller error word.  The trials are
+    scored in slices of `_BEST_ERRORS_WORDS` table words.
     """
     if spec.n > EXHAUSTIVE_MAX_WIDTH:
         raise ValueError(f"exhaustive_best scans 2^n errors; n <= {EXHAUSTIVE_MAX_WIDTH} required")
     sources, coeffs = np.asarray(sources, dtype=np.int64), np.asarray(coeffs, dtype=np.int64)
+    step = max(1, _BEST_ERRORS_WORDS >> spec.n)
+    if len(tables) > step:
+        parts = (slice(lo, lo + step) for lo in range(0, len(tables), step))
+        return np.concatenate([best_errors(spec, tables[p], sources[p], coeffs[p], radii) for p in parts])
     honest = spec.mul_words(coeffs[:, 0], sources[:, 0]) ^ spec.mul_words(coeffs[:, 1], sources[:, 1])
     batch = len(honest)
     # each watcher's noiseless peer side; the survivor counts read no relay arm

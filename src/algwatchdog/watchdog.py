@@ -128,8 +128,7 @@ def _coded_images(spec: FieldSpec, tables: np.ndarray, rows: np.ndarray, r_peer:
 
 # a chunk of images x relay-ball offsets holds at most this many words: a
 # 4-trial n = 12, h = 2, p = 0.3 exhaustive_best run peaks at 43 MB with
-# 2^18 and 144 MB with 2^22; below 2^18 each chunk's (B, 2^n) bincount costs
-# more than its words at n = 12
+# 2^18 and 144 MB with 2^22
 _SURVIVOR_CHUNK_WORDS = 1 << 18
 
 
@@ -162,7 +161,10 @@ def relay_word_survivors(
             ball = part[:, None] ^ offsets
             # compress, not a boolean index, which took 4x as long
             hit = ball.compress((tables.take(ball) == tables.take(part)[:, None]).ravel())
-            counts[:, w] += np.bincount(hit, minlength=batch << n).reshape(batch, -1)
+            # rows come in trial order, so the chunk counts over its own trials first..last alone
+            first, last = row[lo], row[lo : lo + step][-1]
+            span = counts[first : last + 1, w]
+            span += np.bincount(hit - (first << n), minlength=len(span) << n).reshape(span.shape)
     return counts
 
 

@@ -12,10 +12,10 @@ os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYT
 
 
 class DrawCalls(list):
-    """Each `_draw_batch` call's (cfg, trials) segments, one list per call."""
+    """Each `_draw_batch` call's (cfg, trials) segments, one list per call, that is per block."""
 
     def trials(self) -> list[int]:
-        """The trial indices drawn, in order; a sub-batch shared by two points gives the first point's, then the second's."""
+        """The trial indices drawn, in order; a block shared by two points gives the first point's, then the second's."""
         return [t for segments in self for _, trials in segments for t in trials]
 
 

@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -34,6 +35,19 @@ from algwatchdog.harness import (
     write_report,
 )
 from oracles import json_leaves, noise_mask_per_bit
+
+
+every_adversary = pytest.mark.parametrize(
+    "adversary",
+    [
+        "honest",
+        "random_nonzero_error",
+        {"kind": "fixed_error", "error": 5},
+        {"kind": "weight_bounded_error", "max_weight": 2},
+        "exhaustive_best",
+    ],
+    ids=["honest", "random_nonzero_error", "fixed_error", "weight_bounded_error", "exhaustive_best"],
+)
 
 
 def small_cfg(**kw):
@@ -92,8 +106,9 @@ class TestRunTrials:
 
     def test_noiseless_self_check_names_the_flagged_trial(self, monkeypatch):
         # a kernel that rejects watcher 1's honest view of trial 3 trips the
-        # check that noiseless channels never flag an honest relay; in
-        # sub-batches of 2 trials, trial 3 is row 1 of the second one
+        # check that noiseless channels never flag an honest relay; in table
+        # sub-batches of 2 trials of the 5-trial block, trial 3 is row 1 of the
+        # second one, and the block is tallied after its last sub-batch
         batch, calls = watchdog.algebraic_batch, []
 
         def rejecting(*args):
@@ -103,31 +118,34 @@ class TestRunTrials:
                 accepted[1, 0, 0] = False
             return accepted, surviving
 
-        monkeypatch.setattr(harness, "_BATCH_TRIALS", 2)
+        monkeypatch.setitem(harness._TABLE_WORDS, "algebraic", 2 << 8)
         monkeypatch.setattr(harness.watchdog, "algebraic_batch", rejecting)
         cfg = small_cfg(p12=0.0, p21=0.0, p31=0.0, p32=0.0, trials=5)
         flagged = r"honest relay flagged under noiseless channels \(h=3, seed=42, trial 3\)"
         with pytest.raises(AssertionError, match=flagged):
             run_trials(cfg, workers=1)
-        assert calls == [2, 2]
+        assert calls == [2, 2, 1]
 
     def test_noiseless_self_check_names_the_trial_in_its_own_point(self, monkeypatch):
-        # the two points of an h sweep share one 10-row sub-batch; row 8 is
-        # trial 3 of the second point (h = 3, seed 42 ^ 1), not trial 8
+        # the two points of an h sweep share one 10-row block, scored in table
+        # sub-batches of 4; row 0 of the third is block row 8, trial 3 of the
+        # second point (h = 3, seed 42 ^ 1), not trial 8
         batch, calls = watchdog.algebraic_batch, []
 
         def rejecting(*args):
             accepted, surviving = batch(*args)
             calls.append(len(accepted))
-            accepted[8, 0, 0] = False
+            if len(calls) == 3:
+                accepted[0, 0, 0] = False
             return accepted, surviving
 
+        monkeypatch.setitem(harness._TABLE_WORDS, "algebraic", 4 << 8)
         monkeypatch.setattr(harness.watchdog, "algebraic_batch", rejecting)
         cfg = small_cfg(p12=0.0, p21=0.0, p31=0.0, p32=0.0, trials=5)
         flagged = r"honest relay flagged under noiseless channels \(h=3, seed=43, trial 3\)"
         with pytest.raises(AssertionError, match=flagged):
             sweep(cfg, "h", [2, 3], workers=1)
-        assert calls == [10]
+        assert calls == [4, 4, 2]
 
     def test_deterministic_given_seed(self):
         cfg = small_cfg(trials=200)
@@ -276,7 +294,7 @@ def test_arms_share_one_channel_realization(monkeypatch):
 
 @pytest.mark.parametrize("engine", ["algebraic", "trellis"])
 def test_exhaustive_best_builds_no_scenario_or_hash_function(monkeypatch, engine):
-    # exhaustive_best's errors come from the sub-batch's arrays, as every other adversary's do
+    # exhaustive_best's errors come from the sub-batches' arrays, as every other adversary's do
     built = []
     for cls in (protocol.Scenario, hashing.HashFunction):
         def spy(self, post_init=cls.__post_init__):
@@ -357,15 +375,14 @@ class TestDrawStep:
         cfg.validate()
         links = protocol.watcher_links(**harness._channels(cfg))
         radii = [[radius_for_epsilon(n, chan.p, cfg.epsilon).r for chan in link] for link in links]
-        tables, words = harness._draw_batch(
-            [(cfg, range(first, first + count))], links, radii, cfg.strategy(), random.Random()
-        )
+        views = harness._draw_batch([(cfg, range(first, first + count))], links, radii, cfg.strategy(), random.Random())
+        tables, words = map(np.concatenate, zip(*views))
         arms = 1 if kind == "honest" else 2
         assert tables.shape == (count, order) and tables.dtype == np.uint16
         assert words.shape == (count, 2, 5 + 2 * arms)
         for b in range(count):
             table, rows = self.scalar_trial(cfg, first + b)
-            # the sub-batch's table row is the single hash function's table
+            # the block's table row is the single hash function's table
             assert tables[b].tolist() == table.tolist()
             assert words[b].tolist() == rows
 
@@ -393,22 +410,24 @@ class TestDrawStep:
 
     @pytest.mark.parametrize("probs", [(0.1, 0.1, 0.1, 0.1), (0.1, 0.0, 0.2, 0.3)], ids=["live", "p21_dead"])
     def test_reused_generator_carries_nothing_between_sub_batches(self, monkeypatch, probs):
-        # at n=12 a sub-batch holds 16 trials, so one 48-trial chunk reads three
-        # sub-batches through one generator, where three jobs start one each;
-        # weight_bounded_error reads a variable number of words per trial, and a
-        # dead link leaves its noise words unread
+        # with 16-trial blocks, one 48-trial chunk reads three blocks through one
+        # generator, where three jobs start one each; weight_bounded_error reads
+        # a variable number of words per trial, and a dead link leaves its noise
+        # words unread
         cfg = small_cfg(
             n=12, h=4, adversary={"kind": "weight_bounded_error", "max_weight": 3}, trials=48,
             **dict(zip(("p12", "p21", "p31", "p32"), probs)),
         )
-        assert harness._BATCH_WORDS >> cfg.n == 16
-        score, rows = harness._score, []
+        monkeypatch.setattr(harness, "_BATCH_TRIALS", 16)
+        # one table sub-batch per block
+        assert harness._TABLE_WORDS[cfg.engine] >> cfg.n >= 16
+        kernel, rows = watchdog.algebraic_batch, []
 
-        def recording(segments, tables, words, *args):
+        def recording(spec, tables, words, *args):
             rows.append(words.tolist())
-            return score(segments, tables, words, *args)
+            return kernel(spec, tables, words, *args)
 
-        monkeypatch.setattr(harness, "_score", recording)
+        monkeypatch.setattr(harness.watchdog, "algebraic_batch", recording)
         [whole] = harness._run_chunks([(cfg, 0, 48)])
         parts = [harness._run_chunks([(cfg, lo, lo + 16)])[0] for lo in (0, 16, 32)]
         assert whole == tuple(map(sum, zip(*parts)))
@@ -427,17 +446,7 @@ class TestDrawStep:
 
 
 @pytest.mark.parametrize("engine", ["algebraic", "trellis"])
-@pytest.mark.parametrize(
-    "adversary",
-    [
-        "honest",
-        "random_nonzero_error",
-        {"kind": "fixed_error", "error": 5},
-        {"kind": "weight_bounded_error", "max_weight": 2},
-        "exhaustive_best",
-    ],
-    ids=["honest", "random_nonzero_error", "fixed_error", "weight_bounded_error", "exhaustive_best"],
-)
+@every_adversary
 def test_trials_read_words_not_randrange_or_random(monkeypatch, engine, adversary):
     # both streams are read as MT19937 words (getrandbits), so the draws do
     # not rest on how randrange and random() are implemented
@@ -554,20 +563,10 @@ class TestSweep:
         assert max(totals) - min(totals) <= len(values)
 
     @pytest.mark.parametrize("engine", ["algebraic", "trellis"])
-    @pytest.mark.parametrize(
-        "adversary",
-        [
-            "honest",
-            "random_nonzero_error",
-            {"kind": "fixed_error", "error": 5},
-            {"kind": "weight_bounded_error", "max_weight": 2},
-            "exhaustive_best",
-        ],
-        ids=["honest", "random_nonzero_error", "fixed_error", "weight_bounded_error", "exhaustive_best"],
-    )
+    @every_adversary
     @pytest.mark.parametrize("sources", ["uniform", {"fixed": [0x0B, 0x35]}], ids=["uniform", "fixed"])
     def test_points_sharing_sub_batches_equal_their_runs_alone(self, engine, adversary, sources):
-        # an h, seed or trials sweep's points share sub-batches; each point's
+        # an h, seed or trials sweep's points share blocks; each point's
         # report is still the one run_trials gives it alone, at any worker count
         base = small_cfg(
             n=6, h=2, p21=0.3, p31=0.0, p32=0.05, engine=engine, threshold=0.01, adversary=adversary,
@@ -579,7 +578,7 @@ class TestSweep:
                 assert [tally_json(r) for r in sweep(base, axis, values, workers=workers)] == alone, (axis, workers)
 
     def test_serial_h_sweep_draws_in_one_call(self, draw_calls):
-        # five 20-trial points at n = 8 fill 100 rows of one 256-trial sub-batch
+        # five 20-trial points at n = 8 fill 100 rows of one 256-trial block
         hs = [1, 2, 3, 4, 5]
         sweep(small_cfg(trials=20), "h", hs)
         assert [[(cfg.h, cfg.seed, trials) for cfg, trials in segments] for segments in draw_calls] == [
@@ -587,11 +586,11 @@ class TestSweep:
         ]
 
     def test_trials_sweep_splits_at_the_sub_batch_size(self, draw_calls):
-        # at n = 12 a sub-batch holds 16 trials, so the second point spans two
-        sweep(small_cfg(n=12, trials=1), "trials", [10, 10, 10])
+        # a block draws 256 trials at any n, so the third point spans two
+        sweep(small_cfg(n=12, trials=1), "trials", [100, 100, 100])
         assert [[(cfg.seed, trials) for cfg, trials in segments] for segments in draw_calls] == [
-            [(42, range(0, 10)), (43, range(0, 6))],
-            [(43, range(6, 10)), (40, range(0, 10))],
+            [(42, range(0, 100)), (43, range(0, 100)), (40, range(0, 56))],
+            [(40, range(56, 100))],
         ]
 
     @pytest.mark.parametrize("axis, values", [("n", [6, 8, 10]), ("p12", [0.05, 0.1, 0.2]), ("d", [1, 2, 3])])
@@ -659,6 +658,92 @@ class TestSweep:
         assert len(radii) == 1  # radii stayed fixed along this sweep
         preds = [r.predicted["beta"] for r in reports]
         assert preds == sorted(preds, reverse=True)
+
+
+class TestBlocks:
+    """Draw blocks and table sub-batches are free parameters: no size moves a draw or a tally."""
+
+    @pytest.mark.parametrize("engine", ["algebraic", "trellis"])
+    @every_adversary
+    @pytest.mark.parametrize("sources", ["uniform", {"fixed": [0x0B, 0x35]}], ids=["uniform", "fixed"])
+    def test_report_independent_of_block_and_sub_batch_size(self, monkeypatch, engine, adversary, sources):
+        # the three 25-trial points of an h sweep share one block at the default
+        # size, cut at n = 12 into sub-batches of the rule's 64 (algebraic) or
+        # 16 (trellis) rows; blocks of 1 and 7 trials and sub-batches of 1 and 3
+        # cut them elsewhere
+        base = small_cfg(
+            n=12, h=2, p21=0.3, p31=0.0, p32=0.05, engine=engine, threshold=0.01, adversary=adversary,
+            sources=sources, trials=25,
+        )
+        rule = harness._TABLE_WORDS[engine] >> base.n
+        assert rule < 75 and harness._BATCH_TRIALS == 256
+        want = [tally_json(r) for r in sweep(base, "h", [1, 3, 6])]
+        for block in (1, 7, 256):
+            for size in (1, 3, rule):
+                monkeypatch.setattr(harness, "_BATCH_TRIALS", block)
+                monkeypatch.setitem(harness._TABLE_WORDS, engine, size << base.n)
+                assert [tally_json(r) for r in sweep(base, "h", [1, 3, 6])] == want, (block, size)
+
+    def test_reseed_gives_the_words_random_gives(self, monkeypatch):
+        # the draw step reseeds through the C seed `Random.seed` wraps; both
+        # streams of each trial must start where Random(seed) starts
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+        monkeypatch.setattr(harness, "_derive_seeds", lambda seed, trials, key: seeds[: len(trials)])
+        read = {"draws": [], "noise": []}
+
+        def peeking(name, fn):
+            def peek(rng, *args):
+                clone = random.Random()
+                clone.setstate(rng.getstate())
+                read[name].append([clone.getrandbits(32) for _ in range(8)])
+                return fn(rng, *args)
+            return peek
+
+        monkeypatch.setattr(protocol, "draws_below", peeking("draws", protocol.draws_below))
+        monkeypatch.setattr(harness, "stream_bytes", peeking("noise", harness.stream_bytes))
+        # honest: no `draw_error` read after the draws
+        cfg = small_cfg(adversary="honest", trials=len(seeds))
+        links = protocol.watcher_links(**harness._channels(cfg))
+        list(harness._draw_batch([(cfg, range(len(seeds)))], links, [[3, 3], [3, 3]], cfg.strategy(), random.Random(7)))
+        want = [[rng.getrandbits(32) for _ in range(8)] for rng in map(random.Random, seeds)]
+        assert read == {"draws": want, "noise": want}
+
+
+class TestMemory:
+    """The tracemalloc peak of one call, against the figure of the 2^16-word sub-batches plus a stated margin.
+
+    The parent figures were taken with each config run once before (first-use
+    tables built) on a 2-core x86_64 VM, Python 3.11, numpy 2.
+    """
+
+    @staticmethod
+    def peak_mb(cfg) -> float:
+        run_trials(replace(cfg, trials=2))
+        tracemalloc.start()
+        try:
+            run_trials(cfg)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize(
+        "fields, bound",
+        [
+            # 0.23 MB: a block holds 256 trials, as the old sub-batch did at n <= 8; +0.27 MB
+            # (a 20,000-trial block would hold ≈5 MB of draws, noise and rows)
+            (dict(n=2, h=1, engine="trellis", trials=20_000), 0.5),
+            # 5.62 and 4.08 MB: best_errors scores 2^16 table words at once
+            # whatever the sub-batch; +25% (13.0 and 12.8 MB unsliced)
+            (dict(n=10, h=4, adversary="exhaustive_best", trials=256), 7.0),
+            (dict(n=12, h=5, adversary="exhaustive_best", trials=64), 5.1),
+            # 0.52 MB: one trial per sub-batch at n = 16; the 2^18-word cap
+            # holds 4, so 4x that figure, +25%
+            (dict(n=16, h=8, trials=64), 2.6),
+        ],
+        ids=["trellis-n2", "exhaustive-n10", "exhaustive-n12", "alg16"],
+    )
+    def test_call_peak_within_bound(self, fields, bound):
+        assert self.peak_mb(small_cfg(seed=3, **fields)) <= bound
 
 
 class TestPool:

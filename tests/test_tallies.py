@@ -12,7 +12,7 @@ exhaustive_best goldens.  The algebraic engine has its own asymmetric-link
 golden (every watcher's peer and relay radii differ), h=n and p=0.5 goldens.
 Three goldens at n=8, 600 algebraic, 300 trellis and 300 algebraic
 exhaustive_best trials (the last over asymmetric links), run longer than
-one sub-batch.  Every field not named takes its SimConfig default.  Each
+one 256-trial block.  Every field not named takes its SimConfig default.  Each
 golden run's JSON report is pinned by its sha256, and one CSV of two reports
 by its own.
 """
@@ -97,7 +97,7 @@ GOLDEN = [
     (dict(n=8, h=3, d=3, p12=0.05, p21=0.2, p31=0.0, p32=0.3, trials=300, seed=29), (1, 17, 33, 162)),
     (dict(n=8, h=8, d=3, trials=300, seed=30), (8, 0, 4, 2)),
     (dict(n=8, h=4, d=3, p12=0.5, p21=0.5, p31=0.5, p32=0.5, trials=200, seed=31), (0, 101, 146, 137)),
-    # longer than one sub-batch at n=8, so the tallies cross sub-batch edges
+    # longer than one 256-trial block, so the tallies cross block edges
     (SUB_BATCH_EDGE_CONFIGS[0], (4, 117, 251, 277)),
     (SUB_BATCH_EDGE_CONFIGS[1], (160, 0, 2, 5)),
     (SUB_BATCH_EDGE_CONFIGS[2], (3, 260, 273, 284)),
@@ -224,7 +224,7 @@ def test_algebraic_n8_report_identical_across_worker_counts():
     "fields", SUB_BATCH_EDGE_CONFIGS, ids=["algebraic-n8-600", "trellis-n8-300", "exhaustive-asymmetric-n8-300"]
 )
 def test_sub_batch_edges_report_identical_across_worker_counts(fields):
-    # the chunks of 2 and 3 workers start sub-batches where 1 worker's do not
+    # the chunks of 2 and 3 workers start blocks where 1 worker's do not
     cfg = SimConfig(**fields)
     docs = {report_json(replace(run_trials(cfg, workers=w), wall_time_s=0.0)) for w in (1, 2, 3)}
     assert len(docs) == 1
