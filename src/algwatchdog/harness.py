@@ -414,8 +414,8 @@ def _run_chunks(job: list[tuple[SimConfig, int, int]]) -> list[tuple[int, int, i
         chunks = list(chunks)
         cfg = chunks[0][1][0]
         links, strategy = protocol.watcher_links(**_channels(cfg)), cfg.strategy()
-        # each watcher's (peer, relay) radii, read by the algebraic kernel and by exhaustive_best
-        radii = [[radius_for_epsilon(cfg.n, chan.p, cfg.epsilon).r for chan in link] for link in links]
+        # read by the algebraic kernel and by exhaustive_best
+        radii = protocol.watcher_radii(links, cfg.n, cfg.epsilon)
         for block in _blocks(chunks, _BATCH_TRIALS):
             segments = [(c, trials) for _, c, trials in block]
             views = _draw_batch(segments, links, radii, strategy, rng)
@@ -495,17 +495,16 @@ def _pooled(jobs: list, size: int):
 
 
 def _tally(cfgs: list[SimConfig], workers: int) -> list[tuple[tuple[int, int, int, int], float]]:
-    """Each config's summed tallies, with the wall seconds since the previous config's finished.
+    """Each config's summed tallies with a wall time: the call's for the first config, 0.0 for the others.
 
     Job k holds chunk k of every config, serially and pooled alike.  Serially
     each config is one chunk, and the one job runs in this process; if
     workers > 1 and a config has 2 * workers trials or more, the `workers`
-    jobs go to the process's pool (see the module docstring).  A config is
-    reported once its last chunk is summed, so a sweep's points all come
-    back together.  If a pooled call fails in any way (a job raises, a
-    worker dies, an interrupt), the pool is shut down before the error
-    propagates, and the next pooled call starts a new one; a pool that
-    broke before the call began is replaced instead (see `_pooled`).
+    jobs go to the process's pool (see the module docstring).  If a pooled
+    call fails in any way (a job raises, a worker dies, an interrupt), the
+    pool is shut down before the error propagates, and the next pooled call
+    starts a new one; a pool that broke before the call began is replaced
+    instead (see `_pooled`).
     """
     if not protocol.is_int(workers):
         raise ConfigError([f"workers={workers!r} is not an integer"])
@@ -516,7 +515,7 @@ def _tally(cfgs: list[SimConfig], workers: int) -> list[tuple[tuple[int, int, in
     # job k holds chunk k of every config that has one; serially, the one job holds every config
     shares = [[c for c in share if c] for share in itertools.zip_longest(*plans)]
     jobs = [[(cfgs[i], lo, hi) for i, lo, hi in share] for share in shares]
-    sums, left, out = [(0, 0, 0, 0)] * len(cfgs), [len(plan) for plan in plans], []
+    sums = [(0, 0, 0, 0)] * len(cfgs)
     start = time.perf_counter()
     with _pool_lock if pooled else contextlib.nullcontext():
         try:
@@ -524,16 +523,11 @@ def _tally(cfgs: list[SimConfig], workers: int) -> list[tuple[tuple[int, int, in
             for share, tallies in zip(shares, parts):
                 for (i, _, _), part in zip(share, tallies):
                     sums[i] = tuple(a + b for a, b in zip(sums[i], part))
-                    left[i] -= 1
-                now = time.perf_counter()
-                while len(out) < len(cfgs) and not left[len(out)]:
-                    out.append((sums[len(out)], now - start))
-                    start = now
         except BaseException:
             if pooled:
                 _drop_pool()
             raise
-    return out
+    return list(zip(sums, [time.perf_counter() - start] + [0.0] * (len(cfgs) - 1)))
 
 
 def run_trials(cfg: SimConfig, workers: int = 1) -> SimReport:
@@ -596,12 +590,9 @@ def sweep(base: SimConfig, axis: str, values, workers: int = 1) -> list[SimRepor
     Point i runs at seed `base.seed ^ i`, except on the `seed` axis, where
     each point runs at the seed it names.  An empty `values` is a ConfigError.
     Every point is validated before any trial runs, and all points share the
-    process's one pool.  A point's `wall_time_s` is the wall time from the
-    moment the previous point finished (for the first point, the start of
-    the sweep) until its own last chunk finished; the first point's time
-    includes pool start-up only when this call starts the pool.  The points
-    all finish together, serially too: the first point's time holds the
-    whole run, later points read about 0, and the times sum to the sweep's.
+    process's one pool.  The points run together, so the first point's
+    `wall_time_s` is the sweep's wall time, including pool start-up only
+    when this call starts the pool, and later points read 0.0.
     """
     if axis not in _NUMERIC_FIELDS:
         raise ConfigError([f"axis {axis!r} is not a numeric config field"])

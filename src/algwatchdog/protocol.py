@@ -182,12 +182,17 @@ def watcher_links(
     return (chan_21, chan_31), (chan_12, chan_32)
 
 
+def watcher_radii(links, n: int, epsilon: float) -> tuple[tuple[int, int], ...]:
+    """Each watcher's (peer, relay) radii: what `radius_for_epsilon` selects for its (peer link, relay link)."""
+    return tuple(tuple(radius_for_epsilon(n, chan.p, epsilon).r for chan in link) for link in links)
+
+
 def relay_output(scn: Scenario, strategy: AdversaryStrategy, rng) -> int:
     """The relay's transmitted payload word, honest or corrupted per the strategy."""
     if strategy.kind == "exhaustive_best":
         sources, coeffs = [[scn.x1.value, scn.x2.value]], [[scn.a1.value, scn.a2.value]]
         links = watcher_links(scn.chan_12, scn.chan_21, scn.chan_31, scn.chan_32)
-        radii = [[radius_for_epsilon(scn.spec.n, chan.p, scn.epsilon).r for chan in link] for link in links]
+        radii = watcher_radii(links, scn.spec.n, scn.epsilon)
         error = int(best_errors(scn.spec, scn.hf.table[None], sources, coeffs, radii)[0])
     else:
         error = draw_error(strategy, scn.spec, rng)

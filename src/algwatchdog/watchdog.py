@@ -15,8 +15,9 @@ vertex, with channel-likelihood edge weights.  `trellis_batch` scores a
 batch of trials on arrays and accepts a view iff its score reaches the
 threshold.
 
-`algebraic_check`, `build_trellis` and `consistency_probability` run the
-kernels on one `Observation`, laid out as a one-trial batch.
+Each kernel sizes its watcher axis W from its input.  `algebraic_check`,
+`build_trellis` and `consistency_probability` run the kernels on one
+`Observation`, laid out as a one-trial batch with one watcher slot.
 """
 
 from __future__ import annotations
@@ -71,10 +72,10 @@ class Verdict:
 
 
 def _one_trial(obs: Observation) -> tuple[np.ndarray, list, list]:
-    """obs as a kernel's (tables, words, links): one trial whose two watcher slots both hold obs's view."""
+    """obs as a kernel's (tables, words, links): one trial with one watcher slot, holding obs's view."""
     row = [obs.own_value.value, obs.own_coeff.value, obs.peer_coeff.value, obs.peer_hash, obs.noisy_peer]
     row += [obs.relay_hash, obs.noisy_relay]
-    return obs.hf.table[None], [[row, row]], [(obs.peer_channel, obs.relay_channel)] * 2
+    return obs.hf.table[None], [[row]], [(obs.peer_channel, obs.relay_channel)]
 
 
 def algebraic_check(obs: Observation, radius_override: int | None = None) -> Verdict:
@@ -92,7 +93,7 @@ def algebraic_check(obs: Observation, radius_override: int | None = None) -> Ver
         radius_for_epsilon(obs.n, chan.p, obs.epsilon).r if radius_override is None else radius_override
         for chan in links[0]
     )
-    surviving = int(algebraic_batch(obs.own_value.spec, tables, words, [(r_peer, r_relay)] * 2)[1][0, 0, 0])
+    surviving = int(algebraic_batch(obs.own_value.spec, tables, words, [(r_peer, r_relay)])[1][0, 0, 0])
     peer_candidates, relay_candidates = (
         int(np.count_nonzero(tables[0].take(noisy ^ ball_offsets(obs.n, r)) == target))
         for noisy, target, r in ((obs.noisy_peer, obs.peer_hash, r_peer), (obs.noisy_relay, obs.relay_hash, r_relay))
@@ -138,18 +139,18 @@ def relay_word_survivors(
     """The algebraic rule's survivor count for every relay word, each overheard without noise, in B trials.
 
     Read as `algebraic_batch` reads its arguments, but of words only the
-    peer side.  counts[b, w, c] is the number of watcher w's peer candidates
-    in trial b whose image is a relay candidate when the relay sends c and
-    watcher w overhears c: the images that carry c's hash within the relay
-    radius of c.  Counted from the image side: image x survives for every c
-    of its relay ball with h(c) = h(x); the images are distinct, so each
-    (x, c) pair counts once.
+    peer side.  counts is (B, W, 2^n): counts[b, w, c] is the number of
+    watcher w's peer candidates in trial b whose image is a relay candidate
+    when the relay sends c and watcher w overhears c: the images that carry
+    c's hash within the relay radius of c.  Counted from the image side:
+    image x survives for every c of its relay ball with h(c) = h(x); the
+    images are distinct, so each (x, c) pair counts once.
     """
     n = spec.n
     words = np.asarray(words, dtype=np.int64)
     batch = len(tables)
     tables = tables.ravel()
-    counts = np.zeros((batch, 2, spec.order), dtype=np.int64)
+    counts = np.zeros((batch, len(radii), spec.order), dtype=np.int64)
     for w, (r_peer, r_relay) in enumerate(radii):
         row, images = _coded_images(spec, tables, words[:, w], r_peer)
         offsets = ball_offsets(n, r_relay)
@@ -175,7 +176,7 @@ def algebraic_batch(
 
     spec, tables and words are read as `trellis_batch` reads them, and
     radii[w] is watcher w's (peer radius, relay radius) in every trial.
-    Returns (accepted, surviving), both of shape (B, 2, A):
+    Returns (accepted, surviving), both of shape (B, W = len(radii), A):
     surviving[b, w, a] is the number of watcher w's peer candidates in
     trial b whose coded image is one of arm a's relay candidates, and
     accepted[b, w, a] is True exactly when that number is nonzero, the
@@ -196,7 +197,7 @@ def algebraic_batch(
     words = np.asarray(words, dtype=np.int64)
     batch, arms = len(tables), (words.shape[2] - 5) // 2
     tables = tables.ravel()
-    surviving = np.empty((batch, 2, arms), dtype=np.int64)
+    surviving = np.empty((batch, len(radii), arms), dtype=np.int64)
     for w, (r_peer, r_relay) in enumerate(radii):
         relay_hash, noisy_relay = words[:, w, 5::2], words[:, w, 6::2]
         row, images = _coded_images(spec, tables, words[:, w], r_peer)
@@ -208,7 +209,7 @@ def algebraic_batch(
 
 
 def build_trellis(obs: Observation) -> np.ndarray:
-    """The trellis path-sum of one observation: `trellis_batch`'s (1, 2, 1) scores on a one-trial batch.
+    """The trellis path-sum of one observation: `trellis_batch`'s (1, 1, 1) scores on a one-trial batch.
 
     Like the kernel, raises ValueError above `TRELLIS_MAX_WIDTH`.
     """
@@ -232,17 +233,17 @@ def trellis_batch(
 
     The trials lie in the field spec.  tables is their (B, 2^n) uint16
     hash tables, built in the log domain by `hashing.hash_tables`: trial
-    b hashes with tables[b], indexed by word.  words[b][w] holds its
-    watcher w's views of the A relay arms as one row of integers: own
-    value, own coefficient, peer coefficient, peer hash and noisy peer
-    payload, then relay hash and noisy relay payload per arm
-    (`protocol.view_rows` builds the rows).  The arms share the peer side.
-    channels[w] is watcher w's (peer link, relay link) in every trial.
-    Returns (accepted, scores), both of shape (B, 2, A).  scores[b, w, a]
-    is the path-sum over watcher w's peer candidates x in trial b, every
-    word with the peer hash: the peer-link likelihood of x, normalized by
-    the candidates' total, times the relay-link likelihood of x's coded
-    image if the image carries arm a's relay hash, else 0.
+    b hashes with tables[b], indexed by word.  words is (B, W, 5 + 2A), W
+    1 or 2: words[b][w] holds its watcher w's views of the A relay arms as
+    one row of integers: own value, own coefficient, peer coefficient, peer
+    hash and noisy peer payload, then relay hash and noisy relay payload per
+    arm (`protocol.view_rows` builds the rows, W = 2).  The arms share the
+    peer side.  channels[w] is watcher w's (peer link, relay link) in every
+    trial.  Returns (accepted, scores), both of shape (B, W, A).
+    scores[b, w, a] is the path-sum over watcher w's peer candidates x in
+    trial b, every word with the peer hash: the peer-link likelihood of x,
+    normalized by the candidates' total, times the relay-link likelihood of
+    x's coded image if the image carries arm a's relay hash, else 0.
     accepted[b, w, a] is True exactly when scores[b, w, a] >= threshold.
     A score is an unnormalized path-sum likelihood, so a fixed threshold
     means different things at different n and p.
@@ -258,27 +259,29 @@ def trellis_batch(
     if n > TRELLIS_MAX_WIDTH:
         raise ValueError(f"trellis engine supports n <= {TRELLIS_MAX_WIDTH}, got {n}")
     words = np.asarray(words, dtype=np.int64)
-    arms = (words.shape[2] - 5) // 2
+    watchers, arms = words.shape[1], (words.shape[2] - 5) // 2
+    # view row = W trial + watcher, so for W in (1, 2) the watcher is row & shift and the trial row >> shift
+    shift = watchers - 1
     own, own_coeff, peer_coeff, peer_hash, noisy_peer = words[:, :, :5].reshape(-1, 5).T
     relay_hash, noisy_relay = (words[:, :, 5 + i :: 2].reshape(-1, arms).T for i in (0, 1))
     # BSC likelihoods by distance: watcher w's peer link at block 2w, its relay link at 2w + 1
     stride = n + 1
     lik = np.concatenate([likelihood_by_distance(chan.p, n) for links in channels for chan in links])
 
-    # found = (2 trial + watcher) 2^n + candidate
+    # found = view row 2^n + candidate
     # the tables are uint16; comparing them with int64 would cast every entry
-    found = np.flatnonzero(tables[:, None, :] == peer_hash.astype(np.uint16).reshape(len(tables), 2, 1))
+    found = np.flatnonzero(tables[:, None, :] == peer_hash.astype(np.uint16).reshape(len(tables), watchers, 1))
     cand = found & (spec.order - 1)
     row = found >> n
-    raw = lik.take(2 * stride * (row & 1) + np.bitwise_count(cand ^ noisy_peer[row]))
+    raw = lik.take(2 * stride * (row & shift) + np.bitwise_count(cand ^ noisy_peer[row]))
     total = np.bincount(row, raw, minlength=len(own))
     images = spec.mul_words(own_coeff, own)[row] ^ spec.mul_words(peer_coeff[row], cand)
-    image_hashes = tables.ravel().take((row >> 1 << n) | images)
+    image_hashes = tables.ravel().take((row >> shift << n) | images)
 
     arm, hit = np.nonzero(image_hashes == relay_hash.astype(np.uint16).take(row, axis=1))
     r = row[hit]
     weights = raw[hit] / np.where(total > 0, total, 1.0)[r]
-    lik_out = lik.take(stride * (2 * (r & 1) + 1) + np.bitwise_count(images[hit] ^ noisy_relay[arm, r]))
-    scores = np.bincount(r * arms + arm, weights * lik_out, minlength=len(own) * arms).reshape(len(tables), 2, arms)
+    lik_out = lik.take(stride * (2 * (r & shift) + 1) + np.bitwise_count(images[hit] ^ noisy_relay[arm, r]))
+    scores = np.bincount(r * arms + arm, weights * lik_out, minlength=len(own) * arms).reshape(-1, watchers, arms)
 
     return scores >= threshold, scores

@@ -8,7 +8,7 @@ mask drawn one `random()` call per bit against the one read from raw
 MT19937 words, a report document's leaves, walked by key, against the
 CSV columns the report writer derives from them, and both detection rules,
 applied to one observation by a scan of the whole field, against the
-detection kernels.
+detection kernels and the errors `protocol.best_errors` chooses.
 """
 
 from fractions import Fraction

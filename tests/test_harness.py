@@ -23,8 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algwatchdog import hashing, harness, protocol, theory, watchdog
-from algwatchdog.channel import BinarySymmetricChannel, radius_for_epsilon
-from algwatchdog.gf2n import FieldElement, canonical_spec
+from algwatchdog.gf2n import canonical_spec
 from algwatchdog.harness import (
     ConfigError,
     SimConfig,
@@ -34,6 +33,7 @@ from algwatchdog.harness import (
     wilson_interval,
     write_report,
 )
+from conftest import make_scenario, tally_json
 from oracles import json_leaves, noise_mask_per_bit
 
 
@@ -55,16 +55,6 @@ def small_cfg(**kw):
                     epsilon=0.01, trials=300, seed=42)
     defaults.update(kw)
     return SimConfig(**defaults)
-
-
-def strip_wall_time(doc: dict) -> dict:
-    doc = dict(doc)
-    doc.pop("wall_time_s", None)
-    return doc
-
-
-def tally_json(rep) -> str:
-    return report_json(replace(rep, wall_time_s=0.0))
 
 
 def read_csv(path) -> list[list[str]]:
@@ -150,7 +140,7 @@ class TestRunTrials:
     def test_deterministic_given_seed(self):
         cfg = small_cfg(trials=200)
         a, b = run_trials(cfg), run_trials(cfg)
-        assert strip_wall_time(a.to_dict()) == strip_wall_time(b.to_dict())
+        assert tally_json(a) == tally_json(b)
 
     def test_single_trial_runs(self):
         rep = run_trials(small_cfg(trials=1))
@@ -160,7 +150,7 @@ class TestRunTrials:
         cfg = small_cfg(trials=400)
         serial = run_trials(cfg, workers=1)
         parallel = run_trials(cfg, workers=4)
-        assert strip_wall_time(serial.to_dict()) == strip_wall_time(parallel.to_dict())
+        assert tally_json(serial) == tally_json(parallel)
 
     def test_tally_conservation(self):
         cfg = small_cfg(trials=250)
@@ -305,12 +295,7 @@ def test_exhaustive_best_builds_no_scenario_or_hash_function(monkeypatch, engine
     run_trials(small_cfg(engine=engine, adversary="exhaustive_best", threshold=0.01, trials=20))
     assert built == []
     # the spies see the objects the scalar path builds
-    spec = canonical_spec(8)
-    hf = hashing.sample(random.Random(1), 3, spec, 3)
-    protocol.Scenario(
-        spec=spec, hf=hf, x1=FieldElement(1, spec), x2=FieldElement(2, spec), a1=FieldElement(3, spec), a2=FieldElement(4, spec),
-        epsilon=0.01, **harness._channels(small_cfg()),
-    )
+    make_scenario(canonical_spec(8), 1, 2, 3, 4, p=0.1, h=3, seed=1)
     assert built == ["HashFunction", "Scenario"]
 
 
@@ -329,11 +314,7 @@ class TestDrawStep:
             x1, x2 = rng.randrange(order), rng.randrange(order)
         a1, a2 = rng.randrange(1, order), rng.randrange(1, order)
         hf = hashing.sample(rng, cfg.d, spec, cfg.h)
-        chans = {f"chan_{e[1:]}": BinarySymmetricChannel(getattr(cfg, e)) for e in ("p12", "p21", "p31", "p32")}
-        scn = protocol.Scenario(
-            spec=spec, hf=hf, x1=FieldElement(x1, spec), x2=FieldElement(x2, spec), a1=FieldElement(a1, spec), a2=FieldElement(a2, spec),
-            epsilon=cfg.epsilon, **chans,
-        )
+        scn = make_scenario(spec, x1, x2, a1, a2, p=(cfg.p12, cfg.p21, cfg.p31, cfg.p32), hf=hf, epsilon=cfg.epsilon)
         strategy = cfg.strategy()
         arms = [protocol.AdversaryStrategy("honest")] + ([strategy] if strategy.kind != "honest" else [])
         relays = [protocol.relay_output(scn, arm, rng) for arm in arms]
@@ -374,7 +355,7 @@ class TestDrawStep:
         )
         cfg.validate()
         links = protocol.watcher_links(**harness._channels(cfg))
-        radii = [[radius_for_epsilon(n, chan.p, cfg.epsilon).r for chan in link] for link in links]
+        radii = protocol.watcher_radii(links, n, cfg.epsilon)
         views = harness._draw_batch([(cfg, range(first, first + count))], links, radii, cfg.strategy(), random.Random())
         tables, words = map(np.concatenate, zip(*views))
         arms = 1 if kind == "honest" else 2
@@ -507,7 +488,7 @@ class TestSweep:
         assert [r.config["seed"] for r in reports] == [100, 200]
         for seed, rep in zip((100, 200), reports):
             alone = run_trials(replace(cfg, seed=seed))
-            assert replace(rep, wall_time_s=0.0) == replace(alone, wall_time_s=0.0)
+            assert tally_json(rep) == tally_json(alone)
 
     def test_empty_values(self):
         # as the CLI's --values check does, name the field rather than return no report
@@ -524,8 +505,9 @@ class TestSweep:
         # 3-trial one too, is cut into one chunk per worker
         base = small_cfg(n=6, h=2)
         reports = [sweep(base, "trials", [30, 3, 17], workers=w) for w in (2, 1)]
-        pooled, serial = (report_json([replace(r, wall_time_s=0.0) for r in reps]) for reps in reports)
-        assert pooled == serial
+        assert tally_json(reports[0]) == tally_json(reports[1])
+        # the first point holds the call's wall time, pooled as serially
+        assert [r.wall_time_s for r in reports[0][1:]] == [0.0, 0.0]
 
     @pytest.mark.parametrize(
         "axis, values, workers", [("trials", [30, 3, 17], 3), ("n", [8, 10, 12], 2), ("n", [8, 10, 12], 3)]
@@ -534,8 +516,7 @@ class TestSweep:
         # as test_pooled_sweep_matches_serial at more workers, and on an n sweep, whose points differ in cost
         base = small_cfg(n=6, h=2, trials=30)
         reports = [sweep(base, axis, values, workers=w) for w in (workers, 1)]
-        pooled, serial = (report_json([replace(r, wall_time_s=0.0) for r in reps]) for reps in reports)
-        assert pooled == serial
+        assert tally_json(reports[0]) == tally_json(reports[1])
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pooled_sweep_sends_one_job_per_worker(self, monkeypatch, pool_slot, workers):

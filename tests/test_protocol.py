@@ -8,10 +8,9 @@ for the reliable headers.
 import dataclasses
 import random
 
-import numpy as np
 import pytest
 
-from algwatchdog.channel import BinarySymmetricChannel, noise_mask, radius_for_epsilon
+from algwatchdog.channel import BinarySymmetricChannel, noise_mask
 from algwatchdog.gf2n import FieldElement, FieldError, canonical_spec
 from algwatchdog.hashing import evaluate, sample
 from algwatchdog.protocol import (
@@ -25,27 +24,15 @@ from algwatchdog.protocol import (
     relay_output,
     view_rows,
     watcher_links,
+    watcher_radii,
 )
 from algwatchdog.watchdog import relay_word_survivors
-from oracles import slow_mul, survivors_by_scan
+from conftest import batch_arrays, make_obs, make_scenario, view_row
+from oracles import survivors_by_scan
 
 GF16 = canonical_spec(4)
 GF32 = canonical_spec(5)
 GF256 = canonical_spec(8)
-
-
-def make_scenario(spec=GF16, x1=0b0101, x2=0b0111, a1=1, a2=1, p=0.0, h=2, seed=0, epsilon=0.01):
-    """A scenario whose links all have crossover probability p, or, for a 4-tuple p, p12, p21, p31 and p32."""
-    rng = random.Random(seed)
-    hf = sample(rng, 3, spec, h)
-    probs = p if isinstance(p, tuple) else (p,) * 4
-    chans = {f"chan_{link}": BinarySymmetricChannel(q) for link, q in zip(("12", "21", "31", "32"), probs)}
-    return Scenario(
-        spec=spec, hf=hf,
-        x1=FieldElement(x1, spec), x2=FieldElement(x2, spec),
-        a1=FieldElement(a1, spec), a2=FieldElement(a2, spec),
-        epsilon=epsilon, **chans,
-    )
 
 
 def random_scenario(rng, spec, p, h):
@@ -56,66 +43,33 @@ def random_scenario(rng, spec, p, h):
     )
 
 
-def batch_arrays(scenarios):
-    """The stacked tables, sources and coefficients of scenarios, as the harness's draw step holds them."""
-    tables = np.stack([scn.hf.table for scn in scenarios])
-    sources = [[scn.x1.value, scn.x2.value] for scn in scenarios]
-    coeffs = [[scn.a1.value, scn.a2.value] for scn in scenarios]
-    return tables, sources, coeffs
-
-
 def scenario_links(scn):
     """Both watchers' (peer link, relay link) in scn, watcher 1 first."""
     return watcher_links(scn.chan_12, scn.chan_21, scn.chan_31, scn.chan_32)
 
 
-def link_radii(links, n, epsilon):
-    """Each watcher's (peer, relay) radii, as `radius_for_epsilon` selects them for its links."""
-    return [tuple(radius_for_epsilon(n, chan.p, epsilon).r for chan in link) for link in links]
-
-
-def row_of(obs):
-    """An observation's words in the order of a `view_rows` row with one relay arm."""
-    return [
-        obs.own_value.value, obs.own_coeff.value, obs.peer_coeff.value, obs.peer_hash,
-        obs.noisy_peer, obs.relay_hash, obs.noisy_relay,
-    ]
-
-
 def best_error_key(scn):
-    """exhaustive_best's order on errors, from `reference_pass_counts`: the best error is the largest."""
+    """exhaustive_best's order on errors, the best error the largest: (c1 * c2, c1 + c2, -e).
+
+    cw is watcher w's survivor count (`survivors_by_scan`) on its noise-free
+    view of the relay sending honest ^ e, each view built here in its
+    watcher's roles: own value and coefficient, peer coefficient and peer,
+    peer link and relay link.
+    """
+    roles = (
+        (scn.x1.value, scn.a1.value, scn.a2.value, scn.x2.value, scn.chan_21, scn.chan_31),
+        (scn.x2.value, scn.a2.value, scn.a1.value, scn.x1.value, scn.chan_12, scn.chan_32),
+    )
+    radii = watcher_radii([role[4:] for role in roles], scn.spec.n, scn.epsilon)
+
     def key(e):
-        c1, c2 = reference_pass_counts(scn, e)
+        relay = scn.honest_payload ^ e
+        c1, c2 = (
+            survivors_by_scan(make_obs(scn.spec, scn.hf, *role[:4], relay), *r) for role, r in zip(roles, radii)
+        )
         return (c1 * c2, c1 + c2, -e)
 
     return key
-
-
-def reference_pass_counts(scn, e):
-    """(c1, c2): how many words survive each watcher's noise-free check of error e.
-
-    Candidate sets come from a full field scan with Hamming distance and
-    scalar hash evaluation; no ball enumeration or vector arithmetic.
-    """
-    spec, hf = scn.spec, scn.hf
-    corrupted = scn.honest_payload ^ e
-    relay_hash = evaluate(hf, FieldElement(corrupted, spec))
-    words = [FieldElement(w, spec) for w in range(spec.order)]
-    counts = []
-    for own, peer, a_own, a_peer, peer_chan, relay_chan in (
-        (scn.x1, scn.x2, scn.a1, scn.a2, scn.chan_21, scn.chan_31),
-        (scn.x2, scn.x1, scn.a2, scn.a1, scn.chan_12, scn.chan_32),
-    ):
-        r_peer = radius_for_epsilon(spec.n, peer_chan.p, scn.epsilon).r
-        r_relay = radius_for_epsilon(spec.n, relay_chan.p, scn.epsilon).r
-        peer_hash = evaluate(hf, peer)
-        peer_cands = [x for x in words if (x.value ^ peer.value).bit_count() <= r_peer and evaluate(hf, x) == peer_hash]
-        relay_cands = {
-            y.value for y in words if (y.value ^ corrupted).bit_count() <= r_relay and evaluate(hf, y) == relay_hash
-        }
-        coded = slow_mul(a_own.value, own.value, spec.reduction_poly)
-        counts.append(len({coded ^ slow_mul(a_peer.value, x.value, spec.reduction_poly) for x in peer_cands} & relay_cands))
-    return counts
 
 
 class TestDrawsBelow:
@@ -223,7 +177,7 @@ class TestRelayOutput:
         # one call picks every trial's error, as the harness's draw step makes it
         rng = random.Random(9)
         scenarios = [random_scenario(rng, GF32, (0.05, 0.2, 0.0, 0.3), rng.randrange(1, 4)) for _ in range(5)]
-        radii = link_radii(scenario_links(scenarios[0]), GF32.n, scenarios[0].epsilon)
+        radii = watcher_radii(scenario_links(scenarios[0]), GF32.n, scenarios[0].epsilon)
         got = best_errors(GF32, *batch_arrays(scenarios), radii)
         assert got.shape == (5,)
         keys = [best_error_key(scn) for scn in scenarios]
@@ -250,7 +204,7 @@ class TestRelayOutput:
         tables, sources, coeffs = batch_arrays(scenarios)
         honest = [[scn.honest_payload] for scn in scenarios]
         rows = view_rows(sources, coeffs, tables, honest, noise)
-        radii = link_radii(links, spec.n, 0.01)
+        radii = watcher_radii(links, spec.n, 0.01)
         counts = relay_word_survivors(spec, tables, rows, radii)
         assert counts.shape == (3, 2, spec.order)
         for b, (scn, seed) in enumerate(zip(scenarios, seeds)):
@@ -333,18 +287,12 @@ class TestObserve:
             for a, relay in enumerate((honest, corrupted)):
                 rng = random.Random(seed)
                 obs = [observe(w, scn, relay, rng) for w in (1, 2)][watcher - 1]
-                assert row[:5].tolist() + row[5 + 2 * a : 7 + 2 * a].tolist() == row_of(obs)
+                assert row[:5].tolist() + row[5 + 2 * a : 7 + 2 * a].tolist() == view_row(obs)
                 assert (obs.peer_channel, obs.relay_channel) == links[watcher - 1]
 
     def test_noise_masks_and_view_rows_draw_what_observe_draws(self):
         # one channel realization per round, in observe's order: the harness's draw step relies on it
-        scn = Scenario(
-            spec=GF256, hf=sample(random.Random(7), 3, GF256, 3),
-            x1=FieldElement(0x31, GF256), x2=FieldElement(0x7C, GF256),
-            a1=FieldElement(3, GF256), a2=FieldElement(9, GF256),
-            chan_12=BinarySymmetricChannel(0.3), chan_21=BinarySymmetricChannel(0.1),
-            chan_31=BinarySymmetricChannel(0.0), chan_32=BinarySymmetricChannel(0.5), epsilon=0.01,
-        )
+        scn = make_scenario(spec=GF256, x1=0x31, x2=0x7C, a1=3, a2=9, p=(0.3, 0.1, 0.0, 0.5), h=3, seed=7)
         tables, values, coeffs = batch_arrays([scn])
         links = scenario_links(scn)
         for seed in range(20):
@@ -354,7 +302,7 @@ class TestObserve:
             assert links == tuple((obs.peer_channel, obs.relay_channel) for obs in want)
             noise = noise_masks(links, scn.spec.n, random.Random(seed))
             rows = view_rows(values, coeffs, tables, [[relay]], [noise])
-            assert rows[0].tolist() == [row_of(obs) for obs in want]
+            assert rows[0].tolist() == [view_row(obs) for obs in want]
 
     def test_bad_watcher_id(self):
         scn = make_scenario()

@@ -22,7 +22,8 @@ from dataclasses import replace
 
 import pytest
 
-from algwatchdog.harness import SimConfig, report_json, run_trials, write_report
+from algwatchdog.harness import SimConfig, run_trials, write_report
+from conftest import tally_json
 
 SUB_BATCH_EDGE_CONFIGS = [
     dict(n=8, h=3, d=3, trials=600, seed=33),
@@ -103,7 +104,7 @@ GOLDEN = [
     (SUB_BATCH_EDGE_CONFIGS[2], (3, 260, 273, 284)),
 ]
 
-# sha256 of each GOLDEN config's report_json with wall_time_s zeroed, in GOLDEN
+# sha256 of each GOLDEN config's `tally_json`, its report_json with wall_time_s zeroed, in GOLDEN
 # order: the report's bytes, which a change to how reports are built or
 # serialized must not move
 REPORT_DIGESTS = [
@@ -187,7 +188,7 @@ def test_golden_tallies(fields, want, digest):
     else:
         got += (rep.beta["count"], rep.per_watcher["beta_v1"]["count"], rep.per_watcher["beta_v2"]["count"])
     assert got == want
-    assert hashlib.sha256(report_json(replace(rep, wall_time_s=0.0)).encode()).hexdigest() == digest
+    assert hashlib.sha256(tally_json(rep).encode()).hexdigest() == digest
 
 
 def test_csv_report_bytes(tmp_path):
@@ -209,14 +210,14 @@ def test_trellis_n12_report_identical_across_worker_counts():
     # 37 trials split into 12 + 13 + 12 at 3 workers, 18 + 19 at 2: chunk
     # edges fall inside the trellis engine's 16-trial sub-batches
     cfg = SimConfig(engine="trellis", n=12, h=5, d=3, trials=37, seed=28)
-    docs = {report_json(replace(run_trials(cfg, workers=w), wall_time_s=0.0)) for w in (1, 2, 3)}
+    docs = {tally_json(run_trials(cfg, workers=w)) for w in (1, 2, 3)}
     assert len(docs) == 1
 
 
 def test_algebraic_n8_report_identical_across_worker_counts():
     # 37 trials split into 12 + 13 + 12 at 3 workers, 18 + 19 at 2
     cfg = SimConfig(n=8, h=3, d=3, trials=37, seed=32)
-    docs = {report_json(replace(run_trials(cfg, workers=w), wall_time_s=0.0)) for w in (1, 2, 3)}
+    docs = {tally_json(run_trials(cfg, workers=w)) for w in (1, 2, 3)}
     assert len(docs) == 1
 
 
@@ -226,5 +227,5 @@ def test_algebraic_n8_report_identical_across_worker_counts():
 def test_sub_batch_edges_report_identical_across_worker_counts(fields):
     # the chunks of 2 and 3 workers start blocks where 1 worker's do not
     cfg = SimConfig(**fields)
-    docs = {report_json(replace(run_trials(cfg, workers=w), wall_time_s=0.0)) for w in (1, 2, 3)}
+    docs = {tally_json(run_trials(cfg, workers=w)) for w in (1, 2, 3)}
     assert len(docs) == 1

@@ -14,49 +14,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algwatchdog.channel import BinarySymmetricChannel, ball_volume, radius_for_epsilon
+from algwatchdog.channel import ball_volume
 from algwatchdog.gf2n import FieldElement, canonical_spec
 from algwatchdog.hashing import HashFunction, evaluate, sample
 from algwatchdog.protocol import (
     AdversaryStrategy,
-    Scenario,
     noise_masks,
     observe,
     relay_output,
     view_rows,
     watcher_links,
+    watcher_radii,
 )
 from algwatchdog.watchdog import (
     TRELLIS_MAX_WIDTH,
     Hypothesis,
-    Observation,
     algebraic_batch,
     algebraic_check,
     build_trellis,
     consistency_probability,
+    relay_word_survivors,
     trellis_batch,
 )
+from conftest import batch_arrays, make_obs, make_scenario, view_row
 from oracles import path_sum_by_scan, slow_hash, slow_mul, survivors_by_scan
 
 GF16 = canonical_spec(4)
 GF256 = canonical_spec(8)
-
-
-def make_obs(spec, hf, x_own, a_own, a_peer, peer_true, relay_sent, noisy_peer=None, noisy_relay=None, p=0.0, epsilon=0.01):
-    chan = BinarySymmetricChannel(p)
-    return Observation(
-        own_value=FieldElement(x_own, spec),
-        own_coeff=FieldElement(a_own, spec),
-        peer_coeff=FieldElement(a_peer, spec),
-        peer_hash=evaluate(hf, FieldElement(peer_true, spec)),
-        relay_hash=evaluate(hf, FieldElement(relay_sent, spec)),
-        noisy_peer=peer_true if noisy_peer is None else noisy_peer,
-        noisy_relay=relay_sent if noisy_relay is None else noisy_relay,
-        peer_channel=chan,
-        relay_channel=chan,
-        epsilon=epsilon,
-        hf=hf,
-    )
 
 
 def fe(v, spec=GF16):
@@ -175,8 +159,7 @@ class TestTrellis:
         # the relay likelihood summed over the images, which is 1 iff the
         # images are the whole field
         hf = HashFunction((fe(0b0101), fe(0), fe(0)), width=2)
-        obs = make_obs(GF16, hf, 3, 5, 7, 0b1001, 0b0100, noisy_relay=0b0110, p=0.5)
-        obs = dataclasses.replace(obs, relay_channel=BinarySymmetricChannel(0.1))
+        obs = make_obs(GF16, hf, 3, 5, 7, 0b1001, 0b0100, noisy_relay=0b0110, p=(0.5, 0.1))
         assert consistency_probability(build_trellis(obs)) == pytest.approx(1 / 16)
 
     def test_noiseless_weight_concentrates_on_truth(self):
@@ -213,13 +196,8 @@ def random_trellis_trials(rng, n, d, links, count):
             a_own, a_peer = rng.randrange(1, spec.order), rng.randrange(1, spec.order)
             honest = mul(a_own, own, spec) ^ mul(a_peer, peer, spec)
             corrupted = honest ^ rng.randrange(1, spec.order)
-            obs = Observation(
-                own_value=fe(own, spec), own_coeff=fe(a_own, spec), peer_coeff=fe(a_peer, spec),
-                peer_hash=evaluate(hf, fe(peer, spec)), relay_hash=evaluate(hf, fe(honest, spec)),
-                noisy_peer=peer ^ noise(peer_p), noisy_relay=honest ^ noise(relay_p),
-                peer_channel=BinarySymmetricChannel(peer_p), relay_channel=BinarySymmetricChannel(relay_p),
-                epsilon=0.01, hf=hf,
-            )
+            noisy_peer, noisy_relay = peer ^ noise(peer_p), honest ^ noise(relay_p)
+            obs = make_obs(spec, hf, own, a_own, a_peer, peer, honest, noisy_peer, noisy_relay, p=(peer_p, relay_p))
             noisy_relay = obs.noisy_relay ^ honest ^ corrupted
             views.append((obs, dataclasses.replace(obs, relay_hash=evaluate(hf, fe(corrupted, spec)), noisy_relay=noisy_relay)))
         trials.append(tuple(views))
@@ -228,12 +206,7 @@ def random_trellis_trials(rng, n, d, links, count):
 
 def batch_of(trials, threshold):
     """`trellis_batch` on trials of observations, each watcher's views turned into one row of words."""
-    def row(views):
-        obs = views[0]
-        peer_side = [obs.own_value.value, obs.own_coeff.value, obs.peer_coeff.value, obs.peer_hash, obs.noisy_peer]
-        return peer_side + [v for o in views for v in (o.relay_hash, o.noisy_relay)]
-
-    words = [[row(views) for views in trial] for trial in trials]
+    words = [[view_row(*views) for views in trial] for trial in trials]
     links = [(views[0].peer_channel, views[0].relay_channel) for views in trials[0]]
     first = trials[0][0][0]
     tables = np.stack([trial[0][0].hf.table for trial in trials])
@@ -301,16 +274,13 @@ def harness_trials(rng, n, h, d, probs, epsilon, count, arms=2):
     The noise seed seeds the rng of the trial's one channel realization.
     """
     spec = canonical_spec(n)
-    chans = {f"chan_{link}": BinarySymmetricChannel(p) for link, p in zip(("12", "21", "31", "32"), probs)}
     strategies = (AdversaryStrategy("honest"), AdversaryStrategy("random_nonzero_error"))[:arms]
     trials = []
     for _ in range(count):
-        scn = Scenario(
-            spec=spec, hf=sample(rng, d, spec, h),
-            x1=fe(rng.randrange(spec.order), spec), x2=fe(rng.randrange(spec.order), spec),
-            a1=fe(rng.randrange(1, spec.order), spec), a2=fe(rng.randrange(1, spec.order), spec),
-            epsilon=epsilon, **chans,
-        )
+        hf = sample(rng, d, spec, h)
+        x1, x2 = rng.randrange(spec.order), rng.randrange(spec.order)
+        a1, a2 = rng.randrange(1, spec.order), rng.randrange(1, spec.order)
+        scn = make_scenario(spec, x1, x2, a1, a2, p=tuple(probs), hf=hf, epsilon=epsilon)
         relays = [relay_output(scn, s, rng) for s in strategies]
         trials.append((scn, relays, rng.randrange(2**32)))
     return trials
@@ -329,24 +299,55 @@ def trial_views(scn, relays, seed, peer_flip=0):
     return arms
 
 
-def algebraic_batch_of(trials, peer_flip=0):
-    """`algebraic_batch` on the rows of words `protocol.view_rows` builds for the trials, under `trial_views`' flip."""
+def kernel_inputs(trials, peer_flip=0):
+    """The trials' (tables, words, links): the rows are `protocol.view_rows`', under `trial_views`' flip."""
     scenarios, relays, seeds = zip(*trials)
     first = scenarios[0]
-    tables = np.stack([scn.hf.table for scn in scenarios])
-    sources = [[scn.x1.value, scn.x2.value] for scn in scenarios]
-    coeffs = [[scn.a1.value, scn.a2.value] for scn in scenarios]
+    tables, sources, coeffs = batch_arrays(scenarios)
     links = watcher_links(first.chan_12, first.chan_21, first.chan_31, first.chan_32)
     noise = [noise_masks(links, first.spec.n, random.Random(seed)) for seed in seeds]
     noise = [((peer ^ peer_flip, relay), second) for (peer, relay), second in noise]
-    words = view_rows(sources, coeffs, tables, relays, noise)
-    radii = [watcher_radii(link, first.spec.n, first.epsilon) for link in links]
-    return algebraic_batch(first.spec, tables, words, radii)
+    return tables, view_rows(sources, coeffs, tables, relays, noise), links
 
 
-def watcher_radii(link, n, epsilon):
-    """The (peer, relay) radii `radius_for_epsilon` selects for a watcher's (peer link, relay link)."""
-    return tuple(radius_for_epsilon(n, chan.p, epsilon).r for chan in link)
+def algebraic_batch_of(trials, peer_flip=0):
+    """`algebraic_batch` on the trials' `kernel_inputs`, at the radii selected for their links."""
+    scn = trials[0][0]
+    tables, words, links = kernel_inputs(trials, peer_flip)
+    return algebraic_batch(scn.spec, tables, words, watcher_radii(links, scn.spec.n, scn.epsilon))
+
+
+class TestWatcherSlots:
+    """The watcher count is a free parameter: each kernel sizes its watcher axis from its input."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 10),
+        d=st.integers(0, 3),
+        probs=st.lists(st.sampled_from([0.0, 1e-3, 0.1, 0.3, 0.5]), min_size=4, max_size=4),
+        arms=st.integers(1, 2),
+        seed=st.integers(0, 2**32),
+    )
+    def test_one_slot_call_equals_that_slot_of_the_two_slot_call(self, data, n, d, probs, arms, seed):
+        h = data.draw(st.integers(1, n), label="h")
+        radius = st.integers(0, n)
+        radii = data.draw(st.lists(st.tuples(radius, radius), min_size=2, max_size=2), label="radii")
+        spec = canonical_spec(n)
+        tables, words, links = kernel_inputs(harness_trials(random.Random(seed), n, h, d, probs, 0.01, 2, arms))
+
+        def kernels(words, radii, links):
+            return (
+                *algebraic_batch(spec, tables, words, radii),
+                relay_word_survivors(spec, tables, words, radii),
+                *trellis_batch(spec, tables, words, links, 0.01),
+            )
+
+        both = kernels(words, radii, links)
+        for w in range(2):
+            for alone, slot in zip(kernels(words[:, w : w + 1], radii[w : w + 1], links[w : w + 1]), both):
+                assert alone.shape == (2, 1, slot.shape[2])
+                assert (alone[:, 0] == slot[:, w]).all()
 
 
 class TestAlgebraicBatch:
@@ -360,8 +361,8 @@ class TestAlgebraicBatch:
         for b, (scn, relays, seed) in enumerate(trials):
             for a, arm in enumerate(trial_views(scn, relays, seed, peer_flip)):
                 for w, obs in enumerate(arm):
-                    link = obs.peer_channel, obs.relay_channel
-                    want = survivors_by_scan(obs, *watcher_radii(link, obs.n, obs.epsilon))
+                    [radii] = watcher_radii([(obs.peer_channel, obs.relay_channel)], obs.n, obs.epsilon)
+                    want = survivors_by_scan(obs, *radii)
                     assert surviving[b, w, a] == want
                     assert accepted[b, w, a] == (want > 0)
         return accepted, surviving
