@@ -63,13 +63,13 @@ def masks_from_words(words: np.ndarray, p) -> np.ndarray:
 def noise_mask(chan: BinarySymmetricChannel, n: int, rng) -> int:
     """Draw an n-bit error pattern, each bit set independently with prob p.
 
-    Bit i is set when the i-th `random()` of rng is < p (`masks_from_words`
-    reads the 2n outputs those calls would); at p = 0 nothing is drawn.
+    Bit i is set when the i-th `random()` of rng is < p, the rule
+    `masks_from_words` applies to raw outputs; at p = 0 nothing is drawn.
     """
-    if chan.p == 0.0:
+    p = chan.p
+    if p == 0.0:
         return 0
-    words = np.frombuffer(stream_bytes(rng, 2 * n), dtype="<u4").reshape(n, 2)
-    return int(masks_from_words(words, chan.p))
+    return sum(1 << i for i in range(n) if rng.random() < p)
 
 
 def transmit(chan: BinarySymmetricChannel, payload: int, n: int, rng) -> int:

@@ -44,10 +44,12 @@ into `workers` near-equal chunks, and the `workers` jobs go through
 `ProcessPoolExecutor.map` on the process's one pool, however many points a
 sweep has.  `write_report` writes the result to a file or to stdout as JSON,
 or as CSV: one column per leaf of the JSON document, named by its dotted path
-(`config.n`, `per_watcher.beta_v1.count`).  Both serialize the document
-`_document` builds by rounding the report's fields straight into fresh
-containers, with no deep copy first, and `theory.predict` computes each
-watcher's bound once, so a report costs about what its leaves do.
+(`config.n`, `per_watcher.beta_v1.count`).  Both serialize `SimReport.to_dict`,
+which rounds the report's fields straight into fresh containers.  Each fact
+is one leaf, and `config.adversary` is always an object: its kind and the
+fields that kind uses.  Every `predicted` bound is about the algebraic
+engine's radius rule, so a trellis report claims none (null); `radii` is
+written for both engines, as exhaustive_best chooses its error by them.
 
 The pool lives as long as the process.  The first pooled call starts it,
 with min(workers, usable cores) worker processes (the chunk plan still
@@ -70,7 +72,6 @@ from __future__ import annotations
 
 import atexit
 import contextlib
-import copy
 import csv
 import dataclasses
 import itertools
@@ -104,6 +105,7 @@ _EDGE_PROBS = ("p12", "p21", "p31", "p32")
 _INT_FIELDS = ("n", "h", "d", "trials", "seed")
 _FLOAT_FIELDS = (*_EDGE_PROBS, "epsilon", "threshold")
 _NUMERIC_FIELDS = _INT_FIELDS + _FLOAT_FIELDS
+_ADVERSARY_KEYS = tuple(f.name for f in dataclasses.fields(protocol.AdversaryStrategy))
 
 
 class ConfigError(ValueError):
@@ -206,7 +208,7 @@ class SimConfig:
         if isinstance(adv, str):
             return protocol.AdversaryStrategy(adv)
         if isinstance(adv, dict):
-            unknown = sorted(map(repr, set(adv) - {"kind", "error", "max_weight"}))
+            unknown = sorted(map(repr, set(adv) - set(_ADVERSARY_KEYS)))
             if unknown:
                 raise ValueError(f"unknown key(s) {', '.join(unknown)}")
             return protocol.AdversaryStrategy(
@@ -217,9 +219,13 @@ class SimConfig:
         raise ValueError(f"unrecognized adversary {adv!r}")
 
     def to_dict(self) -> dict:
-        # `asdict`'s fields and values, but only the containers are copied, not every value
-        values = ((f.name, getattr(self, f.name)) for f in _CONFIG_FIELDS)
-        return {k: copy.deepcopy(v) if isinstance(v, (dict, list, tuple)) else v for k, v in values}
+        """The fields in order, in fresh containers; `adversary` is its kind and only the fields that kind uses."""
+        doc = {f.name: getattr(self, f.name) for f in _CONFIG_FIELDS}
+        strategy = self.strategy()
+        doc["adversary"] = {k: v for k in _ADVERSARY_KEYS if (v := getattr(strategy, k)) is not None}
+        if isinstance(self.sources, dict):
+            doc["sources"] = {"fixed": list(self.sources["fixed"])}
+        return doc
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
@@ -243,11 +249,14 @@ class SimReport:
     gamma: dict
     beta: dict | None
     per_watcher: dict | None
-    common_random_numbers: bool
     wall_time_s: float
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The document `report_json` and `write_report` serialize: floats rounded to 12 significant digits.
+
+        `_round_floats` returns fresh containers, so the report's own are never shared and need no deep copy first.
+        """
+        return {f.name: _round_floats(getattr(self, f.name)) for f in _REPORT_FIELDS}
 
 
 _REPORT_FIELDS = dataclasses.fields(SimReport)
@@ -539,18 +548,18 @@ def run_trials(cfg: SimConfig, workers: int = 1) -> SimReport:
 
 def _report(cfg: SimConfig, tallies: tuple[int, int, int, int], wall: float) -> SimReport:
     flagged, passed_both, passed_v1, passed_v2 = tallies
+    config = cfg.to_dict()
+    kind = config["adversary"]["kind"]
     radii = {"r" + name[1:]: radius_for_epsilon(cfg.n, getattr(cfg, name), cfg.epsilon).r for name in _EDGE_PROBS}
-    tp = theory.TheoryParams(cfg.n, cfg.h, **radii)
-    pred = theory.predict(tp, cfg.epsilon)
-    strategy = cfg.strategy()
-    # the beta bounds are claimed only for this adversary and d >= 2 (see theory)
-    beta_claimed = strategy.kind == "random_nonzero_error" and cfg.d >= 2
-    predicted = {
-        "gamma_bound": float(theory.gamma_bound(cfg.epsilon)),
-        "gamma_bound_conservative": float(pred.gamma_bound_conservative),
-    }
-    for key in ("beta", "beta_v1", "beta_v2"):
-        predicted[key] = float(getattr(pred, key)) if beta_claimed else None
+    predicted = dict.fromkeys(("gamma_bound", "gamma_bound_conservative", "beta", "beta_v1", "beta_v2"))
+    # every bound is about the algebraic engine's radius rule; the beta bounds hold only
+    # for this adversary and d >= 2 (see theory)
+    if cfg.engine == "algebraic":
+        pred = theory.predict(theory.TheoryParams(cfg.n, cfg.h, **radii), cfg.epsilon)
+        predicted["gamma_bound"] = float(theory.gamma_bound(cfg.epsilon))
+        predicted["gamma_bound_conservative"] = float(pred.gamma_bound_conservative)
+        if kind == "random_nonzero_error" and cfg.d >= 2:
+            predicted.update((key, float(getattr(pred, key))) for key in ("beta", "beta_v1", "beta_v2"))
 
     def rate(count: int) -> dict:
         low, high = wilson_interval(count, cfg.trials)
@@ -562,24 +571,14 @@ def _report(cfg: SimConfig, tallies: tuple[int, int, int, int], wall: float) -> 
             "wilson_high": high,
         }
 
-    gamma = rate(flagged)
-    gamma["accepted_count"] = cfg.trials - flagged
-    if strategy.kind == "honest":
-        beta = None
-        per_watcher = None
-    else:
-        beta = rate(passed_both)
-        beta["strategy"] = strategy.kind
-        beta["flagged_count"] = cfg.trials - passed_both
-        per_watcher = {"beta_v1": rate(passed_v1), "beta_v2": rate(passed_v2)}
+    measured = kind != "honest"
     return SimReport(
-        config=cfg.to_dict(),
+        config=config,
         radii=radii,
         predicted=predicted,
-        gamma=gamma,
-        beta=beta,
-        per_watcher=per_watcher,
-        common_random_numbers=True,
+        gamma=rate(flagged),
+        beta=rate(passed_both) if measured else None,
+        per_watcher={"beta_v1": rate(passed_v1), "beta_v2": rate(passed_v2)} if measured else None,
         wall_time_s=wall,
     )
 
@@ -616,17 +615,8 @@ def _round_floats(obj, sig: int = 12):
     return obj
 
 
-def _document(rep: SimReport) -> dict:
-    """The report as the rounded document `report_json` and `write_report` serialize.
-
-    The fields go in `asdict` order; `_round_floats` returns fresh containers,
-    so the report's own are never shared and need no deep copy first.
-    """
-    return {f.name: _round_floats(getattr(rep, f.name)) for f in _REPORT_FIELDS}
-
-
 def report_json(rep: SimReport | list[SimReport]) -> str:
-    doc = _document(rep) if isinstance(rep, SimReport) else {"reports": [_document(r) for r in rep]}
+    doc = rep.to_dict() if isinstance(rep, SimReport) else {"reports": [r.to_dict() for r in rep]}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -653,7 +643,7 @@ def write_report(rep: SimReport | list[SimReport], path: str | None = None, form
             if format == "json":
                 f.write(report_json(rep))
             else:
-                rows = [dict(_leaves(_document(r))) for r in reports]
+                rows = [dict(_leaves(r.to_dict())) for r in reports]
                 # one header for every report: the union of their paths, a path a report lacks left empty
                 w = csv.DictWriter(f, list(dict.fromkeys(key for row in rows for key in row)), restval="")
                 w.writeheader()

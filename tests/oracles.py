@@ -3,9 +3,8 @@
 Each re-derives a result through a code path the package does not use: a
 shift-XOR-reduce multiplier against the table-based one, a hash summed
 power by power with that multiplier against the log-domain hash tables, a
-Pascal-recurrence binomial CDF against the radius computation, and a noise
-mask drawn one `random()` call per bit against the one read from raw
-MT19937 words, a report document's leaves, walked by key, against the
+Pascal-recurrence binomial CDF against the radius computation, a report
+document's leaves, walked by key, against the
 CSV columns the report writer derives from them, and both detection rules,
 applied to one observation by a scan of the whole field, against the
 detection kernels and the errors `protocol.best_errors` chooses.
@@ -36,13 +35,6 @@ def slow_hash(coeffs, x: int, poly: int, width: int) -> int:
         acc ^= slow_mul(c, power, poly)
         power = slow_mul(power, x, poly)
     return acc & ((1 << width) - 1)
-
-
-def noise_mask_per_bit(p: float, n: int, rng) -> int:
-    """Reference noise draw: bit i set when the i-th `rng.random()` is < p; at p = 0 nothing is drawn."""
-    if p == 0.0:
-        return 0
-    return sum(1 << i for i in range(n) if rng.random() < p)
 
 
 def binomial_cdf_pascal(n: int, r: int, p: float) -> Fraction:

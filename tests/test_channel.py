@@ -19,9 +19,10 @@ from algwatchdog.channel import (
     masks_from_words,
     noise_mask,
     radius_for_epsilon,
+    stream_bytes,
     transmit,
 )
-from oracles import binomial_cdf_pascal, noise_mask_per_bit, radius_oracle_suite, radius_pascal
+from oracles import binomial_cdf_pascal, radius_oracle_suite, radius_pascal
 
 
 class TestTransmit:
@@ -57,16 +58,21 @@ NOISE_PROBS = [0.0, 2.0**-53, 0.1, 0.3, 0.5]
 
 
 class TestNoiseMask:
-    """Masks read from raw MT19937 words against the per-bit `random() < p` reference."""
+    """Masks read from raw MT19937 words against the per-bit scalar draw `noise_mask`: bit i set when random() < p."""
 
     @pytest.mark.parametrize("p", NOISE_PROBS)
     @pytest.mark.parametrize("n", [2, 8, 16])
     def test_equals_per_bit_reference(self, n, p):
         for seed in range(200):
-            got, want = random.Random(seed), random.Random(seed)
-            assert noise_mask(BinarySymmetricChannel(p), n, got) == noise_mask_per_bit(p, n, want)
+            read, drawn = random.Random(seed), random.Random(seed)
+            want = noise_mask(BinarySymmetricChannel(p), n, drawn)
+            got = 0
+            # as in the harness's draw step, a link with p = 0 reads no words
+            if p > 0.0:
+                got = int(masks_from_words(np.frombuffer(stream_bytes(read, 2 * n), dtype="<u4").reshape(n, 2), p))
+            assert got == want
             # the same number of outputs read (none at p = 0), so the stream goes on where it would have
-            assert got.getstate() == want.getstate()
+            assert read.getstate() == drawn.getstate()
 
     def test_threshold_is_exact_at_the_smallest_probability(self):
         # random() is 0 for words whose kept bits are all zero and 2^-53 when
@@ -88,7 +94,7 @@ class TestNoiseMask:
             dtype=np.uint32,
         )
         streams = [random.Random(seed) for seed in range(20)]
-        want = [[noise_mask_per_bit(p, n, s) for p in probs] for s in streams]
+        want = [[noise_mask(BinarySymmetricChannel(p), n, s) for p in probs] for s in streams]
         assert masks_from_words(words, probs).tolist() == want
 
 

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algwatchdog import hashing, harness, protocol, theory, watchdog
+from algwatchdog.channel import BinarySymmetricChannel, noise_mask
 from algwatchdog.gf2n import canonical_spec
 from algwatchdog.harness import (
     ConfigError,
@@ -34,7 +35,7 @@ from algwatchdog.harness import (
     write_report,
 )
 from conftest import make_scenario, tally_json
-from oracles import json_leaves, noise_mask_per_bit
+from oracles import json_leaves
 
 
 every_adversary = pytest.mark.parametrize(
@@ -153,10 +154,13 @@ class TestRunTrials:
         assert tally_json(serial) == tally_json(parallel)
 
     def test_tally_conservation(self):
+        # each rate is its count out of the config's trials; the complement is not a leaf of its own
         cfg = small_cfg(trials=250)
         rep = run_trials(cfg)
-        assert rep.gamma["count"] + rep.gamma["accepted_count"] == cfg.trials
-        assert rep.beta["count"] + rep.beta["flagged_count"] == cfg.trials
+        for rate in (rep.gamma, rep.beta, *rep.per_watcher.values()):
+            assert rate.keys() == {"count", "trials", "estimate", "wilson_low", "wilson_high"}
+            assert 0 <= rate["count"] <= rate["trials"] == cfg.trials
+            assert rate["estimate"] == rate["count"] / cfg.trials
 
     def test_fixed_sources(self):
         cfg = small_cfg(sources={"fixed": [0x12, 0x34]}, trials=50)
@@ -384,8 +388,8 @@ class TestDrawStep:
         want = []
         for trial in range(cfg.trials):
             rng = random.Random(harness._derive_seeds(cfg.seed, (trial,), "noise")[0])
-            w1 = [noise_mask_per_bit(p, n, rng) for p in (cfg.p21, cfg.p31)]
-            want.append([w1, [noise_mask_per_bit(p, n, rng) for p in (cfg.p12, cfg.p32)]])
+            w1 = [noise_mask(BinarySymmetricChannel(p), n, rng) for p in (cfg.p21, cfg.p31)]
+            want.append([w1, [noise_mask(BinarySymmetricChannel(p), n, rng) for p in (cfg.p12, cfg.p32)]])
         assert recorded == want
         assert all(trial[0][1] == 0 for trial in recorded)
 
@@ -443,21 +447,47 @@ def test_trials_read_words_not_randrange_or_random(monkeypatch, engine, adversar
 
 
 class TestBetaBoundScope:
-    """The beta bounds hold for random_nonzero_error and d >= 2 only; elsewhere they read null."""
+    """Every predictor is about the algebraic engine's radius rule, so each report claims it only there.
 
+    The gamma budgets hold for the algebraic engine, the beta bounds for that
+    engine with random_nonzero_error and d >= 2.  The trellis engine has no
+    radius rule, and its measured rates lie above the beta bounds, so its
+    reports claim none of the five.  An unclaimed predictor reads null in the
+    JSON and an empty cell in the CSV; every report keeps the five keys.
+    """
+
+    GAMMA_KEYS = ("gamma_bound", "gamma_bound_conservative")
     BETA_KEYS = ("beta", "beta_v1", "beta_v2")
 
-    def assert_no_beta_bound(self, rep, tmp_path):
-        assert all(rep.predicted[k] is None for k in self.BETA_KEYS)
-        assert rep.predicted["gamma_bound"] == pytest.approx(0.01)
+    def assert_unclaimed(self, rep, tmp_path, keys) -> dict:
+        """The CSV cells of rep, after checking that each of keys reads null in the report, its JSON and its CSV."""
+        assert list(rep.predicted) == [*self.GAMMA_KEYS, *self.BETA_KEYS]
+        assert all(rep.predicted[k] is None for k in keys)
         doc = json.loads(report_json(rep))
-        assert all(doc["predicted"][k] is None for k in self.BETA_KEYS)
+        assert all(doc["predicted"][k] is None for k in keys)
         path = tmp_path / "report.csv"
         write_report(rep, str(path), format="csv")
         header, row = read_csv(path)
         cells = dict(zip(header, row))
-        assert all(cells["predicted." + k] == "" for k in self.BETA_KEYS)
+        assert all(cells["predicted." + k] == "" for k in keys)
+        return cells
+
+    def assert_no_beta_bound(self, rep, tmp_path):
+        cells = self.assert_unclaimed(rep, tmp_path, self.BETA_KEYS)
+        assert rep.predicted["gamma_bound"] == pytest.approx(0.01)
         assert cells["predicted.gamma_bound"] == "0.01"
+
+    @pytest.mark.parametrize("adversary", ["honest", "random_nonzero_error"])
+    def test_trellis_claims_no_bound(self, tmp_path, adversary):
+        cfg = small_cfg(engine="trellis", adversary=adversary, trials=20)
+        rep = run_trials(cfg)
+        self.assert_unclaimed(rep, tmp_path, self.GAMMA_KEYS + self.BETA_KEYS)
+        # the radii stay: exhaustive_best chooses its error by them under either engine
+        assert rep.radii == {"r12": 3, "r21": 3, "r31": 3, "r32": 3}
+        # the same point on the algebraic engine claims the gamma budgets, and the beta bounds for this adversary
+        claimed = run_trials(replace(cfg, engine="algebraic")).predicted
+        assert claimed["gamma_bound"] == pytest.approx(0.01) and claimed["gamma_bound_conservative"] == 0.02
+        assert all((claimed[k] is None) == (adversary == "honest") for k in self.BETA_KEYS)
 
     def test_constant_hash_has_no_beta_bound(self, tmp_path):
         # d = 0: every word hashes alike, so the hash never exposes the
@@ -471,7 +501,7 @@ class TestBetaBoundScope:
 
     def test_chosen_error_has_no_beta_bound(self, tmp_path):
         rep = run_trials(small_cfg(adversary={"kind": "fixed_error", "error": 1}, trials=20))
-        assert rep.beta["strategy"] == "fixed_error"
+        assert rep.config["adversary"] == {"kind": "fixed_error", "error": 1}
         self.assert_no_beta_bound(rep, tmp_path)
 
 
@@ -885,7 +915,7 @@ class TestReports:
         header, row = read_csv(out)
         # one column per leaf, named by its dotted path, in the document's order
         assert header == [key for key, _ in json_leaves(rep.to_dict())]
-        assert len(header) == 49 and "config.adversary.error" in header
+        assert len(header) == 45 and "config.adversary.error" in header
         cells = dict(zip(header, row))
         leaves = dict(json_leaves(json.loads(report_json(rep))))
         assert cells.keys() == leaves.keys()
@@ -916,10 +946,18 @@ class TestReports:
         assert header == paths + [key for key, _ in json_leaves(corrupted.to_dict()) if key not in paths]
         honest_cells, corrupted_cells = (dict(zip(header, row)) for row in rows)
         measured = [k for k in header if k.startswith(("beta.", "per_watcher."))]
-        assert len(measured) == 17
-        assert [honest_cells[k] for k in measured] == [""] * 17
+        assert len(measured) == 15
+        assert [honest_cells[k] for k in measured] == [""] * 15
         assert all(corrupted_cells[k] for k in measured)
         assert corrupted_cells["beta"] == corrupted_cells["per_watcher"] == ""
+
+    @pytest.mark.parametrize("kind", ["honest", "random_nonzero_error", "exhaustive_best"])
+    def test_strategy_spellings_give_one_report(self, kind):
+        # a kind named alone is its object form with no other field, so both give one layout
+        cfg = small_cfg(n=6, adversary=kind, trials=20)
+        rep = run_trials(cfg)
+        assert rep.config["adversary"] == {"kind": kind}
+        assert tally_json(rep) == tally_json(run_trials(replace(cfg, adversary={"kind": kind})))
 
     def test_no_path_writes_to_stdout(self, capsys):
         rep = run_trials(small_cfg(trials=5))

@@ -14,10 +14,11 @@ Three goldens at n=8, 600 algebraic, 300 trellis and 300 algebraic
 exhaustive_best trials (the last over asymmetric links), run longer than
 one 256-trial block.  Every field not named takes its SimConfig default.  Each
 golden run's JSON report is pinned by its sha256, and one CSV of two reports
-by its own.
+by its own; each report's config section, read back, reruns to the same report.
 """
 
 import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -105,40 +106,41 @@ GOLDEN = [
 ]
 
 # sha256 of each GOLDEN config's `tally_json`, its report_json with wall_time_s zeroed, in GOLDEN
-# order: the report's bytes, which a change to how reports are built or
-# serialized must not move
+# order: the report's bytes.  A change that leaves the report layout alone keeps them all.  A change
+# to the layout (a leaf added, removed or nulled) declares which leaves move and why, checks that the
+# old reports with exactly those edits give the new bytes, and re-records the digests it moves here
 REPORT_DIGESTS = [
-    "ca3f317335b9c69c65c274c071fe851209fd0e1fa0342feb09152c7c2cf79388",
-    "48ce49c85eceee4a5e4a39ba0a94566d892407348f92488dcb25182d06d5e48c",
-    "89eac58538b53526867510bd06e95f151df1e839eff4d7d36d5e7821ae177d17",
-    "6ad6a8c920c7445af2d2667a8ddc54b62b7843db62237cd754e663fe5a607ec7",
-    "31eca2d33e2e7bc8aef16a02d626cee4f4377261fdbdad2951c25d7a32d2257a",
-    "0d3a75748238a120190e191896ecdf4e72401fdaba345fca67a70559aa681f20",
-    "6820760b1a92d46bf76f04ab648ba0df173a7212e4fc1518d049c481f8cfa9ed",
-    "003a90b4844c25185cc39d1943fa30dbd42656979a9b853bd779b4eba84586d1",
-    "112261f6db72cdb666246f4ab16e6f2add08054ac636ac460fded8bf1a6355db",
-    "3aa426fd3b8dc617d1e3f1da4f8b7df118fcb4bec83906f231c27dd2eb3b2385",
-    "7eccaa29a57846537df54de3bc2ceb782126b881494c72dac6b957a44bffced2",
-    "13c487774fd5f6ad2eda1818bb465060b1994cb61131372b891a9feca48d8e26",
-    "c9957ec3e3d8a049572ae83f4b1c111e9120c87974cb0bad0981e2aff30e5db4",
-    "2954289a5864bae8e5550738575be9e963bd23b98373de8af5e81acfdde373ac",
-    "94012400acf6226e1180d30ebb0e791da7f565518333b121689aa5dedbb5b865",
-    "1cdb3d1accc60410bc16dca9a8fc06aa9d83933c99936707039a644b7e6544d5",
-    "03f0dd75343d44bcb41c77ba75715aa2d160a71682d56a53753c7210b824d306",
-    "465ed2f20a6fb1a7e819bb5fcd476a8ecd637a28a10f33ce86de32b769eb8826",
-    "f22c3ee43bd35e7b19ffdbd5794597284035576b3b3db78daa967600e3712ac0",
-    "06a600766732833be7814fa82d4011e1af75bb9fe90aef101c3b145a35d94ea5",
-    "a0a332641ebc1ce6ec0c514207e14f2544ca0d92e635b819d7719ac7951071db",
-    "0c15f590c2560d5bcca563c62f7186406d4fe74119c4a7b41ac47b8a3084e8a5",
-    "8a3ed28a12c996babd9f42f3c928f0af678b2412f0ddb04506d24838a5a3619d",
-    "eb04e057e836127510401238fe92ae82c481f0eb91e98ae429969d568a7af24a",
-    "254903246f770d3b225c1e1dd7778185b8128b1245503aecc0b11b7720a60a27",
-    "ab09b940d9000d267e0575779f82ace71168e2aa5821a405aa15bc1654a38c0f",
-    "b53a24cc16f3c38b07f82192c4f264e4b0bab68aaf1d7f0ba0a4326ae00e49f0",
-    "4466c9b55b1f1cc469a54e281443c79a9c9dd277940186ca8652903aac912886",
-    "6cb251d925213cf13a61d82db4965cb6b51cfb76da894311f7f2ef5f008d2e8b",
-    "36c16bad1b38ba2911f943895ff2324c5a12459c95e9287f915214fd47bbfa14",
-    "e701b8101a028c90ded6beaf40da21a262bb9146e1d2875f80b719e613ff8f51",
+    "f029e4d267636fa3f0a16c47f510c90e99e4ee289c0755e4f2b0f4274308e1e9",
+    "ed8471dd5eebfea2530c59dcbe7584621da36745aa0f38ca2f3f2f7653a466fb",
+    "e5fe3ed6b850c6e2ea70195fd087109228ea52fcdefc34d262caf2fccd7abc63",
+    "5da7d34b716165def751904bb1561ecd4d52e4df5715e8f21bb5dada437fad54",
+    "944efa403233e0078ba7e63a41c7aceeba76f74e00ffa2f9e4cb3c385f43a61c",
+    "468ce73f75083ca51fe8c405164ee3297d5e86636bd2f183240a510dc0398029",
+    "b593108ae32588bf4813bcf23850fd1bb47fdefb48d28533f4dd9db1b22a6f44",
+    "4a7e7f3f6e4b96e71a04fe141095a91f02d37b2d8d4997ba95ba1befcd4fc285",
+    "5a18f2c2257fe3889cff142e951ebcb5b740a6eef158813b8962cb5045df80c3",
+    "414ffaabd697ddb7c465af586b31fb6789340eccb4021fd865ca1a2509cba9b5",
+    "973a621f2e0b007f82358e004fdc739d48849cf878e36defafd8852c28f1f3de",
+    "89315512f8b093560ccc0fc399af869bdb8c38158d36af1c871e7cc82b73ea14",
+    "7f623586e06b415df76d58fa8d7cdf5f6b3b4c9be8a13dd573568ac0c70ac778",
+    "9bcf1eaeb98e02387e0c8d0ad3c689bc36e8bed2969c35c5f2295b9e6e8b211e",
+    "1158871a641f14d8c545005be707817958431a140f84a3236fe958d2027b0797",
+    "94e2e66417325657a6ef85ee3a2fd94a1c45dfafc18bbd1598d2397ea1462b06",
+    "39046586866b0b795592470522c9579675bb8dae1693cccb5668d245194cbe82",
+    "092a7edb94a697724007185d736875c6a705fbc37370e4023fe87798defbb37c",
+    "5e6eb7951764070f5161a0043e5089beee82860028a3607efaeebb6bbb17bf1c",
+    "3188343c270671b2f71062114d7eb01c11a0de4ec55f3757483ab3fefeba28f2",
+    "d0ed25745b4ab87c09f0ad1a5f22ac8d5df1503ee73d9649ad0ff2f043e8f822",
+    "c233d323049e3af254361457d635c0172f075bfa492d984309c169205470245b",
+    "141672740d66ae149b6bc2b63400a7c68f08b24b93833bab3bfde3e0c775500e",
+    "9e1d2d24dc35cb03134f5391b041db67660c17c31597382b7f1d21fc351dbf7c",
+    "7d08dde0091ccb98a3d11b2bc74de6c287eb3e9974deb50d9e78ecc02093e5e8",
+    "663c21f3c596bdd76aeca9e882abbdb7249c570a3518b3fc951206e964bc9271",
+    "7279409863afa55f5eca2d6f138dad7d597ddc27d0067353b37aeb2605451fe4",
+    "78fba18905fb0b9a5ff4b2d622b2e8174d2546aca5319a029c74ea83ef9d5a6f",
+    "335135b97ffbb1f24ed45c54fc61efb54052303d6d0a8d8cb917027e6dede299",
+    "c14d8657f9e3b0fa1d214df67d580d2576192159218064a948a3bd0757420f62",
+    "9404d74c1af85cc73132d40b421d6a83617292aa087fb103eaf6479267abf467",
 ]
 
 
@@ -188,12 +190,15 @@ def test_golden_tallies(fields, want, digest):
     else:
         got += (rep.beta["count"], rep.per_watcher["beta_v1"]["count"], rep.per_watcher["beta_v2"]["count"])
     assert got == want
-    assert hashlib.sha256(tally_json(rep).encode()).hexdigest() == digest
+    doc = tally_json(rep)
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+    # the report's config section is valid input, and it reproduces the report
+    assert tally_json(run_trials(SimConfig.from_dict(json.loads(doc)["config"]))) == doc
 
 
 def test_csv_report_bytes(tmp_path):
-    # an honest run and a fixed-error run over fixed sources spell adversary
-    # and sources differently, so the header is the union of both layouts
+    # an honest run and a fixed-error run over fixed sources: the adversary is
+    # one object column, while "uniform" and the fixed form give two sources columns
     cfgs = [
         SimConfig(adversary="honest", n=8, h=3, trials=50, seed=40),
         SimConfig(adversary={"kind": "fixed_error", "error": 5}, sources={"fixed": [0x3A, 0xC5]}, n=8, h=4, d=4,
@@ -201,8 +206,10 @@ def test_csv_report_bytes(tmp_path):
     ]
     out = tmp_path / "reports.csv"
     write_report([replace(run_trials(cfg), wall_time_s=0.0) for cfg in cfgs], str(out), format="csv")
+    header = out.read_text().splitlines()[0].split(",")
+    assert header.count("config.adversary.kind") == 1 and "config.adversary" not in header
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "d3c8b2f6d4c72cf4de92b9d0294ca5dc8b534a5eea0f5b9f13a8c7bc0745fc1a"
+        "b4fa762204c16056d856a11bc934d8811788a47af6aa406ef46621831bfa0273"
     )
 
 
