@@ -19,10 +19,12 @@ bounds what a job holds at small n, where B is never the limit: a
 blocks in order, and consecutive chunks whose configs differ only in h, seed
 and trials share them, so a block is a list of (cfg, trials) segments.
 
-Per trial, the draw step (`_draw_batch`) derives two seeds by blake2b,
-reseeds one `random.Random` with each through the C seed, and reads the two
-streams as MT19937 32-bit words.  Per block, on arrays: the draws array, the
-noise masks (`channel.masks_from_words`), the hash widths and the payloads,
+Per trial, the draw step (`_draw_batch`) derives two seeds by blake2b
+(`_derive_seeds` feeds a segment's seed once and copies that hash state for
+each trial), reseeds one `random.Random` with each through the C seed, and
+reads the two streams as MT19937 32-bit words, the draws into one flat list
+for the block.  Per block, on arrays: the draws array (that list reshaped
+once), the noise masks (`channel.masks_from_words`), the hash widths and the payloads,
 then the score step (`_score`) sums each segment's tallies.  Per sub-batch:
 the hash tables (`hashing.hash_tables`, in the log domain, each row cut to
 its segment's h), the errors of the exhaustive_best adversary, which draws
@@ -30,7 +32,7 @@ none (`protocol.best_errors`), each watcher's views as one row of words per
 trial (`protocol.view_rows`), and one array kernel: `watchdog.trellis_batch`
 compares the trellis path-sum with the threshold, and
 `watchdog.algebraic_batch` applies the paper's empty-intersection rule at
-each watcher's (peer, relay) radii.  Each trial is keyed by (seed, trial
+each watcher's (peer, relay) radii, in one pass over all the views.  Each trial is keyed by (seed, trial
 index), so neither size moves a draw or a tally.  The radii are selected
 once for each group of chunks that share blocks, with the group's links and
 strategy.
@@ -277,10 +279,17 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
 def _derive_seeds(seed: int, trials, key: str) -> list[int]:
     """The seeds of one of the trials' streams: blake2b of the parts' reprs, each followed by a NUL.
 
-    The parts around the trial index are encoded once per call.
+    The parts around the trial index are encoded once per call, and the
+    hash state fed the seed's part is copied for each trial: blake2b
+    streams its input, so the digests are those of the whole message.
     """
-    head, tail = f"{seed!r}\x00".encode(), f"\x00{key!r}\x00".encode()
-    return [int.from_bytes(blake2b(b"%b%d%b" % (head, t, tail), digest_size=8).digest(), "little") for t in trials]
+    head, tail = blake2b(f"{seed!r}\x00".encode(), digest_size=8), f"\x00{key!r}\x00".encode()
+    seeds = []
+    for t in trials:
+        state = head.copy()
+        state.update(b"%d%b" % (t, tail))
+        seeds.append(int.from_bytes(state.digest(), "little"))
+    return seeds
 
 
 # a block draws at most this many trials, and a sub-batch of its rows holds at most this many hash-table
@@ -334,14 +343,15 @@ def _draw_batch(
     # x1 and x2 unless fixed, a1 - 1 and a2 - 1 (randrange(1, order)), then a_0..a_d
     bounds = [order] * (2 - len(fixed)) + [order - 1] * 2 + [order] * (cfg.d + 1)
     reseed, draws_below, draw_error = super(random.Random, rng).seed, protocol.draws_below, protocol.draw_error
+    # one flat list of every trial's row, reshaped once
     draws = []
     for seed in (s for c, trials in segments for s in _derive_seeds(c.seed, trials, "draw")):
         reseed(seed)
-        row = fixed + draws_below(rng, bounds)
+        draws += fixed
+        draws += draws_below(rng, bounds)
         if drawn_error:
-            row.append(draw_error(strategy, spec, rng))
-        draws.append(row)
-    draws = np.array(draws, dtype=np.int64)
+            draws.append(draw_error(strategy, spec, rng))
+    draws = np.array(draws, dtype=np.int64).reshape(-1, len(fixed) + len(bounds) + drawn_error)
     draws[:, 2:4] += 1
     probs = [chan.p for link in links for chan in link]
     live = [i for i, p in enumerate(probs) if p > 0.0]

@@ -6,8 +6,9 @@ radius of the overheard peer payload, its relay candidates the words that
 carry the relay's hash within the relay radius of the overheard relay
 payload.  It pushes the peer candidates through the known coding map and
 flags the relay when no image is a relay candidate.  `algebraic_batch`
-applies the rule to a batch of trials on arrays, and `relay_word_survivors`
-counts its survivors for every relay word.
+applies the rule to a batch of trials on arrays, in one pass over every
+watcher's views, and `relay_word_survivors` counts its survivors for every
+relay word from the same pass.
 
 The trellis engine scores the same observation as a four-layer path-sum:
 overheard-peer vertex -> peer candidates -> coded images -> overheard-relay
@@ -110,21 +111,27 @@ def algebraic_check(obs: Observation, radius_override: int | None = None) -> Ver
     )
 
 
-def _coded_images(spec: FieldSpec, tables: np.ndarray, rows: np.ndarray, r_peer: int) -> tuple[np.ndarray, np.ndarray]:
-    """One watcher's peer side in B trials: (row, image) per peer candidate x, trial by trial.
+def _coded_images(spec: FieldSpec, tables: np.ndarray, words: np.ndarray, peer_radii: Sequence[int]):
+    """Every view's peer side in one pass: (view row, image) per peer candidate x, in view-row order.
 
-    tables is the stacked tables, flattened; of rows (B, 5 + 2A) only the
-    peer side is read.  x is a word within r_peer of trial row's noisy peer
-    payload that carries the peer hash, and image is own_coeff*own_value +
-    peer_coeff*x.
+    Of words (B, W, 5 + 2A) only the peer side is read, and tables is flat.
+    x carries view row b·W + w's peer hash within peer_radii[w] of its noisy
+    peer payload; image is the table index (b << n) | (own_coeff*own_value +
+    peer_coeff*x).  Balls are gathered at the largest radius, and a smaller
+    one keeps a prefix: `ball_offsets` is ordered by weight.
     """
-    n = spec.n
-    own, own_coeff, peer_coeff, peer_hash, noisy_peer = rows[:, :5].T
-    # ball[b] = (b, noisy_peer[b] ^ offset) as an index into the stacked tables
-    ball = (np.arange(len(rows)) << n | noisy_peer)[:, None] ^ ball_offsets(n, r_peer)
-    row, col = np.nonzero(tables.take(ball) == peer_hash[:, None])
-    cand = ball[row, col] & (spec.order - 1)
-    return row, spec.mul_words(own_coeff, own)[row] ^ spec.mul_words(peer_coeff[row], cand)
+    n, watchers = spec.n, words.shape[1]
+    own, own_coeff, peer_coeff, peer_hash, noisy_peer = words[:, :, :5].reshape(-1, 5).T
+    base, offsets = np.arange(len(words)).repeat(watchers) << n, ball_offsets(n, max(peer_radii))
+    ball = (base | noisy_peer)[:, None] ^ offsets
+    # the tables are uint16; comparing them with int64 would cast every entry
+    found = np.flatnonzero(tables.take(ball) == peer_hash.astype(np.uint16)[:, None])
+    row, volumes = found // len(offsets), [len(ball_offsets(n, r)) for r in peer_radii]
+    if min(volumes) < len(offsets):
+        keep = found - row * len(offsets) < np.take(volumes, row % watchers)
+        found, row = found[keep], row[keep]
+    cand = ball.take(found) & (spec.order - 1)
+    return row, base[row] | spec.mul_words(own_coeff, own)[row] ^ spec.mul_words(peer_coeff[row], cand)
 
 
 # a chunk of images x relay-ball offsets holds at most this many words: a
@@ -139,34 +146,30 @@ def relay_word_survivors(
     """The algebraic rule's survivor count for every relay word, each overheard without noise, in B trials.
 
     Read as `algebraic_batch` reads its arguments, but of words only the
-    peer side.  counts is (B, W, 2^n): counts[b, w, c] is the number of
-    watcher w's peer candidates in trial b whose image is a relay candidate
-    when the relay sends c and watcher w overhears c: the images that carry
-    c's hash within the relay radius of c.  Counted from the image side:
-    image x survives for every c of its relay ball with h(c) = h(x); the
-    images are distinct, so each (x, c) pair counts once.
+    peer side, found in the same one pass.  counts is (B, W, 2^n):
+    counts[b, w, c] is the number of watcher w's peer candidates in trial b
+    whose image is a relay candidate when the relay sends c and watcher w
+    overhears c, that is, carries c's hash within the relay radius of c.
+    Counted from the image side, watcher by watcher: image x survives for
+    every c of its relay ball with h(c) = h(x); the images are distinct, so
+    each (x, c) pair counts once.
     """
-    n = spec.n
-    words = np.asarray(words, dtype=np.int64)
-    batch = len(tables)
-    tables = tables.ravel()
-    counts = np.zeros((batch, len(radii), spec.order), dtype=np.int64)
-    for w, (r_peer, r_relay) in enumerate(radii):
-        row, images = _coded_images(spec, tables, words[:, w], r_peer)
-        offsets = ball_offsets(n, r_relay)
-        # (b, x) as an index into the stacked tables; x ^ offset keeps b
-        images = row << n | images
+    n, words, tables = spec.n, np.asarray(words, dtype=np.int64), tables.ravel()
+    watchers = words.shape[1]
+    row, images = _coded_images(spec, tables, words, [r_peer for r_peer, _ in radii])
+    counts = np.zeros((watchers, len(words) << n), dtype=np.int64)
+    for w, (_, r_relay) in enumerate(radii):
+        mine, offsets = images[row % watchers == w], ball_offsets(n, r_relay)
         step = max(1, _SURVIVOR_CHUNK_WORDS // len(offsets))
-        for lo in range(0, len(images), step):
-            part = images[lo : lo + step]
+        for lo in range(0, len(mine), step):
+            part = mine[lo : lo + step]
             ball = part[:, None] ^ offsets
             # compress, not a boolean index, which took 4x as long
             hit = ball.compress((tables.take(ball) == tables.take(part)[:, None]).ravel())
-            # rows come in trial order, so the chunk counts over its own trials first..last alone
-            first, last = row[lo], row[lo : lo + step][-1]
-            span = counts[first : last + 1, w]
-            span += np.bincount(hit - (first << n), minlength=len(span) << n).reshape(span.shape)
-    return counts
+            # images come in trial order: the chunk counts over its own trials first..last alone
+            first, last = part[0] >> n << n, (part[-1] >> n) + 1 << n
+            counts[w, first:last] += np.bincount(hit - first, minlength=last - first)
+    return counts.reshape(watchers, len(words), spec.order).transpose(1, 0, 2)
 
 
 def algebraic_batch(
@@ -182,29 +185,26 @@ def algebraic_batch(
     accepted[b, w, a] is True exactly when that number is nonzero, the
     paper's rule.
 
-    Each watcher's peer ball is noisy_peer ^ `ball_offsets`, one row per
-    trial, and hash membership is one gather from the hash tables.  The
-    coded images of the peer candidates are computed once and shared by the
-    arms.  The relay ball is never enumerated: image x survives an arm iff
-    h(x) is the arm's relay hash and x lies within the relay radius of the
-    noisy relay payload, that is, iff x is one of the arm's relay
-    candidates.  With a nonzero peer coefficient (a `Scenario` has no
-    other), x -> own_coeff*own_value + peer_coeff*x is a bijection, so the
-    images are distinct and their count is the size of the intersection of
-    the images with the relay candidates.  Every step is integer arithmetic.
+    One pass over the B·W views, row b·W + w as in `trellis_batch`, finds
+    every peer candidate: a ball per view (noisy_peer ^ `ball_offsets`),
+    one gather from the hash tables, one `np.flatnonzero`.  The arms share
+    the coded images, and no relay ball is enumerated: image x survives an
+    arm iff it carries the arm's relay hash and lies within the relay
+    radius of the noisy relay payload, tested only where the hash matches.
+    With a nonzero peer coefficient (a `Scenario` has no other), x ->
+    own_coeff*own_value + peer_coeff*x is a bijection, so the images are
+    distinct and their count is the size of their intersection with the
+    relay candidates.  Every step is integer arithmetic.
     """
-    n = spec.n
-    words = np.asarray(words, dtype=np.int64)
-    batch, arms = len(tables), (words.shape[2] - 5) // 2
-    tables = tables.ravel()
-    surviving = np.empty((batch, len(radii), arms), dtype=np.int64)
-    for w, (r_peer, r_relay) in enumerate(radii):
-        relay_hash, noisy_relay = words[:, w, 5::2], words[:, w, 6::2]
-        row, images = _coded_images(spec, tables, words[:, w], r_peer)
-        hit = tables.take(row << n | images)[:, None] == relay_hash[row]
-        hit &= np.bitwise_count(images[:, None] ^ noisy_relay[row]) <= r_relay
-        k, arm = np.nonzero(hit)
-        surviving[:, w] = np.bincount(row[k] * arms + arm, minlength=batch * arms).reshape(batch, arms)
+    words, tables = np.asarray(words, dtype=np.int64), tables.ravel()
+    watchers, arms = words.shape[1], (words.shape[2] - 5) // 2
+    peer_radii, relay_radii = zip(*radii)
+    row, images = _coded_images(spec, tables, words, peer_radii)
+    relay_hash, noisy_relay = (words[:, :, 5 + i :: 2].reshape(-1, arms).T for i in (0, 1))
+    arm, k = np.nonzero(tables.take(images) == relay_hash.astype(np.uint16).take(row, axis=1))
+    r = row[k]
+    near = np.bitwise_count((images[k] ^ noisy_relay[arm, r]) & (spec.order - 1)) <= np.take(relay_radii, r % watchers)
+    surviving = np.bincount(r[near] * arms + arm[near], minlength=relay_hash.size).reshape(-1, watchers, arms)
     return surviving > 0, surviving
 
 

@@ -428,6 +428,16 @@ class TestDrawStep:
         assert harness._derive_seeds(0, (0,), "draw")[0] == 16436181301074276647
         assert harness._derive_seeds(42, (12345,), "noise")[0] == 7579827467035994739
         assert harness._derive_seeds(2**40 + 7, (999999,), "draw")[0] == 10190733824899363748
+        assert harness._derive_seeds(-5, (0,), "draw") == [180879222391550339]
+        assert harness._derive_seeds(-5, (0,), "noise") == [9819889769588388748]
+        assert harness._derive_seeds(2**64 + 3, (7,), "draw") == [11854660911011339015]
+        assert harness._derive_seeds(2**64 + 3, (7,), "noise") == [18057870297591303018]
+        assert harness._derive_seeds(11, range(3, 7), "draw") == [
+            16998858423025457137, 13811183289936775497, 2332314176607253421, 8039776018065531852
+        ]
+        assert harness._derive_seeds(11, range(3, 7), "noise") == [
+            8137180309459032341, 17940563599397963334, 17354943151713518021, 7361405174372206004
+        ]
 
 
 @pytest.mark.parametrize("engine", ["algebraic", "trellis"])
@@ -750,8 +760,11 @@ class TestMemory:
             # 0.52 MB: one trial per sub-batch at n = 16; the 2^18-word cap
             # holds 4, so 4x that figure, +25%
             (dict(n=16, h=8, trials=64), 2.6),
+            # 0.54 MB: one 150-trial sub-batch at n = 8; the kernel holds both
+            # watchers' (150, 93) peer balls at once, where it held one, +50%
+            (dict(n=8, h=3, trials=150), 0.8),
         ],
-        ids=["trellis-n2", "exhaustive-n10", "exhaustive-n12", "alg16"],
+        ids=["trellis-n2", "exhaustive-n10", "exhaustive-n12", "alg16", "alg8"],
     )
     def test_call_peak_within_bound(self, fields, bound):
         assert self.peak_mb(small_cfg(seed=3, **fields)) <= bound

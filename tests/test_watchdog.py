@@ -383,6 +383,47 @@ class TestAlgebraicBatch:
         count = max(1, min(4, (1 << 16) >> n))
         self.assert_matches_scan(harness_trials(random.Random(seed), n, h, d, probs, epsilon, count, arms))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 6),
+        d=st.integers(0, 3),
+        watchers=st.integers(1, 2),
+        arms=st.integers(1, 2),
+        seed=st.integers(0, 2**32),
+    )
+    def test_unequal_radii_equal_field_scan(self, data, n, d, watchers, arms, seed):
+        # free views, not one network's: each watcher has its own peer side
+        # and radii, 0 and n among them, and d = 0 hashes every word alike;
+        # both kernels against the scan, relay_word_survivors relay word by relay word
+        h = data.draw(st.integers(1, n), label="h")
+        radius = st.one_of(st.sampled_from([0, n]), st.integers(0, n))
+        radii = data.draw(st.lists(st.tuples(radius, radius), min_size=watchers, max_size=watchers), label="radii")
+        spec, rng = canonical_spec(n), random.Random(seed)
+
+        def word():
+            return rng.randrange(spec.order)
+
+        def views(hf):
+            own, own_coeff, peer_coeff, peer = word(), 1 + word() % (spec.order - 1), 1 + word() % (spec.order - 1), word()
+            noisy_peer = peer ^ word() & word()
+            return [make_obs(spec, hf, own, own_coeff, peer_coeff, peer, word(), noisy_peer, word()) for _ in range(arms)]
+
+        trials = [(hf, [views(hf) for _ in range(watchers)]) for hf in (sample(rng, d, spec, h) for _ in range(2))]
+        tables = np.stack([hf.table for hf, _ in trials])
+        words = [[view_row(*arm_views) for arm_views in trial_views] for _, trial_views in trials]
+        accepted, surviving = algebraic_batch(spec, tables, words, radii)
+        counts = relay_word_survivors(spec, tables, words, radii)
+        assert surviving.shape == (2, watchers, arms) and counts.shape == (2, watchers, spec.order)
+        for b, (hf, trial_views) in enumerate(trials):
+            for w, (arm_views, r) in enumerate(zip(trial_views, radii)):
+                for a, obs in enumerate(arm_views):
+                    want = survivors_by_scan(obs, *r)
+                    assert surviving[b, w, a] == want and accepted[b, w, a] == (want > 0)
+                for c in range(spec.order):
+                    one = dataclasses.replace(arm_views[0], relay_hash=hf.table.item(c), noisy_relay=c)
+                    assert counts[b, w, c] == survivors_by_scan(one, *r)
+
     def test_empty_peer_candidate_set(self):
         # noiseless links give radius 0, so a peer payload overheard with a
         # flipped bit that changes its hash leaves watcher 1 no candidate
