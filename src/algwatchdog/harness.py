@@ -24,18 +24,18 @@ Per trial, the draw step (`_draw_batch`) derives two seeds by blake2b
 each trial), reseeds one `random.Random` with each through the C seed, and
 reads the two streams as MT19937 32-bit words, the draws into one flat list
 for the block.  Per block, on arrays: the draws array (that list reshaped
-once), the noise masks (`channel.masks_from_words`), the hash widths and the payloads,
-then the score step (`_score`) sums each segment's tallies.  Per sub-batch:
-the hash tables (`hashing.hash_tables`, in the log domain, each row cut to
-its segment's h), the errors of the exhaustive_best adversary, which draws
-none (`protocol.best_errors`), each watcher's views as one row of words per
-trial (`protocol.view_rows`), and one array kernel: `watchdog.trellis_batch`
-compares the trellis path-sum with the threshold, and
-`watchdog.algebraic_batch` applies the paper's empty-intersection rule at
-each watcher's (peer, relay) radii, in one pass over all the views.  Each trial is keyed by (seed, trial
-index), so neither size moves a draw or a tally.  The radii are selected
-once for each group of chunks that share blocks, with the group's links and
-strategy.
+once), the noise masks (`channel.masks_from_words`), the hash widths and
+the payloads, then the score step (`_score`) sums each segment's tallies.
+Per sub-batch: the hash tables (`hashing.hash_tables`, in the log domain,
+each row cut to its segment's h), the errors of the exhaustive_best
+adversary, which draws none (`protocol.best_errors`), each watcher's views
+as one row of words per trial (`protocol.view_rows`), and one array kernel:
+`watchdog.trellis_batch` compares the trellis path-sum with the threshold,
+and `watchdog.algebraic_batch` applies the paper's empty-intersection rule at
+each watcher's (peer, relay) radii, in one pass over all the views.  Each
+trial is keyed by (seed, trial index), so neither size moves a draw or a
+tally.  The radii are selected once for each group of chunks that share
+blocks, with the group's links and strategy.
 
 `run_trials` and `sweep` share one run path and one plan: their trials run as
 (cfg, lo, hi) chunks, job k holds chunk k of every config, and the jobs'
@@ -343,7 +343,6 @@ def _draw_batch(
     # x1 and x2 unless fixed, a1 - 1 and a2 - 1 (randrange(1, order)), then a_0..a_d
     bounds = [order] * (2 - len(fixed)) + [order - 1] * 2 + [order] * (cfg.d + 1)
     reseed, draws_below, draw_error = super(random.Random, rng).seed, protocol.draws_below, protocol.draw_error
-    # one flat list of every trial's row, reshaped once
     draws = []
     for seed in (s for c, trials in segments for s in _derive_seeds(c.seed, trials, "draw")):
         reseed(seed)
