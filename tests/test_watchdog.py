@@ -405,18 +405,22 @@ class TestAlgebraicBatch:
             return rng.randrange(spec.order)
 
         def views(hf):
-            own, own_coeff, peer_coeff, peer = word(), 1 + word() % (spec.order - 1), 1 + word() % (spec.order - 1), word()
+            own, peer = word(), word()
+            own_coeff, peer_coeff = (1 + word() % (spec.order - 1) for _ in range(2))
             noisy_peer = peer ^ word() & word()
-            return [make_obs(spec, hf, own, own_coeff, peer_coeff, peer, word(), noisy_peer, word()) for _ in range(arms)]
+            # the arms share the peer side; each has its own relay word and overheard relay payload
+            return [
+                make_obs(spec, hf, own, own_coeff, peer_coeff, peer, word(), noisy_peer, word()) for _ in range(arms)
+            ]
 
         trials = [(hf, [views(hf) for _ in range(watchers)]) for hf in (sample(rng, d, spec, h) for _ in range(2))]
         tables = np.stack([hf.table for hf, _ in trials])
-        words = [[view_row(*arm_views) for arm_views in trial_views] for _, trial_views in trials]
+        words = [[view_row(*arm_views) for arm_views in slots] for _, slots in trials]
         accepted, surviving = algebraic_batch(spec, tables, words, radii)
         counts = relay_word_survivors(spec, tables, words, radii)
         assert surviving.shape == (2, watchers, arms) and counts.shape == (2, watchers, spec.order)
-        for b, (hf, trial_views) in enumerate(trials):
-            for w, (arm_views, r) in enumerate(zip(trial_views, radii)):
+        for b, (hf, slots) in enumerate(trials):
+            for w, (arm_views, r) in enumerate(zip(slots, radii)):
                 for a, obs in enumerate(arm_views):
                     want = survivors_by_scan(obs, *r)
                     assert surviving[b, w, a] == want and accepted[b, w, a] == (want > 0)
