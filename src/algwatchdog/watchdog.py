@@ -126,9 +126,9 @@ def _coded_images(spec: FieldSpec, tables: np.ndarray, words: np.ndarray, peer_r
     ball = (base | noisy_peer)[:, None] ^ offsets
     # the tables are uint16; comparing them with int64 would cast every entry
     found = np.flatnonzero(tables.take(ball) == peer_hash.astype(np.uint16)[:, None])
-    row, volumes = found // len(offsets), [len(ball_offsets(n, r)) for r in peer_radii]
-    if min(volumes) < len(offsets):
-        keep = found - row * len(offsets) < np.take(volumes, row % watchers)
+    row = found // len(offsets)
+    if min(peer_radii) < max(peer_radii):
+        keep = found - row * len(offsets) < np.take([len(ball_offsets(n, r)) for r in peer_radii], row % watchers)
         found, row = found[keep], row[keep]
     cand = ball.take(found) & (spec.order - 1)
     return row, base[row] | spec.mul_words(own_coeff, own)[row] ^ spec.mul_words(peer_coeff[row], cand)
