@@ -19,22 +19,21 @@ bounds what a job holds at small n, where B is never the limit: a
 blocks in order, and consecutive chunks whose configs differ only in h, seed
 and trials share them, so a block is a list of (cfg, trials) segments.
 
-Per trial, the draw step (`_draw_batch`) derives two seeds by blake2b
-(`_derive_seeds` feeds a segment's seed once and copies that hash state for
-each trial), reseeds one `random.Random` with each through the C seed, and
-reads the two streams as MT19937 32-bit words, the draws into one flat list
-for the block.  Per block, on arrays: the draws array (that list reshaped
-once), the noise masks (`channel.masks_from_words`), the hash widths and
-the payloads, then the score step (`_score`) sums each segment's tallies.
-Per sub-batch: the hash tables (`hashing.hash_tables`, in the log domain,
-each row cut to its segment's h), the errors of the exhaustive_best
-adversary, which draws none (`protocol.best_errors`), each watcher's views
-as one row of words per trial (`protocol.view_rows`), and one array kernel:
-`watchdog.trellis_batch` compares the trellis path-sum with the threshold,
-and `watchdog.algebraic_batch` applies the paper's empty-intersection rule at
-each watcher's (peer, relay) radii, in one pass over all the views.  Each
-trial is keyed by (seed, trial index), so neither size moves a draw or a
-tally.  The radii are selected once for each group of chunks that share
+Per trial, the draw step (`_draw_batch`) derives two seeds by blake2b,
+reseeds one `random.Random` with each through the C seed, and reads the two
+streams as MT19937 32-bit words, appended to one flat list per block.  Per
+block, on arrays: the draws array (that list reshaped once), the noise
+masks (`channel.masks_from_words`), the hash widths and the payloads, then
+the score step (`_score`) sums each segment's tallies.  Per sub-batch: the
+hash tables (`hashing.hash_tables`, in the log domain, each row cut to its
+segment's h), the errors of the exhaustive_best adversary, which draws none
+(`protocol.best_errors`), each watcher's views as one row of words per
+trial (`protocol.view_rows`), and one array kernel: `watchdog.trellis_batch`
+compares the trellis path-sum with the threshold, and
+`watchdog.algebraic_batch` applies the paper's empty-intersection rule at
+each watcher's (peer, relay) radii, in one pass per distinct peer radius.
+Each trial is keyed by (seed, trial index), so neither size moves a draw or
+a tally.  The radii are selected once for each group of chunks that share
 blocks, with the group's links and strategy.
 
 `run_trials` and `sweep` share one run path and one plan: their trials run as
@@ -279,17 +278,10 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
 def _derive_seeds(seed: int, trials, key: str) -> list[int]:
     """The seeds of one of the trials' streams: blake2b of the parts' reprs, each followed by a NUL.
 
-    The parts around the trial index are encoded once per call, and the
-    hash state fed the seed's part is copied for each trial: blake2b
-    streams its input, so the digests are those of the whole message.
+    The parts around the trial index are encoded once per call.
     """
-    head, tail = blake2b(f"{seed!r}\x00".encode(), digest_size=8), f"\x00{key!r}\x00".encode()
-    seeds = []
-    for t in trials:
-        state = head.copy()
-        state.update(b"%d%b" % (t, tail))
-        seeds.append(int.from_bytes(state.digest(), "little"))
-    return seeds
+    head, tail = f"{seed!r}\x00".encode(), f"\x00{key!r}\x00".encode()
+    return [int.from_bytes(blake2b(b"%b%d%b" % (head, t, tail), digest_size=8).digest(), "little") for t in trials]
 
 
 # a block draws at most this many trials, and a sub-batch of its rows holds at most this many hash-table

@@ -6,9 +6,8 @@ radius of the overheard peer payload, its relay candidates the words that
 carry the relay's hash within the relay radius of the overheard relay
 payload.  It pushes the peer candidates through the known coding map and
 flags the relay when no image is a relay candidate.  `algebraic_batch`
-applies the rule to a batch of trials on arrays, in one pass over every
-watcher's views, and `relay_word_survivors` counts its survivors for every
-relay word from the same pass.
+applies the rule to a batch of trials on arrays, and `relay_word_survivors`
+counts its survivors for every relay word, from the same peer candidates.
 
 The trellis engine scores the same observation as a four-layer path-sum:
 overheard-peer vertex -> peer candidates -> coded images -> overheard-relay
@@ -112,25 +111,26 @@ def algebraic_check(obs: Observation, radius_override: int | None = None) -> Ver
 
 
 def _coded_images(spec: FieldSpec, tables: np.ndarray, words: np.ndarray, peer_radii: Sequence[int]):
-    """Every view's peer side in one pass: (view row, image) per peer candidate x, in view-row order.
+    """Every view's peer side: (view row, image) per peer candidate x, each watcher's in trial order.
 
     Of words (B, W, 5 + 2A) only the peer side is read, and tables is flat.
     x carries view row b·W + w's peer hash within peer_radii[w] of its noisy
     peer payload; image is the table index (b << n) | (own_coeff*own_value +
-    peer_coeff*x).  Balls are gathered at the largest radius, and a smaller
-    one keeps a prefix: `ball_offsets` is ordered by weight.
+    peer_coeff*x).  The views of one peer radius are read in one pass: a
+    ball per view (noisy_peer ^ `ball_offsets`), one gather, one flatnonzero.
     """
     n, watchers = spec.n, words.shape[1]
     own, own_coeff, peer_coeff, peer_hash, noisy_peer = words[:, :, :5].reshape(-1, 5).T
-    base, offsets = np.arange(len(words)).repeat(watchers) << n, ball_offsets(n, max(peer_radii))
-    ball = (base | noisy_peer)[:, None] ^ offsets
-    # the tables are uint16; comparing them with int64 would cast every entry
-    found = np.flatnonzero(tables.take(ball) == peer_hash.astype(np.uint16)[:, None])
-    row = found // len(offsets)
-    if min(peer_radii) < max(peer_radii):
-        keep = found - row * len(offsets) < np.take([len(ball_offsets(n, r)) for r in peer_radii], row % watchers)
-        found, row = found[keep], row[keep]
-    cand = ball.take(found) & (spec.order - 1)
+    base = np.arange(len(words)).repeat(watchers) << n
+    rows, cands = [], []
+    for r in sorted(set(peer_radii)):
+        views, offsets = np.flatnonzero(np.tile(np.equal(peer_radii, r), len(words))), ball_offsets(n, r)
+        ball = (base | noisy_peer)[views, None] ^ offsets
+        # the tables are uint16; comparing them with int64 would cast every entry
+        found = np.flatnonzero(tables.take(ball) == peer_hash.astype(np.uint16)[views, None])
+        rows.append(views[found // len(offsets)])
+        cands.append(ball.take(found))
+    row, cand = np.concatenate(rows), np.concatenate(cands) & (spec.order - 1)
     return row, base[row] | spec.mul_words(own_coeff, own)[row] ^ spec.mul_words(peer_coeff[row], cand)
 
 
@@ -146,7 +146,7 @@ def relay_word_survivors(
     """The algebraic rule's survivor count for every relay word, each overheard without noise, in B trials.
 
     Read as `algebraic_batch` reads its arguments, but of words only the
-    peer side, found in the same one pass.  counts is (B, W, 2^n):
+    peer side, found by the same helper.  counts is (B, W, 2^n):
     counts[b, w, c] is the number of watcher w's peer candidates in trial b
     whose image is a relay candidate when the relay sends c and watcher w
     overhears c, that is, carries c's hash within the relay radius of c.
@@ -154,10 +154,9 @@ def relay_word_survivors(
     every c of its relay ball with h(c) = h(x); the images are distinct, so
     each (x, c) pair counts once.
     """
-    n, words, tables = spec.n, np.asarray(words, dtype=np.int64), tables.ravel()
-    watchers = words.shape[1]
+    n, watchers, words, tables = spec.n, len(radii), np.asarray(words, dtype=np.int64), tables.ravel()
     row, images = _coded_images(spec, tables, words, [r_peer for r_peer, _ in radii])
-    counts = np.zeros((watchers, len(words) << n), dtype=np.int64)
+    counts = np.zeros((len(words), watchers, spec.order), dtype=np.int64)
     for w, (_, r_relay) in enumerate(radii):
         mine, offsets = images[row % watchers == w], ball_offsets(n, r_relay)
         step = max(1, _SURVIVOR_CHUNK_WORDS // len(offsets))
@@ -167,9 +166,10 @@ def relay_word_survivors(
             # compress, not a boolean index, which took 4x as long
             hit = ball.compress((tables.take(ball) == tables.take(part)[:, None]).ravel())
             # images come in trial order: the chunk counts over its own trials first..last alone
-            first, last = part[0] >> n << n, (part[-1] >> n) + 1 << n
-            counts[w, first:last] += np.bincount(hit - first, minlength=last - first)
-    return counts.reshape(watchers, len(words), spec.order).transpose(1, 0, 2)
+            first, last = part[0] >> n, (part[-1] >> n) + 1
+            span = counts[first:last, w]
+            span += np.bincount(hit - (first << n), minlength=(last - first) << n).reshape(span.shape)
+    return counts
 
 
 def algebraic_batch(
@@ -185,12 +185,12 @@ def algebraic_batch(
     accepted[b, w, a] is True exactly when that number is nonzero, the
     paper's rule.
 
-    One pass over the B·W views, row b·W + w as in `trellis_batch`, finds
-    every peer candidate: a ball per view (noisy_peer ^ `ball_offsets`),
-    one gather from the hash tables, one `np.flatnonzero`.  The arms share
-    the coded images, and no relay ball is enumerated: image x survives an
-    arm iff it carries the arm's relay hash and lies within the relay
-    radius of the noisy relay payload, tested only where the hash matches.
+    The peer candidates of all B·W views, row b·W + w as in `trellis_batch`,
+    are found in one pass per distinct peer radius, one on a network whose
+    peer links are alike.  The arms share the coded images, and no relay
+    ball is enumerated: image x survives an arm iff it carries the arm's
+    relay hash and lies within the relay radius of the noisy relay payload,
+    tested only where the hash matches.
     With a nonzero peer coefficient (a `Scenario` has no other), x ->
     own_coeff*own_value + peer_coeff*x is a bijection, so the images are
     distinct and their count is the size of their intersection with the
