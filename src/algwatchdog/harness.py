@@ -278,10 +278,17 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
 def _derive_seeds(seed: int, trials, key: str) -> list[int]:
     """The seeds of one of the trials' streams: blake2b of the parts' reprs, each followed by a NUL.
 
-    The parts around the trial index are encoded once per call.
+    The parts around the trial index are encoded once per call, and the
+    hash state fed the seed's part is copied for each trial: blake2b
+    streams its input, so the digests are those of the whole message.
     """
-    head, tail = f"{seed!r}\x00".encode(), f"\x00{key!r}\x00".encode()
-    return [int.from_bytes(blake2b(b"%b%d%b" % (head, t, tail), digest_size=8).digest(), "little") for t in trials]
+    head, tail = blake2b(f"{seed!r}\x00".encode(), digest_size=8), f"\x00{key!r}\x00".encode()
+    seeds = []
+    for t in trials:
+        state = head.copy()
+        state.update(b"%d%b" % (t, tail))
+        seeds.append(int.from_bytes(state.digest(), "little"))
+    return seeds
 
 
 # a block draws at most this many trials, and a sub-batch of its rows holds at most this many hash-table
