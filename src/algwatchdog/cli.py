@@ -79,19 +79,18 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("--config", required=True)
     si.add_argument("--seed", type=int)
     si.add_argument("--trials", type=int)
-    si.add_argument("--out")
-    si.add_argument("--format", choices=("json", "csv"), default="json")
-    si.add_argument("--workers", type=int, default=1)
     si.set_defaults(fn=_cmd_simulate)
 
     sw = sub.add_parser("sweep", help="run a series of experiments along one config axis")
     sw.add_argument("--config", required=True)
     sw.add_argument("--axis", required=True)
     sw.add_argument("--values", required=True)
-    sw.add_argument("--out")
-    sw.add_argument("--format", choices=("json", "csv"), default="json")
-    sw.add_argument("--workers", type=int, default=1)
     sw.set_defaults(fn=_cmd_sweep)
+    for run in (si, sw):
+        run.add_argument("--out")
+        run.add_argument("--format", choices=("json", "csv"), default="json")
+        run.add_argument("--workers", type=int, default=1, metavar="N",
+                         help="N jobs, run on min(N, usable cores) processes counting the caller")
     return p
 
 

@@ -41,8 +41,8 @@ blocks, with the group's links and strategy.
 results are read in order.  Serially each config is one chunk, and the one
 job runs through the builtin `map` in this process.  With workers > 1 and a
 config of 2 * workers trials or more, the call pools: every config is cut
-into `workers` near-equal chunks, and the `workers` jobs go through
-`ProcessPoolExecutor.map` on the process's one pool, however many points a
+into `workers` near-equal chunks, and job k runs on process k mod S of the
+one pool of S = min(workers, usable cores) processes, however many points a
 sweep has.  `write_report` writes the result to a file or to stdout as JSON,
 or as CSV: one column per leaf of the JSON document, named by its dotted path
 (`config.n`, `per_watcher.beta_v1.count`).  Both serialize `SimReport.to_dict`,
@@ -52,21 +52,18 @@ fields that kind uses.  Every `predicted` bound is about the algebraic
 engine's radius rule, so a trellis report claims none (null); `radii` is
 written for both engines, as exhaustive_best chooses its error by them.
 
-The pool lives as long as the process.  The first pooled call starts it,
-with min(workers, usable cores) worker processes (the chunk plan still
-follows `workers`), and later calls of the same size reuse it; a call of
-another size replaces it.  A call that fails shuts it down, so the next
-one starts afresh; a call that finds it broken before reading any result
-(a worker died while it sat idle) replaces it once and reruns.  Its
-workers hold their own copy of this module, taken when the pool starts
-(forked) or imported afresh (spawned): a change made here after the pool
-started, such as a monkeypatch, never reaches them.  Idle workers stay
-until the process exits, where the exit hook of `concurrent.futures`
-joins them; this module's own exit hook then drops the pool.  Pooled calls
-from several threads run one at a time.  A process forked while the pool
-exists starts its own.  Only processes that make repeated pooled calls
-gain; a one-shot CLI run still pays one start-up.  `concurrent.futures` is
-imported by the first pooled call, so a serial run never loads it.
+The pool is the calling process and S - 1 workers, each serving jobs over
+its own `multiprocessing.Pipe`: a pooled call sends the workers their jobs,
+runs its own share, then reads their tallies or exceptions in job order.  It
+lives until the process exits, a call needs another size, or a call fails (a
+job raises, a worker dies, an interrupt); a worker that died while the pool
+sat idle is found before the jobs go out, and the pool is replaced once.
+Workers are forked (or spawned) as the pool starts, so a later change here,
+such as a monkeypatch, reaches only the caller's share.  A worker closes the
+caller's pipe ends it inherits, so it ends with the caller however that
+exits.  A process forked while the pool exists starts its own, pooled calls
+from several threads run one at a time, and a serial run never imports
+`multiprocessing`.
 """
 
 from __future__ import annotations
@@ -86,7 +83,6 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from hashlib import blake2b
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -97,10 +93,6 @@ from .hashing import hash_tables
 # the draw step reads hash coefficients as plain ints; `sample_hash` stays
 # importable here because the benchmark's tracer wraps `harness.sample_hash`
 from .hashing import sample as sample_hash  # noqa: F401
-
-if TYPE_CHECKING:
-    # imported where a call pools (`_pool_of`, `_pooled`), so a serial run never loads the pool machinery
-    from concurrent.futures import ProcessPoolExecutor
 
 _EDGE_PROBS = ("p12", "p21", "p31", "p32")
 _INT_FIELDS = ("n", "h", "d", "trials", "seed")
@@ -339,8 +331,8 @@ def _draw_batch(
     chosen = strategy.kind == "exhaustive_best"
     drawn_error = corrupt and not chosen
     fixed = list(cfg.sources["fixed"]) if isinstance(cfg.sources, dict) else []
-    # x1 and x2 unless fixed, a1 - 1 and a2 - 1 (randrange(1, order)), then a_0..a_d
-    bounds = [order] * (2 - len(fixed)) + [order - 1] * 2 + [order] * (cfg.d + 1)
+    # x1 and x2 unless fixed, a1 - 1 and a2 - 1 (randrange(1, order)), then a_0..a_d, with their bit counts
+    bounds = [(b, b.bit_length()) for b in [order] * (2 - len(fixed)) + [order - 1] * 2 + [order] * (cfg.d + 1)]
     reseed, draws_below, draw_error = super(random.Random, rng).seed, protocol.draws_below, protocol.draw_error
     draws = []
     for seed in (s for c, trials in segments for s in _derive_seeds(c.seed, trials, "draw")):
@@ -447,8 +439,8 @@ def _chunks(trials: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
 
 
-# (pid, size, executor) of this process's pool, or None before the first pooled call
-_pool: tuple[int, int, ProcessPoolExecutor] | None = None
+# (pid, size, [(process, pipe end) of workers 1..size-1]) of this process's pool, or None before the first pooled call
+_pool: tuple[int, int, list] | None = None
 # held through a pooled call, so no thread replaces or drops a pool another is using
 _pool_lock = threading.Lock()
 
@@ -459,56 +451,73 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_of(size: int) -> ProcessPoolExecutor:
-    """This process's pool of `size` workers, started if the slot holds none of that size."""
+def _serve(conn, inherited: list) -> None:
+    """A worker: closes the caller's pipe ends a fork copied in, then sends back each job's tallies or exception."""
+    for end in inherited:
+        end.close()
+    with contextlib.suppress(EOFError, OSError):  # the caller closed the pipe
+        for job in iter(conn.recv, None):
+            try:
+                reply = _run_chunks(job)
+            except Exception as exc:  # raised by the caller
+                reply = exc
+            conn.send(reply)
+
+
+def _pool_of(size: int) -> list:
+    """The workers of this process's pool of `size` processes, started anew unless the slot holds them all alive."""
     global _pool
     pid = os.getpid()
-    if _pool is not None and _pool[:2] == (pid, size):
+    if _pool is not None and _pool[:2] == (pid, size) and all(proc.is_alive() for proc, _ in _pool[2]):
         return _pool[2]
-    from concurrent.futures import ProcessPoolExecutor
+    import multiprocessing
 
     _drop_pool()
-    ex = ProcessPoolExecutor(max_workers=size)
-    _pool = (pid, size, ex)
-    return ex
+    _pool = (pid, size, workers := [])  # filled as they start, so a failed start stops the started ones
+    for _ in range(size - 1):
+        end, child = multiprocessing.Pipe()
+        proc = multiprocessing.Process(target=_serve, args=(child, [end, *(e for _, e in workers)]), daemon=True)
+        proc.start()
+        child.close()
+        workers.append((proc, end))
+    return workers
 
 
 def _drop_pool() -> None:
-    """Empty the slot, shutting its pool down, pending jobs cancelled, if this process started it.
-
-    A forked child's slot holds its parent's pool, whose manager thread the
-    child lacks; the child leaves that pool to the parent.
-    """
+    """Empty the slot, stopping and reaping its workers if this process started them (a forked child leaves them)."""
     global _pool
-    if _pool is not None and _pool[0] == os.getpid():
-        _pool[2].shutdown(cancel_futures=True)
-    _pool = None
+    pool, _pool = _pool, None
+    for proc, _ in pool[2] if pool is not None and pool[0] == os.getpid() else ():
+        proc.terminate()
+        proc.join()
 
 
-# runs after `concurrent.futures` joins the workers; a pool left in the slot until module teardown
-# would be collected after the pool modules, imported later than this one, were cleared, and its
-# weakref callback would fail on the cleared `multiprocessing` name
 atexit.register(_drop_pool)
 
 
-def _pooled(jobs: list, size: int):
-    """The jobs' results, in order, from the process's pool of `size` workers.
+def _pooled(jobs: list, size: int) -> list:
+    """The jobs' results, in order, from the process's pool of `size` processes: job k runs on process k mod size.
 
-    A pool found broken before the first result is read broke before this
-    call could have caused it (a worker killed while the pool sat idle), so
-    it is replaced once and the jobs resubmitted; they are pure, so the
-    results are the same.
+    Process 0, this one, runs its share once every worker has been sent its jobs.  A call that fails in any way
+    (a job raises, a worker dies, an interrupt) stops the pool, and the next starts afresh.
     """
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        parts = _pool_of(size).map(_run_chunks, jobs)
-        first = next(parts)
-    except BrokenProcessPool:
-        _drop_pool()
-        parts = _pool_of(size).map(_run_chunks, jobs)
-        first = next(parts)
-    return itertools.chain([first], parts)
+    with _pool_lock:
+        try:
+            workers = _pool_of(size)
+            for k in range(len(jobs)):
+                if k % size:
+                    workers[k % size - 1][1].send(jobs[k])
+            own = iter([_run_chunks(job) for job in jobs[::size]])
+            results = [workers[k % size - 1][1].recv() if k % size else next(own) for k in range(len(jobs))]
+            for result in results:
+                if isinstance(result, Exception):
+                    raise result
+        except BaseException as exc:
+            _drop_pool()
+            if isinstance(exc, (EOFError, ConnectionError)):  # from a pipe whose worker is gone
+                raise RuntimeError("a pool worker exited during the call") from exc
+            raise
+    return results
 
 
 def _tally(cfgs: list[SimConfig], workers: int) -> list[tuple[tuple[int, int, int, int], float]]:
@@ -517,11 +526,7 @@ def _tally(cfgs: list[SimConfig], workers: int) -> list[tuple[tuple[int, int, in
     Job k holds chunk k of every config, serially and pooled alike.  Serially
     each config is one chunk, and the one job runs in this process; if
     workers > 1 and a config has 2 * workers trials or more, the `workers`
-    jobs go to the process's pool (see the module docstring).  If a pooled
-    call fails in any way (a job raises, a worker dies, an interrupt), the
-    pool is shut down before the error propagates, and the next pooled call
-    starts a new one; a pool that broke before the call began is replaced
-    instead (see `_pooled`).
+    jobs go to the process's pool (see `_pooled` and the module docstring).
     """
     if not protocol.is_int(workers):
         raise ConfigError([f"workers={workers!r} is not an integer"])
@@ -534,16 +539,10 @@ def _tally(cfgs: list[SimConfig], workers: int) -> list[tuple[tuple[int, int, in
     jobs = [[(cfgs[i], lo, hi) for i, lo, hi in share] for share in shares]
     sums = [(0, 0, 0, 0)] * len(cfgs)
     start = time.perf_counter()
-    with _pool_lock if pooled else contextlib.nullcontext():
-        try:
-            parts = _pooled(jobs, min(workers, _usable_cores())) if pooled else map(_run_chunks, jobs)
-            for share, tallies in zip(shares, parts):
-                for (i, _, _), part in zip(share, tallies):
-                    sums[i] = tuple(a + b for a, b in zip(sums[i], part))
-        except BaseException:
-            if pooled:
-                _drop_pool()
-            raise
+    parts = _pooled(jobs, min(workers, _usable_cores())) if pooled else map(_run_chunks, jobs)
+    for share, tallies in zip(shares, parts):
+        for (i, _, _), part in zip(share, tallies):
+            sums[i] = tuple(a + b for a, b in zip(sums[i], part))
     return list(zip(sums, [time.perf_counter() - start] + [0.0] * (len(cfgs) - 1)))
 
 

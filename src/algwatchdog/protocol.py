@@ -97,12 +97,12 @@ def draws_below(rng, bounds) -> list[int]:
     randrange(b - 1).  Reading those words directly draws the same values
     from the same stream without randrange's per-call cost, and keeps the
     draws fixed if a later Python changes how randrange is implemented,
-    which it does not promise to keep.
+    which it does not promise to keep.  `bounds` may instead hold (bound,
+    bit count) pairs, so a caller reading many streams counts the bits once.
     """
     getrandbits = rng.getrandbits
     out = []
-    for bound in bounds:
-        k = bound.bit_length()
+    for bound, k in bounds if isinstance(bounds[0], tuple) else [(b, b.bit_length()) for b in bounds]:
         r = getrandbits(k)
         while r >= bound:
             r = getrandbits(k)
@@ -128,7 +128,7 @@ def draw_error(strategy: AdversaryStrategy, spec: FieldSpec, rng) -> int:
         # random_nonzero_error sets no max_weight: every nonzero word is in bound
         w = strategy.max_weight or spec.n
         while True:
-            [e] = draws_below(rng, (order - 1,))
+            [e] = draws_below(rng, ((order - 1, spec.n),))
             e += 1
             if e.bit_count() <= w:
                 return e

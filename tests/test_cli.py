@@ -3,10 +3,13 @@
 import csv
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from algwatchdog.cli import main
+from algwatchdog.cli import build_parser, main
 from oracles import json_leaves
 
 
@@ -213,3 +216,17 @@ def test_csv_without_out_prints_csv(tmp_path, capsys, command, rows):
     assert main([command[0], "--config", cfg, *command[1:]]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert sorted(printed[0]) == sorted(key for key, _ in json_leaves(doc["reports"][0] if "reports" in doc else doc))
+
+
+def test_readme_commands_parse():
+    # the guide's command lines go stale silently unless something reads them
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.S | re.M)
+    commands = [line for block in blocks for line in block.splitlines() if line.startswith("algwatchdog ")]
+    assert len(commands) >= 4
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")

@@ -1,6 +1,5 @@
 """Monte Carlo runner, sweeps, and report serialization tests."""
 
-import concurrent.futures
 import csv
 import io
 import json
@@ -12,8 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from math import comb
 
@@ -65,27 +63,44 @@ def read_csv(path) -> list[list[str]]:
 
 @pytest.fixture
 def pool_slot(monkeypatch):
-    """An empty pool slot for this test, filled by pools that record their sizes.
+    """An empty pool slot for this test, whose pools record their sizes.
 
-    Yields (built, shut): the size of each pool at start and at shutdown.  The
-    pool the test leaves in the slot is shut down after it.
+    Yields (built, shut): the size of each pool at start, and at its drop by
+    the process that started it.  The pool the test leaves in the slot is
+    dropped after it, and then no worker of any pool may be alive.
     """
-    built, shut = [], []
+    built, shut, procs = [], [], []
+    start, drop = harness._pool_of, harness._drop_pool
 
-    class CountingPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs["max_workers"])
-            super().__init__(*args, **kwargs)
+    def starting(size):
+        slot = harness._pool
+        workers = start(size)
+        if harness._pool is not slot:
+            built.append(size)
+            procs.extend(proc for proc, _ in workers)
+        return workers
 
-        def shutdown(self, *args, **kwargs):
-            shut.append(self._max_workers)
-            super().shutdown(*args, **kwargs)
+    def dropping():
+        if harness._pool is not None and harness._pool[0] == os.getpid():
+            shut.append(harness._pool[1])
+        drop()
 
-    # `_pool_of` imports the pool class when it starts a pool, so it reads this name
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    # the harness reads both names at each call, `_pool_of` calling `_drop_pool` too
+    monkeypatch.setattr(harness, "_pool_of", starting)
+    monkeypatch.setattr(harness, "_drop_pool", dropping)
     monkeypatch.setattr(harness, "_pool", None)
     yield built, shut
     harness._drop_pool()
+    assert not [proc.pid for proc in procs if proc.is_alive()]
+
+
+def running(pid: int) -> bool:
+    """Whether process `pid` exists and has not exited (a zombie has exited, though not yet reaped)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestRunTrials:
@@ -780,29 +795,126 @@ class TestPool:
         workers = cores + 2
         cfg = small_cfg(n=6, trials=2 * workers)
         assert tally_json(run_trials(cfg, workers=workers)) == tally_json(run_trials(cfg))
-        assert built == [cores]
+        # the caller is process 0 of the pool, so it starts one process fewer than its size
+        assert built == [cores] and len(harness._pool[2]) == cores - 1
 
-    def test_worker_killed_while_idle_does_not_fail_the_next_call(self, pool_slot):
+    def test_worker_killed_while_idle_does_not_fail_the_next_call(self, monkeypatch, pool_slot):
         built, shut = pool_slot
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
         cfg = small_cfg(n=6, trials=12)
         serial = tally_json(run_trials(cfg))
         run_trials(cfg, workers=2)
-        _, _, pool = harness._pool
-        assert isinstance(pool.submit(os._exit, 1).exception(timeout=60), BrokenProcessPool)
+        [(worker, _)] = harness._pool[2]
+        os.kill(worker.pid, signal.SIGKILL)
+        worker.join(timeout=60)
+        assert worker.exitcode == -signal.SIGKILL
         # the broken pool is replaced once, and the call runs on the new one
         assert tally_json(run_trials(cfg, workers=2)) == serial
         assert len(built) == 2 and shut == built[:1]
         assert tally_json(run_trials(cfg, workers=2)) == serial
         assert len(built) == 2
 
-    def test_job_error_drops_the_pool(self, pool_slot):
+    def test_job_error_drops_the_pool(self, monkeypatch, pool_slot):
         built, shut = pool_slot
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
         # the job, not the pool, fails: its config names no strategy, which
-        # `validate` would have caught and `_tally` does not check
-        bad = replace(small_cfg(n=6, trials=12), adversary="nope")
+        # `validate` would have caught and `_tally` does not check; every
+        # share fails, and the caller's own, job 0, raises before the worker's reply is read
+        cfg = small_cfg(n=6, trials=12)
         with pytest.raises(ValueError, match="unknown strategy 'nope'"):
-            harness._tally([bad], 2)
+            harness._tally([replace(cfg, adversary="nope")], 2)
         assert harness._pool is None and len(built) == 1 and shut == built
+        # the unread replies went with the pool, so the next call reads its own
+        assert tally_json(run_trials(cfg, workers=2)) == tally_json(run_trials(cfg))
+
+    def test_job_error_in_a_workers_share_drops_the_pool(self, monkeypatch, pool_slot):
+        built, shut = pool_slot
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 2)
+        cfg = small_cfg(n=6, trials=12)
+        serial = tally_json(run_trials(cfg))
+        run_trials(cfg, workers=2)
+        # the worker, started above, keeps the real job; the caller's share now passes
+        run = harness._run_chunks
+        monkeypatch.setattr(harness, "_run_chunks", lambda job: [(0, 0, 0, 0)] * len(job))
+        with pytest.raises(ValueError, match="unknown strategy 'nope'"):
+            harness._tally([replace(cfg, adversary="nope")], 2)
+        assert harness._pool is None and built == [2] and shut == [2]
+        monkeypatch.setattr(harness, "_run_chunks", run)
+        assert tally_json(run_trials(cfg, workers=2)) == serial
+        assert built == [2, 2]
+
+    def test_worker_killed_mid_call_fails_the_call(self):
+        # the caller's share kills the worker, which holds its job by then and takes ≈0.1 s to run it
+        script = (
+            "import os, signal\n"
+            "from dataclasses import replace\n"
+            "from algwatchdog import SimConfig, harness, report_json, run_trials\n"
+            "harness._usable_cores = lambda: 2\n"
+            "cfg = SimConfig(n=6, trials=10_000)\n"
+            "serial = report_json(replace(run_trials(cfg), wall_time_s=0.0))\n"
+            "run_trials(cfg, workers=2)\n"
+            "[(worker, _)] = harness._pool[2]\n"
+            "run = harness._run_chunks\n"
+            "def killing(job):\n"
+            "    os.kill(worker.pid, signal.SIGKILL)\n"
+            "    worker.join()\n"
+            "    return run(job)\n"
+            "harness._run_chunks = killing\n"
+            "try:\n"
+            "    run_trials(cfg, workers=2)\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n"
+            "harness._run_chunks = run\n"
+            "print(harness._pool is None, worker.exitcode == -signal.SIGKILL)\n"
+            "print(report_json(replace(run_trials(cfg, workers=2), wall_time_s=0.0)) == serial)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+        want = "a pool worker exited during the call\nTrue True\nTrue\n"
+        assert (out.returncode, out.stdout) == (0, want), out.stderr
+
+    def test_one_usable_core_starts_no_process(self, monkeypatch, pool_slot):
+        import multiprocessing
+
+        built, _ = pool_slot
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 1)
+
+        def refused(self):
+            raise AssertionError("a pooled call on one usable core started a process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refused)
+        cfg = small_cfg(n=6, trials=12)
+        # the caller runs all three jobs
+        assert tally_json(run_trials(cfg, workers=3)) == tally_json(run_trials(cfg))
+        assert built == [1] and harness._pool[2] == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+    @pytest.mark.parametrize("ending", ["exit", "kill"])
+    def test_no_worker_alive_after_the_script_ends(self, tmp_path, ending):
+        # a worker forked later holds copies of its elder siblings' pipe ends, so closing the
+        # caller's end stops none; killed, the script runs no exit hook at all
+        script = (
+            "import os, signal\n"
+            "from dataclasses import replace\n"
+            "from algwatchdog import SimConfig, harness, report_json, run_trials\n"
+            "harness._usable_cores = lambda: 4\n"
+            "cfg = SimConfig(n=6, trials=12)\n"
+            "serial = report_json(replace(run_trials(cfg), wall_time_s=0.0))\n"
+            "pooled = report_json(replace(run_trials(cfg, workers=4), wall_time_s=0.0))\n"
+            "print(pooled == serial, *[proc.pid for proc, _ in harness._pool[2]], flush=True)\n"
+            + ("os.kill(os.getpid(), signal.SIGKILL)\n" if ending == "kill" else "")
+        )
+        # a file, not a pipe, which a live worker would hold open past the script's end
+        log = tmp_path / "out"
+        with open(log, "w") as f:
+            subprocess.run([sys.executable, "-c", script], stdout=f, stderr=subprocess.STDOUT, timeout=60)
+        same, *pids = log.read_text().split()
+        assert same == "True" and len(pids) == 3, log.read_text()
+        deadline = time.monotonic() + 60
+        while (alive := [pid for pid in map(int, pids) if running(pid)]) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        for pid in alive:
+            os.kill(pid, signal.SIGKILL)
+        assert not alive
 
     def test_threads_at_two_sizes_share_the_slot(self, monkeypatch, pool_slot):
         monkeypatch.setattr(harness, "_usable_cores", lambda: 4)
@@ -860,12 +972,12 @@ class TestPool:
             "from algwatchdog import SimConfig, report_json, run_trials\n"
             "cfg = SimConfig(n=6, trials=12)\n"
             "serial = report_json(replace(run_trials(cfg), wall_time_s=0.0))\n"
-            "print('concurrent.futures' in sys.modules)\n"
+            "print('multiprocessing' in sys.modules)\n"
             "pooled = report_json(replace(run_trials(cfg, workers=2), wall_time_s=0.0))\n"
-            "print('concurrent.futures' in sys.modules, pooled == serial)\n"
+            "print('multiprocessing' in sys.modules, pooled == serial, 'concurrent.futures' in sys.modules)\n"
         )
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
-        assert (out.returncode, out.stdout) == (0, "False\nTrue True\n")
+        assert (out.returncode, out.stdout) == (0, "False\nTrue True False\n")
 
     def test_pool_left_at_exit_is_collected_before_module_teardown(self):
         # a module that outlives sys.modules, as a test runner's collected
