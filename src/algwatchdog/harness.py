@@ -55,20 +55,19 @@ written for both engines, as exhaustive_best chooses its error by them.
 The pool is the calling process and S - 1 workers, each serving jobs over
 its own `multiprocessing.Pipe`: a pooled call sends the workers their jobs,
 runs its own share, then reads their tallies or exceptions in job order.  It
-lives until the process exits, a call needs another size, or a call fails (a
+lives until the process ends, a call needs another size, or a call fails (a
 job raises, a worker dies, an interrupt); a worker that died while the pool
 sat idle is found before the jobs go out, and the pool is replaced once.
 Workers are forked (or spawned) as the pool starts, so a later change here,
-such as a monkeypatch, reaches only the caller's share.  A worker closes the
-caller's pipe ends it inherits, so it ends with the caller however that
-exits.  A process forked while the pool exists starts its own, pooled calls
-from several threads run one at a time, and a serial run never imports
-`multiprocessing`.
+such as a monkeypatch, reaches only the caller's share.  They are stopped as
+the process ends, by multiprocessing's exit hook, and each closes the pipe
+ends it inherits, so it ends with the caller even if that is killed.  A
+process forked while the pool exists starts its own, and pooled calls from
+several threads run one at a time.  A serial run never imports multiprocessing.
 """
 
 from __future__ import annotations
 
-import atexit
 import contextlib
 import csv
 import dataclasses
@@ -439,8 +438,8 @@ def _chunks(trials: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
 
 
-# (pid, size, [(process, pipe end) of workers 1..size-1]) of this process's pool, or None before the first pooled call
-_pool: tuple[int, int, list] | None = None
+# (pid, size, [(process, pipe end) of workers 1..size-1], exit hook) of this process's pool, or None until one starts
+_pool: tuple | None = None
 # held through a pooled call, so no thread replaces or drops a pool another is using
 _pool_lock = threading.Lock()
 
@@ -471,12 +470,15 @@ def _pool_of(size: int) -> list:
     if _pool is not None and _pool[:2] == (pid, size) and all(proc.is_alive() for proc, _ in _pool[2]):
         return _pool[2]
     import multiprocessing
+    from multiprocessing.util import Finalize
 
     _drop_pool()
-    _pool = (pid, size, workers := [])  # filled as they start, so a failed start stops the started ones
+    # filled as the workers start, so a failed start stops those started; multiprocessing's exit hook (at this process's
+    # exit, or a multiprocessing child's end) runs the Finalize before it joins live children, which wait for jobs
+    _pool = (pid, size, workers := [], Finalize(None, _drop_pool, exitpriority=0))
     for _ in range(size - 1):
         end, child = multiprocessing.Pipe()
-        proc = multiprocessing.Process(target=_serve, args=(child, [end, *(e for _, e in workers)]), daemon=True)
+        proc = multiprocessing.Process(target=_serve, args=(child, [end, *(e for _, e in workers)]))
         proc.start()
         child.close()
         workers.append((proc, end))
@@ -487,12 +489,11 @@ def _drop_pool() -> None:
     """Empty the slot, stopping and reaping its workers if this process started them (a forked child leaves them)."""
     global _pool
     pool, _pool = _pool, None
-    for proc, _ in pool[2] if pool is not None and pool[0] == os.getpid() else ():
-        proc.terminate()
-        proc.join()
-
-
-atexit.register(_drop_pool)
+    if pool is not None and pool[0] == os.getpid():
+        pool[3].cancel()
+        for proc, _ in pool[2]:
+            proc.terminate()
+            proc.join()
 
 
 def _pooled(jobs: list, size: int) -> list:

@@ -956,6 +956,45 @@ class TestPool:
         assert os.waitstatus_to_exitcode(done[1]) == 0
         assert got == serial
 
+    def test_forked_child_exit_leaves_the_parents_workers(self, tmp_path):
+        # the child's exit runs multiprocessing's exit hook over the children it inherited the records of
+        script = (
+            "import os, sys\n"
+            "from algwatchdog import SimConfig, harness, run_trials\n"
+            "harness._usable_cores = lambda: 2\n"
+            "run_trials(SimConfig(n=6, trials=12), workers=2)\n"
+            "[(worker, _)] = harness._pool[2]\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    sys.exit(0)\n"
+            "os.waitpid(pid, 0)\n"
+            "print(worker.is_alive(), flush=True)\n"
+        )
+        log = tmp_path / "out"
+        with open(log, "w") as f:
+            subprocess.run([sys.executable, "-c", script], stdout=f, timeout=60)
+        assert log.read_text() == "True\n"
+
+    def test_pooled_call_in_a_multiprocessing_child_lets_it_end(self, tmp_path):
+        # such a child runs multiprocessing's exit hook, not this process's atexit hooks, as it ends
+        script = (
+            "import multiprocessing\n"
+            "from algwatchdog import SimConfig, harness, run_trials\n"
+            "def job():\n"
+            "    harness._usable_cores = lambda: 2\n"
+            "    run_trials(SimConfig(n=6, trials=12), workers=2)\n"
+            "child = multiprocessing.get_context('fork').Process(target=job)\n"
+            "child.start()\n"
+            "child.join(30)\n"
+            "print(child.exitcode, flush=True)\n"
+            "child.kill()\n"
+        )
+        # a file, not a pipe, which a live worker would hold open past the script's end
+        log = tmp_path / "out"
+        with open(log, "w") as f:
+            subprocess.run([sys.executable, "-c", script], stdout=f, timeout=60)
+        assert log.read_text() == "0\n"
+
     def test_script_ending_with_a_live_pool_exits(self):
         script = (
             "from algwatchdog import SimConfig, run_trials\n"

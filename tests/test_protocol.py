@@ -87,6 +87,15 @@ class TestDrawsBelow:
             assert values == [want.randrange(order), want.randrange(1, order), want.randrange(order), want.randrange(1, order)]
             assert got.getstate() == want.getstate()
 
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_bit_count_pairs_read_as_their_bounds(self, n):
+        # the draw step passes each bound with its bit count, counted once per block
+        bounds = [1 << n, (1 << n) - 1, 3, 1]
+        for seed in range(100):
+            got, want = random.Random(seed), random.Random(seed)
+            assert draws_below(got, [(b, b.bit_length()) for b in bounds]) == draws_below(want, bounds)
+            assert got.getstate() == want.getstate()
+
     @pytest.mark.parametrize(
         "strategy",
         [AdversaryStrategy("random_nonzero_error"), AdversaryStrategy("weight_bounded_error", max_weight=2)],
