@@ -37,15 +37,6 @@ class Radius:
 _BIT_VALUES = np.array([1 << i for i in range(16)], dtype=np.int64)
 
 
-def stream_bytes(rng, words: int) -> bytes:
-    """The next `words` 32-bit outputs of rng's MT19937 stream, in order, as little-endian bytes.
-
-    One getrandbits(32 * words) call reads them: it fills its result one
-    output per 32 bits, starting from the least significant word.
-    """
-    return rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-
-
 def masks_from_words(words: np.ndarray, p) -> np.ndarray:
     """n-bit error patterns from MT19937 outputs: bit i is set when the i-th `random()` they hold is < p.
 

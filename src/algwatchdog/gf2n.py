@@ -32,14 +32,17 @@ class SpecMismatchError(FieldError):
     """Elements of different fields used together."""
 
 
-def clmul(a: int, b: int) -> int:
-    """Carry-less (GF(2)[x]) product of two polynomials given as bit masks."""
+def mul_mod(a: int, b: int, poly: int) -> int:
+    """The product of two words of the field reduced by poly, a below 2^deg(poly): shift, add and reduce bit by bit."""
+    top = 1 << (poly.bit_length() - 1)
     r = 0
     while b:
         if b & 1:
             r ^= a
         b >>= 1
         a <<= 1
+        if a & top:
+            a ^= poly
     return r
 
 
@@ -96,29 +99,47 @@ class FieldSpec:
         return exp.take(log.take(a) + log.take(b))
 
 
+def _powers(g: int, count: int, poly: int) -> list[int]:
+    """g^0 .. g^count by scalar steps."""
+    out = [1]
+    for _ in range(count):
+        out.append(mul_mod(out[-1], g, poly))
+    return out
+
+
 @lru_cache(maxsize=None)
 def _tables(n: int, poly: int):
-    """exp/log tables for the cyclic group of GF(2^n)*, with a zero sentinel.
+    """exp/log tables for the cyclic group of GF(2^n)*, with the zero sentinel and padding the module describes.
 
-    x (the word 0b10) is not always a generator for an arbitrary irreducible
-    polynomial, so we search the small field for a primitive element.
-    exp[i] for i < 2 * (2^n - 1) cycles through the nonzero words; log[0] is
-    2 * 2^n, so a sum of two logs with a zero operand lands in the zero
-    padding exp[2 * (2^n - 1) : 4 * 2^n + 1].
+    exp[i] is g^i for i < 2 * (2^n - 1), g the smallest word >= 2 with no power 1 below 2^n - 1 (x is not always
+    one), built as a grid of C columns: row 0 by scalar steps, row j as row 0 times g^(jC) by n array steps, one per
+    bit of the row multipliers.
     """
     size = 1 << n
+    # up to 128 words, scalar steps cost less than the array steps
+    cols = min(size - 1, max(128, 1 << (n + 1) // 2))
+    rows = -(-(size - 1) // cols)
     for g in range(2, size):
+        *row, step = _powers(g, cols, poly)
+        if 1 in row[1:]:
+            continue
+        cycle = np.array(row)
+        if rows > 1:
+            heads = np.array(_powers(step, rows - 1, poly))[:, None]
+            grid = (heads & 1) * cycle
+            for bit in range(1, n):
+                cycle <<= 1
+                cycle ^= (cycle >> n) * poly
+                grid ^= (heads >> bit & 1) * cycle
+            cycle = grid.ravel()[: size - 1]
+            if np.count_nonzero(cycle == 1) > 1:
+                continue
         exp = np.zeros(4 * size + 1, dtype=np.int64)
+        exp[: size - 1] = exp[size - 1 : 2 * (size - 1)] = cycle
         log = np.zeros(size, dtype=np.int64)
-        acc = 1
-        for i in range(size - 1):
-            exp[i] = acc
-            log[acc] = i
-            acc = poly_mod(clmul(acc, g), poly)
-        if acc == 1 and len(set(exp[: size - 1].tolist())) == size - 1:
-            exp[size - 1 : 2 * (size - 1)] = exp[: size - 1]
-            log[0] = 2 * size
-            return exp, log
+        log[cycle] = np.arange(size - 1)
+        log[0] = 2 * size
+        return exp, log
     raise FieldError(f"no primitive element found for 0b{poly:b}")  # pragma: no cover
 
 

@@ -9,32 +9,19 @@ trial index), so tallies are bit-identical for any worker count.
 
 A job's trials are drawn in blocks of up to 256 trials (`_BATCH_TRIALS`),
 and each block's hash tables are built and scored in sub-batches of B =
-max(1, min(256, `_TABLE_WORDS` >> n)) rows, where the word cap is 2^18 for
-the algebraic engine and 2^16 for the trellis engine, whose kernel scans
-every table word: B is 256 up to n = 10 and 4 at n = 16 for the algebraic
-engine, 256 up to n = 8 and 16 at n = 12 for the trellis engine.  The block
-bounds what a job holds at small n, where B is never the limit: a
-20,000-trial trellis chunk at n = 2 peaks at 0.31 MB (tracemalloc) in
-256-trial blocks and at 18 MB drawn in one.  A job's chunks are cut into
+max(1, min(256, `_TABLE_WORDS` >> n)) rows: the block bounds what a job holds
+at small n, B at large n (figures in README).  A job's chunks are cut into
 blocks in order, and consecutive chunks whose configs differ only in h, seed
 and trials share them, so a block is a list of (cfg, trials) segments.
 
-Per trial, the draw step (`_draw_batch`) derives two seeds by blake2b,
-reseeds one `random.Random` with each through the C seed, and reads the two
-streams as MT19937 32-bit words, appended to one flat list per block.  Per
-block, on arrays: the draws array (that list reshaped once), the noise
-masks (`channel.masks_from_words`), the hash widths and the payloads, then
-the score step (`_score`) sums each segment's tallies.  Per sub-batch: the
-hash tables (`hashing.hash_tables`, in the log domain, each row cut to its
-segment's h), the errors of the exhaustive_best adversary, which draws none
-(`protocol.best_errors`), each watcher's views as one row of words per
-trial (`protocol.view_rows`), and one array kernel: `watchdog.trellis_batch`
-compares the trellis path-sum with the threshold, and
-`watchdog.algebraic_batch` applies the paper's empty-intersection rule at
-each watcher's (peer, relay) radii, in one pass per distinct peer radius.
-Each trial is keyed by (seed, trial index), so neither size moves a draw or
-a tally.  The radii are selected once for each group of chunks that share
-blocks, with the group's links and strategy.
+The draw step (`_draw_batch`) derives each trial's two seeds by blake2b, and
+one loop (`protocol.draws_below`) reseeds a `random.Random` through the C seed
+for each and reads the two streams as MT19937 32-bit words; the rest of the
+step and each sub-batch's kernel (`watchdog.trellis_batch` or
+`watchdog.algebraic_batch`) work on arrays, and the score step (`_score`)
+sums each segment's tallies.  Each trial is keyed by (seed, trial index), so
+neither size moves a draw or a tally.  The radii are selected once for each
+group of chunks that share blocks.
 
 `run_trials` and `sweep` share one run path and one plan: their trials run as
 (cfg, lo, hi) chunks, job k holds chunk k of every config, and the jobs'
@@ -62,8 +49,9 @@ Workers are forked (or spawned) as the pool starts, so a later change here,
 such as a monkeypatch, reaches only the caller's share.  They are stopped as
 the process ends, by multiprocessing's exit hook, and each closes the pipe
 ends it inherits, so it ends with the caller even if that is killed.  A
-process forked while the pool exists starts its own, and pooled calls from
-several threads run one at a time.  A serial run never imports multiprocessing.
+process forked while the pool exists forgets it (`_forget_pool`) and starts
+its own, and pooled calls from several threads run one at a time.  A serial
+run never imports multiprocessing.
 """
 
 from __future__ import annotations
@@ -86,7 +74,7 @@ from hashlib import blake2b
 import numpy as np
 
 from . import protocol, theory, watchdog
-from .channel import BinarySymmetricChannel, masks_from_words, radius_for_epsilon, stream_bytes
+from .channel import BinarySymmetricChannel, masks_from_words, radius_for_epsilon
 from .gf2n import canonical_spec
 from .hashing import hash_tables
 # the draw step reads hash coefficients as plain ints; `sample_hash` stays
@@ -301,63 +289,47 @@ def _draw_batch(
 ):
     """The draw step of one block of trials: a generator of the (tables, words) its kernel reads, one per sub-batch.
 
-    The block is (cfg, trials) segments whose configs differ at most in h,
-    seed and trials; its draws all run at the first `next`.  Each trial
-    only reads its two streams, keyed by its segment's seed and its index
-    there, as MT19937 32-bit words.  The draw stream gives, by
-    `protocol.draws_below`, what randrange would: the sources, the
-    coefficients, the hash coefficients a_0..a_d, then the relay's error
-    (`protocol.draw_error`).  The noise stream gives each link with p > 0,
-    in `watcher_links` order, the 2n words of its n `random()` calls, read
-    with one getrandbits call; a link with p = 0 draws nothing, and with no
-    such link the stream is not seeded.  `rng` is reseeded for each stream
-    through the C seed `Random.seed` calls for an int, which skips its
-    Python-level type checks, so it carries nothing between blocks.  The
-    noise masks, widths and payloads are computed once for the block.  Each
-    sub-batch of B = max(1, `_TABLE_WORDS`[engine] >> n) rows then gets its
-    (B, 2^n) uint16 hash tables, each cut to its segment's h, and its
-    (B, 2, 5 + 2A) rows (`protocol.view_rows`): arm 0 is the honest relay's
-    payload and, unless the strategy is honest, arm 1 the corrupting
-    relay's (exhaustive_best's error is `protocol.best_errors`' at the
-    radii, chosen from the sub-batch's tables).  Blocks bound memory at
-    small n, sub-batches at large n (see the module docstring).
+    The block is (cfg, trials) segments whose configs differ at most in h, seed and trials; its draws all run at
+    the first `next`, in one `protocol.draws_below` call that reseeds `rng` for each of a trial's two streams, keyed
+    by its segment's seed and its index there.  The draw stream gives what randrange would: the sources, the
+    coefficients, the hash coefficients a_0..a_d, then the relay's error as `draw_error` draws it, unless it is fixed
+    or chosen.  The noise stream gives each link with p > 0, in `watcher_links` order, the 2n words of its n
+    `random()` calls; with no such link it is not seeded.  Each sub-batch of B = max(1, `_TABLE_WORDS`[engine] >> n)
+    rows then gets its (B, 2^n) uint16 hash tables, each cut to its segment's h, and its (B, 2, 5 + 2A) rows
+    (`protocol.view_rows`): arm 0 is the honest relay's payload and, unless the strategy is honest, arm 1 the
+    corrupting relay's (exhaustive_best's error is `protocol.best_errors`' at the radii).
     """
     cfg = segments[0][0]
     spec = canonical_spec(cfg.n)
     order, n = spec.order, cfg.n
-    corrupt = strategy.kind != "honest"
     # exhaustive_best draws no error: it is chosen from each sub-batch's tables below
     chosen = strategy.kind == "exhaustive_best"
-    drawn_error = corrupt and not chosen
+    read_error = strategy.kind in ("random_nonzero_error", "weight_bounded_error")
     fixed = list(cfg.sources["fixed"]) if isinstance(cfg.sources, dict) else []
-    # x1 and x2 unless fixed, a1 - 1 and a2 - 1 (randrange(1, order)), then a_0..a_d, with their bit counts
-    bounds = [(b, b.bit_length()) for b in [order] * (2 - len(fixed)) + [order - 1] * 2 + [order] * (cfg.d + 1)]
-    reseed, draws_below, draw_error = super(random.Random, rng).seed, protocol.draws_below, protocol.draw_error
-    draws = []
-    for seed in (s for c, trials in segments for s in _derive_seeds(c.seed, trials, "draw")):
-        reseed(seed)
-        draws += fixed
-        draws += draws_below(rng, bounds)
-        if drawn_error:
-            draws.append(draw_error(strategy, spec, rng))
-    draws = np.array(draws, dtype=np.int64).reshape(-1, len(fixed) + len(bounds) + drawn_error)
-    draws[:, 2:4] += 1
+    # x1 and x2 unless fixed, a1 - 1 and a2 - 1 (randrange(1, order)), a_0..a_d, then a read error less one
+    bounds = [order] * (2 - len(fixed)) + [order - 1] * 2 + [order] * (cfg.d + 1) + [order - 1] * read_error
     probs = [chan.p for link in links for chan in link]
     live = [i for i, p in enumerate(probs) if p > 0.0]
+    seeds = itertools.chain.from_iterable(
+        zip(_derive_seeds(c.seed, trials, "draw"), _derive_seeds(c.seed, trials, "noise")) for c, trials in segments
+    )
+    draws, words = protocol.draws_below(rng, bounds, seeds, strategy.max_weight, 2 * n * len(live))
+    draws = np.array(draws, dtype=np.int64).reshape(-1, len(bounds))
+    if fixed:
+        draws = np.column_stack((np.tile(fixed, (len(draws), 1)), draws))
+    draws[:, 2:4] += 1
     noise = np.zeros((len(draws), 4), dtype=np.int64)
     if live:
-        streams = []
-        for seed in (s for c, trials in segments for s in _derive_seeds(c.seed, trials, "noise")):
-            reseed(seed)
-            streams.append(stream_bytes(rng, 2 * n * len(live)))
-        words = np.frombuffer(b"".join(streams), dtype="<u4").reshape(len(draws), len(live), n, 2)
+        words = np.frombuffer(words, dtype="<u4").reshape(len(draws), len(live), n, 2)
         noise[:, live] = masks_from_words(words, [probs[i] for i in live])
     noise = noise.reshape(-1, 2, 2)
     sources, coeffs = draws[:, 0:2], draws[:, 2:4]
     # ndarray.repeat: np.repeat of lists took ≈15 µs a call in this step, against ≈3 µs (2-core x86_64 VM)
     widths = np.array([c.h for c, _ in segments]).repeat([len(trials) for _, trials in segments])
     honest = spec.mul_words(coeffs[:, 0], sources[:, 0]) ^ spec.mul_words(coeffs[:, 1], sources[:, 1])
-    payloads = np.stack([honest, honest ^ draws[:, -1]] if drawn_error else [honest], axis=1)
+    # the corrupting arm's error: read (less one), fixed_error's, or none yet
+    error = draws[:, -1] + 1 if read_error else strategy.error
+    payloads = np.stack([honest] if error is None else [honest, honest ^ error], axis=1)
     size = max(1, _TABLE_WORDS[cfg.engine] >> n)
     for lo in range(0, len(draws), size):
         part = slice(lo, lo + size)
@@ -494,6 +466,19 @@ def _drop_pool() -> None:
         for proc, _ in pool[2]:
             proc.terminate()
             proc.join()
+
+
+def _forget_pool() -> None:
+    """In a forked child: forget the parent's pool, whose workers the child's exit hook would fail to join."""
+    global _pool
+    if _pool is not None:
+        from multiprocessing import process
+        process._children.difference_update(proc for proc, _ in _pool[2])
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _pooled(jobs: list, size: int) -> list:

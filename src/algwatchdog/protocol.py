@@ -10,6 +10,7 @@ payload (the receiver checks that hash, so an inconsistent one is caught).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,25 +90,40 @@ class Scenario:
         return (self.x1 if which == 1 else self.x2).value
 
 
-def draws_below(rng, bounds) -> list[int]:
+def draws_below(rng, bounds, seeds=None, cap=None, noise_words=0) -> tuple[list[int], bytes]:
     """`rng.randrange(bound)` for each bound in turn, read from rng's MT19937 words as CPython reads it.
 
-    randrange(b) reads getrandbits(b.bit_length()), the top bits of one
-    32-bit output, until a read falls below b; randrange(1, b) is 1 +
-    randrange(b - 1).  Reading those words directly draws the same values
-    from the same stream without randrange's per-call cost, and keeps the
-    draws fixed if a later Python changes how randrange is implemented,
-    which it does not promise to keep.  `bounds` may instead hold (bound,
-    bit count) pairs, so a caller reading many streams counts the bits once.
+    randrange(b) reads getrandbits(b.bit_length()), the top bits of one 32-bit output, until a read falls below b;
+    randrange(1, b) is 1 + randrange(b - 1).  Reading the words draws the same values without randrange's per-call
+    cost, and keeps them if a later Python changes randrange.  With `cap`, the last bound is an error less one, read
+    again while the error weighs more than cap.  Without `seeds` the reads start where rng stands; given a (draw
+    seed, noise seed) pair per trial, one loop reseeds rng for each trial's draws (the C seed `Random.seed` calls),
+    then, unless noise_words is 0, for that many 32-bit outputs, read by one getrandbits call.  Returns the draws
+    and the noise outputs as bytes.
     """
-    getrandbits = rng.getrandbits
-    out = []
-    for bound, k in bounds if isinstance(bounds[0], tuple) else [(b, b.bit_length()) for b in bounds]:
-        r = getrandbits(k)
-        while r >= bound:
-            r = getrandbits(k)
-        out.append(r)
-    return out
+    reseed = None if seeds is None else super(random.Random, rng).seed
+    getrandbits, bounds = rng.getrandbits, [(b, b.bit_length()) for b in bounds]
+    last, bits = bounds[-1:], 32 * noise_words
+    draws, noise = [], []
+    append = draws.append
+    for draw_seed, noise_seed in ((None, None),) if seeds is None else seeds:
+        if draw_seed is not None:
+            reseed(draw_seed)
+        reads = bounds
+        while reads:
+            for bound, k in reads:
+                r = getrandbits(k)
+                while r >= bound:
+                    r = getrandbits(k)
+                append(r)
+            reads = ()
+            if cap and (r + 1).bit_count() > cap:
+                draws.pop()
+                reads = last
+        if bits:
+            reseed(noise_seed)
+            noise.append(getrandbits(bits).to_bytes(bits >> 3, "little"))
+    return draws, b"".join(noise)
 
 
 def draw_error(strategy: AdversaryStrategy, spec: FieldSpec, rng) -> int:
@@ -126,12 +142,8 @@ def draw_error(strategy: AdversaryStrategy, spec: FieldSpec, rng) -> int:
         return strategy.error
     if strategy.kind in ("random_nonzero_error", "weight_bounded_error"):
         # random_nonzero_error sets no max_weight: every nonzero word is in bound
-        w = strategy.max_weight or spec.n
-        while True:
-            [e] = draws_below(rng, ((order - 1, spec.n),))
-            e += 1
-            if e.bit_count() <= w:
-                return e
+        [e], _ = draws_below(rng, [order - 1], cap=strategy.max_weight)
+        return e + 1
     raise ValueError(f"{strategy.kind} draws no error; its error is a function of the scenario")
 
 

@@ -1,16 +1,21 @@
 """Reference implementations the tests check the package against.
 
 Each re-derives a result through a code path the package does not use: a
-shift-XOR-reduce multiplier against the table-based one, a hash summed
-power by power with that multiplier against the log-domain hash tables, a
-Pascal-recurrence binomial CDF against the radius computation, a report
-document's leaves, walked by key, against the
-CSV columns the report writer derives from them, and both detection rules,
-applied to one observation by a scan of the whole field, against the
-detection kernels and the errors `protocol.best_errors` chooses.
+shift-XOR-reduce multiplier against the table-based one, the field's
+exp/log tables walked one power at a time with that multiplier against the
+grid the package builds them on, a hash summed power by power with that
+multiplier against the log-domain hash tables, a Pascal-recurrence binomial
+CDF against the radius computation, a report document's leaves, walked by
+key, against the CSV columns the report writer derives from them, and both
+detection rules, applied to one observation by a scan of the whole field,
+against the detection kernels and the errors `protocol.best_errors` chooses.
+`stream_bytes` reads a generator's next outputs as the draw step reads a
+trial's noise stream, for tests that feed them to the mask rule.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 from algwatchdog.channel import radius_for_epsilon
 
@@ -26,6 +31,41 @@ def slow_mul(a: int, b: int, poly: int) -> int:
         if (prod >> (shift + deg)) & 1:
             prod ^= poly << shift
     return prod
+
+
+def tables_by_steps(n: int, poly: int):
+    """The field's exp/log tables as `gf2n._tables` lays them out, walking each candidate g's powers by `slow_mul`.
+
+    g is the smallest word >= 2 whose powers visit every nonzero word before
+    returning to 1; log[0] is the sentinel 2 * 2^n, and exp repeats its
+    cycle once and is zero-padded to index 4 * 2^n.
+    """
+    size = 1 << n
+    for g in range(2, size):
+        exp = np.zeros(4 * size + 1, dtype=np.int64)
+        log = np.zeros(size, dtype=np.int64)
+        acc = 1
+        for i in range(size - 1):
+            exp[i] = acc
+            log[acc] = i
+            acc = slow_mul(acc, g, poly)
+            if acc == 1:
+                break
+        if i == size - 2 and acc == 1:
+            exp[size - 1 : 2 * (size - 1)] = exp[: size - 1]
+            log[0] = 2 * size
+            return exp, log
+    raise ValueError(f"no primitive element for 0b{poly:b}")
+
+
+def stream_bytes(rng, words: int) -> bytes:
+    """The next `words` 32-bit outputs of rng's MT19937 stream, in order, as little-endian bytes.
+
+    One getrandbits(32 * words) call reads them: it fills its result one
+    output per 32 bits, starting from the least significant word, as the
+    harness's draw step reads a trial's noise stream.
+    """
+    return rng.getrandbits(32 * words).to_bytes(4 * words, "little")
 
 
 def slow_hash(coeffs, x: int, poly: int, width: int) -> int:

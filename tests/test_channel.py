@@ -19,10 +19,9 @@ from algwatchdog.channel import (
     masks_from_words,
     noise_mask,
     radius_for_epsilon,
-    stream_bytes,
     transmit,
 )
-from oracles import binomial_cdf_pascal, radius_oracle_suite, radius_pascal
+from oracles import binomial_cdf_pascal, radius_oracle_suite, radius_pascal, stream_bytes
 
 
 class TestTransmit:

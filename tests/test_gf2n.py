@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algwatchdog import gf2n
 from algwatchdog.gf2n import (
     FieldElement,
     FieldSpec,
@@ -19,7 +20,7 @@ from algwatchdog.gf2n import (
     canonical_spec,
 )
 from algwatchdog.hashing import hash_tables
-from oracles import slow_mul
+from oracles import slow_mul, tables_by_steps
 
 
 def oracle_reduce(a: int, poly: int) -> int:
@@ -108,6 +109,21 @@ def test_field_axioms(a, b, c):
     assert mul(mul(a, b), c) == mul(a, mul(b, c))
     assert mul(a, b ^ c) == mul(a, b) ^ mul(a, c)
     assert mul(a, 1) == a and mul(a, 0) == 0
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_tables_equal_power_by_power_walk(n):
+    # the canonical field at every width: at n = 8 g = 2 has order 51 and g = 3
+    # is taken, at n = 14 g = 7, and from n = 8 on the grid has several rows
+    polys = [canonical_spec(n).reduction_poly]
+    if n in (4, 8):
+        # every irreducible polynomial of the width, each with its own primitive element
+        polys = [p for p in range(1 << n, 1 << (n + 1)) if gf2n.is_irreducible(p)]
+    for poly in polys:
+        exp, log = gf2n._tables.__wrapped__(n, poly)
+        want_exp, want_log = tables_by_steps(n, poly)
+        assert exp.dtype == want_exp.dtype and log.dtype == want_log.dtype
+        assert exp.tolist() == want_exp.tolist() and log.tolist() == want_log.tolist(), hex(poly)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])

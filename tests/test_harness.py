@@ -264,24 +264,30 @@ class TestRunTrials:
 def test_arms_share_one_channel_realization(monkeypatch):
     # each trial gives the kernel one row of words per watcher, holding its
     # view of the honest arm, then its view of the corrupting arm
-    rows, errors = [], []
-    batch, draw_error = watchdog.algebraic_batch, protocol.draw_error
-
-    def recorded_draw_error(*args):
-        errors.append(draw_error(*args))
-        return errors[-1]
+    rows = []
+    batch = watchdog.algebraic_batch
 
     def recorded_batch(spec, tables, words, *args):
         rows.extend(row.tolist() for trial in words for row in trial)
         return batch(spec, tables, words, *args)
 
     monkeypatch.setattr(watchdog, "algebraic_batch", recorded_batch)
-    monkeypatch.setattr(protocol, "draw_error", recorded_draw_error)
     trials = 30
-    run_trials(small_cfg(p12=0.3, p21=0.2, p31=0.3, p32=0.2, trials=trials))
+    cfg = small_cfg(p12=0.3, p21=0.2, p31=0.3, p32=0.2, trials=trials)
+    run_trials(cfg)
+    # each trial's drawn error, read on the scalar path from its draw stream after the sources,
+    # coefficients and hash function
+    spec = canonical_spec(8)
+    errors = []
+    for t in range(trials):
+        rng = random.Random(harness._derive_seeds(cfg.seed, (t,), "draw")[0])
+        for bound in (spec.order, spec.order, spec.order - 1, spec.order - 1):  # x1, x2, a1 - 1, a2 - 1
+            rng.randrange(bound)
+        hashing.sample(rng, cfg.d, spec, cfg.h)
+        errors.append(protocol.draw_error(cfg.strategy(), spec, rng))
     # each arm's true payload: a1 x1 + a2 x2 from the two watchers' own
     # value and coefficient, then that XOR the corrupting arm's drawn error
-    mul = canonical_spec(8).mul_words
+    mul = spec.mul_words
     payloads = []
     for t, error in enumerate(errors):
         (x1, a1, *_), (x2, a2, *_) = rows[2 * t : 2 * t + 2]
@@ -725,24 +731,88 @@ class TestBlocks:
         # streams of each trial must start where Random(seed) starts
         seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
         monkeypatch.setattr(harness, "_derive_seeds", lambda seed, trials, key: seeds[: len(trials)])
-        read = {"draws": [], "noise": []}
+        read = []
 
-        def peeking(name, fn):
-            def peek(rng, *args):
-                clone = random.Random()
-                clone.setstate(rng.getstate())
-                read[name].append([clone.getrandbits(32) for _ in range(8)])
-                return fn(rng, *args)
-            return peek
+        def peek(*args):
+            read.append(draws_below(*args))
+            return read[-1]
 
-        monkeypatch.setattr(protocol, "draws_below", peeking("draws", protocol.draws_below))
-        monkeypatch.setattr(harness, "stream_bytes", peeking("noise", harness.stream_bytes))
-        # honest: no `draw_error` read after the draws
+        draws_below = protocol.draws_below
+        monkeypatch.setattr(protocol, "draws_below", peek)
+        # honest: no error read after the draws
         cfg = small_cfg(adversary="honest", trials=len(seeds))
         links = protocol.watcher_links(**harness._channels(cfg))
-        list(harness._draw_batch([(cfg, range(len(seeds)))], links, [[3, 3], [3, 3]], cfg.strategy(), random.Random(7)))
-        want = [[rng.getrandbits(32) for _ in range(8)] for rng in map(random.Random, seeds)]
-        assert read == {"draws": want, "noise": want}
+        radii = [[3, 3], [3, 3]]
+        list(harness._draw_batch([(cfg, range(len(seeds)))], links, radii, cfg.strategy(), random.Random(7)))
+        [(draws, noise)] = read
+        # sources, coefficients less one and a_0..a_3, then the first 8 of the 64 noise words (4 links, 2n each)
+        draws = np.reshape(draws, (len(seeds), 8)).tolist()
+        noise = np.frombuffer(noise, dtype="<u4").reshape(len(seeds), 64)[:, :8].tolist()
+        order = 1 << cfg.n
+        bounds = [order] * 2 + [order - 1] * 2 + [order] * 4
+        assert draws == [[rng.randrange(b) for b in bounds] for rng in map(random.Random, seeds)]
+        assert noise == [[rng.getrandbits(32) for _ in range(8)] for rng in map(random.Random, seeds)]
+
+    @pytest.mark.parametrize(
+        "adversary, n",
+        [
+            ("honest", 8),
+            ("random_nonzero_error", 8),
+            ({"kind": "fixed_error", "error": 5}, 8),
+            ({"kind": "weight_bounded_error", "max_weight": 2}, 8),
+            ({"kind": "weight_bounded_error", "max_weight": 1}, 12),
+            ("exhaustive_best", 8),
+        ],
+        ids=["honest", "random_nonzero", "fixed_error", "weight_bounded", "weight_bounded-w1-n12", "exhaustive_best"],
+    )
+    @pytest.mark.parametrize("sources", ["uniform", {"fixed": [0x0B, 0x35]}], ids=["uniform", "fixed"])
+    def test_block_reads_randrange_and_getrandbits(self, monkeypatch, adversary, n, sources):
+        # the block's one loop against fresh generators: each trial's draws are its draw
+        # stream's randrange reads, and its noise words its noise stream's getrandbits(32)
+        # reads, in order; the seeds straddle the C seed's 32-bit word boundaries
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+        keyed = {"draw": seeds, "noise": seeds[::-1]}
+        monkeypatch.setattr(harness, "_derive_seeds", lambda seed, trials, key: keyed[key][: len(trials)])
+        read = []
+
+        def peek(*args):
+            read.append(draws_below(*args))
+            return read[-1]
+
+        draws_below = protocol.draws_below
+        monkeypatch.setattr(protocol, "draws_below", peek)
+        # the dead p31 link draws no noise words
+        cfg = small_cfg(n=n, h=3, d=2, p21=0.3, p31=0.0, p12=0.1, p32=0.5, adversary=adversary, sources=sources)
+        strategy, order = cfg.strategy(), 1 << n
+        links = protocol.watcher_links(**harness._channels(cfg))
+        radii = protocol.watcher_radii(links, n, cfg.epsilon)
+        views = harness._draw_batch([(cfg, range(len(seeds)))], links, radii, strategy, random.Random(7))
+        _, words = map(np.concatenate, zip(*views))
+        want_draws, want_errors, want_rows = [], [], []
+        for rng in map(random.Random, seeds):
+            x = [] if isinstance(sources, dict) else [rng.randrange(order) for _ in range(2)]
+            a = [rng.randrange(1, order) for _ in range(2)]
+            want_draws += x + [v - 1 for v in a] + [rng.randrange(order) for _ in range(cfg.d + 1)]
+            x = x or sources["fixed"]
+            want_rows.append([[x[0], a[0]], [x[1], a[1]]])
+            if strategy.kind in ("random_nonzero_error", "weight_bounded_error"):
+                e = rng.randrange(1, order)
+                while e.bit_count() > (strategy.max_weight or n):
+                    e = rng.randrange(1, order)
+                want_draws.append(e - 1)
+                want_errors.append(e)
+            elif strategy.kind == "fixed_error":
+                want_errors.append(strategy.error)
+        [(draws, noise)] = read
+        assert draws == want_draws
+        # three live links, 2n words each
+        words_read = [rng.getrandbits(32) for rng in map(random.Random, seeds[::-1]) for _ in range(3 * 2 * n)]
+        assert noise == b"".join(w.to_bytes(4, "little") for w in words_read)
+        # each watcher's row starts with its own value and coefficient
+        assert words[:, :, :2].tolist() == want_rows
+        if want_errors:
+            # the corrupting arm's noisy relay word differs from the honest arm's by the error
+            assert (words[:, :, 8] ^ words[:, :, 6]).tolist() == [[e, e] for e in want_errors]
 
 
 class TestMemory:
@@ -974,6 +1044,32 @@ class TestPool:
         with open(log, "w") as f:
             subprocess.run([sys.executable, "-c", script], stdout=f, timeout=60)
         assert log.read_text() == "True\n"
+
+    def test_forked_child_exits_without_a_traceback(self):
+        # the first child exits at once; the second runs a pooled call on its own pool first
+        script = (
+            "import os, sys\n"
+            "from dataclasses import replace\n"
+            "from algwatchdog import SimConfig, harness, report_json, run_trials\n"
+            "harness._usable_cores = lambda: 2\n"
+            "cfg = SimConfig(trials=40)\n"
+            "serial = report_json(replace(run_trials(cfg), wall_time_s=0.0))\n"
+            "run_trials(cfg, workers=2)\n"
+            "[(worker, _)] = harness._pool[2]\n"
+            "for pooled_in_child in (False, True):\n"
+            "    pid = os.fork()\n"
+            "    if pid == 0:\n"
+            "        if pooled_in_child:\n"
+            "            same = report_json(replace(run_trials(cfg, workers=2), wall_time_s=0.0)) == serial\n"
+            "            sys.exit(0 if same and harness._pool[2][0][0] is not worker else 3)\n"
+            "        sys.exit(0)\n"
+            "    print(os.waitpid(pid, 0)[1], worker.is_alive(), flush=True)\n"
+            "pooled = report_json(replace(run_trials(cfg, workers=2), wall_time_s=0.0))\n"
+            "print(pooled == serial, harness._pool[2][0][0] is worker, flush=True)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+        assert out.stderr == ""
+        assert (out.returncode, out.stdout) == (0, "0 True\n0 True\nTrue True\n")
 
     def test_pooled_call_in_a_multiprocessing_child_lets_it_end(self, tmp_path):
         # such a child runs multiprocessing's exit hook, not this process's atexit hooks, as it ends

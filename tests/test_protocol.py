@@ -81,20 +81,36 @@ class TestDrawsBelow:
         for seed in range(300):
             got, want = random.Random(seed), random.Random(seed)
             # randrange(1, order) is 1 + the read below order - 1
-            values = draws_below(got, [order, order - 1, order, order - 1])
+            values, noise = draws_below(got, [order, order - 1, order, order - 1])
+            assert noise == b""
             values[1] += 1
             values[3] += 1
             assert values == [want.randrange(order), want.randrange(1, order), want.randrange(order), want.randrange(1, order)]
             assert got.getstate() == want.getstate()
 
+    @pytest.mark.parametrize("cap", [None, 1], ids=["no_cap", "cap1"])
     @pytest.mark.parametrize("n", [2, 8, 16])
-    def test_bit_count_pairs_read_as_their_bounds(self, n):
-        # the draw step passes each bound with its bit count, counted once per block
-        bounds = [1 << n, (1 << n) - 1, 3, 1]
-        for seed in range(100):
-            got, want = random.Random(seed), random.Random(seed)
-            assert draws_below(got, [(b, b.bit_length()) for b in bounds]) == draws_below(want, bounds)
-            assert got.getstate() == want.getstate()
+    def test_seeded_trials_read_fresh_streams(self, n, cap):
+        # each (draw seed, noise seed) pair reads as two fresh generators would, whatever rng read before;
+        # under a cap the last bound is an error less one, read again while the error is too heavy
+        order = 1 << n
+        bounds = [order, order - 1, 3, 1, order - 1]
+        pairs = [(0, 2**64 - 1), (1, 2**32), (2**32 - 1, 1), (2**32, 0), (2**64 - 1, 7)]
+        want_draws, want_noise = [], b""
+        for draw_seed, noise_seed in pairs:
+            rng = random.Random(draw_seed)
+            want_draws += [rng.randrange(b) for b in bounds[:-1]]
+            e = rng.randrange(1, order)
+            while cap and e.bit_count() > cap:
+                e = rng.randrange(1, order)
+            want_draws.append(e - 1)
+            rng = random.Random(noise_seed)
+            want_noise += b"".join(rng.getrandbits(32).to_bytes(4, "little") for _ in range(5))
+        rng = random.Random(3)
+        rng.getrandbits(100)
+        assert draws_below(rng, bounds, pairs, cap, 5) == (want_draws, want_noise)
+        # with no noise words the noise seeds go unused
+        assert draws_below(rng, bounds, pairs, cap) == (want_draws, b"")
 
     @pytest.mark.parametrize(
         "strategy",
