@@ -13,7 +13,8 @@ The trellis engine scores the same observation as a four-layer path-sum:
 overheard-peer vertex -> peer candidates -> coded images -> overheard-relay
 vertex, with channel-likelihood edge weights.  `trellis_batch` scores a
 batch of trials on arrays and accepts a view iff its score reaches the
-threshold.
+threshold.  With p > 0 on every link, a view's score is positive exactly when
+the algebraic rule with both radii n accepts it.
 
 Each kernel sizes its watcher axis W from its input.  `algebraic_check`,
 `build_trellis` and `consistency_probability` run the kernels on one
@@ -46,6 +47,8 @@ class Observation:
 
     Headers (coefficients, and hashes as h-bit words) arrive intact; the two
     overheard payloads went through the corresponding interference channels.
+    It is one watcher's view as objects: the words of a `protocol.view_rows`
+    row, whose columns 3 and 5 + 2a hold its two hashes.
     """
 
     own_value: FieldElement

@@ -1,14 +1,17 @@
 """CLI surface tests (exit codes, output shape)."""
 
 import csv
+import importlib
 import io
 import json
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import algwatchdog
 from algwatchdog.cli import build_parser, main
 from oracles import json_leaves
 
@@ -230,3 +233,40 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(command)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
+
+
+def _readme():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_names_resolve():
+    # a rename that misses the guide leaves it citing a name that no longer exists
+    prose = re.sub(r"^```.*?^```", "", _readme(), flags=re.S | re.M)
+    spans = re.findall(r"`([^`\n]+)`", prose)
+    names = [name for span in spans for name in re.findall(r"(?<![\w.])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span)]
+    checked = 0
+    for name in names:
+        head, *rest = name.split(".")
+        # a package module or a top-level export; other dotted spans are report leaves, files or numpy
+        obj = algwatchdog if head == "algwatchdog" else getattr(algwatchdog, head, None)
+        if obj is None:
+            continue
+        for part in rest:
+            assert hasattr(obj, part), f"README names `{name}`, which does not resolve"
+            obj = getattr(obj, part)
+        checked += 1
+    assert checked
+
+
+def test_readme_names_no_private_attribute():
+    # private helpers are mechanism, and the module docstrings describe mechanism beside the code
+    private = set()
+    for info in pkgutil.iter_modules(algwatchdog.__path__):
+        module = importlib.import_module(f"algwatchdog.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") and not name.startswith("__"):
+                private.add(name)
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                private.update(a for a in vars(obj) if a.startswith("_") and not a.startswith("__"))
+    cited = set(re.findall(r"(?<!\w)_[A-Za-z]\w*", _readme())) & private
+    assert not cited, f"README names private attributes {sorted(cited)}"
