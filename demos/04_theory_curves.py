@@ -13,8 +13,8 @@ overhearing entirely still leaves a useful (if weaker) check, about
 
 from algwatchdog import (
     TheoryParams,
-    conservative_gamma_bound,
     gamma_bound,
+    gamma_bound_conservative,
     predicted_beta,
     predicted_beta_no_overhear,
 )
@@ -23,7 +23,7 @@ print("False-detection side (honest relay): per-ball miss budget eps,")
 print("one watcher's two balls min(1, 2*eps); the joint gamma spans four balls:")
 for eps in (0.05, 0.01, 0.001):
     print(f"  eps={eps}: per ball {float(gamma_bound(eps))}, "
-          f"per watcher {float(conservative_gamma_bound(eps))}")
+          f"per watcher {float(gamma_bound_conservative(eps))}")
 
 print("\nMisdetection upper estimate vs hash width (n=12, all radii 3):")
 for h in range(1, 9):

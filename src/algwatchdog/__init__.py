@@ -37,8 +37,8 @@ from .protocol import (
 from .theory import (
     Prediction,
     TheoryParams,
-    conservative_gamma_bound,
     gamma_bound,
+    gamma_bound_conservative,
     misdetection_v1,
     misdetection_v2,
     predicted_beta,

@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         run.add_argument("--out")
         run.add_argument("--format", choices=("json", "csv"), default="json")
         run.add_argument("--workers", type=int, default=1, metavar="N",
-                         help="N jobs, run on min(N, usable cores) processes counting the caller")
+                         help="run on min(N, usable cores) processes counting the caller, one job each")
     return p
 
 

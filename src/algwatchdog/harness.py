@@ -27,22 +27,22 @@ group of chunks that share blocks.
 `run_trials` and `sweep` share one run path and one plan: their trials run as
 (cfg, lo, hi) chunks, job k holds chunk k of every config, and the jobs'
 results are read in order.  Serially each config is one chunk, and the one
-job runs through the builtin `map` in this process.  With workers > 1 and a
-config of 2 * workers trials or more, the call pools: every config is cut
-into `workers` near-equal chunks, and job k runs on process k mod S of the
-one pool of S = min(workers, usable cores) processes, however many points a
-sweep has.  `write_report` writes the result to a file or to stdout as JSON,
-or as CSV: one column per leaf of the JSON document, named by its dotted path
-(`config.n`, `per_watcher.beta_v1.count`).  Both serialize `SimReport.to_dict`,
-which rounds the report's fields straight into fresh containers.  Each fact
-is one leaf, and `config.adversary` is always an object: its kind and the
-fields that kind uses.  Every `predicted` bound is about the algebraic
-engine's radius rule, so a trellis report claims none (null); `radii` is
-written for both engines, as exhaustive_best chooses its error by them.
+job runs through the builtin `map` in this process.  With S = min(workers,
+usable cores) > 1 and a config of 2S trials or more, the call pools: every
+config is cut into S near-equal chunks, and job k runs on process k of the
+one pool of S processes counting the caller, one job each.  `write_report`
+writes the result to a file or to stdout as JSON, or as CSV: one column per
+leaf of the JSON document, named by its dotted path (`config.n`,
+`per_watcher.beta_v1.count`).  Both serialize `SimReport.to_dict`, which
+rounds the report's fields straight into fresh containers.  Each fact is one
+leaf, and `config.adversary` is always an object: its kind and the fields
+that kind uses.  Every `predicted` bound is about the algebraic engine's
+radius rule, so a trellis report claims none (null); `radii` is written for
+both engines, as exhaustive_best chooses its error by them.
 
 The pool is the calling process and S - 1 workers, each serving jobs over
-its own `multiprocessing.Pipe`: a pooled call sends the workers their jobs,
-runs its own share, then reads their tallies or exceptions in job order.  It
+its own `multiprocessing.Pipe`: a pooled call sends each worker its one job,
+runs job 0, then reads each worker's tallies or exception in job order.  It
 lives until the process ends, a call needs another size, or a call fails (a
 job raises, a worker dies, an interrupt); a worker that died while the pool
 sat idle is found before the jobs go out, and the pool is replaced once.
@@ -409,9 +409,9 @@ def _run_chunks(job: list[tuple[SimConfig, int, int]]) -> list[tuple[int, int, i
     return sums
 
 
-def _chunks(trials: int, workers: int) -> list[tuple[int, int]]:
-    """Trial ranges for one config: `workers` near-equal ranges, the empty ones dropped."""
-    bounds = [round(i * trials / workers) for i in range(workers + 1)]
+def _chunks(trials: int, size: int) -> list[tuple[int, int]]:
+    """Trial ranges for one config: `size` near-equal ranges, one per process of the pool, the empty ones dropped."""
+    bounds = [round(i * trials / size) for i in range(size + 1)]
     return [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
 
 
@@ -486,20 +486,18 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _pooled(jobs: list, size: int) -> list:
-    """The jobs' results, in order, from the process's pool of `size` processes: job k runs on process k mod size.
+def _pooled(jobs: list) -> list:
+    """The jobs' results, in order, from the process's pool of `len(jobs)` processes: job k runs on process k.
 
-    Process 0, this one, runs its share once every worker has been sent its jobs.  A call that fails in any way
+    Process 0, this one, runs job 0 once every worker has been sent its one job.  A call that fails in any way
     (a job raises, a worker dies, an interrupt) stops the pool, and the next starts afresh.
     """
     with _pool_lock:
         try:
-            workers = _pool_of(size)
-            for k in range(len(jobs)):
-                if k % size:
-                    workers[k % size - 1][1].send(jobs[k])
-            own = iter([_run_chunks(job) for job in jobs[::size]])
-            results = [workers[k % size - 1][1].recv() if k % size else next(own) for k in range(len(jobs))]
+            workers = _pool_of(len(jobs))
+            for (_, conn), job in zip(workers, jobs[1:]):
+                conn.send(job)
+            results = [_run_chunks(jobs[0]), *(conn.recv() for _, conn in workers)]
             for result in results:
                 if isinstance(result, Exception):
                     raise result
@@ -514,23 +512,24 @@ def _pooled(jobs: list, size: int) -> list:
 def _tally(cfgs: list[SimConfig], workers: int) -> list[tuple[tuple[int, int, int, int], float]]:
     """Each config's summed tallies with a wall time: the call's for the first config, 0.0 for the others.
 
-    Job k holds chunk k of every config, serially and pooled alike.  Serially
-    each config is one chunk, and the one job runs in this process; if
-    workers > 1 and a config has 2 * workers trials or more, the `workers`
-    jobs go to the process's pool (see `_pooled` and the module docstring).
+    Job k holds chunk k of every config.  Serially each config is one chunk,
+    and the one job runs in this process.  If S = min(workers, usable cores)
+    is above 1 and a config has 2S trials or more, the S jobs go to the pool
+    of S processes counting the caller, one job each (see `_pooled`).
     """
     if not protocol.is_int(workers):
         raise ConfigError([f"workers={workers!r} is not an integer"])
     if workers < 1:
         raise ConfigError([f"workers={workers} < 1"])
-    pooled = workers > 1 and any(cfg.trials >= 2 * workers for cfg in cfgs)
-    plans = [[(i, lo, hi) for lo, hi in _chunks(cfg.trials, workers if pooled else 1)] for i, cfg in enumerate(cfgs)]
+    size = min(workers, _usable_cores())
+    pooled = size > 1 and any(cfg.trials >= 2 * size for cfg in cfgs)
+    plans = [[(i, lo, hi) for lo, hi in _chunks(cfg.trials, size if pooled else 1)] for i, cfg in enumerate(cfgs)]
     # job k holds chunk k of every config that has one; serially, the one job holds every config
     shares = [[c for c in share if c] for share in itertools.zip_longest(*plans)]
     jobs = [[(cfgs[i], lo, hi) for i, lo, hi in share] for share in shares]
     sums = [(0, 0, 0, 0)] * len(cfgs)
     start = time.perf_counter()
-    parts = _pooled(jobs, min(workers, _usable_cores())) if pooled else map(_run_chunks, jobs)
+    parts = _pooled(jobs) if pooled else map(_run_chunks, jobs)
     for share, tallies in zip(shares, parts):
         for (i, _, _), part in zip(share, tallies):
             sums[i] = tuple(a + b for a, b in zip(sums[i], part))
@@ -587,7 +586,8 @@ def sweep(base: SimConfig, axis: str, values, workers: int = 1) -> list[SimRepor
     Point i runs at seed `base.seed ^ i`, except on the `seed` axis, where
     each point runs at the seed it names.  An empty `values` is a ConfigError.
     Every point is validated before any trial runs, and all points share the
-    process's one pool.  The points run together, so the first point's
+    process's one pool of min(workers, usable cores) processes counting the
+    caller, one job each.  The points run together, so the first point's
     `wall_time_s` is the sweep's wall time, including pool start-up only
     when this call starts the pool, and later points read 0.0.
     """

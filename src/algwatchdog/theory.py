@@ -91,7 +91,7 @@ def gamma_bound(eps: float) -> Fraction:
     return Fraction(eps)
 
 
-def conservative_gamma_bound(eps: float) -> Fraction:
+def gamma_bound_conservative(eps: float) -> Fraction:
     """Union of one watcher's two per-event budgets: min(1, 2*eps).
 
     A watcher needs both its candidate sets to cover the true words, so
@@ -157,4 +157,4 @@ def predicted_beta_no_overhear(n: int, h: int, r31: int, r32: int) -> Fraction:
 def predict(tp: TheoryParams, eps: float) -> Prediction:
     """Every predictor for one point, each watcher's figure computed once."""
     v1, v2 = misdetection_v1(tp), misdetection_v2(tp)
-    return Prediction(gamma_bound_conservative=conservative_gamma_bound(eps), beta=min(v1, v2), beta_v1=v1, beta_v2=v2)
+    return Prediction(gamma_bound_conservative=gamma_bound_conservative(eps), beta=min(v1, v2), beta_v1=v1, beta_v2=v2)

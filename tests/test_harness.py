@@ -581,18 +581,21 @@ class TestSweep:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pooled_sweep_sends_one_job_per_worker(self, monkeypatch, pool_slot, workers):
+        built, _ = pool_slot
         pooled, sent = harness._pooled, []
 
-        def recording(jobs, size):
+        def recording(jobs):
             sent.append(jobs)
-            return pooled(jobs, size)
+            return pooled(jobs)
 
+        monkeypatch.setattr(harness, "_usable_cores", lambda: 3)
         monkeypatch.setattr(harness, "_pooled", recording)
         values = [30, 3, 17, 1]
         reports = sweep(small_cfg(n=6, h=2), "trials", values, workers=workers)
         assert [tally_json(r) for r in reports] == [tally_json(r) for r in sweep(small_cfg(n=6, h=2), "trials", values)]
         [jobs] = sent
-        assert len(jobs) == workers
+        # job k runs on process k of a pool of as many processes as jobs
+        assert len(jobs) == workers and built == [workers]
         plans = [harness._chunks(trials, workers) for trials in values]
         for k, job in enumerate(jobs):
             # job k holds chunk k of every point that has one, in point order
@@ -865,8 +868,9 @@ class TestPool:
         workers = cores + 2
         cfg = small_cfg(n=6, trials=2 * workers)
         assert tally_json(run_trials(cfg, workers=workers)) == tally_json(run_trials(cfg))
-        # the caller is process 0 of the pool, so it starts one process fewer than its size
-        assert built == [cores] and len(harness._pool[2]) == cores - 1
+        # the caller is process 0 of the pool, so it starts one process fewer than its size; one core runs serially
+        assert built == [cores] * (cores > 1)
+        assert harness._pool is None if cores == 1 else len(harness._pool[2]) == cores - 1
 
     def test_worker_killed_while_idle_does_not_fail_the_next_call(self, monkeypatch, pool_slot):
         built, shut = pool_slot
@@ -943,19 +947,39 @@ class TestPool:
         assert (out.returncode, out.stdout) == (0, want), out.stderr
 
     def test_one_usable_core_starts_no_process(self, monkeypatch, pool_slot):
-        import multiprocessing
-
         built, _ = pool_slot
         monkeypatch.setattr(harness, "_usable_cores", lambda: 1)
-
-        def refused(self):
-            raise AssertionError("a pooled call on one usable core started a process")
-
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refused)
         cfg = small_cfg(n=6, trials=12)
-        # the caller runs all three jobs
+        # the call runs serially: no pool slot is filled
         assert tally_json(run_trials(cfg, workers=3)) == tally_json(run_trials(cfg))
-        assert built == [1] and harness._pool[2] == []
+        assert built == [] and harness._pool is None
+        script = (
+            "import sys\n"
+            "from dataclasses import replace\n"
+            "from algwatchdog import SimConfig, harness, report_json, run_trials\n"
+            "harness._usable_cores = lambda: 1\n"
+            "cfg = SimConfig(n=6, trials=12)\n"
+            "serial = report_json(replace(run_trials(cfg), wall_time_s=0.0))\n"
+            "pooled = report_json(replace(run_trials(cfg, workers=3), wall_time_s=0.0))\n"
+            "print(pooled == serial, 'multiprocessing' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+        assert (out.returncode, out.stdout) == (0, "True False\n"), out.stderr
+
+    def test_thousands_of_workers_run_one_job_per_process(self):
+        # a worker sent many jobs before the caller reads any reply blocks once its replies fill the pipe,
+        # so 2,000 workers on 2 usable cores must be one job for each of 2 processes
+        script = (
+            "from dataclasses import replace\n"
+            "from algwatchdog import SimConfig, harness, report_json, run_trials\n"
+            "harness._usable_cores = lambda: 2\n"
+            "cfg = SimConfig(n=6, trials=4000)\n"
+            "serial = report_json(replace(run_trials(cfg), wall_time_s=0.0))\n"
+            "pooled = report_json(replace(run_trials(cfg, workers=2000), wall_time_s=0.0))\n"
+            "print(pooled == serial, len(harness._pool[2]) == 1)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+        assert (out.returncode, out.stdout) == (0, "True True\n"), out.stderr
 
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
     @pytest.mark.parametrize("ending", ["exit", "kill"])
@@ -1093,7 +1117,8 @@ class TestPool:
 
     def test_script_ending_with_a_live_pool_exits(self):
         script = (
-            "from algwatchdog import SimConfig, run_trials\n"
+            "from algwatchdog import SimConfig, harness, run_trials\n"
+            "harness._usable_cores = lambda: 2\n"
             "run_trials(SimConfig(n=6, trials=12), workers=2)\n"
             "print('done')\n"
         )
@@ -1104,7 +1129,8 @@ class TestPool:
         script = (
             "import sys\n"
             "from dataclasses import replace\n"
-            "from algwatchdog import SimConfig, report_json, run_trials\n"
+            "from algwatchdog import SimConfig, harness, report_json, run_trials\n"
+            "harness._usable_cores = lambda: 2\n"
             "cfg = SimConfig(n=6, trials=12)\n"
             "serial = report_json(replace(run_trials(cfg), wall_time_s=0.0))\n"
             "print('multiprocessing' in sys.modules)\n"
@@ -1121,6 +1147,7 @@ class TestPool:
         script = (
             "import sys\n"
             "from algwatchdog import SimConfig, harness, run_trials\n"
+            "harness._usable_cores = lambda: 2\n"
             "run_trials(SimConfig(n=6, trials=12), workers=2)\n"
             "sys.held_until_teardown = harness\n"
         )

@@ -23,6 +23,7 @@ from dataclasses import replace
 
 import pytest
 
+from algwatchdog import harness
 from algwatchdog.harness import SimConfig, run_trials, write_report
 from conftest import tally_json
 
@@ -213,16 +214,19 @@ def test_csv_report_bytes(tmp_path):
     )
 
 
-def test_trellis_n12_report_identical_across_worker_counts():
+def test_trellis_n12_report_identical_across_worker_counts(monkeypatch):
     # 37 trials split into 12 + 13 + 12 at 3 workers, 18 + 19 at 2: chunk
-    # edges fall inside the trellis engine's 16-trial sub-batches
+    # edges fall inside the trellis engine's 16-trial sub-batches; a pool
+    # runs one job per process, so 3 workers need 3 usable cores
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 3)
     cfg = SimConfig(engine="trellis", n=12, h=5, d=3, trials=37, seed=28)
     docs = {tally_json(run_trials(cfg, workers=w)) for w in (1, 2, 3)}
     assert len(docs) == 1
 
 
-def test_algebraic_n8_report_identical_across_worker_counts():
-    # 37 trials split into 12 + 13 + 12 at 3 workers, 18 + 19 at 2
+def test_algebraic_n8_report_identical_across_worker_counts(monkeypatch):
+    # 37 trials split into 12 + 13 + 12 at 3 workers (on 3 usable cores), 18 + 19 at 2
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 3)
     cfg = SimConfig(n=8, h=3, d=3, trials=37, seed=32)
     docs = {tally_json(run_trials(cfg, workers=w)) for w in (1, 2, 3)}
     assert len(docs) == 1
@@ -231,8 +235,9 @@ def test_algebraic_n8_report_identical_across_worker_counts():
 @pytest.mark.parametrize(
     "fields", SUB_BATCH_EDGE_CONFIGS, ids=["algebraic-n8-600", "trellis-n8-300", "exhaustive-asymmetric-n8-300"]
 )
-def test_sub_batch_edges_report_identical_across_worker_counts(fields):
-    # the chunks of 2 and 3 workers start blocks where 1 worker's do not
+def test_sub_batch_edges_report_identical_across_worker_counts(monkeypatch, fields):
+    # the chunks of 2 and 3 workers (on 3 usable cores) start blocks where 1 worker's do not
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 3)
     cfg = SimConfig(**fields)
     docs = {tally_json(run_trials(cfg, workers=w)) for w in (1, 2, 3)}
     assert len(docs) == 1

@@ -9,8 +9,8 @@ import pytest
 
 from algwatchdog.theory import (
     TheoryParams,
-    conservative_gamma_bound,
     gamma_bound,
+    gamma_bound_conservative,
     misdetection_v1,
     misdetection_v2,
     predict,
@@ -36,8 +36,8 @@ class TestGammaBound:
         assert gamma_bound(0.0) == 0
 
     def test_conservative_union_over_two_coverage_events(self):
-        assert conservative_gamma_bound(0.01) == 2 * Fraction(0.01)
-        assert conservative_gamma_bound(0.9) == 1
+        assert gamma_bound_conservative(0.01) == 2 * Fraction(0.01)
+        assert gamma_bound_conservative(0.9) == 1
 
 
 class TestMisdetectionPerWatcher:
@@ -141,7 +141,7 @@ class TestPredict:
     def test_fields_equal_the_per_field_functions(self, tp):
         for eps in (0.01, 0.3):
             got = predict(tp, eps)
-            assert got.gamma_bound_conservative == conservative_gamma_bound(eps)
+            assert got.gamma_bound_conservative == gamma_bound_conservative(eps)
             assert (got.beta_v1, got.beta_v2) == (misdetection_v1(tp), misdetection_v2(tp))
             assert got.beta == predicted_beta(tp)
 
