@@ -33,8 +33,9 @@ config is cut into S near-equal chunks, and job k runs on process k of the
 one pool of S processes counting the caller, one job each.  `write_report`
 writes the result to a file or to stdout as JSON, or as CSV: one column per
 leaf of the JSON document, named by its dotted path (`config.n`,
-`per_watcher.beta_v1.count`).  Both serialize `SimReport.to_dict`, which
-rounds the report's fields straight into fresh containers.  Each fact is one
+`per_watcher.beta_v1.count`).  `report_json` writes the JSON from the
+report's fields in one pass, rounding each float as it goes; the CSV and
+the tests read `SimReport.to_dict`, the same document.  Each fact is one
 leaf, and `config.adversary` is always an object: its kind and the fields
 that kind uses.  Every `predicted` bound is about the algebraic engine's
 radius rule, so a trellis report claims none (null); `radii` is written for
@@ -71,6 +72,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from hashlib import blake2b
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -233,14 +235,12 @@ class SimReport:
     wall_time_s: float
 
     def to_dict(self) -> dict:
-        """The document `report_json` and `write_report` serialize: floats rounded to 12 significant digits.
+        """The report document, floats rounded by `_round`: what the CSV writer and the tests read.
 
+        `report_json` writes the same document from the fields in one pass, without building this one.
         `_round_floats` returns fresh containers, so the report's own are never shared and need no deep copy first.
         """
-        return {f.name: _round_floats(getattr(self, f.name)) for f in _REPORT_FIELDS}
-
-
-_REPORT_FIELDS = dataclasses.fields(SimReport)
+        return _round_floats(vars(self))
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -603,19 +603,48 @@ def sweep(base: SimConfig, axis: str, values, workers: int = 1) -> list[SimRepor
     return [_report(cfg, tallies, wall) for cfg, (tallies, wall) in zip(cfgs, tallied)]
 
 
-def _round_floats(obj, sig: int = 12):
+def _round(x: float) -> float:
+    """The report's one rounding rule: a float to 12 significant digits."""
+    return float(f"{x:.12g}")
+
+
+def _round_floats(obj):
     if isinstance(obj, float):
-        return float(f"{obj:.{sig}g}")
+        return _round(obj)
     if isinstance(obj, dict):
-        return {k: _round_floats(v, sig) for k, v in obj.items()}
+        return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, sig) for v in obj]
+        return [_round_floats(v) for v in obj]
     return obj
 
 
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spellings of these float reprs
+
+
+def _json(obj, pad: str) -> str:
+    """`obj` as `json.dumps(obj, indent=2, sort_keys=True)` writes it at indent `pad`, each float `_round`ed."""
+    if isinstance(obj, dict):
+        inner = pad + "  "
+        items = [encode_basestring_ascii(key) + ": " + _json(obj[key], inner) for key in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if obj else "{}"
+    if isinstance(obj, float):
+        text = float.__repr__(_round(obj))
+        return _JSON_FLOATS.get(text, text)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, (list, tuple)):
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in obj]) + pad + "]" if obj else "[]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def report_json(rep: SimReport | list[SimReport]) -> str:
-    doc = rep.to_dict() if isinstance(rep, SimReport) else {"reports": [r.to_dict() for r in rep]}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The report(s) as indented JSON with keys sorted, written from the fields in one pass, floats `_round`ed."""
+    return _json(vars(rep) if isinstance(rep, SimReport) else {"reports": [vars(r) for r in rep]}, "\n") + "\n"
 
 
 def _leaves(obj, path: str = ""):

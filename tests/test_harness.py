@@ -1,8 +1,10 @@
 """Monte Carlo runner, sweeps, and report serialization tests."""
 
 import csv
+import hashlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -26,6 +28,7 @@ from algwatchdog.gf2n import canonical_spec
 from algwatchdog.harness import (
     ConfigError,
     SimConfig,
+    SimReport,
     report_json,
     run_trials,
     sweep,
@@ -1192,6 +1195,49 @@ class TestReports:
         assert doc["config"]["n"] == 8
         assert doc["gamma"]["count"] == rep.gamma["count"]
         assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == report_json(rep)
+
+    def test_report_json_writes_what_json_dumps_writes_of_to_dict(self):
+        # json.dumps of the to_dict document is the oracle for the one-pass writer, on every report shape
+        def oracle(rep):
+            doc = rep.to_dict() if isinstance(rep, SimReport) else {"reports": [r.to_dict() for r in rep]}
+            return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+        reports = [
+            run_trials(small_cfg(engine=engine, adversary=adversary, sources=sources, trials=20))
+            for engine in ("algebraic", "trellis")
+            for adversary in every_adversary.args[1]
+            for sources in ("uniform", {"fixed": [0x3A, 0xC5]})
+        ]
+        assert len(reports) == 20 and any(r.beta is None and r.per_watcher is None for r in reports)
+        odd = SimReport(
+            config={"zero": -0.0, "tiny": 1e-300, "big": 1e16, "huge": 2**70, "pair": (1, 2.5, "x"), "none": {}},
+            radii={},
+            predicted={"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "yes": True, "no": False, "list": []},
+            gamma={"third": 1 / 3, "sum": 0.1 + 0.2, "text": "hé ☃\"\\\n"},
+            beta=None,
+            per_watcher=None,
+            wall_time_s=123.456789012345678,
+        )
+        for rep in [*reports, odd, reports, [odd, reports[0]], []]:
+            assert report_json(rep) == oracle(rep)
+
+    def test_report_path_does_not_reach_json_encoder(self, monkeypatch):
+        # json's indent encoder is pure Python; the report writer must not fall back to it
+        cfg = small_cfg(trials=150, seed=0)
+        alg8 = replace(run_trials(cfg), wall_time_s=0.0)
+        points = [replace(r, wall_time_s=0.0) for r in sweep(replace(cfg, trials=40), "h", [1, 2, 3, 4, 5])]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("report_json reached json.JSONEncoder.iterencode")
+
+        monkeypatch.setattr(json.encoder.JSONEncoder, "iterencode", refuse)
+        # sha256 of each report's bytes as json.dumps(to_dict(), indent=2, sort_keys=True) wrote them
+        assert hashlib.sha256(report_json(alg8).encode()).hexdigest() == (
+            "3877c1f64aae9594ec836c5adf7b2099c46e9e149789720ddb5cfd30553f5afb"
+        )
+        assert hashlib.sha256(report_json(points).encode()).hexdigest() == (
+            "f3fa77370c7c3608994e0f9844743ea94359056aae8ef75a2b02c8e561097f7d"
+        )
 
     def test_csv_columns_are_the_json_leaves(self, tmp_path):
         # the adversary's error word and the fixed sources are nested config leaves
