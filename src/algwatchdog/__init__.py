@@ -35,7 +35,6 @@ from .protocol import (
     relay_output,
 )
 from .theory import (
-    Prediction,
     TheoryParams,
     gamma_bound,
     gamma_bound_conservative,

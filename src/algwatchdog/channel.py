@@ -98,7 +98,6 @@ def radius_for_epsilon(n: int, p: float, eps: float) -> Radius:
     for r in range(n + 1):
         if binomial_cdf_exact(n, r, p) >= target:
             return Radius(r, eps)
-    return Radius(n, eps)
 
 
 def ball_volume(n: int, r: int) -> int:

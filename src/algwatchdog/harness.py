@@ -33,13 +33,13 @@ config is cut into S near-equal chunks, and job k runs on process k of the
 one pool of S processes counting the caller, one job each.  `write_report`
 writes the result to a file or to stdout as JSON, or as CSV: one column per
 leaf of the JSON document, named by its dotted path (`config.n`,
-`per_watcher.beta_v1.count`).  `report_json` writes the JSON from the
-report's fields in one pass, rounding each float as it goes; the CSV and
-the tests read `SimReport.to_dict`, the same document.  Each fact is one
-leaf, and `config.adversary` is always an object: its kind and the fields
-that kind uses.  Every `predicted` bound is about the algebraic engine's
-radius rule, so a trellis report claims none (null); `radii` is written for
-both engines, as exhaustive_best chooses its error by them.
+`per_watcher.beta_v1.count`).  Either form walks the report's fields and
+rounds each float by one rule (`_round`); a list leaf is one CSV cell, its
+compact JSON.  Each fact is one leaf, and `config.adversary` is always an
+object: its kind and the fields that kind uses.  Every `predicted` bound is
+about the algebraic engine's radius rule, so a trellis report claims none
+(null); `radii` is written for both engines, as exhaustive_best chooses its
+error by them.
 
 The pool is the calling process and S - 1 workers, each serving jobs over
 its own `multiprocessing.Pipe`: a pooled call sends each worker its one job,
@@ -234,18 +234,11 @@ class SimReport:
     per_watcher: dict | None
     wall_time_s: float
 
-    def to_dict(self) -> dict:
-        """The report document, floats rounded by `_round`: what the CSV writer and the tests read.
 
-        `report_json` writes the same document from the fields in one pass, without building this one.
-        `_round_floats` returns fresh containers, so the report's own are never shared and need no deep copy first.
-        """
-        return _round_floats(vars(self))
-
-
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """Wilson score interval; better behaved than the normal approximation
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval; better behaved than the normal approximation
     for the small probabilities this harness measures."""
+    z = 1.959963984540054  # the standard normal's 97.5% quantile
     if trials == 0:
         return (0.0, 1.0)
     phat = successes / trials
@@ -548,15 +541,13 @@ def _report(cfg: SimConfig, tallies: tuple[int, int, int, int], wall: float) -> 
     config = cfg.to_dict()
     kind = config["adversary"]["kind"]
     radii = {"r" + name[1:]: radius_for_epsilon(cfg.n, getattr(cfg, name), cfg.epsilon).r for name in _EDGE_PROBS}
-    predicted = dict.fromkeys(("gamma_bound", "gamma_bound_conservative", "beta", "beta_v1", "beta_v2"))
     # every bound is about the algebraic engine's radius rule; the beta bounds hold only
-    # for this adversary and d >= 2 (see theory)
-    if cfg.engine == "algebraic":
-        pred = theory.predict(theory.TheoryParams(cfg.n, cfg.h, **radii), cfg.epsilon)
-        predicted["gamma_bound"] = float(theory.gamma_bound(cfg.epsilon))
-        predicted["gamma_bound_conservative"] = float(pred.gamma_bound_conservative)
-        if kind == "random_nonzero_error" and cfg.d >= 2:
-            predicted.update((key, float(getattr(pred, key))) for key in ("beta", "beta_v1", "beta_v2"))
+    # for this adversary and d >= 2 (see theory).  A leaf takes the scope of the first word
+    # of its name, and a bound out of scope is null
+    algebraic = cfg.engine == "algebraic"
+    in_scope = {"gamma": algebraic, "beta": algebraic and kind == "random_nonzero_error" and cfg.d >= 2}
+    bounds = theory.predict(theory.TheoryParams(cfg.n, cfg.h, **radii), cfg.epsilon)
+    predicted = {key: float(bound) if in_scope[key.split("_")[0]] else None for key, bound in bounds.items()}
 
     def rate(count: int) -> dict:
         low, high = wilson_interval(count, cfg.trials)
@@ -593,8 +584,10 @@ def sweep(base: SimConfig, axis: str, values, workers: int = 1) -> list[SimRepor
     """
     if axis not in _NUMERIC_FIELDS:
         raise ConfigError([f"axis {axis!r} is not a numeric config field"])
-    # the axis value comes last, so on the seed axis it replaces the derived seed
-    cfgs = [replace(base, **{"seed": base.seed ^ i, axis: v}) for i, v in enumerate(values)]
+    # the axis value comes last, so on the seed axis it replaces the derived seed; a seed
+    # that is no integer derives none and is left for `validate` to name
+    derive = protocol.is_int(base.seed)
+    cfgs = [replace(base, **{"seed": base.seed ^ i if derive else base.seed, axis: v}) for i, v in enumerate(values)]
     if not cfgs:
         raise ConfigError(["values: holds no value, so the sweep has no point"])
     for cfg in cfgs:
@@ -606,16 +599,6 @@ def sweep(base: SimConfig, axis: str, values, workers: int = 1) -> list[SimRepor
 def _round(x: float) -> float:
     """The report's one rounding rule: a float to 12 significant digits."""
     return float(f"{x:.12g}")
-
-
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return _round(obj)
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
 
 
 _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spellings of these float reprs
@@ -648,15 +631,17 @@ def report_json(rep: SimReport | list[SimReport]) -> str:
 
 
 def _leaves(obj, path: str = ""):
-    """(dotted path, cell) for each leaf of a report document, in document order.
+    """(dotted path, cell) for each leaf of a report's fields, in field order, each float `_round`ed.
 
-    A list leaf's cell is its JSON text; a null stays None, which `csv` writes as an empty cell.
+    A list or tuple leaf's cell is the compact JSON of its items; a null stays None, which `csv` writes empty.
     """
     if isinstance(obj, dict):
         for key, value in obj.items():
             yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(obj, (list, tuple)):
+        yield path, json.dumps([_round(v) if isinstance(v, float) else v for v in obj])
     else:
-        yield path, json.dumps(obj) if isinstance(obj, list) else obj
+        yield path, _round(obj) if isinstance(obj, float) else obj
 
 
 def write_report(rep: SimReport | list[SimReport], path: str | None = None, format: str = "json") -> None:
@@ -670,7 +655,7 @@ def write_report(rep: SimReport | list[SimReport], path: str | None = None, form
             if format == "json":
                 f.write(report_json(rep))
             else:
-                rows = [dict(_leaves(r.to_dict())) for r in reports]
+                rows = [dict(_leaves(vars(r))) for r in reports]
                 # one header for every report: the union of their paths, a path a report lacks left empty
                 w = csv.DictWriter(f, list(dict.fromkeys(key for row in rows for key in row)), restval="")
                 w.writeheader()

@@ -66,14 +66,6 @@ class TheoryParams:
                 raise ValueError(f"{name}={r} outside [0, {self.n}]")
 
 
-@dataclass(frozen=True)
-class Prediction:
-    gamma_bound_conservative: Fraction
-    beta: Fraction
-    beta_v1: Fraction
-    beta_v2: Fraction
-
-
 def gamma_bound(eps: float) -> Fraction:
     """The budget of one coverage event: the chance eps that one ball misses.
 
@@ -154,7 +146,8 @@ def predicted_beta_no_overhear(n: int, h: int, r31: int, r32: int) -> Fraction:
     return _watcher_bound(n, h, 1 << n, ball_volume(n, min(r31, r32)))
 
 
-def predict(tp: TheoryParams, eps: float) -> Prediction:
-    """Every predictor for one point, each watcher's figure computed once."""
+def predict(tp: TheoryParams, eps: float) -> dict[str, Fraction]:
+    """Every predictor for one point, keyed and ordered as a report's `predicted`; each watcher's figure once."""
     v1, v2 = misdetection_v1(tp), misdetection_v2(tp)
-    return Prediction(gamma_bound_conservative=gamma_bound_conservative(eps), beta=min(v1, v2), beta_v1=v1, beta_v2=v2)
+    gammas = {"gamma_bound": gamma_bound(eps), "gamma_bound_conservative": gamma_bound_conservative(eps)}
+    return {**gammas, "beta": min(v1, v2), "beta_v1": v1, "beta_v2": v2}

@@ -5,8 +5,9 @@ shift-XOR-reduce multiplier against the table-based one, the field's
 exp/log tables walked one power at a time with that multiplier against the
 grid the package builds them on, a hash summed power by power with that
 multiplier against the log-domain hash tables, a Pascal-recurrence binomial
-CDF against the radius computation, a report document's leaves, walked by
-key, against the CSV columns the report writer derives from them, and both
+CDF against the radius computation, a report's fields rounded by a copy of
+the report's rule and written by `json.dumps` against the report writers,
+the fields' leaves, walked by key, against the CSV columns, and both
 detection rules, applied to one observation by a scan of the whole field,
 against the detection kernels and the errors `protocol.best_errors` chooses.
 `stream_bytes` reads a generator's next outputs as the draw step reads a
@@ -103,6 +104,17 @@ def radius_oracle_suite() -> None:
                 got = radius_for_epsilon(n, p, eps).r
                 want = radius_pascal(n, p, eps)
                 assert got == want, f"radius mismatch n={n} p={p} eps={eps}: {got} != {want}"
+
+
+def rounded(obj):
+    """A fresh copy of a report's fields, each float to 12 significant digits and each tuple a list."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {key: rounded(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [rounded(value) for value in obj]
+    return obj
 
 
 def json_leaves(obj, path=()):

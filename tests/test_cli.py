@@ -72,11 +72,15 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg]) == 2
 
     @pytest.mark.parametrize("field, value", [
-        ("n", "8"), ("epsilon", "0.01"), ("trials", 10.5), ("h", 3.0), ("seed", True), ("p12", False),
+        ("n", "8"), ("epsilon", "0.01"), ("trials", 10.5), ("h", 3.0), ("seed", True), ("seed", "7"), ("seed", None),
+        ("p12", False),
     ])
-    def test_wrongly_typed_value_exit_2(self, tmp_path, capsys, field, value):
+    # a sweep derives its points' seeds from the config's seed; the axis is d so that no case's field is the one
+    # the sweep replaces
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--axis", "d", "--values", "3"]], ids=" ".join)
+    def test_wrongly_typed_value_exit_2(self, tmp_path, capsys, field, value, command):
         cfg = write_config(tmp_path, **{field: value})
-        assert main(["simulate", "--config", cfg]) == 2
+        assert main([*command, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert f"{field}={value!r}" in err and "Traceback" not in err
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from algwatchdog import gf2n
 from algwatchdog.gf2n import (
     FieldElement,
+    FieldError,
     FieldSpec,
     UnsupportedWidthError,
     canonical_spec,
@@ -56,6 +57,8 @@ class TestCanonicalSpec:
     def test_out_of_range_width_rejected(self, n):
         with pytest.raises(UnsupportedWidthError):
             canonical_spec(n)
+        with pytest.raises(UnsupportedWidthError):
+            FieldSpec(n, (1 << n) | 1)
 
     def test_deterministic_per_width(self):
         assert canonical_spec(6) == canonical_spec(6)
@@ -63,6 +66,10 @@ class TestCanonicalSpec:
     def test_reducible_poly_rejected(self):
         with pytest.raises(Exception):
             FieldSpec(4, 0b10101)  # (x^2+x+1)^2
+        with pytest.raises(FieldError, match="does not have degree 4"):
+            FieldSpec(4, 0b111)
+        # a constant has no degree to reduce by
+        assert not gf2n.is_irreducible(1)
 
 
 class TestMul:

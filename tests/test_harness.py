@@ -1,5 +1,6 @@
 """Monte Carlo runner, sweeps, and report serialization tests."""
 
+import copy
 import csv
 import hashlib
 import io
@@ -36,7 +37,7 @@ from algwatchdog.harness import (
     write_report,
 )
 from conftest import make_scenario, tally_json
-from oracles import json_leaves
+from oracles import json_leaves, rounded
 
 
 every_adversary = pytest.mark.parametrize(
@@ -57,6 +58,20 @@ def small_cfg(**kw):
                     epsilon=0.01, trials=300, seed=42)
     defaults.update(kw)
     return SimConfig(**defaults)
+
+
+def odd_report() -> SimReport:
+    """A report whose leaves take every shape the writers handle: signed zero, huge and non-finite numbers, a
+    tuple, empty containers, bools and escaped text."""
+    return SimReport(
+        config={"zero": -0.0, "tiny": 1e-300, "big": 1e16, "huge": 2**70, "pair": (1, 2 / 3, "x"), "none": {}},
+        radii={},
+        predicted={"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "yes": True, "no": False, "list": []},
+        gamma={"third": 1 / 3, "sum": 0.1 + 0.2, "text": "hé ☃\"\\\n"},
+        beta=None,
+        per_watcher=None,
+        wall_time_s=123.456789012345678,
+    )
 
 
 def read_csv(path) -> list[list[str]]:
@@ -1169,16 +1184,19 @@ class TestWilson:
         lo, hi = wilson_interval(7, 50)
         assert lo < 7 / 50 < hi
 
+    def test_no_trials_gives_the_whole_range(self):
+        assert wilson_interval(0, 0) == (0.0, 1.0)
+
 
 class TestReports:
     def test_serializing_changes_nothing_and_shares_nothing(self, tmp_path):
         adversary, sources = {"kind": "fixed_error", "error": 5}, {"fixed": [0x3A, 0xC5]}
         cfg = small_cfg(adversary=dict(adversary), sources={"fixed": list(sources["fixed"])}, trials=20)
         rep = run_trials(cfg)
-        before, tallies = rep.to_dict(), tally_json(rep)
+        before, tallies = copy.deepcopy(vars(rep)), tally_json(rep)
         report_json(rep)
         write_report(rep, str(tmp_path / "report.csv"), format="csv")
-        assert rep.to_dict() == before
+        assert vars(rep) == before
         # the report's config is its own copy: changing it reaches neither the config nor its next report
         rep.config["adversary"]["error"] = 9
         rep.config["sources"]["fixed"][0] = 0
@@ -1196,11 +1214,12 @@ class TestReports:
         assert doc["gamma"]["count"] == rep.gamma["count"]
         assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == report_json(rep)
 
-    def test_report_json_writes_what_json_dumps_writes_of_to_dict(self):
-        # json.dumps of the to_dict document is the oracle for the one-pass writer, on every report shape
+    def test_report_json_writes_what_json_dumps_writes_of_the_rounded_fields(self):
+        # json.dumps of the fields, rounded by the oracle's own copy of the rule, is the oracle for the
+        # one-pass writer, on every report shape
         def oracle(rep):
-            doc = rep.to_dict() if isinstance(rep, SimReport) else {"reports": [r.to_dict() for r in rep]}
-            return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            doc = vars(rep) if isinstance(rep, SimReport) else {"reports": [vars(r) for r in rep]}
+            return json.dumps(rounded(doc), indent=2, sort_keys=True) + "\n"
 
         reports = [
             run_trials(small_cfg(engine=engine, adversary=adversary, sources=sources, trials=20))
@@ -1209,17 +1228,14 @@ class TestReports:
             for sources in ("uniform", {"fixed": [0x3A, 0xC5]})
         ]
         assert len(reports) == 20 and any(r.beta is None and r.per_watcher is None for r in reports)
-        odd = SimReport(
-            config={"zero": -0.0, "tiny": 1e-300, "big": 1e16, "huge": 2**70, "pair": (1, 2.5, "x"), "none": {}},
-            radii={},
-            predicted={"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "yes": True, "no": False, "list": []},
-            gamma={"third": 1 / 3, "sum": 0.1 + 0.2, "text": "hé ☃\"\\\n"},
-            beta=None,
-            per_watcher=None,
-            wall_time_s=123.456789012345678,
-        )
+        odd = odd_report()
         for rep in [*reports, odd, reports, [odd, reports[0]], []]:
             assert report_json(rep) == oracle(rep)
+        # a value json cannot write is refused as json refuses it
+        odd.radii["set"] = {1}
+        for write in (report_json, oracle):
+            with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+                write(odd)
 
     def test_report_path_does_not_reach_json_encoder(self, monkeypatch):
         # json's indent encoder is pure Python; the report writer must not fall back to it
@@ -1231,7 +1247,7 @@ class TestReports:
             raise AssertionError("report_json reached json.JSONEncoder.iterencode")
 
         monkeypatch.setattr(json.encoder.JSONEncoder, "iterencode", refuse)
-        # sha256 of each report's bytes as json.dumps(to_dict(), indent=2, sort_keys=True) wrote them
+        # sha256 of each report's bytes as json.dumps of its rounded fields, indent=2, sort_keys=True, wrote them
         assert hashlib.sha256(report_json(alg8).encode()).hexdigest() == (
             "3877c1f64aae9594ec836c5adf7b2099c46e9e149789720ddb5cfd30553f5afb"
         )
@@ -1247,7 +1263,7 @@ class TestReports:
         write_report(rep, str(out), format="csv")
         header, row = read_csv(out)
         # one column per leaf, named by its dotted path, in the document's order
-        assert header == [key for key, _ in json_leaves(rep.to_dict())]
+        assert header == [key for key, _ in json_leaves(vars(rep))]
         assert len(header) == 45 and "config.adversary.error" in header
         cells = dict(zip(header, row))
         leaves = dict(json_leaves(json.loads(report_json(rep))))
@@ -1257,6 +1273,20 @@ class TestReports:
             want = "" if leaf is None else json.dumps(leaf) if isinstance(leaf, list) else str(leaf)
             assert cells[key] == want, key
         assert json.loads(cells["config.sources.fixed"]) == [0x3A, 0xC5]
+
+    def test_csv_cells_are_the_rounded_leaves_in_field_order(self, tmp_path):
+        # a float leaf is rounded as the JSON rounds it, and a list or tuple leaf is one cell, the compact JSON
+        # of its items; the odd report's tuple holds a float to round
+        rep = odd_report()
+        out = tmp_path / "odd.csv"
+        write_report(rep, str(out), format="csv")
+        header, row = read_csv(out)
+        leaves = list(json_leaves(rounded(vars(rep))))
+        assert header == [key for key, _ in leaves]
+        want = ["" if leaf is None else json.dumps(leaf) if isinstance(leaf, list) else str(leaf) for _, leaf in leaves]
+        assert row == want
+        cells = dict(zip(header, row))
+        assert (cells["config.pair"], cells["gamma.third"]) == ('[1, 0.666666666667, "x"]', "0.333333333333")
 
     def test_honest_run_leaves_beta_cells_empty(self, tmp_path):
         # an honest run measures no beta and predicts none: its beta and per_watcher are null, so empty cells
@@ -1275,8 +1305,8 @@ class TestReports:
         out = tmp_path / "both.csv"
         write_report([honest, corrupted], str(out), format="csv")
         header, *rows = read_csv(out)
-        paths = [key for key, _ in json_leaves(honest.to_dict())]
-        assert header == paths + [key for key, _ in json_leaves(corrupted.to_dict()) if key not in paths]
+        paths = [key for key, _ in json_leaves(vars(honest))]
+        assert header == paths + [key for key, _ in json_leaves(vars(corrupted)) if key not in paths]
         honest_cells, corrupted_cells = (dict(zip(header, row)) for row in rows)
         measured = [k for k in header if k.startswith(("beta.", "per_watcher."))]
         assert len(measured) == 15
@@ -1298,7 +1328,7 @@ class TestReports:
         assert capsys.readouterr().out == report_json(rep)
         write_report([rep, rep], format="csv")
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-        assert rows[0] == [key for key, _ in json_leaves(rep.to_dict())] and len(rows) == 3
+        assert rows[0] == [key for key, _ in json_leaves(vars(rep))] and len(rows) == 3
 
     def test_unwritable_path_raises_io_error(self):
         rep = run_trials(small_cfg(trials=5))

@@ -64,6 +64,12 @@ class TestEvaluate:
             vec = hf.values_on(np.arange(spec.order, dtype=np.int64))
             assert vec.tolist() == [evaluate(hf, fe(x, spec)) for x in range(spec.order)]
 
+    def test_malformed_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="need at least one coefficient"):
+            HashFunction((), 2)
+        with pytest.raises(SpecMismatchError, match="span multiple fields"):
+            HashFunction((fe(1), FieldElement(1, canonical_spec(5))), 2)
+
     def test_spec_mismatch(self):
         hf = HashFunction((fe(1), fe(1)), width=2)
         with pytest.raises(SpecMismatchError):
@@ -229,6 +235,10 @@ class TestSample:
     def test_width_exceeding_field_rejected(self):
         with pytest.raises(HashWidthError):
             sample(random.Random(0), 2, GF16, 5)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            sample(random.Random(0), -1, GF16, 2)
 
     def test_leading_coefficient_uniform(self):
         spec = canonical_spec(8)

@@ -159,6 +159,11 @@ class TestRelayOutput:
             with pytest.raises(ValueError, match=f"fixed error {error} not a nonzero 4-bit word"):
                 draw_error(AdversaryStrategy("fixed_error", error=error), GF16, random.Random(1))
 
+    def test_exhaustive_best_draws_no_error(self):
+        # its error is chosen from the scenario by best_errors, so drawing one is refused
+        with pytest.raises(ValueError, match="exhaustive_best draws no error"):
+            draw_error(AdversaryStrategy("exhaustive_best"), GF16, random.Random(1))
+
     def test_random_nonzero_error_statistics(self):
         scn = make_scenario(spec=GF256, h=3)
         rng = random.Random(2)

@@ -35,6 +35,11 @@ class TestGammaBound:
     def test_zero_limit(self):
         assert gamma_bound(0.0) == 0
 
+    @pytest.mark.parametrize("eps", [-0.01, 1.0])
+    def test_epsilon_outside_the_unit_interval_rejected(self, eps):
+        with pytest.raises(ValueError, match="outside"):
+            gamma_bound(eps)
+
     def test_conservative_union_over_two_coverage_events(self):
         assert gamma_bound_conservative(0.01) == 2 * Fraction(0.01)
         assert gamma_bound_conservative(0.9) == 1
@@ -128,7 +133,7 @@ class TestPredictedBeta:
 
 
 class TestPredict:
-    """`predict` computes each watcher's bound once; each field must be what its per-field function gives."""
+    """`predict` computes each watcher's bound once; each leaf must be what its per-leaf function gives."""
 
     GRID = [
         TheoryParams(n, h, *radii)
@@ -138,12 +143,14 @@ class TestPredict:
     ]
 
     @pytest.mark.parametrize("tp", GRID, ids=str)
-    def test_fields_equal_the_per_field_functions(self, tp):
+    def test_leaves_equal_the_per_leaf_functions(self, tp):
         for eps in (0.01, 0.3):
             got = predict(tp, eps)
-            assert got.gamma_bound_conservative == gamma_bound_conservative(eps)
-            assert (got.beta_v1, got.beta_v2) == (misdetection_v1(tp), misdetection_v2(tp))
-            assert got.beta == predicted_beta(tp)
+            # keyed and ordered as a report's `predicted`, whose order the CSV columns follow
+            assert list(got) == ["gamma_bound", "gamma_bound_conservative", "beta", "beta_v1", "beta_v2"]
+            assert (got["gamma_bound"], got["gamma_bound_conservative"]) == (gamma_bound(eps), gamma_bound_conservative(eps))
+            assert (got["beta_v1"], got["beta_v2"]) == (misdetection_v1(tp), misdetection_v2(tp))
+            assert got["beta"] == predicted_beta(tp)
 
     def test_equal_keys_give_equal_results(self):
         tp = TheoryParams(8, 3, 3, 2, 4, 1)
@@ -151,11 +158,13 @@ class TestPredict:
         assert predict(replace(tp), 0.01) == first
         assert predict(tp, 0.01) == first
 
-    def test_other_eps_moves_only_the_gamma_bound(self):
+    def test_other_eps_moves_only_the_gamma_bounds(self):
         tp = TheoryParams(8, 3, 3, 2, 4, 1)
         low, high = predict(tp, 0.01), predict(tp, 0.3)
-        assert (low.gamma_bound_conservative, high.gamma_bound_conservative) == (Fraction(0.01) * 2, Fraction(0.3) * 2)
-        assert replace(high, gamma_bound_conservative=low.gamma_bound_conservative) == low
+        assert (low["gamma_bound"], high["gamma_bound"]) == (Fraction(0.01), Fraction(0.3))
+        assert (low["gamma_bound_conservative"], high["gamma_bound_conservative"]) == (Fraction(0.01) * 2, Fraction(0.3) * 2)
+        gammas = ("gamma_bound", "gamma_bound_conservative")
+        assert {**high, **{key: low[key] for key in gammas}} == low
 
 
 class TestNoOverhearCorollary:
