@@ -30,7 +30,6 @@ class BinarySymmetricChannel:
 @dataclass(frozen=True)
 class Radius:
     r: int
-    epsilon: float
 
 
 # 2^i for each bit i of a word of the widest field, n = 16
@@ -97,7 +96,7 @@ def radius_for_epsilon(n: int, p: float, eps: float) -> Radius:
     target = 1 - Fraction(eps)
     for r in range(n + 1):
         if binomial_cdf_exact(n, r, p) >= target:
-            return Radius(r, eps)
+            return Radius(r)
 
 
 def ball_volume(n: int, r: int) -> int:

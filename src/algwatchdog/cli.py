@@ -14,7 +14,7 @@ from . import harness, theory
 
 
 def _cmd_predict(args) -> int:
-    tp = theory.TheoryParams(args.n, getattr(args, "h"), args.r12, args.r21, args.r31, args.r32)
+    tp = theory.TheoryParams(args.n, args.h, args.r12, args.r21, args.r31, args.r32)
     print(f"misdetection_v1 = {float(theory.misdetection_v1(tp)):.6g}")
     print(f"misdetection_v2 = {float(theory.misdetection_v2(tp)):.6g}")
     print(f"beta_bound      = {float(theory.predicted_beta(tp)):.6g}")
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("predict", help="closed-form misdetection figures")
     pr.add_argument("--n", type=int, required=True)
-    pr.add_argument("--h", type=int, required=True, dest="h")
+    pr.add_argument("--h", type=int, required=True)
     pr.add_argument("--r12", type=int, required=True)
     pr.add_argument("--r21", type=int, required=True)
     pr.add_argument("--r31", type=int, required=True)
@@ -99,7 +99,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (harness.ConfigError, ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # harness.ConfigError and json.JSONDecodeError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

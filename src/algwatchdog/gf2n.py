@@ -1,7 +1,8 @@
 """Arithmetic in the binary extension field GF(2^n).
 
 Elements are n-bit words; addition is XOR, multiplication is carry-less
-polynomial multiplication reduced modulo a fixed irreducible polynomial.
+polynomial multiplication reduced modulo the smallest irreducible polynomial
+of degree n, so there is one field per width (`FieldSpec(n)`).
 Multiplication goes through log/exp tables built once per field.  The log
 of zero is a sentinel, 2 * 2^n, and the exp table is padded with zeros up to
 index 4 * 2^n, so exp[log[a] + log[b]] is the product for every pair, zero
@@ -11,7 +12,7 @@ numpy tables for single words or arrays of words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -71,20 +72,16 @@ def is_irreducible(poly: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A concrete GF(2^n): bit-width plus the degree-n reduction polynomial."""
+    """The GF(2^n) of width n: its reduction polynomial is the smallest irreducible of degree n."""
 
     n: int
-    reduction_poly: int
+    reduction_poly: int = field(init=False)
 
     def __post_init__(self):
         if not (MIN_WIDTH <= self.n <= MAX_WIDTH):
             raise UnsupportedWidthError(f"n={self.n} outside [{MIN_WIDTH}, {MAX_WIDTH}]")
-        if self.reduction_poly.bit_length() - 1 != self.n:
-            raise FieldError(
-                f"reduction polynomial 0b{self.reduction_poly:b} does not have degree {self.n}"
-            )
-        if not is_irreducible(self.reduction_poly):
-            raise FieldError(f"reduction polynomial 0b{self.reduction_poly:b} is reducible")
+        smallest = next(poly for poly in range(self.order, 2 * self.order) if is_irreducible(poly))
+        object.__setattr__(self, "reduction_poly", smallest)
 
     @property
     def order(self) -> int:
@@ -113,7 +110,7 @@ def _tables(n: int, poly: int):
 
     exp[i] is g^i for i < 2 * (2^n - 1), g the smallest word >= 2 with no power 1 below 2^n - 1 (x is not always
     one), built as a grid of C columns: row 0 by scalar steps, row j as row 0 times g^(jC) by n array steps, one per
-    bit of the row multipliers.
+    bit of the row multipliers.  Below n = 8 the grid is one row.
     """
     size = 1 << n
     # up to 128 words, scalar steps cost less than the array steps
@@ -124,16 +121,15 @@ def _tables(n: int, poly: int):
         if 1 in row[1:]:
             continue
         cycle = np.array(row)
-        if rows > 1:
-            heads = np.array(_powers(step, rows - 1, poly))[:, None]
-            grid = (heads & 1) * cycle
-            for bit in range(1, n):
-                cycle <<= 1
-                cycle ^= (cycle >> n) * poly
-                grid ^= (heads >> bit & 1) * cycle
-            cycle = grid.ravel()[: size - 1]
-            if np.count_nonzero(cycle == 1) > 1:
-                continue
+        heads = np.array(_powers(step, rows - 1, poly))[:, None]
+        grid = (heads & 1) * cycle
+        for bit in range(1, n):
+            cycle <<= 1
+            cycle ^= (cycle >> n) * poly
+            grid ^= (heads >> bit & 1) * cycle
+        cycle = grid.ravel()[: size - 1]
+        if np.count_nonzero(cycle == 1) > 1:
+            continue
         exp = np.zeros(4 * size + 1, dtype=np.int64)
         exp[: size - 1] = exp[size - 1 : 2 * (size - 1)] = cycle
         log = np.zeros(size, dtype=np.int64)
@@ -145,13 +141,8 @@ def _tables(n: int, poly: int):
 
 @lru_cache(maxsize=None)
 def canonical_spec(n: int) -> FieldSpec:
-    """The canonical GF(2^n): lexicographically smallest irreducible of degree n."""
-    if not (MIN_WIDTH <= n <= MAX_WIDTH):
-        raise UnsupportedWidthError(f"n={n} outside [{MIN_WIDTH}, {MAX_WIDTH}]")
-    for poly in range(1 << n, 1 << (n + 1)):
-        if is_irreducible(poly):
-            return FieldSpec(n, poly)
-    raise FieldError(f"no irreducible polynomial of degree {n}")  # pragma: no cover
+    """`FieldSpec(n)`, the one field of width n, built once per process."""
+    return FieldSpec(n)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ trial index), so tallies are bit-identical for any worker count.
 
 A job's trials are drawn in blocks of up to 256 trials (`_BATCH_TRIALS`),
 and each block's hash tables are built and scored in sub-batches of B =
-max(1, min(256, `_TABLE_WORDS` >> n)) rows: the block bounds what a job holds
-at small n, B at large n (figures in the comment above `_BATCH_TRIALS`).  A
+max(1, min(256, W >> n)) rows, W the engine's `_TABLE_WORDS`, at most 2^16
+under exhaustive_best: the block bounds what a job holds at small n, B at
+large n (figures in the comment above `_BATCH_TRIALS`).  A
 job's chunks are cut into blocks in order, and consecutive chunks whose
 configs differ only in h, seed and trials share them, so a block is a list of
 (cfg, trials) segments.
@@ -145,6 +146,9 @@ class SimConfig:
             problems.append(f"h={self.h} outside [1, n]")
         if self.d < 0:
             problems.append(f"d={self.d} negative")
+        # x^(2^n) = x, so a higher degree adds no hash; bit_length never builds 2^n for a huge n
+        elif self.d.bit_length() > self.n:
+            problems.append(f"d={self.d} above 2^n - 1")
         for name in _EDGE_PROBS:
             p = getattr(self, name)
             if not (0.0 <= p <= 0.5):
@@ -268,9 +272,12 @@ def _derive_seeds(seed: int, trials, key: str) -> list[int]:
 # words; the trellis kernel scans every table word, the algebraic one a ball per trial, and at n = 16
 # algebraic sub-batches of 4 trials ran ≈1.4x as fast as 1 with peak RSS unchanged (ROADMAP item 15).
 # So B is 256 trials up to n = 10, 64 at n = 12 and 4 at n = 16 for the algebraic engine, and 256 up to
-# n = 8 and 16 at n = 12 for the trellis engine.  The block keeps memory flat at small n: a 20,000-trial
-# trellis run at n = 2 (h = 1, d = 3, p = 0.1, seed 1) peaks at 0.30 MB (tracemalloc, after a warm-up
-# call) in 256-trial blocks, against 17.3 MB drawn in one block
+# n = 8 and 16 at n = 12 for the trellis engine.  Under exhaustive_best B holds at most 2^16 words, as
+# `protocol.best_errors` scores a sub-batch at once and its (B, 2, 2^n) survivor counts and scores grow
+# with B (tracemalloc peak of one algebraic call, d = 3, p = 0.1, seed 3: 256 trials at n = 10 and 64 at
+# n = 12 reach 12.9 and 12.8 MB at the 2^18 cap, 5.7 and 4.1 MB at 2^16).  The block keeps memory flat
+# at small n: a 20,000-trial trellis run at n = 2 (h = 1, d = 3, p = 0.1, seed 1) peaks at 0.30 MB
+# (tracemalloc, after a warm-up call) in 256-trial blocks, against 17.3 MB drawn in one block
 _BATCH_TRIALS = 256
 _TABLE_WORDS = {"algebraic": 1 << 18, "trellis": 1 << 16}
 _shared = operator.attrgetter(*(f.name for f in _CONFIG_FIELDS if f.name not in ("h", "seed", "trials")))
@@ -292,10 +299,11 @@ def _draw_batch(
     by its segment's seed and its index there.  The draw stream gives what randrange would: the sources, the
     coefficients, the hash coefficients a_0..a_d, then the relay's error as `draw_error` draws it, unless it is fixed
     or chosen.  The noise stream gives each link with p > 0, in `watcher_links` order, the 2n words of its n
-    `random()` calls; with no such link it is not seeded.  Each sub-batch of B = max(1, `_TABLE_WORDS`[engine] >> n)
-    rows then gets its (B, 2^n) uint16 hash tables, each cut to its segment's h, and its (B, 2, 5 + 2A) rows
-    (`protocol.view_rows`): arm 0 is the honest relay's payload and, unless the strategy is honest, arm 1 the
-    corrupting relay's (exhaustive_best's error is `protocol.best_errors`' at the radii).
+    `random()` calls; with no such link it is not seeded.  Each sub-batch of B = max(1, W >> n) rows, W the engine's
+    `_TABLE_WORDS` or, under exhaustive_best, min(that, 2^16), then gets its (B, 2^n) uint16 hash tables, each cut
+    to its segment's h, and its (B, 2, 5 + 2A) rows (`protocol.view_rows`): arm 0 is the honest relay's payload and,
+    unless the strategy is honest, arm 1 the corrupting relay's (exhaustive_best's error is `protocol.best_errors`'
+    at the radii, scored over the whole sub-batch).
     """
     cfg = segments[0][0]
     spec = canonical_spec(cfg.n)
@@ -328,7 +336,8 @@ def _draw_batch(
     # the corrupting arm's error: read (less one), fixed_error's, or none yet
     error = draws[:, -1] + 1 if read_error else strategy.error
     payloads = np.stack([honest] if error is None else [honest, honest ^ error], axis=1)
-    size = max(1, _TABLE_WORDS[cfg.engine] >> n)
+    cap = _TABLE_WORDS[cfg.engine]
+    size = max(1, (min(cap, 1 << 16) if chosen else cap) >> n)
     for lo in range(0, len(draws), size):
         part = slice(lo, lo + size)
         tables = hash_tables(draws[part, 4 : 5 + cfg.d], spec, widths[part])

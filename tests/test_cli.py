@@ -106,6 +106,8 @@ class TestSimulate:
         ({"engine": "foo"}, "engine='foo' not one of algebraic, trellis"),
         ({"engine": "trellis", "n": 13}, "trellis engine requires n <= 12"),
         ({"d": -1}, "d=-1 negative"),
+        ({"d": 2**63}, f"d={2**63} above 2^n - 1"),
+        ({"n": 4, "d": 16}, "d=16 above 2^n - 1"),
         ({"sources": "x"}, "sources='x' not 'uniform' or {'fixed': [x1, x2]}"),
         ({"sources": {"fixed": [1]}}, "sources: fixed form needs two values"),
         ({"adversary": 5}, "adversary: unrecognized adversary 5"),
@@ -208,6 +210,13 @@ class TestSweep:
         # the same record fills for points that validate
         assert main(["sweep", "--config", cfg, "--axis", "n", "--values", "6,8"]) == 0
         assert draw_calls.trials() == [0, 1, 0, 1]
+
+    def test_degree_above_field_order_exit_2_before_any_trial(self, tmp_path, capsys, draw_calls):
+        cfg = write_config(tmp_path, trials=2)
+        assert main(["sweep", "--config", cfg, "--axis", "d", "--values", "3,256"]) == 2
+        err = capsys.readouterr().err
+        assert "d=256 above 2^n - 1" in err and "Traceback" not in err
+        assert draw_calls == []
 
 
 @pytest.mark.parametrize("command, rows", [

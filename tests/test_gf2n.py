@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from algwatchdog import gf2n
 from algwatchdog.gf2n import (
     FieldElement,
-    FieldError,
     FieldSpec,
     UnsupportedWidthError,
     canonical_spec,
@@ -58,16 +57,16 @@ class TestCanonicalSpec:
         with pytest.raises(UnsupportedWidthError):
             canonical_spec(n)
         with pytest.raises(UnsupportedWidthError):
-            FieldSpec(n, (1 << n) | 1)
+            FieldSpec(n)
 
     def test_deterministic_per_width(self):
-        assert canonical_spec(6) == canonical_spec(6)
+        assert canonical_spec(6) == canonical_spec(6) == FieldSpec(6)
 
     def test_reducible_poly_rejected(self):
-        with pytest.raises(Exception):
-            FieldSpec(4, 0b10101)  # (x^2+x+1)^2
-        with pytest.raises(FieldError, match="does not have degree 4"):
-            FieldSpec(4, 0b111)
+        # one field per width: the polynomial is derived, never passed
+        with pytest.raises(TypeError):
+            FieldSpec(4, 0b11001)
+        assert not gf2n.is_irreducible(0b10101)  # (x^2+x+1)^2
         # a constant has no degree to reduce by
         assert not gf2n.is_irreducible(1)
 

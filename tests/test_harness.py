@@ -747,6 +747,22 @@ class TestBlocks:
                 monkeypatch.setitem(harness._TABLE_WORDS, engine, size << base.n)
                 assert [tally_json(r) for r in sweep(base, "h", [1, 3, 6])] == want, (block, size)
 
+    @pytest.mark.parametrize("engine", ["algebraic", "trellis"])
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_draw_step_sizes_exhaustive_best_calls(self, monkeypatch, engine, n):
+        # best_errors scores what it is given at once, so the draw step's
+        # sub-batches hold at most 2^16 table words under exhaustive_best
+        calls = []
+        best_errors = protocol.best_errors
+
+        def recorded(spec, tables, *args):
+            calls.append(len(tables))
+            return best_errors(spec, tables, *args)
+
+        monkeypatch.setattr(protocol, "best_errors", recorded)
+        run_trials(small_cfg(n=n, h=4, engine=engine, threshold=0.01, adversary="exhaustive_best", trials=100))
+        assert sum(calls) == 100 and max(calls) == max(1, (1 << 16) >> n)
+
     def test_reseed_gives_the_words_random_gives(self, monkeypatch):
         # the draw step reseeds through the C seed `Random.seed` wraps; both
         # streams of each trial must start where Random(seed) starts
@@ -859,8 +875,9 @@ class TestMemory:
             # 0.23 MB: a block holds 256 trials, as the old sub-batch did at n <= 8; +0.27 MB
             # (a 20,000-trial block would hold ≈5 MB of draws, noise and rows)
             (dict(n=2, h=1, engine="trellis", trials=20_000), 0.5),
-            # 5.62 and 4.08 MB: best_errors scores 2^16 table words at once
-            # whatever the sub-batch; +25% (13.0 and 12.8 MB unsliced)
+            # 5.70 and 4.11 MB: the draw step cuts exhaustive_best's sub-batches
+            # at 2^16 table words, which best_errors scores at once; +23% and
+            # +24% (12.9 and 12.8 MB in sub-batches at the 2^18-word cap)
             (dict(n=10, h=4, adversary="exhaustive_best", trials=256), 7.0),
             (dict(n=12, h=5, adversary="exhaustive_best", trials=64), 5.1),
             # 0.52 MB: one trial per sub-batch at n = 16; the 2^18-word cap
